@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction as F
 
-from trisym.cases import case_dims, make_case
+from trisym.cases import make_case
 from trisym.coeffs import coefficients_for_case
 from trisym.einstein import refine_solution, solve_case
 from trisym.errors import NotApplicable
@@ -48,7 +48,7 @@ def main() -> int:
 
     for label, params in HEADLINE:
         case = make_case(label, **params)
-        dim_h, d1, d2, d3 = case_dims(case)
+        dim_h, d1, d2, d3 = case.dims
         data = coefficients_for_case(case)
         print(f"{case.describe()}  [{case.inp_tag}]  G = {case.family}{case.rank}, H = {case.isotropy_type}")
         print(f"  dims ({d1}, {d2}, {d3}), dim h = {dim_h}")

@@ -27,17 +27,15 @@ coincide as h-modules; the diagonal-metric solver is not applicable there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import IntegrityError, InvalidMarking, TrisymError
 from .rootsys import RootSystem, build_root_system, dimension
 
 # A subalgebra factor: ("T", k) is a k-dimensional torus, otherwise (family, rank).
 Factor = tuple[str, int]
-
-INP_TAGS = tuple(f"InP{i}" for i in range(1, 23))
 
 
 def factor_dim(f: Factor) -> int:
@@ -134,6 +132,11 @@ class SpaceCase:
     anchor_block: int = 0
     anchor_gamma: Optional[Fraction] = None
     isomorphic_summands: bool = False
+    # (dim h, d1, d2, d3), computed once by the case_dims integrity gate
+    dims: tuple[int, int, int, int] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", case_dims(self))
 
     def param(self, name: str) -> int:
         for k, v in self.params:
@@ -208,33 +211,118 @@ def case_dims(case: SpaceCase) -> tuple[int, int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Per-case constructors. Each validates its parameter ranges (the ranges of
-# the classification), then assembles the entry and runs the integrity gate.
+# The families. Each is declared once, next to the function that builds its
+# entries: the declaration both validates parameters and enumerates them.
 # ---------------------------------------------------------------------------
 
+# inclusive (lo, hi) bounds of a parameter, given the parameters before it
+Bounds = Callable[..., tuple[int, int]]
 
-def _case(**kw) -> SpaceCase:
-    case = SpaceCase(**kw)
-    case_dims(case)
-    return case
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family: label, InP tag, ambient type and parameter range.
+
+    The parameters are l (the ambient rank), then i with bounds in l, then j
+    with bounds in (l, i). l runs from l[0] in steps of `l_step` up to l[1]
+    (unbounded when None). A family without parameters has the fixed ambient
+    rank `rank`. `build` maps the parameters to the remaining entry fields.
+    """
+
+    label: str
+    tag: str
+    group: str
+    build: Callable[..., dict]
+    l: Optional[tuple[int, Optional[int]]] = None
+    l_step: int = 1
+    i: Optional[Bounds] = None
+    j: Optional[Bounds] = None
+    rank: Optional[int] = None
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        if self.l is None:
+            return ()
+        return ("l", "i", "j")[: 1 + (self.i is not None) + (self.j is not None)]
+
+    def bounds(self, name: str, p: dict[str, int]) -> tuple[int, Optional[int]]:
+        """Bounds of parameter `name`, given the earlier parameters in `p`."""
+        if name == "l":
+            return self.l
+        return self.i(p["l"]) if name == "i" else self.j(p["l"], p["i"])
+
+    def _validate(self, name: str, p: dict[str, int]) -> None:
+        lo, hi = self.bounds(name, p)
+        v = p[name]
+        if lo <= v and (hi is None or v <= hi) and (name != "l" or (v - lo) % self.l_step == 0):
+            return
+        if hi is not None:
+            need = f"{lo} <= {name} <= {hi}"
+        elif self.l_step > 1:
+            need = f"{name} in {lo}, {lo + self.l_step}, {lo + 2 * self.l_step}, ..."
+        else:
+            need = f"{name} >= {lo}"
+        at = ", ".join(f"{k}={p[k]}" for k in self.names[: self.names.index(name)])
+        raise TrisymError(
+            f"{self.label}: parameter out of range ({name}={v}; need {need}{' at ' + at if at else ''})"
+        )
+
+    def case(self, given: dict[str, int]) -> SpaceCase:
+        """The entry for the given parameters, validated against the range."""
+        missing = [n for n in self.names if n not in given]
+        extra = [n for n in given if n not in self.names]
+        if missing:
+            raise TrisymError(f"{self.label}: missing parameter(s) {missing}")
+        if extra:
+            raise TrisymError(f"{self.label}: unexpected parameter(s) {extra}")
+        p = {n: given[n] for n in self.names}
+        for name in self.names:
+            self._validate(name, p)
+        return SpaceCase(
+            inp_tag=self.tag,
+            type_label=self.label,
+            family=self.group,
+            rank=self.rank if self.l is None else p["l"],
+            params=tuple(p.items()),
+            **self.build(**p),
+        )
+
+    def points(self, max_rank: int, p: Optional[dict[str, int]] = None) -> Iterator[dict[str, int]]:
+        """Every admissible parameter set with ambient rank <= max_rank, in ascending order."""
+        p = p or {}
+        if len(p) == len(self.names):
+            if self.l is not None or self.rank <= max_rank:
+                yield p
+            return
+        name = self.names[len(p)]
+        lo, hi = self.bounds(name, p)
+        if name == "l":
+            hi = max_rank if hi is None else min(hi, max_rank)
+        for v in range(lo, hi + 1, self.l_step if name == "l" else 1):
+            yield from self.points(max_rank, {**p, name: v})
+
+
+# every family by type label, in catalog order
+FAMILIES: dict[str, Family] = {}
+
+
+def _family(label: str, tag: str, group: str, **ranges):
+    """Declare a family whose entries the decorated function builds."""
+
+    def register(build):
+        FAMILIES[label] = Family(label, tag, group, build, **ranges)
+        return build
+
+    return register
 
 
 def _torus(k: int) -> Factor:
     return ("T", k)
 
 
-def _check(cond: bool, label: str, msg: str):
-    if not cond:
-        raise TrisymError(f"{label}: parameter out of range ({msg})")
-
-
-def a_i_case() -> SpaceCase:
-    return _case(
-        inp_tag="InP1",
-        type_label="A-I",
-        family="A",
-        rank=1,
-        params=(("l", 1),),
+@_family("A-I", "InP1", "A", l=(1, 1))
+def _a_i(l):
+    return dict(
         isotropy_factors=(),
         fixed_subalgebra_types=((_torus(1),), (_torus(1),), (_torus(1),)),
         marking=InvolutionMarking(frozenset({1}), frozenset(), outer="center-negation"),
@@ -242,15 +330,10 @@ def a_i_case() -> SpaceCase:
     )
 
 
-def a_ii_case(l: int) -> SpaceCase:
-    _check(l >= 3 and l % 2 == 1, "A-II", "l must be odd and >= 3")
+@_family("A-II", "InP2", "A", l=(3, None), l_step=2)
+def _a_ii(l):
     k = (l + 1) // 2
-    return _case(
-        inp_tag="InP2",
-        type_label="A-II",
-        family="A",
-        rank=l,
-        params=(("l", l),),
+    return dict(
         isotropy_factors=(_torus(1), ("A", k - 1)),
         fixed_subalgebra_types=(
             (("A", k - 1), ("A", k - 1), _torus(1)),
@@ -264,17 +347,10 @@ def a_ii_case(l: int) -> SpaceCase:
     )
 
 
-def a_iii_case(l: int, i: int, j: int) -> SpaceCase:
-    _check(l >= 2, "A-III", "l >= 2")
-    _check(1 <= i <= (l + 1) // 3, "A-III", "1 <= i <= floor((l+1)/3)")
-    _check(2 * i <= j <= (l + i + 1) // 2, "A-III", "2i <= j <= floor((l+i+1)/2)")
+@_family("A-III", "InP3", "A", l=(2, None), i=lambda l: (1, (l + 1) // 3), j=lambda l, i: (2 * i, (l + i + 1) // 2))
+def _a_iii(l, i, j):
     n1, n2, n3 = i, j - i, l + 1 - j
-    return _case(
-        inp_tag="InP3",
-        type_label="A-III",
-        family="A",
-        rank=l,
-        params=(("l", l), ("i", i), ("j", j)),
+    return dict(
         isotropy_factors=(_torus(2), ("A", i - 1), ("A", j - i - 1), ("A", l - j)),
         fixed_subalgebra_types=(
             (_torus(1), ("A", i - 1), ("A", l - i)),
@@ -286,16 +362,9 @@ def a_iii_case(l: int, i: int, j: int) -> SpaceCase:
     )
 
 
-def b_i_case(l: int, i: int, j: int) -> SpaceCase:
-    _check(l >= 2, "B-I", "l >= 2")
-    _check(2 < i <= l, "B-I", "2 < i <= l")
-    _check(2 * j >= i and 2 <= j <= i - 1, "B-I", "i/2 <= j <= i-1")
-    return _case(
-        inp_tag="InP4",
-        type_label="B-I",
-        family="B",
-        rank=l,
-        params=(("l", l), ("i", i), ("j", j)),
+@_family("B-I", "InP4", "B", l=(3, None), i=lambda l: (3, l), j=lambda l, i: ((i + 1) // 2, i - 1))
+def _b_i(l, i, j):
+    return dict(
         isotropy_factors=(("B", l - i), ("D", j), ("D", i - j)),
         fixed_subalgebra_types=(
             (("D", i), ("B", l - i)),
@@ -307,15 +376,9 @@ def b_i_case(l: int, i: int, j: int) -> SpaceCase:
     )
 
 
-def b_ii_case(l: int, i: int) -> SpaceCase:
-    _check(l >= 2, "B-II", "l >= 2")
-    _check(2 * i >= l + 1 and i <= l, "B-II", "(l+1)/2 <= i <= l")
-    return _case(
-        inp_tag="InP5",
-        type_label="B-II",
-        family="B",
-        rank=l,
-        params=(("l", l), ("i", i)),
+@_family("B-II", "InP5", "B", l=(2, None), i=lambda l: ((l + 2) // 2, l))
+def _b_ii(l, i):
+    return dict(
         isotropy_factors=(("B", i - 1), ("B", l - i)),
         fixed_subalgebra_types=(
             (("D", i), ("B", l - i)),
@@ -328,16 +391,12 @@ def b_ii_case(l: int, i: int) -> SpaceCase:
     )
 
 
-def b_iii_case(l: int, i: int, j: int) -> SpaceCase:
-    _check(l >= 2, "B-III", "l >= 2")
-    _check((2 * l + 3) // 3 <= i <= l, "B-III", "floor((2l+3)/3) <= i <= l")
-    _check((i + 2) // 2 <= j <= 2 * i - l and 2 <= j < i, "B-III", "floor((i+2)/2) <= j <= 2i-l, 2 <= j < i")
-    return _case(
-        inp_tag="InP6",
-        type_label="B-III",
-        family="B",
-        rank=l,
-        params=(("l", l), ("i", i), ("j", j)),
+@_family(
+    "B-III", "InP6", "B",
+    l=(3, None), i=lambda l: ((2 * l + 3) // 3, l), j=lambda l, i: ((i + 2) // 2, min(2 * i - l, i - 1)),
+)
+def _b_iii(l, i, j):
+    return dict(
         isotropy_factors=(("B", j - 1), ("B", i - j), ("B", l - i)),
         fixed_subalgebra_types=(
             (("D", i), ("B", l - i)),
@@ -349,16 +408,9 @@ def b_iii_case(l: int, i: int, j: int) -> SpaceCase:
     )
 
 
-def c_i_case(l: int, i: int, j: int) -> SpaceCase:
-    _check(l >= 3, "C-I", "l >= 3")
-    _check(1 <= i <= l // 3, "C-I", "1 <= i <= floor(l/3)")
-    _check(2 * i <= j <= (l + i) // 2, "C-I", "2i <= j <= floor((l+i)/2)")
-    return _case(
-        inp_tag="InP7",
-        type_label="C-I",
-        family="C",
-        rank=l,
-        params=(("l", l), ("i", i), ("j", j)),
+@_family("C-I", "InP7", "C", l=(3, None), i=lambda l: (1, l // 3), j=lambda l, i: (2 * i, (l + i) // 2))
+def _c_i(l, i, j):
+    return dict(
         isotropy_factors=(("C", i), ("C", j - i), ("C", l - j)),
         fixed_subalgebra_types=(
             (("C", i), ("C", l - i)),
@@ -370,16 +422,9 @@ def c_i_case(l: int, i: int, j: int) -> SpaceCase:
     )
 
 
-def d_i_case(l: int, i: int, j: int) -> SpaceCase:
-    _check(l >= 4, "D-I", "l >= 4")
-    _check(1 <= i <= l // 3, "D-I", "1 <= i <= floor(l/3)")
-    _check(2 * i <= j <= (l + i) // 2, "D-I", "2i <= j <= floor((l+i)/2)")
-    return _case(
-        inp_tag="InP8",
-        type_label="D-I",
-        family="D",
-        rank=l,
-        params=(("l", l), ("i", i), ("j", j)),
+@_family("D-I", "InP8", "D", l=(4, None), i=lambda l: (1, l // 3), j=lambda l, i: (2 * i, (l + i) // 2))
+def _d_i(l, i, j):
+    return dict(
         isotropy_factors=(("D", i), ("D", j - i), ("D", l - j)),
         fixed_subalgebra_types=(
             (("D", i), ("D", l - i)),
@@ -391,15 +436,9 @@ def d_i_case(l: int, i: int, j: int) -> SpaceCase:
     )
 
 
-def d_ii_case(l: int, i: int) -> SpaceCase:
-    _check(l >= 4, "D-II", "l >= 4")
-    _check(1 <= i <= l - 2, "D-II", "1 <= i <= l-2")
-    return _case(
-        inp_tag="InP9",
-        type_label="D-II",
-        family="D",
-        rank=l,
-        params=(("l", l), ("i", i)),
+@_family("D-II", "InP9", "D", l=(4, None), i=lambda l: (1, l - 2))
+def _d_ii(l, i):
+    return dict(
         isotropy_factors=(("B", i - 1), ("D", l - i)),
         fixed_subalgebra_types=(
             (("D", i), ("D", l - i)),
@@ -412,16 +451,9 @@ def d_ii_case(l: int, i: int) -> SpaceCase:
     )
 
 
-def d_iii_case(l: int, i: int, j: int) -> SpaceCase:
-    _check(l >= 4, "D-III", "l >= 4")
-    _check(1 <= i <= l - 2, "D-III", "1 <= i <= l-2")
-    _check(i < j <= (l + i - 1) // 2, "D-III", "i < j <= floor((l+i-1)/2)")
-    return _case(
-        inp_tag="InP10",
-        type_label="D-III",
-        family="D",
-        rank=l,
-        params=(("l", l), ("i", i), ("j", j)),
+@_family("D-III", "InP10", "D", l=(4, None), i=lambda l: (1, l - 3), j=lambda l, i: (i + 1, (l + i - 1) // 2))
+def _d_iii(l, i, j):
+    return dict(
         isotropy_factors=(("D", i), ("B", j - i), ("B", l - j - 1)),
         fixed_subalgebra_types=(
             (("D", i), ("D", l - i)),
@@ -433,14 +465,9 @@ def d_iii_case(l: int, i: int, j: int) -> SpaceCase:
     )
 
 
-def d_iv_case(l: int) -> SpaceCase:
-    _check(l >= 4, "D-IV", "l >= 4")
-    return _case(
-        inp_tag="InP11",
-        type_label="D-IV",
-        family="D",
-        rank=l,
-        params=(("l", l),),
+@_family("D-IV", "InP11", "D", l=(4, None))
+def _d_iv(l):
+    return dict(
         isotropy_factors=(("D", l - 1),),
         fixed_subalgebra_types=(
             (_torus(1), ("D", l - 1)),
@@ -453,14 +480,9 @@ def d_iv_case(l: int) -> SpaceCase:
     )
 
 
-def d_v_case(l: int) -> SpaceCase:
-    _check(l >= 4, "D-V", "l >= 4")
-    return _case(
-        inp_tag="InP12",
-        type_label="D-V",
-        family="D",
-        rank=l,
-        params=(("l", l),),
+@_family("D-V", "InP12", "D", l=(4, None))
+def _d_v(l):
+    return dict(
         isotropy_factors=(_torus(2), ("A", l - 2)),
         fixed_subalgebra_types=(
             (_torus(1), ("D", l - 1)),
@@ -474,255 +496,108 @@ def d_v_case(l: int) -> SpaceCase:
     )
 
 
-def _exceptional(tag, label, family, rank, iso, ks, marking, anchor_block, anchor_gamma):
-    return _case(
-        inp_tag=tag,
-        type_label=label,
-        family=family,
-        rank=rank,
-        params=(),
-        isotropy_factors=iso,
-        fixed_subalgebra_types=ks,
-        marking=marking,
-        gamma_mode="anchor",
-        anchor_block=anchor_block,
-        anchor_gamma=anchor_gamma,
+def _exceptional(label, tag, group, rank, iso, ks, marking, anchor_block, anchor_gamma):
+    """Declare a parameterless family with fixed ambient rank and one anchored gamma."""
+    _family(label, tag, group, rank=rank)(
+        lambda: dict(
+            isotropy_factors=iso,
+            fixed_subalgebra_types=ks,
+            marking=marking,
+            gamma_mode="anchor",
+            anchor_block=anchor_block,
+            anchor_gamma=anchor_gamma,
+        )
     )
 
 
-def e6_i_case() -> SpaceCase:
-    return _exceptional(
-        "InP13", "E6-I", "E", 6, (_torus(2), ("D", 4)),
-        ((_torus(1), ("D", 5)), (_torus(1), ("D", 5)), (_torus(1), ("D", 5))),
-        InvolutionMarking.inner({1}, {5}), 1, Fraction(2, 3),
-    )
+_exceptional(
+    "E6-I", "InP13", "E", 6, (_torus(2), ("D", 4)),
+    ((_torus(1), ("D", 5)), (_torus(1), ("D", 5)), (_torus(1), ("D", 5))),
+    InvolutionMarking.inner({1}, {5}), 1, Fraction(2, 3),
+)
+_exceptional(
+    "E6-II", "InP14", "E", 6, (_torus(1), ("A", 1), ("A", 1), ("A", 3)),
+    ((("A", 1), ("A", 5)), (("A", 1), ("A", 5)), (_torus(1), ("D", 5))),
+    InvolutionMarking.inner({6}, {2}), 1, Fraction(1, 2),
+)
+_exceptional(
+    "E6-III", "InP15", "E", 6, (("A", 1), ("C", 3)),
+    ((("A", 1), ("A", 5)), (("F", 4),), (("C", 4),)),
+    InvolutionMarking(frozenset({6}), frozenset(), outer="diagram-flip"), 1, Fraction(1, 2),
+)
+_exceptional(
+    "E7-I", "InP16", "E", 7, (("A", 1), ("A", 1), ("A", 1), ("D", 4)),
+    ((("A", 1), ("D", 6)), (("A", 1), ("D", 6)), (("A", 1), ("D", 6))),
+    InvolutionMarking.inner({6}, {2}), 1, Fraction(5, 9),
+)
+_exceptional(
+    "E7-II", "InP17", "E", 7, (_torus(1), ("A", 1), ("A", 5)),
+    ((("A", 7),), (("A", 1), ("D", 6)), (_torus(1), ("E", 6))),
+    InvolutionMarking.inner({7}, {2}), 2, Fraction(5, 9),
+)
+_exceptional(
+    "E7-III", "InP18", "E", 7, (("D", 4),),
+    ((("A", 7),), (("A", 7),), (("A", 7),)),
+    InvolutionMarking(frozenset({7}), frozenset({4}), outer="diagram-flip+inner"), 1, Fraction(4, 9),
+)
+_exceptional(
+    "E8-I", "InP19", "E", 8, (("A", 1), ("A", 1), ("D", 6)),
+    ((("D", 8),), (("A", 1), ("E", 7)), (("A", 1), ("E", 7))),
+    InvolutionMarking.inner({7}, {1}), 2, Fraction(3, 5),
+)
+_exceptional(
+    "E8-II", "InP20", "E", 8, (("D", 4), ("D", 4)),
+    ((("D", 8),), (("D", 8),), (("D", 8),)),
+    InvolutionMarking.inner({7}, {3}), 1, Fraction(7, 15),
+)
+_exceptional(
+    "F4-I", "InP21", "F", 4, (("D", 4),),
+    ((("B", 4),), (("B", 4),), (("B", 4),)),
+    InvolutionMarking.inner({4}, {3}), 1, Fraction(7, 9),
+)
+_exceptional(
+    "F4-II", "InP22", "F", 4, (("A", 1), ("A", 1), ("C", 2)),
+    ((("B", 4),), (("A", 1), ("C", 3)), (("A", 1), ("C", 3))),
+    InvolutionMarking.inner({4}, {1}), 1, Fraction(7, 9),
+)
 
 
-def e6_ii_case() -> SpaceCase:
-    return _exceptional(
-        "InP14", "E6-II", "E", 6, (_torus(1), ("A", 1), ("A", 1), ("A", 3)),
-        ((("A", 1), ("A", 5)), (("A", 1), ("A", 5)), (_torus(1), ("D", 5))),
-        InvolutionMarking.inner({6}, {2}), 1, Fraction(1, 2),
-    )
+def _resolve(selector: str, params: dict) -> tuple[Family, dict[str, int]]:
+    """The family named by a type label or InP tag, with the given parameters.
 
-
-def e6_iii_case() -> SpaceCase:
-    return _exceptional(
-        "InP15", "E6-III", "E", 6, (("A", 1), ("C", 3)),
-        ((("A", 1), ("A", 5)), (("F", 4),), (("C", 4),)),
-        InvolutionMarking(frozenset({6}), frozenset(), outer="diagram-flip"),
-        1, Fraction(1, 2),
-    )
-
-
-def e7_i_case() -> SpaceCase:
-    return _exceptional(
-        "InP16", "E7-I", "E", 7, (("A", 1), ("A", 1), ("A", 1), ("D", 4)),
-        ((("A", 1), ("D", 6)), (("A", 1), ("D", 6)), (("A", 1), ("D", 6))),
-        InvolutionMarking.inner({6}, {2}), 1, Fraction(5, 9),
-    )
-
-
-def e7_ii_case() -> SpaceCase:
-    return _exceptional(
-        "InP17", "E7-II", "E", 7, (_torus(1), ("A", 1), ("A", 5)),
-        ((("A", 7),), (("A", 1), ("D", 6)), (_torus(1), ("E", 6))),
-        InvolutionMarking.inner({7}, {2}), 2, Fraction(5, 9),
-    )
-
-
-def e7_iii_case() -> SpaceCase:
-    return _exceptional(
-        "InP18", "E7-III", "E", 7, (("D", 4),),
-        ((("A", 7),), (("A", 7),), (("A", 7),)),
-        InvolutionMarking(frozenset({7}), frozenset({4}), outer="diagram-flip+inner"),
-        1, Fraction(4, 9),
-    )
-
-
-def e8_i_case() -> SpaceCase:
-    return _exceptional(
-        "InP19", "E8-I", "E", 8, (("A", 1), ("A", 1), ("D", 6)),
-        ((("D", 8),), (("A", 1), ("E", 7)), (("A", 1), ("E", 7))),
-        InvolutionMarking.inner({7}, {1}), 2, Fraction(3, 5),
-    )
-
-
-def e8_ii_case() -> SpaceCase:
-    return _exceptional(
-        "InP20", "E8-II", "E", 8, (("D", 4), ("D", 4)),
-        ((("D", 8),), (("D", 8),), (("D", 8),)),
-        InvolutionMarking.inner({7}, {3}), 1, Fraction(7, 15),
-    )
-
-
-def f4_i_case() -> SpaceCase:
-    return _exceptional(
-        "InP21", "F4-I", "F", 4, (("D", 4),),
-        ((("B", 4),), (("B", 4),), (("B", 4),)),
-        InvolutionMarking.inner({4}, {3}), 1, Fraction(7, 9),
-    )
-
-
-def f4_ii_case() -> SpaceCase:
-    return _exceptional(
-        "InP22", "F4-II", "F", 4, (("A", 1), ("A", 1), ("C", 2)),
-        ((("B", 4),), (("A", 1), ("C", 3)), (("A", 1), ("C", 3))),
-        InvolutionMarking.inner({4}, {1}), 1, Fraction(7, 9),
-    )
-
-
-# builders keyed by label: (constructor, parameter names)
-CASE_BUILDERS = {
-    "A-I": (a_i_case, ()),
-    "A-II": (a_ii_case, ("l",)),
-    "A-III": (a_iii_case, ("l", "i", "j")),
-    "B-I": (b_i_case, ("l", "i", "j")),
-    "B-II": (b_ii_case, ("l", "i")),
-    "B-III": (b_iii_case, ("l", "i", "j")),
-    "C-I": (c_i_case, ("l", "i", "j")),
-    "D-I": (d_i_case, ("l", "i", "j")),
-    "D-II": (d_ii_case, ("l", "i")),
-    "D-III": (d_iii_case, ("l", "i", "j")),
-    "D-IV": (d_iv_case, ("l",)),
-    "D-V": (d_v_case, ("l",)),
-    "E6-I": (e6_i_case, ()),
-    "E6-II": (e6_ii_case, ()),
-    "E6-III": (e6_iii_case, ()),
-    "E7-I": (e7_i_case, ()),
-    "E7-II": (e7_ii_case, ()),
-    "E7-III": (e7_iii_case, ()),
-    "E8-I": (e8_i_case, ()),
-    "E8-II": (e8_ii_case, ()),
-    "F4-I": (f4_i_case, ()),
-    "F4-II": (f4_ii_case, ()),
-}
-
-_TAG_TO_LABEL = {
-    "InP1": "A-I", "InP2": "A-II", "InP3": "A-III", "InP4": "B-I", "InP5": "B-II",
-    "InP6": "B-III", "InP7": "C-I", "InP8": "D-I", "InP9": "D-II", "InP10": "D-III",
-    "InP11": "D-IV", "InP12": "D-V", "InP13": "E6-I", "InP14": "E6-II", "InP15": "E6-III",
-    "InP16": "E7-I", "InP17": "E7-II", "InP18": "E7-III", "InP19": "E8-I", "InP20": "E8-II",
-    "InP21": "F4-I", "InP22": "F4-II",
-}
-
-
-def normalize_label(selector: str) -> str:
-    """Resolve a type label or InP tag to the canonical type label."""
-    key = selector.strip().replace("_", "-")
-    for tag, label in _TAG_TO_LABEL.items():
-        if key.lower() == tag.lower():
-            return label
-    for label in CASE_BUILDERS:
-        if key.upper() == label.upper():
-            return label
-    raise TrisymError(f"unknown case selector {selector!r}")
+    `k` is an alias for A-II's l = 2k - 1, and a parameter with a single
+    admissible value (A-I's l = 1) may be left out.
+    """
+    key = selector.strip().replace("_", "-").upper()
+    fam = next((f for f in FAMILIES.values() if key in (f.label.upper(), f.tag.upper())), None)
+    if fam is None:
+        raise TrisymError(f"unknown case selector {selector!r}")
+    given = {k: v for k, v in params.items() if v is not None}
+    if fam.label == "A-II" and "k" in given:
+        l = 2 * given.pop("k") - 1
+        if given.setdefault("l", l) != l:
+            raise TrisymError("A-II: inconsistent l and k (need l = 2k - 1)")
+    if fam.l is not None and fam.l[0] == fam.l[1]:
+        given.setdefault("l", fam.l[0])
+    return fam, given
 
 
 def make_case(selector: str, **params: int) -> SpaceCase:
-    """Construct a single catalog entry by label/tag and parameters.
-
-    `k` is accepted as an alias for A-II's parameter via l = 2k - 1.
-    """
-    label = normalize_label(selector)
-    builder, names = CASE_BUILDERS[label]
-    params = {k: v for k, v in params.items() if v is not None}
-    if label == "A-II" and "k" in params:
-        if "l" in params and params["l"] != 2 * params["k"] - 1:
-            raise TrisymError("A-II: inconsistent l and k (need l = 2k - 1)")
-        params["l"] = 2 * params.pop("k") - 1
-    missing = [n for n in names if n not in params]
-    extra = [n for n in params if n not in names]
-    if missing:
-        raise TrisymError(f"{label}: missing parameter(s) {missing}")
-    if extra:
-        raise TrisymError(f"{label}: unexpected parameter(s) {extra}")
-    return builder(**{n: params[n] for n in names})
-
-
-def _iter_params(label: str, max_rank: int) -> Iterator[dict[str, int]]:
-    if label == "A-I":
-        if max_rank >= 1:
-            yield {}
-    elif label == "A-II":
-        for l in range(3, max_rank + 1, 2):
-            yield {"l": l}
-    elif label == "A-III":
-        for l in range(2, max_rank + 1):
-            for i in range(1, (l + 1) // 3 + 1):
-                for j in range(2 * i, (l + i + 1) // 2 + 1):
-                    yield {"l": l, "i": i, "j": j}
-    elif label == "B-I":
-        for l in range(3, max_rank + 1):
-            for i in range(3, l + 1):
-                for j in range((i + 1) // 2, i):
-                    if j >= 2:
-                        yield {"l": l, "i": i, "j": j}
-    elif label == "B-II":
-        for l in range(2, max_rank + 1):
-            for i in range((l + 2) // 2, l + 1):
-                yield {"l": l, "i": i}
-    elif label == "B-III":
-        for l in range(2, max_rank + 1):
-            for i in range((2 * l + 3) // 3, l + 1):
-                hi = min(2 * i - l, i - 1)
-                for j in range((i + 2) // 2, hi + 1):
-                    if j >= 2:
-                        yield {"l": l, "i": i, "j": j}
-    elif label == "C-I":
-        for l in range(3, max_rank + 1):
-            for i in range(1, l // 3 + 1):
-                for j in range(2 * i, (l + i) // 2 + 1):
-                    yield {"l": l, "i": i, "j": j}
-    elif label == "D-I":
-        for l in range(4, max_rank + 1):
-            for i in range(1, l // 3 + 1):
-                for j in range(2 * i, (l + i) // 2 + 1):
-                    yield {"l": l, "i": i, "j": j}
-    elif label == "D-II":
-        for l in range(4, max_rank + 1):
-            for i in range(1, l - 1):
-                yield {"l": l, "i": i}
-    elif label == "D-III":
-        for l in range(4, max_rank + 1):
-            for i in range(1, l - 1):
-                for j in range(i + 1, (l + i - 1) // 2 + 1):
-                    yield {"l": l, "i": i, "j": j}
-    elif label in ("D-IV", "D-V"):
-        for l in range(4, max_rank + 1):
-            yield {"l": l}
-    else:  # exceptional: fixed rank
-        rank = int(label[1]) if label[0] in ("E", "F") else 0
-        if rank <= max_rank:
-            yield {}
-
-
-_LABEL_ORDER = {label: i for i, label in enumerate(CASE_BUILDERS)}
+    """Construct a single catalog entry by label/tag and parameters (see `_resolve`)."""
+    fam, given = _resolve(selector, params)
+    return fam.case(given)
 
 
 def enumerate_cases(max_rank: int) -> list[SpaceCase]:
     """Every catalog entry with ambient rank <= max_rank, each exactly once."""
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
-    out: list[SpaceCase] = []
-    for label in CASE_BUILDERS:
-        for params in _iter_params(label, max_rank):
-            out.append(make_case(label, **params))
-    out.sort(key=lambda c: (_LABEL_ORDER[c.type_label], c.rank, c.params))
-    return out
+    return [fam.case(p) for fam in FAMILIES.values() for p in fam.points(max_rank)]
 
 
 def find_cases(selector: str, max_rank: int = 12, **params: int) -> list[SpaceCase]:
     """Catalog entries matching a label/tag, filtered by any given parameters."""
-    label = normalize_label(selector)
-    given = {k: v for k, v in params.items() if v is not None}
-    if label == "A-II" and "k" in given:
-        given["l"] = 2 * given.pop("k") - 1
-    _, names = CASE_BUILDERS[label]
-    if all(n in given for n in names):
-        return [make_case(label, **given)]
-    out = []
-    for ps in _iter_params(label, max_rank):
-        if all(ps.get(k) == v for k, v in given.items()):
-            out.append(make_case(label, **ps))
-    return out
+    fam, given = _resolve(selector, params)
+    if all(n in given for n in fam.names):
+        return [fam.case(given)]
+    return [fam.case(p) for p in fam.points(max_rank) if all(p.get(k) == v for k, v in given.items())]

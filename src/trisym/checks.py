@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable
 
-from .cases import SpaceCase, case_dims, enumerate_cases, find_cases, make_case
+from .cases import SpaceCase, ambient_dim, enumerate_cases, find_cases, make_case
 from .coeffs import coefficients_for_case, gamma_from_killing_ratio
 from .einstein import refine_solution, solve_case, solve_einstein, verify_solution
 from .polysolve import Polynomial, count_real_roots, squarefree_part
@@ -160,13 +160,11 @@ def check_dimension_table() -> list[CheckResult]:
 
     def table_rows():
         for label, expected in DIM_TABLE.items():
-            case = _the_case(label)
-            dim_h, d1, d2, d3 = case_dims(case)
+            _, d1, d2, d3 = _the_case(label).dims
             if (d1, d2, d3) != expected:
                 raise AssertionError(f"{label}: dims {(d1, d2, d3)} != {expected}")
         for l in range(3, 26, 2):
-            case = make_case("A-II", l=l)
-            dim_h, d1, d2, d3 = case_dims(case)
+            _, d1, d2, d3 = make_case("A-II", l=l).dims
             if (d1, d2, d3) != a_ii_dims(l):
                 raise AssertionError(f"A-II l={l}: dims {(d1, d2, d3)} != {a_ii_dims(l)}")
         return None
@@ -175,8 +173,9 @@ def check_dimension_table() -> list[CheckResult]:
 
     def dim_sums():
         count = 0
-        for case in enumerate_cases(12):
-            case_dims(case)  # raises on any bookkeeping failure
+        for case in enumerate_cases(12):  # construction runs the case_dims gate
+            if sum(case.dims) != ambient_dim(case):
+                raise AssertionError(f"{case.describe()}: dims {case.dims} do not fill the algebra")
             count += 1
         return f"{count} cases checked"
 

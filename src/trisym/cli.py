@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .cases import case_dims, enumerate_cases, find_cases
+from .cases import enumerate_cases, find_cases
 from .coeffs import coefficients_for_case
 from .checks import run_checks
 from .einstein import (
@@ -106,33 +106,28 @@ def _cmd_list(args) -> int:
     if args.max_rank < 1:
         raise _UsageError("--max-rank must be >= 1")
     cases = enumerate_cases(args.max_rank)
-    payload = {"max_rank": args.max_rank, "cases": [encode_case(c) for c in cases]}
-    warnings = [
-        f"{c.describe()}: isotropy summands isomorphic; diagonal solver not applicable"
-        for c in cases
-        if c.isomorphic_summands
-    ]
     if args.format == "json":
+        payload = {"max_rank": args.max_rank, "cases": [encode_case(c) for c in cases]}
+        warnings = [
+            f"{c.describe()}: isotropy summands isomorphic; diagonal solver not applicable"
+            for c in cases
+            if c.isomorphic_summands
+        ]
         sys.stdout.write(to_json(envelope("list", payload, warnings)))
         return EXIT_OK
     header = ["type", "tag", "ambient", "params", "isotropy", "dim_h", "d1", "d2", "d3", "flags"]
-    rows = []
-    for c in cases:
-        dim_h, d1, d2, d3 = case_dims(c)
-        rows.append(
-            [
-                c.type_label,
-                c.inp_tag,
-                f"{c.family}{c.rank}",
-                ",".join(f"{k}={v}" for k, v in c.params),
-                c.isotropy_type,
-                str(dim_h),
-                str(d1),
-                str(d2),
-                str(d3),
-                "isomorphic-summands" if c.isomorphic_summands else "",
-            ]
-        )
+    rows = [
+        [
+            c.type_label,
+            c.inp_tag,
+            f"{c.family}{c.rank}",
+            ",".join(f"{k}={v}" for k, v in c.params),
+            c.isotropy_type,
+            *(str(d) for d in c.dims),
+            "isomorphic-summands" if c.isomorphic_summands else "",
+        ]
+        for c in cases
+    ]
     render = render_table if args.format == "table" else render_csv
     sys.stdout.write(render(rows, header))
     return EXIT_OK
@@ -141,11 +136,10 @@ def _cmd_list(args) -> int:
 def _cmd_dims(args) -> int:
     case = _resolve_case(args)
     data = coefficients_for_case(case)
-    payload = encode_case(case, data)
     if args.format == "json":
-        sys.stdout.write(to_json(envelope("dims", payload)))
+        sys.stdout.write(to_json(envelope("dims", encode_case(case, data))))
         return EXIT_OK
-    dim_h, d1, d2, d3 = case_dims(case)
+    dim_h, d1, d2, d3 = case.dims
     lines = [
         f"case       {case.describe()}  [{case.inp_tag}]",
         f"ambient    {case.family}{case.rank} (dim {dim_h + d1 + d2 + d3})",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cases import Factor, SpaceCase, case_dims
+from .cases import Factor, SpaceCase
 from .errors import InconsistentData, TrisymError
 from .rootsys import dual_coxeter_number
 
@@ -116,7 +116,6 @@ def derive_gammas(
 
 
 _SIZES_GAMMA_SHIFT = {"su": 0, "sp": 1, "so": -2}
-_SIZES_KAPPA = {"su": 2, "sp": 4, "so": 1}
 
 
 def sizes_gammas(kind: str, sizes: tuple[int, int, int]) -> Triple:
@@ -138,20 +137,11 @@ def sizes_gammas(kind: str, sizes: tuple[int, int, int]) -> Triple:
 
 def coefficients_for_case(case: SpaceCase) -> IsotropyData:
     """IsotropyData for a catalog entry, via its recorded anchor strategy."""
-    dim_h, d1, d2, d3 = case_dims(case)
-    dims = (d1, d2, d3)
+    dims = case.dims[1:]
     if case.gamma_mode == "abelian":
         return _build(dims, (Fraction(0), Fraction(0), Fraction(0)))
     if case.gamma_mode == "anchor":
-        data = derive_gammas(dims, case.anchor_block, case.anchor_gamma)
-    elif case.gamma_mode == "sizes":
-        kind, sizes = case.sizes
-        gammas = sizes_gammas(kind, sizes)
-        kappa = _SIZES_KAPPA[kind]
-        expected = (kappa * sizes[1] * sizes[2], kappa * sizes[0] * sizes[2], kappa * sizes[0] * sizes[1])
-        if dims != expected:
-            raise InconsistentData(f"{case.describe()}: sizes dims {expected} != {dims}")
-        data = _build(dims, gammas)
-    else:
-        raise TrisymError(f"unknown gamma mode {case.gamma_mode!r}")
-    return data
+        return derive_gammas(dims, case.anchor_block, case.anchor_gamma)
+    if case.gamma_mode == "sizes":
+        return _build(dims, sizes_gammas(*case.sizes))
+    raise TrisymError(f"unknown gamma mode {case.gamma_mode!r}")

@@ -274,29 +274,39 @@ def _refine_until_positive(iv: IsolatingInterval) -> IsolatingInterval:
 
 
 def _link_x2_interval(
-    eliminant2: Polynomial, iv3: IsolatingInterval, num: Polynomial, den: Polynomial
-) -> tuple[IsolatingInterval, IsolatingInterval, bool]:
+    eliminant2: Polynomial,
+    iv3: IsolatingInterval,
+    num: Polynomial,
+    den: Polynomial,
+    enclosing: Optional[IsolatingInterval] = None,
+    width: Optional[Fraction] = None,
+) -> tuple[Optional[IsolatingInterval], IsolatingInterval]:
     """Refine x3 until num/den certifies one positive root of the x2 eliminant.
 
-    Returns (x2 interval, refined x3 interval, positive) where positive is
-    False when the back-substituted coordinate is certifiably nonpositive.
+    The x2 enclosure is clipped to ``enclosing`` and must be at most ``width``
+    wide, when these are given. Returns (x2 interval, refined x3 interval);
+    the x2 interval is None when the back-substituted coordinate is
+    certifiably nonpositive.
     """
-    iv = iv3
     for _ in range(400):
-        box = Interval(iv.lo, iv.hi)
+        box = Interval(iv3.lo, iv3.hi)
         den_range = eval_poly_range(den, box)
         if not den_range.contains_zero():
             rng = eval_poly_range(num, box) / den_range
             if rng.strictly_negative() or rng.hi == 0:
-                return iv, iv, False
-            if rng.strictly_positive() and rng.width > 0:
-                if (
-                    eliminant2(rng.lo) != 0
-                    and eliminant2(rng.hi) != 0
-                    and count_real_roots(eliminant2, rng.lo, rng.hi) == 1
-                ):
-                    return IsolatingInterval(rng.lo, rng.hi, eliminant2), iv, True
-        iv = iv.refine(iv.width / 4)
+                return None, iv3
+            lo, hi = rng.lo, rng.hi
+            if enclosing is not None:
+                lo, hi = max(lo, enclosing.lo), min(hi, enclosing.hi)
+            if (
+                0 < lo < hi
+                and (width is None or hi - lo <= width)
+                and eliminant2(lo) != 0
+                and eliminant2(hi) != 0
+                and count_real_roots(eliminant2, lo, hi) == 1
+            ):
+                return IsolatingInterval(lo, hi, eliminant2), iv3
+        iv3 = iv3.refine(iv3.width / 4)
     raise IntegrityError("failed to certify the back-substituted coordinate")
 
 
@@ -345,8 +355,8 @@ def _solutions_generic(a) -> list[EinsteinSolution]:
             if zero_x2.degree >= 1 and count_real_roots(zero_x2, iv3.lo, iv3.hi) == 1:
                 continue  # back-substitution gives x2 = 0 exactly
             iv3 = _refine_until_positive(iv3)
-            iv2, iv3, positive = _link_x2_interval(elim2, iv3, num, den)
-            if not positive:
+            iv2, iv3 = _link_x2_interval(elim2, iv3, num, den)
+            if iv2 is None:
                 continue
             x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
             link = _GenericLink(a=a, iv3=iv3, iv2=iv2, num=num, den=den)
@@ -420,25 +430,8 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
     iv3 = link.iv3
     if iv3.width > width:
         iv3 = iv3.refine(width)
-    iv2 = link.iv2
-    for _ in range(400):
-        box = Interval(iv3.lo, iv3.hi)
-        den_range = eval_poly_range(link.den, box)
-        if not den_range.contains_zero():
-            rng = eval_poly_range(link.num, box) / den_range
-            lo, hi = max(rng.lo, iv2.lo), min(rng.hi, iv2.hi)
-            if (
-                lo < hi
-                and hi - lo <= width
-                and iv2.poly(lo) != 0
-                and iv2.poly(hi) != 0
-                and count_real_roots(iv2.poly, lo, hi) == 1
-            ):
-                iv2 = IsolatingInterval(lo, hi, iv2.poly)
-                break
-        iv3 = iv3.refine(iv3.width / 4)
-    else:
-        raise IntegrityError("failed to refine the back-substituted coordinate")
+    # num/den encloses the positive x2 inside link.iv2, so the result is never None here
+    iv2, iv3 = _link_x2_interval(link.iv2.poly, iv3, link.num, link.den, link.iv2, width)
     x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
     return replace(
         sol,

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .cases import SpaceCase, case_dims
+from .cases import SpaceCase
 from .coeffs import IsotropyData
 from .einstein import EinsteinSolution, RootCoordinate
 from .polysolve import Polynomial
@@ -58,7 +58,7 @@ def encode_solution(sol: EinsteinSolution) -> dict[str, Any]:
 
 
 def encode_case(case: SpaceCase, data: IsotropyData | None = None) -> dict[str, Any]:
-    dim_h, d1, d2, d3 = case_dims(case)
+    dim_h, d1, d2, d3 = case.dims
     out: dict[str, Any] = {
         "tag": case.inp_tag,
         "type_label": case.type_label,

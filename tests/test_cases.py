@@ -1,3 +1,8 @@
+import contextlib
+import hashlib
+import io
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +15,7 @@ from trisym.cases import (
     inner_decomposition_dims,
     make_case,
 )
+from trisym.cli import main as cli_main
 from trisym.errors import InvalidMarking, TrisymError
 from trisym.rootsys import build_root_system
 
@@ -53,6 +59,79 @@ class TestEnumeration:
     def test_max_rank_validation(self):
         with pytest.raises(ValueError):
             enumerate_cases(0)
+
+
+# entries per family, recorded before the families were declared in one place
+FAMILY_COUNTS = {
+    12: {
+        "A-I": 1, "A-II": 5, "A-III": 67, "B-I": 150, "B-II": 41, "B-III": 71, "C-I": 53,
+        "D-I": 52, "D-II": 54, "D-III": 95, "D-IV": 9, "D-V": 9,
+    },
+    20: {
+        "A-I": 1, "A-II": 9, "A-III": 274, "B-I": 696, "B-II": 109, "B-III": 294, "C-I": 237,
+        "D-I": 236, "D-II": 170, "D-III": 525, "D-IV": 17, "D-V": 17,
+    },
+}
+EXCEPTIONAL = ("E6-I", "E6-II", "E6-III", "E7-I", "E7-II", "E7-III", "E8-I", "E8-II", "F4-I", "F4-II")
+
+# sha256 of `trisym list --max-rank 12 --format <fmt>`, recorded the same way
+LIST_12_SHA256 = {
+    "json": "8f9fd833e67188a7ba345d5a54945320dc747da6996a986ba70e8d74cef4a9df",
+    "csv": "20d8e4e6969d1e40dd47f90bfb966b3f6f795cbab5eaffc6940227bd48e5e096",
+}
+
+
+def _observed_spans(cases):
+    """(label, earlier params, name) -> (min, max, an entry) over the given cases."""
+    spans = {}
+    for c in cases:
+        for k, (name, v) in enumerate(c.params):
+            key = (c.type_label, c.params[:k], name)
+            lo, hi, rep = spans.get(key, (v, v, c))
+            spans[key] = (min(lo, v), max(hi, v), rep)
+    return spans
+
+
+class TestDeclaration:
+    @pytest.mark.parametrize("max_rank,total", [(12, 617), (20, 2595)])
+    def test_counts_per_family(self, max_rank, total):
+        cases = enumerate_cases(max_rank)
+        want = dict(FAMILY_COUNTS[max_rank], **{label: 1 for label in EXCEPTIONAL})
+        assert len(cases) == total
+        assert Counter(c.type_label for c in cases) == want
+
+    def test_every_entry_round_trips(self):
+        for c in enumerate_cases(12):
+            assert make_case(c.type_label, **dict(c.params)) == c
+            assert make_case(c.inp_tag, **dict(c.params)) == c
+
+    def test_one_step_past_each_bound_is_rejected(self):
+        spans = _observed_spans(enumerate_cases(12))
+        assert len(spans) > 100
+        for (label, before, name), (lo, hi, rep) in spans.items():
+            # l has no upper bound (A-I aside); i and j are bounded on both sides
+            outside = [lo - 1] if name == "l" and label != "A-I" else [lo - 1, hi + 1]
+            for v in outside:
+                params = dict(rep.params, **{name: v})
+                with pytest.raises(TrisymError, match=f"^{label}: parameter out of range \\({name}={v};"):
+                    make_case(label, **params)
+
+    def test_rejection_names_the_bounds(self):
+        with pytest.raises(TrisymError, match=r"A-III: .*\(i=3; need 1 <= i <= 2 at l=5\)"):
+            make_case("A-III", l=5, i=3, j=6)
+        with pytest.raises(TrisymError, match=r"B-III: .*\(j=2; need 3 <= j <= 4 at l=6, i=5\)"):
+            make_case("B-III", l=6, i=5, j=2)
+        with pytest.raises(TrisymError, match=r"A-II: .*\(l=4; need l in 3, 5, 7, \.\.\.\)"):
+            make_case("A-II", l=4)
+        with pytest.raises(TrisymError, match=r"D-IV: .*\(l=3; need l >= 4\)"):
+            make_case("D-IV", l=3)
+
+    @pytest.mark.parametrize("fmt", sorted(LIST_12_SHA256))
+    def test_list_output_is_pinned(self, fmt):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli_main(["list", "--max-rank", "12", "--format", fmt]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == LIST_12_SHA256[fmt]
 
 
 class TestInnerDecomposition:
@@ -143,6 +222,14 @@ class TestSelectors:
 
     def test_k_alias_for_a_ii(self):
         assert make_case("A-II", k=3) == make_case("A-II", l=5)
+        assert find_cases("A-II", k=3) == [make_case("A-II", l=5)]
+        for select in (make_case, find_cases):
+            with pytest.raises(TrisymError, match="inconsistent l and k"):
+                select("A-II", l=7, k=3)
+
+    def test_a_i_names_its_rank(self):
+        assert make_case("A-I") == make_case("A-I", l=1) == find_cases("A-I", l=1)[0]
+        assert make_case("A-I").params == (("l", 1),)
 
     def test_bad_selector(self):
         with pytest.raises(TrisymError):

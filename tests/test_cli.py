@@ -99,6 +99,12 @@ class TestSolve:
             assert s["x"][0] == {"type": "rational", "value": "1/1"}
             assert s["x"][2]["type"] == "interval"
 
+    def test_a_i_accepts_its_listed_parameter(self):
+        listed = run_cli("solve", "A-I", "--l", "1", "--format", "json")
+        bare = run_cli("solve", "A-I", "--format", "json")
+        assert listed.returncode == 0 and bare.returncode == 0
+        assert listed.stdout == bare.stdout
+
     def test_not_applicable_case(self):
         res = run_cli("solve", "D-IV", "--l", "4")
         assert res.returncode == 0
