@@ -16,7 +16,7 @@ from typing import Callable
 
 from .cases import SpaceCase, ambient_dim, enumerate_cases, find_cases, make_case
 from .coeffs import coefficients_for_case, gamma_from_killing_ratio
-from .einstein import refine_solution, solve_case, solve_einstein, verify_solution
+from .einstein import generic_eliminants, refine_solution, solve_case, solve_einstein, verify_solution
 from .polysolve import Polynomial, count_real_roots, squarefree_part
 from .surd import QuadraticSurd
 
@@ -138,18 +138,6 @@ def _proportional(p: Polynomial, q: Polynomial) -> bool:
     if p.degree != q.degree or p.is_zero or q.is_zero:
         return False
     return p.scale(q.leading) == q.scale(p.leading)
-
-
-def _generic_eliminant(a) -> Polynomial:
-    """The x3 eliminant of the all-distinct branch, squarefree part."""
-    from .einstein import _cleared_difference
-    from .polysolve import resultant
-
-    p1 = _cleared_difference(a, 0, 2)
-    p2 = _cleared_difference(a, 1, 2)
-    c1, c2 = a[2] - a[0], a[1] + a[2]
-    rel = p1.scale(c2).subtract(p2.scale(c1))
-    return squarefree_part(resultant(p2, rel, eliminate="y"))
 
 
 # -- table checks ------------------------------------------------------------
@@ -371,7 +359,7 @@ def check_quartic_eliminants() -> list[CheckResult]:
     def fixed_quartics():
         for label, want in QUARTICS.items():
             data = coefficients_for_case(_the_case(label))
-            got = _generic_eliminant(data.a)
+            got = generic_eliminants(data.a).x3
             if not _proportional(got, want):
                 raise AssertionError(f"{label}: {got.primitive().coeffs}")
         return None
@@ -381,7 +369,7 @@ def check_quartic_eliminants() -> list[CheckResult]:
     def a_ii_quartics():
         for k in range(2, 11):
             data = coefficients_for_case(_a_ii(k))
-            got = _generic_eliminant(data.a)
+            got = generic_eliminants(data.a).x3
             want = a_ii_quartic(k)
             if not _proportional(got, squarefree_part(want)):
                 raise AssertionError(f"k={k}: {got.primitive().coeffs}")

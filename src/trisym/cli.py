@@ -178,6 +178,8 @@ def _cmd_solve(args) -> int:
         a = tuple(_fraction(t) for t in args.a)
         try:
             sols = solve_einstein(a)
+        except IntegrityError:
+            raise  # a certification failure, not a bad triple: exit 3
         except TrisymError as exc:
             raise _UsageError(str(exc))
         label = None

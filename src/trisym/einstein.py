@@ -33,6 +33,7 @@ All certification is exact; floating point appears only in display helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -60,6 +61,10 @@ BRANCH_PAIR_LINEAR = "equal-pair-linear"
 BRANCH_PAIR_SUM = "equal-pair-sum"
 BRANCH_GENERIC = "generic"
 _BRANCH_ORDER = {BRANCH_STANDARD: 0, BRANCH_PAIR_LINEAR: 1, BRANCH_PAIR_SUM: 2, BRANCH_GENERIC: 3}
+
+# iteration budgets of the certification loops (each step refines an interval)
+_LINK_STEPS = 400
+_VERIFY_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,16 @@ def _coord_enclosure(c: Coordinate) -> Interval:
     if isinstance(c, RootCoordinate):
         return c.enclosure()
     return Interval.of(c)
+
+
+def _budget_exhausted(stage: str, budget: int, widths: dict[str, Fraction]) -> IntegrityError:
+    """The error for a certification loop that ran out of steps, with its last interval widths."""
+    shown = ", ".join(f"{name} {Decimal(w.numerator) / Decimal(w.denominator):.3e}" for name, w in widths.items())
+    return IntegrityError(f"{stage}: not certified within its budget of {budget} steps; last widths: {shown}")
+
+
+def _coordinate_widths(x) -> dict[str, Fraction]:
+    return {f"x{i + 1}": c.interval.width for i, c in enumerate(x) if isinstance(c, RootCoordinate)}
 
 
 def ricci_coefficients(a, x):
@@ -250,6 +265,53 @@ def _cleared_difference(a, i: int, j: int) -> BivarPolynomial:
     return BivarPolynomial.from_dict({k: v for k, v in diff.items() if v != 0})
 
 
+@dataclass(frozen=True)
+class GenericEliminants:
+    """Elimination data of the all-distinct branch at x1 = 1.
+
+    ``p1`` = F1 - F3 and ``p2`` = F2 - F3 (keys (x3 power, x2 power));
+    x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero;
+    ``x3`` and ``x2`` are the square-free eliminants in x3 and in x2.
+    """
+
+    p1: BivarPolynomial
+    p2: BivarPolynomial
+    num: Polynomial
+    den: Polynomial
+    x3: Polynomial
+    x2: Polynomial
+
+
+def generic_eliminants(a) -> GenericEliminants:
+    """Cancel x2^2 (and, symmetrically, x3^2) and eliminate by resultants."""
+    p1 = _cleared_difference(a, 0, 2)  # F1 - F3
+    p2 = _cleared_difference(a, 1, 2)  # F2 - F3
+    c1 = a[2] - a[0]  # x2^2 coefficient of p1 (nonzero: a's distinct)
+    c2 = a[1] + a[2]  # x2^2 coefficient of p2 (always positive)
+    # cancel x2^2: rel = c2*p1 - c1*p2 = den(x3) * x2 - num(x3), den linear
+    rel = p1.scale(c2).subtract(p2.scale(c1))
+    if rel.degree_y != 1:
+        raise IntegrityError("x2-linear relation has unexpected degree")
+    den = rel.y_coeff(1)
+    num = -rel.y_coeff(0)
+    if den.degree != 1:
+        raise IntegrityError("pivot polynomial is not linear")
+
+    elim3 = resultant(p2, rel, eliminate="y")
+    if elim3.is_zero:
+        raise IntegrityError("x3 eliminant vanished identically")
+
+    # symmetric elimination (swap roles of x2 and x3) for the x2 certificates
+    t1, t2 = p1.transpose(), p2.transpose()
+    e1 = t1.y_coeff(2)[0]  # x3^2 coefficient of p1: -(a1+a3)
+    e2 = t2.y_coeff(2)[0]  # x3^2 coefficient of p2: -(a2+a3)
+    rel2 = t1.scale(e2).subtract(t2.scale(e1))
+    elim2 = resultant(t2, rel2, eliminate="y")
+    if elim2.is_zero:
+        raise IntegrityError("x2 eliminant vanished identically")
+    return GenericEliminants(p1, p2, num, den, squarefree_part(elim3), squarefree_part(elim2))
+
+
 def _pivot_solutions_at(a, xi3: Fraction, p1: BivarPolynomial, p2: BivarPolynomial) -> list[EinsteinSolution]:
     """Exact solutions sitting at the rational pivot point x3 = xi3, if any."""
     q1, q2 = p1.eval_x(xi3), p2.eval_x(xi3)
@@ -288,7 +350,8 @@ def _link_x2_interval(
     the x2 interval is None when the back-substituted coordinate is
     certifiably nonpositive.
     """
-    for _ in range(400):
+    x2_width = None
+    for _ in range(_LINK_STEPS):
         box = Interval(iv3.lo, iv3.hi)
         den_range = eval_poly_range(den, box)
         if not den_range.contains_zero():
@@ -298,55 +361,34 @@ def _link_x2_interval(
             lo, hi = rng.lo, rng.hi
             if enclosing is not None:
                 lo, hi = max(lo, enclosing.lo), min(hi, enclosing.hi)
+            x2_width = hi - lo
             if (
                 0 < lo < hi
                 and (width is None or hi - lo <= width)
-                and eliminant2(lo) != 0
-                and eliminant2(hi) != 0
+                and eliminant2.sign_at(lo) != 0
+                and eliminant2.sign_at(hi) != 0
                 and count_real_roots(eliminant2, lo, hi) == 1
             ):
                 return IsolatingInterval(lo, hi, eliminant2), iv3
         iv3 = iv3.refine(iv3.width / 4)
-    raise IntegrityError("failed to certify the back-substituted coordinate")
+    widths = {"x3": iv3.width}
+    if x2_width is not None:
+        widths["x2 enclosure"] = x2_width
+    raise _budget_exhausted("x2 back-substitution", _LINK_STEPS, widths)
 
 
 def _solutions_generic(a) -> list[EinsteinSolution]:
-    p1 = _cleared_difference(a, 0, 2)  # F1 - F3
-    p2 = _cleared_difference(a, 1, 2)  # F2 - F3
-    c1 = a[2] - a[0]  # x2^2 coefficient of p1 (nonzero: a's distinct)
-    c2 = a[1] + a[2]  # x2^2 coefficient of p2 (always positive)
-    # cancel x2^2: rel = c2*p1 - c1*p2 = den(x3) * x2 - num(x3), den linear
-    rel = p1.scale(c2).subtract(p2.scale(c1))
-    if rel.degree_y != 1:
-        raise IntegrityError("x2-linear relation has unexpected degree")
-    den = rel.y_coeff(1)
-    num = -rel.y_coeff(0)
-    if den.degree != 1:
-        raise IntegrityError("pivot polynomial is not linear")
-
-    elim3 = resultant(p2, rel, eliminate="y")
-    if elim3.is_zero:
-        raise IntegrityError("x3 eliminant vanished identically")
-    elim3 = squarefree_part(elim3)
-
-    # symmetric elimination (swap roles of x2 and x3) for the x2 certificates
-    t1, t2 = p1.transpose(), p2.transpose()
-    e1 = t1.y_coeff(2)[0]  # x3^2 coefficient of p1: -(a1+a3)
-    e2 = t2.y_coeff(2)[0]  # x3^2 coefficient of p2: -(a2+a3)
-    rel2 = t1.scale(e2).subtract(t2.scale(e1))
-    elim2 = resultant(t2, rel2, eliminate="y")
-    if elim2.is_zero:
-        raise IntegrityError("x2 eliminant vanished identically")
-    elim2 = squarefree_part(elim2)
+    e = generic_eliminants(a)
+    num, den, elim3 = e.num, e.den, e.x3
 
     out: list[EinsteinSolution] = []
 
     # pivot point of the back-substitution: single rational root of den
     xi = -den[0] / den[1]
     remaining = elim3
-    if xi > 0 and elim3(xi) == 0:
-        out.extend(_pivot_solutions_at(a, xi, p1, p2))
-        while remaining.degree >= 1 and remaining(xi) == 0:
+    if xi > 0 and elim3.sign_at(xi) == 0:
+        out.extend(_pivot_solutions_at(a, xi, e.p1, e.p2))
+        while remaining.degree >= 1 and remaining.sign_at(xi) == 0:
             remaining = remaining.exact_div(Polynomial((-xi, 1)))
 
     if remaining.degree >= 1:
@@ -355,7 +397,7 @@ def _solutions_generic(a) -> list[EinsteinSolution]:
             if zero_x2.degree >= 1 and count_real_roots(zero_x2, iv3.lo, iv3.hi) == 1:
                 continue  # back-substitution gives x2 = 0 exactly
             iv3 = _refine_until_positive(iv3)
-            iv2, iv3 = _link_x2_interval(elim2, iv3, num, den)
+            iv2, iv3 = _link_x2_interval(e.x2, iv3, num, den)
             if iv2 is None:
                 continue
             x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
@@ -400,7 +442,7 @@ def _constant_sign_interval(a, x, max_refine: int = 60) -> str:
             else c
             for c in xs
         ]
-    return "indeterminate"
+    raise _budget_exhausted("Einstein-constant sign", max_refine, _coordinate_widths(xs))
 
 
 def _sort_key(sol: EinsteinSolution):
@@ -454,7 +496,7 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
         r1, r2, r3 = ricci_coefficients(a, sol.x)
         return _is_zero(r1 - r2) and _is_zero(r1 - r3)
     current = sol
-    for _ in range(200):
+    for _ in range(_VERIFY_STEPS):
         boxes = tuple(_coord_enclosure(c) for c in current.x)
         rs = [_ricci_interval(a, boxes, i) for i in range(3)]
         diffs = [rs[0] - rs[1], rs[0] - rs[2], rs[1] - rs[2]]
@@ -462,9 +504,9 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
             return False
         if all(d.abs_bound() < tol for d in diffs):
             return True
-        w = max(Interval(c.interval.lo, c.interval.hi).width for c in current.x if isinstance(c, RootCoordinate))
+        w = max(_coordinate_widths(current.x).values())
         current = refine_solution(current, w / 8)
-    raise IntegrityError("verification did not converge")
+    raise _budget_exhausted("verification", _VERIFY_STEPS, _coordinate_widths(current.x))
 
 
 @dataclass(frozen=True)

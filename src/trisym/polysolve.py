@@ -1,9 +1,15 @@
 """Exact univariate polynomial algebra over rationals.
 
 Everything in the certification path (Sturm sequences, root counting,
-isolation, refinement, resultants) is computed with `fractions.Fraction`;
-floating point never enters. Intervals returned by the isolation routines
-are certified by a Sturm count of one.
+isolation, refinement, resultants) is exact; floating point never enters.
+Polynomial algebra uses `fractions.Fraction`. Signs at rational points come
+from the integer kernel: each polynomial keeps a positive integer multiple of
+itself, and the sign of p at n/d (d > 0) is the sign of the homogenised
+integer sum c_k n^k + c_{k-1} n^(k-1) d + ... + c_0 d^k, evaluated by Horner's
+rule. A polynomial builds its square-free part and its Sturm chain (with
+elements stored the same way) the first time they are needed and keeps them.
+Intervals returned by the isolation routines are certified by a Sturm count
+of one.
 
 Conventions:
   * coefficients are stored densely in ascending order, no trailing zeros;
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import IntegrityError
@@ -24,24 +30,45 @@ from .errors import IntegrityError
 RatLike = Union[int, Fraction]
 
 
-def _sign(v: Fraction) -> int:
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+def _horner_sign(ints: Sequence[int], n: int, d: int) -> int:
+    """Sign at n/d (d > 0) of the polynomial with ascending integer coefficients ``ints``."""
+    if not ints:
+        return 0
+    acc, dpow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        dpow *= d
+        acc = acc * n + c * dpow
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(values: Iterable[int]) -> int:
+    """Sign changes along ``values``, zeros skipped."""
+    prev, n = 0, 0
+    for v in values:
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                n += 1
+            prev = v
+    return n
 
 
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients."""
+    """Dense univariate polynomial with Fraction coefficients.
 
-    __slots__ = ("_c",)
+    Derived data is filled in on first use and kept: ``_ints``, a positive
+    integer multiple of the coefficients; ``_sf``, the square-free part; and
+    ``_chain``, the integer forms of the Sturm chain of the square-free part
+    (set on that part only).
+    """
+
+    __slots__ = ("_c", "_ints", "_sf", "_chain")
 
     def __init__(self, coeffs: Iterable[RatLike]):
         c = [Fraction(v) for v in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
+        self._ints = self._sf = self._chain = None
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -179,26 +206,38 @@ class Polynomial:
         """Integer-coefficient scalar multiple with content 1 and positive lead."""
         if self.is_zero:
             return self
-        den = 1
-        for c in self._c:
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self._c]
-        g = 0
-        for v in ints:
-            g = _int_gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return Polynomial(ints)
+        ints = self._int_coeffs()
+        return Polynomial(ints if ints[-1] > 0 else [-v for v in ints])
 
-    def sign_at_pos_inf(self) -> int:
-        return _sign(self.leading) if not self.is_zero else 0
+    def _int_coeffs(self) -> tuple[int, ...]:
+        """Coefficients of m * self for the positive rational m that makes them coprime integers.
 
-    def sign_at_neg_inf(self) -> int:
-        if self.is_zero:
-            return 0
-        s = _sign(self.leading)
-        return s if self.degree % 2 == 0 else -s
+        Unlike ``primitive`` this never flips the sign, so signs at points agree with self's.
+        """
+        if self._ints is None:
+            den = _int_lcm(*(c.denominator for c in self._c))
+            ints = [c.numerator * (den // c.denominator) for c in self._c]
+            g = _int_gcd(*ints)
+            self._ints = tuple(v // g for v in ints)
+        return self._ints
+
+    def sign_at(self, x: RatLike) -> int:
+        """Sign of self(x) at a rational x, by integer Horner evaluation."""
+        x = Fraction(x)
+        return _horner_sign(self._int_coeffs(), x.numerator, x.denominator)
+
+    def squarefree(self) -> "Polynomial":
+        """``squarefree_part(self)``, computed once per polynomial."""
+        if self._sf is None:
+            self._sf = squarefree_part(self)
+        return self._sf
+
+    def _sturm_chain(self) -> tuple[tuple[int, ...], ...]:
+        """Integer forms of ``sturm_sequence(self)``, built once per square-free part."""
+        sf = self.squarefree()
+        if sf._chain is None:
+            sf._chain = tuple(q._int_coeffs() for q in sturm_sequence(sf))
+        return sf._chain
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -215,11 +254,12 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
-        return Polynomial.constant(1)
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.monic()
-    return p.exact_div(g).monic()
+        sf = Polynomial.constant(1)
+    else:
+        g = poly_gcd(p, p.derivative())
+        sf = p.monic() if g.degree == 0 else p.exact_div(g).monic()
+    sf._sf = sf  # a monic square-free polynomial is its own square-free part
+    return sf
 
 
 def sturm_sequence(p: Polynomial) -> list[Polynomial]:
@@ -231,7 +271,7 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    sf = squarefree_part(p)
+    sf = p.squarefree()
     chain = [sf]
     if sf.degree >= 1:
         chain.append(sf.derivative())
@@ -243,18 +283,14 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     return chain
 
 
-def _variations(values: Sequence[Fraction]) -> int:
-    signs = [_sign(v) for v in values]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _variations_at(chain: Sequence[Polynomial], x: Optional[Fraction], *, neg_inf: bool = False) -> int:
+def _variations_at(chain: Sequence[Sequence[int]], x: Optional[Fraction], *, neg_inf: bool = False) -> int:
+    """Sign variations of an integer chain at x; None is -inf with ``neg_inf``, else +inf."""
     if x is None:
-        vals = [Fraction(q.sign_at_neg_inf() if neg_inf else q.sign_at_pos_inf()) for q in chain]
-    else:
-        vals = [q(x) for q in chain]
-    return _variations(vals)
+        if neg_inf:
+            return _variations(-q[-1] if len(q) % 2 == 0 else q[-1] for q in chain)
+        return _variations(q[-1] for q in chain)
+    n, d = x.numerator, x.denominator
+    return _variations(_horner_sign(q, n, d) for q in chain)
 
 
 def _deflate_endpoint_roots(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> Polynomial:
@@ -264,7 +300,7 @@ def _deflate_endpoint_roots(p: Polynomial, lo: Optional[Fraction], hi: Optional[
     for pt in (lo, hi):
         if pt is None:
             continue
-        while not p.is_zero and p.degree >= 1 and p(pt) == 0:
+        while not p.is_zero and p.degree >= 1 and p.sign_at(pt) == 0:
             p = p.exact_div(Polynomial((-pt, 1)))
     return p
 
@@ -280,11 +316,10 @@ def count_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[R
     hi_f = Fraction(hi) if hi is not None else None
     if lo_f is not None and hi_f is not None and not lo_f < hi_f:
         raise ValueError("degenerate interval: need lo < hi")
-    sf = squarefree_part(p)
-    sf = _deflate_endpoint_roots(sf, lo_f, hi_f)
+    sf = _deflate_endpoint_roots(p.squarefree(), lo_f, hi_f)
     if sf.degree <= 0:
         return 0
-    chain = sturm_sequence(sf)
+    chain = sf._sturm_chain()
     va = _variations_at(chain, lo_f, neg_inf=True)
     vb = _variations_at(chain, hi_f)
     return va - vb
@@ -332,7 +367,7 @@ def _shrunk_interval_around(p: Polynomial, mid: Fraction, radius: Fraction) -> I
     while True:
         d = d / 2
         lo, hi = mid - d, mid + d
-        if p(lo) != 0 and p(hi) != 0 and count_real_roots(p, lo, hi) == 1:
+        if p.sign_at(lo) != 0 and p.sign_at(hi) != 0 and count_real_roots(p, lo, hi) == 1:
             return IsolatingInterval(lo, hi, p)
 
 
@@ -344,8 +379,7 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
     hi_f = Fraction(hi) if hi is not None else None
     if lo_f is not None and hi_f is not None and not lo_f < hi_f:
         raise ValueError("degenerate interval: need lo < hi")
-    sf = squarefree_part(p)
-    sf = _deflate_endpoint_roots(sf, lo_f, hi_f)
+    sf = _deflate_endpoint_roots(p.squarefree(), lo_f, hi_f)
     if sf.degree <= 0:
         return []
     bound = cauchy_root_bound(sf)
@@ -365,7 +399,7 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
             out.append(IsolatingInterval(s, t, sf))
             continue
         mid = (s + t) / 2
-        if sf(mid) == 0:
+        if sf.sign_at(mid) == 0:
             iv = _shrunk_interval_around(sf, mid, min(mid - s, t - mid))
             out.append(iv)
             n_left = count_real_roots(sf, s, iv.lo)
@@ -383,33 +417,44 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
 
 
 def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
-    """Deterministic bisection down to the requested width; output nests in input."""
+    """Deterministic bisection down to the requested width; output nests in input.
+
+    The endpoints are kept as integer numerators A < B over a shared
+    denominator M; halving maps (A, B, M) to (2A, A + B, 2M) or
+    (A + B, 2B, 2M), so they are the dyadic points a Fraction bisection
+    would visit.
+    """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
     p = iv.poly
-    lo, hi = iv.lo, iv.hi
-    s_lo = _sign(p(lo))
-    if s_lo == 0 or _sign(p(hi)) == 0:
+    ints = p._int_coeffs()
+    m = _int_lcm(iv.lo.denominator, iv.hi.denominator)
+    a, b = iv.lo.numerator * (m // iv.lo.denominator), iv.hi.numerator * (m // iv.hi.denominator)
+    s_lo, s_hi = _horner_sign(ints, a, m), _horner_sign(ints, b, m)
+    if s_lo == 0 or s_hi == 0:
         raise IntegrityError("isolating interval endpoints must not be roots")
-    if s_lo == _sign(p(hi)):
+    if s_lo == s_hi:
         raise IntegrityError("isolating interval endpoints must straddle the root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = _sign(p(mid))
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * m:  # (b - a) / m > width
+        mid = a + b
+        s_mid = _horner_sign(ints, mid, 2 * m)
         if s_mid == 0:
             # root hit exactly; shrink symmetrically by denominator doubling
-            d = (hi - lo) / 4
+            mid_f = Fraction(mid, 2 * m)
+            d = Fraction(b - a, 4 * m)
             while True:
-                a, b = mid - d, mid + d
-                if b - a <= width and p(a) != 0 and p(b) != 0:
-                    return IsolatingInterval(a, b, p)
+                lo, hi = mid_f - d, mid_f + d
+                if hi - lo <= width and p.sign_at(lo) != 0 and p.sign_at(hi) != 0:
+                    return IsolatingInterval(lo, hi, p)
                 d = d / 2
         if s_mid == s_lo:
-            lo = mid
+            a, b = mid, 2 * b
         else:
-            hi = mid
-    return IsolatingInterval(lo, hi, p)
+            a, b = 2 * a, mid
+        m *= 2
+    return IsolatingInterval(Fraction(a, m), Fraction(b, m), p)
 
 
 # ---------------------------------------------------------------------------

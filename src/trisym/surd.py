@@ -227,5 +227,5 @@ def roots_of_quadratic(a: Fraction, b: Fraction, c: Fraction) -> list[Exact]:
     spread = Fraction(1, den) / (2 * a)
     r1 = make_quadratic(base, -spread, radicand)
     r2 = make_quadratic(base, spread, radicand)
-    lo, hi = sorted((r1, r2), key=lambda v: exact_approx(v, 40))
-    return [lo, hi]
+    # r2 - r1 = 2 * spread * sqrt(radicand) has the sign of a
+    return [r1, r2] if a > 0 else [r2, r1]

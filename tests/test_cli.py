@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args):
@@ -71,7 +74,21 @@ class TestDims:
         assert "ambiguous" in res.stderr
 
 
+# sha256 of the stdout of `trisym <argv>`, recorded before the integer Sturm kernel
+SOLVE_PINS = {
+    "solve E7-II --digits 50 --format json": "2fbcb017fec0e2402f96f6fd3c2fa8648a53ae638910bbddbbcc396232e61463",
+    "solve E6-III --format json": "4dbd69059edb7fd318fdd7439c189e1ed5dacd8cfb0070d2df232fc31a1db30a",
+    "solve --a 1/7 2/9 3/11 --digits 50 --format json": "b4d70953b39722eddb3e77129454f0856617f059f39e60548319abd234e28151",
+}
+
+
 class TestSolve:
+    @pytest.mark.parametrize("argv", sorted(SOLVE_PINS))
+    def test_output_bytes_pinned(self, argv):
+        res = run_cli(*argv.split())
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == SOLVE_PINS[argv]
+
     def test_e7_ii_digits(self):
         res = run_cli("solve", "E7-II", "--digits", "4")
         assert res.returncode == 0

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+import functools
 from itertools import permutations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trisym import cli, einstein
 from trisym.cases import make_case
 from trisym.coeffs import coefficients_for_case
 from trisym.einstein import (
@@ -13,13 +15,15 @@ from trisym.einstein import (
     BRANCH_STANDARD,
     EinsteinSolution,
     RootCoordinate,
+    generic_eliminants,
     refine_solution,
     ricci_coefficients,
     solve_case,
     solve_einstein,
     verify_solution,
 )
-from trisym.errors import NotApplicable, TrisymError
+from trisym.errors import IntegrityError, NotApplicable, TrisymError
+from trisym.polysolve import squarefree_part
 from trisym.surd import QuadraticSurd
 
 rational_a = st.fractions(min_value=F(1, 10), max_value=F(9, 20), max_denominator=24)
@@ -135,6 +139,13 @@ class TestGenericBranch:
             assert old.interval.lo <= new.interval.lo < new.interval.hi <= old.interval.hi
             assert new.interval.width <= F(1, 10**10)
 
+    def test_eliminants_are_squarefree_quartics(self):
+        e = generic_eliminants((F(5, 18), F(2, 9), F(1, 6)))  # E7-II
+        for elim in (e.x3, e.x2):
+            assert elim.degree == 4 and elim.leading == 1
+            assert squarefree_part(elim) == elim
+        assert e.den.degree == 1
+
     def test_a_validation(self):
         with pytest.raises(TrisymError):
             solve_einstein((F(0), F(1, 4), F(1, 3)))
@@ -203,6 +214,37 @@ class TestVerify:
             result = solve_case(make_case(label))
             for s in result.solutions:
                 assert verify_solution(result.a, s, F(1, 10**20))
+
+
+class TestBudgets:
+    """An exhausted iteration budget raises IntegrityError naming stage, budget and widths."""
+
+    A = (F(1, 4), F(1, 8), F(7, 24))
+
+    def test_sign_budget(self):
+        sol = solve_einstein(self.A)[0]
+        with pytest.raises(IntegrityError) as exc:
+            einstein._constant_sign_interval(self.A, sol.x, max_refine=0)
+        msg = str(exc.value)
+        assert msg.startswith("Einstein-constant sign: not certified within its budget of 0 steps")
+        assert "last widths: x2 " in msg and ", x3 " in msg
+
+    def test_sign_budget_exits_3(self, monkeypatch, capsys):
+        starved = functools.partial(einstein._constant_sign_interval, max_refine=0)
+        monkeypatch.setattr(einstein, "_constant_sign_interval", starved)
+        assert cli.main(["solve", "--a", "1/4", "1/8", "7/24"]) == 3
+        assert "Einstein-constant sign" in capsys.readouterr().err
+
+    def test_back_substitution_budget(self, monkeypatch):
+        monkeypatch.setattr(einstein, "_LINK_STEPS", 0)
+        with pytest.raises(IntegrityError, match=r"^x2 back-substitution: .* budget of 0 steps; last widths: x3 "):
+            solve_einstein(self.A)
+
+    def test_verification_budget(self, monkeypatch):
+        sol = solve_einstein(self.A)[0]
+        monkeypatch.setattr(einstein, "_VERIFY_STEPS", 1)
+        with pytest.raises(IntegrityError, match=r"^verification: .* budget of 1 steps; last widths: x2 .*, x3 "):
+            verify_solution(self.A, sol, F(1, 10**40))
 
 
 class TestProperties:

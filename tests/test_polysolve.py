@@ -3,11 +3,13 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from trisym import polysolve
 from trisym.polysolve import (
     BivarPolynomial,
+    IsolatingInterval,
     Polynomial,
     count_real_roots,
     isolate_real_roots,
@@ -212,3 +214,147 @@ class TestProperties:
             assert iv.lo < r < iv.hi
             refined = refine_root(iv, F(1, denom))
             assert refined.lo < r < refined.hi
+
+
+# -- plain-Fraction references for the integer kernel -------------------------
+
+
+def _fraction_sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _ref_variations(chain, x, neg_inf=False):
+    if x is None:
+        signs = [_fraction_sign(q.leading) * (-1 if neg_inf and q.degree % 2 else 1) for q in chain]
+    else:
+        signs = [_fraction_sign(q(x)) for q in chain]
+    signs = [v for v in signs if v]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def ref_count(p, lo, hi):
+    """Distinct roots in the open interval (lo, hi), from a Fraction-evaluated Sturm chain."""
+    sf = squarefree_part(p)
+    for pt in (lo, hi):
+        while pt is not None and sf.degree >= 1 and sf(pt) == 0:
+            sf = sf.exact_div(poly(-pt, 1))
+    if sf.degree <= 0:
+        return 0
+    chain = sturm_sequence(sf)
+    return _ref_variations(chain, lo, neg_inf=True) - _ref_variations(chain, hi)
+
+
+def ref_refine(p, lo, hi, width):
+    """Fraction bisection: the endpoints refine_root must reproduce exactly."""
+    s_lo = _fraction_sign(p(lo))
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = _fraction_sign(p(mid))
+        if s_mid == 0:
+            d = (hi - lo) / 4
+            while True:
+                a, b = mid - d, mid + d
+                if b - a <= width and p(a) != 0 and p(b) != 0:
+                    return a, b
+                d = d / 2
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _build_poly(roots, mults, c, lead):
+    p = poly(lead)
+    for r, m in zip(roots, mults):
+        p = p * poly(-r, 1) ** m
+    if c is not None:
+        p = p * poly(-c, 0, 1)
+    return p
+
+
+small_roots = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+# roots with multiplicities, times an optional irreducible quadratic factor
+repeated_root_polys = st.builds(
+    _build_poly,
+    st.lists(small_roots, min_size=1, max_size=4),
+    st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    st.sampled_from([None, 2, 3, 7]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(lambda v: v != 0),
+)
+
+# endpoints: an infinity, a likely root, or a rational with a large denominator
+endpoints = st.one_of(
+    st.none(),
+    st.fractions(min_value=-5, max_value=5, max_denominator=8),
+    st.integers(-5 * 10**30, 5 * 10**30).map(lambda n: F(n, 10**30 + 7)),
+)
+
+
+def _rational_roots(p):
+    """Roots of p among the values the ``small_roots`` strategy draws."""
+    return [F(n, d) for d in range(1, 9) for n in range(-4 * d, 4 * d + 1) if p(F(n, d)) == 0]
+
+
+class TestIntegerKernel:
+    @given(repeated_root_polys, endpoints, endpoints)
+    def test_count_matches_fraction_reference(self, p, lo, hi):
+        assume(lo is None or hi is None or lo < hi)
+        assert count_real_roots(p, lo, hi) == ref_count(p, lo, hi)
+
+    @given(repeated_root_polys)
+    def test_count_with_roots_on_the_endpoints(self, p):
+        roots = sorted(set(_rational_roots(p)))
+        for lo in roots:
+            for hi in roots + [lo + 1]:
+                if lo < hi:
+                    assert count_real_roots(p, lo, hi) == ref_count(p, lo, hi)
+
+    @given(repeated_root_polys, st.integers(1, 60))
+    def test_refine_matches_fraction_bisection(self, p, bits):
+        width = F(1, 2**bits)
+        for iv in isolate_real_roots(p):
+            got = refine_root(iv, width)
+            assert (got.lo, got.hi) == ref_refine(iv.poly, iv.lo, iv.hi, width)
+
+    @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
+    def test_refine_hits_exact_root(self, root, k, bits, c):
+        # a dyadic interval centred on a rational root: the first midpoint is the root
+        p = poly(-root, 1) * (poly(1) if c is None else poly(-c, 0, 1))
+        d = F(1, 2**k)
+        assume(count_real_roots(p, root - d, root + d) == 1 and p(root - d) != 0 and p(root + d) != 0)
+        iv = IsolatingInterval(root - d, root + d, p)
+        width = F(1, 2**bits)
+        got = refine_root(iv, width)
+        assert (got.lo, got.hi) == ref_refine(p, iv.lo, iv.hi, width)
+        assert got.lo < root < got.hi
+
+    @given(repeated_root_polys)
+    def test_integer_chain_is_a_positive_multiple(self, p):
+        chain = p._sturm_chain()
+        ref = sturm_sequence(p)
+        assert len(chain) == len(ref)
+        for ints, q in zip(chain, ref):
+            assert len(ints) == len(q.coeffs) and all(isinstance(v, int) for v in ints)
+            m = F(ints[-1]) / q.leading
+            assert m > 0
+            assert all(F(v) == m * c for v, c in zip(ints, q.coeffs))
+
+    @given(repeated_root_polys, st.fractions(max_denominator=10**12))
+    def test_sign_at_matches_fraction_evaluation(self, p, x):
+        assert p.sign_at(x) == _fraction_sign(p(x))
+
+    def test_chain_built_once_per_polynomial(self, monkeypatch):
+        builds = []
+
+        def counting(q):
+            builds.append(q)
+            return sturm_sequence(q)
+
+        monkeypatch.setattr(polysolve, "sturm_sequence", counting)
+        p = poly(855, -4152, 7048, -4960, 1200)
+        ivs = isolate_real_roots(p, 0, None)
+        for iv in ivs:
+            refine_root(iv, F(1, 10**50))
+            count_real_roots(iv.poly, iv.lo, iv.hi)
+        assert len(ivs) == 2 and len(builds) == 1

@@ -50,6 +50,33 @@ def test_surd_quadratic_roots():
         assert 7 * r * r - 15 * r + 7 == 0
 
 
+def test_negative_leading_coefficient_keeps_ascending_order():
+    # -7x^2 + 15x - 7 has the roots of 7x^2 - 15x + 7
+    roots = roots_of_quadratic(F(-7), F(15), F(-7))
+    assert roots == roots_of_quadratic(F(7), F(-15), F(7))
+    assert roots[0] < roots[1]
+
+
+def test_perfect_square_discriminant_either_sign():
+    # discriminant 34^2 - 4 * 15 * 15 = 16^2: rational roots 3/5 and 5/3
+    assert roots_of_quadratic(F(15), F(-34), F(15)) == [F(3, 5), F(5, 3)]
+    assert roots_of_quadratic(F(-15), F(34), F(-15)) == [F(3, 5), F(5, 3)]
+    # -6 (x + 1/3)(x - 1/4): discriminant (1/2)^2 + 4 * 6 * (1/2) = 49/4
+    assert roots_of_quadratic(F(-6), F(-1, 2), F(1, 2)) == [F(-1, 3), F(1, 4)]
+
+
+@given(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(lambda v: v != 0),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+def test_roots_ascend_and_solve(a, b, c):
+    roots = roots_of_quadratic(a, b, c)
+    assert all(r0 < r1 for r0, r1 in zip(roots, roots[1:]))
+    for r in roots:
+        assert a * r * r + b * r + c == 0
+
+
 def test_no_real_roots():
     assert roots_of_quadratic(F(1), F(0), F(1)) == []
 
