@@ -30,7 +30,6 @@ from .errors import (
     TrisymError,
 )
 from .polysolve import (
-    BivarPolynomial,
     IsolatingInterval,
     Polynomial,
     count_real_roots,
@@ -46,7 +45,6 @@ from .surd import QuadraticSurd, make_quadratic, roots_of_quadratic
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivarPolynomial",
     "CaseSolutions",
     "EinsteinSolution",
     "InconsistentData",

@@ -94,7 +94,6 @@ def _resolve_case(args):
 
 
 def _add_case_args(p):
-    p.add_argument("case", help="type label (e.g. E7-II) or InP tag (e.g. InP17)")
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
@@ -253,18 +252,15 @@ def _build_parser() -> _Parser:
     lp.set_defaults(fn=_cmd_list)
 
     dp = sub.add_parser("dims", help="dimension and coefficient data for one case")
+    dp.add_argument("case", help="type label (e.g. E7-II) or InP tag (e.g. InP17)")
     _add_case_args(dp)
     dp.add_argument("--format", choices=("json", "text"), default="text")
     dp.set_defaults(fn=_cmd_dims)
 
     sp = sub.add_parser("solve", help="invariant Einstein metrics for a case or coefficients")
     sp.add_argument("case", nargs="?", default=None, help="type label or InP tag")
+    _add_case_args(sp)
     sp.add_argument("--a", nargs=3, metavar="p/q", default=None, help="solve a raw coefficient triple")
-    sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--i", type=int, default=None)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None, help="A-II alias: l = 2k - 1")
-    sp.add_argument("--max-rank", type=int, default=12)
     sp.add_argument("--digits", type=int, default=6, help="display precision")
     sp.add_argument("--tol", default="1/100000000000000000000", help="certification tolerance (rational)")
     sp.add_argument("--format", choices=("json", "text"), default="text")

@@ -22,10 +22,13 @@ Branches:
                                    = (1 - 2a_i + 8a_i^2 (a_i+a_k)) x_i x_j
   * all distinct: set x1 = 1, cancel the x2^2 terms of F1-F3 and F2-F3 to
     get a relation x2 * den(x3) = num(x3) with den linear, eliminate x2 by
-    a Sylvester resultant, isolate the positive real roots of the
-    squarefree eliminant by Sturm bisection, and back-substitute through
-    num/den. Roots where the pivot den vanishes (a single rational point)
-    are handled by solving the two univariate quadratics there exactly.
+    substituting num/den into F2-F3 (the eliminant den^2 (F2-F3)(num/den)),
+    isolate the positive real roots of the squarefree eliminant by Sturm
+    bisection, and back-substitute through num/den. The system is invariant
+    under swapping x2, x3 together with a2, a3, so the x2 eliminant is the
+    x3 eliminant of (a1, a3, a2). Roots where the pivot den vanishes (a
+    single rational point) are handled by solving the two univariate
+    quadratics there exactly.
 
 All certification is exact; floating point appears only in display helpers.
 """
@@ -42,7 +45,6 @@ from .coeffs import coefficients_for_case
 from .errors import IntegrityError, NotApplicable, TrisymError
 from .intervals import Interval, eval_poly_range
 from .polysolve import (
-    BivarPolynomial,
     IsolatingInterval,
     Polynomial,
     count_real_roots,
@@ -72,9 +74,6 @@ class RootCoordinate:
     """A coordinate known exactly as the unique root of a polynomial in an interval."""
 
     interval: IsolatingInterval
-
-    def approx(self, prec: int = 40) -> Fraction:
-        return self.interval.midpoint
 
     def enclosure(self) -> Interval:
         return Interval(self.interval.lo, self.interval.hi)
@@ -138,18 +137,19 @@ def _coordinate_widths(x) -> dict[str, Fraction]:
     return {f"x{i + 1}": c.interval.width for i, c in enumerate(x) if isinstance(c, RootCoordinate)}
 
 
+def _ricci(a, x, i: int):
+    """r_i at metric x; works for any values with field arithmetic (Fraction, QuadraticSurd, Interval)."""
+    j, k = [t for t in range(3) if t != i]
+    xi, xj, xk = x[i], x[j], x[k]
+    return 1 / (2 * xi) + a[i] * HALF * (xi / (xj * xk) - xk / (xi * xj) - xj / (xi * xk))
+
+
 def ricci_coefficients(a, x):
     """(r1, r2, r3) at metric x; exact for rational or quadratic-surd input."""
-    a1, a2, a3 = a
-    x1, x2, x3 = x
-    for v in (x1, x2, x3):
+    for v in x:
         if exact_sign(v) <= 0:
             raise ValueError("metric coordinates must be positive")
-
-    def r(ai, xi, xj, xk):
-        return 1 / (2 * xi) + ai * HALF * (xi / (xj * xk) - xk / (xi * xj) - xj / (xi * xk))
-
-    return (r(a1, x1, x2, x3), r(a2, x2, x1, x3), r(a3, x3, x1, x2))
+    return tuple(_ricci(a, x, i) for i in range(3))
 
 
 def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
@@ -246,75 +246,59 @@ def _dedupe_exact(sols: list[EinsteinSolution]) -> list[EinsteinSolution]:
 
 # -- generic branch (all coefficients distinct) ------------------------------
 
-# F_i = x_j x_k + a_i (x_i^2 - x_j^2 - x_k^2) at x1 = 1, keys are (x3_pow, x2_pow)
-def _cleared_forms(a) -> tuple[dict, dict, dict]:
-    a1, a2, a3 = a
-    f1 = {(1, 1): Fraction(1), (0, 0): a1, (0, 2): -a1, (2, 0): -a1}
-    f2 = {(1, 0): Fraction(1), (0, 2): a2, (0, 0): -a2, (2, 0): -a2}
-    f3 = {(0, 1): Fraction(1), (2, 0): a3, (0, 0): -a3, (0, 2): -a3}
-    return f1, f2, f3
-
-
-def _cleared_difference(a, i: int, j: int) -> BivarPolynomial:
-    forms = _cleared_forms(a)
-    diff: dict[tuple[int, int], Fraction] = {}
-    for key, v in forms[i].items():
-        diff[key] = diff.get(key, Fraction(0)) + v
-    for key, v in forms[j].items():
-        diff[key] = diff.get(key, Fraction(0)) - v
-    return BivarPolynomial.from_dict({k: v for k, v in diff.items() if v != 0})
+# F1 - F3 and F2 - F3 at x1 = 1, with F_i = x_j x_k + a_i (x_i^2 - x_j^2 - x_k^2),
+# as coefficient triples in x2 whose entries are polynomials in x3
+Form = tuple[Polynomial, Polynomial, Polynomial]
 
 
 @dataclass(frozen=True)
 class GenericEliminants:
     """Elimination data of the all-distinct branch at x1 = 1.
 
-    ``p1`` = F1 - F3 and ``p2`` = F2 - F3 (keys (x3 power, x2 power));
+    ``p1`` = F1 - F3 and ``p2`` = F2 - F3 (coefficients of 1, x2, x2^2);
     x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero;
     ``x3`` and ``x2`` are the square-free eliminants in x3 and in x2.
     """
 
-    p1: BivarPolynomial
-    p2: BivarPolynomial
+    p1: Form
+    p2: Form
     num: Polynomial
     den: Polynomial
     x3: Polynomial
     x2: Polynomial
 
 
-def generic_eliminants(a) -> GenericEliminants:
-    """Cancel x2^2 (and, symmetrically, x3^2) and eliminate by resultants."""
-    p1 = _cleared_difference(a, 0, 2)  # F1 - F3
-    p2 = _cleared_difference(a, 1, 2)  # F2 - F3
-    c1 = a[2] - a[0]  # x2^2 coefficient of p1 (nonzero: a's distinct)
-    c2 = a[1] + a[2]  # x2^2 coefficient of p2 (always positive)
-    # cancel x2^2: rel = c2*p1 - c1*p2 = den(x3) * x2 - num(x3), den linear
-    rel = p1.scale(c2).subtract(p2.scale(c1))
-    if rel.degree_y != 1:
-        raise IntegrityError("x2-linear relation has unexpected degree")
-    den = rel.y_coeff(1)
-    num = -rel.y_coeff(0)
+def _eliminate_x2(a, name: str) -> tuple[Form, Form, Polynomial, Polynomial, Polynomial]:
+    """(p1, p2, num, den, eliminant in x3) for the triple ``a``."""
+    a1, a2, a3 = a
+    c1, c2 = a3 - a1, a2 + a3  # x2^2 coefficients of p1 and p2
+    p1 = (Polynomial((a1 + a3, 0, -(a1 + a3))), Polynomial((-1, 1)), Polynomial((c1,)))
+    p2 = (Polynomial((a3 - a2, 1, -c2)), Polynomial((-1,)), Polynomial((c2,)))
+    # cancel x2^2: c2*p1 - c1*p2 = den(x3) * x2 - num(x3)
+    den = p1[1].scale(c2) - p2[1].scale(c1)
+    num = p2[0].scale(c1) - p1[0].scale(c2)
     if den.degree != 1:
         raise IntegrityError("pivot polynomial is not linear")
+    elim = resultant(p2, num, den)
+    if elim.is_zero:
+        raise IntegrityError(f"{name} eliminant vanished identically")
+    return p1, p2, num, den, elim
 
-    elim3 = resultant(p2, rel, eliminate="y")
-    if elim3.is_zero:
-        raise IntegrityError("x3 eliminant vanished identically")
 
-    # symmetric elimination (swap roles of x2 and x3) for the x2 certificates
-    t1, t2 = p1.transpose(), p2.transpose()
-    e1 = t1.y_coeff(2)[0]  # x3^2 coefficient of p1: -(a1+a3)
-    e2 = t2.y_coeff(2)[0]  # x3^2 coefficient of p2: -(a2+a3)
-    rel2 = t1.scale(e2).subtract(t2.scale(e1))
-    elim2 = resultant(t2, rel2, eliminate="y")
-    if elim2.is_zero:
-        raise IntegrityError("x2 eliminant vanished identically")
+def generic_eliminants(a) -> GenericEliminants:
+    """Eliminate x2 by substitution; the x2 eliminant is the x3 one of (a1, a3, a2).
+
+    Swapping x2 with x3 and a2 with a3 exchanges F2 and F3, so it maps the
+    ideal (F1 - F3, F2 - F3) to itself.
+    """
+    p1, p2, num, den, elim3 = _eliminate_x2(a, "x3")
+    elim2 = _eliminate_x2((a[0], a[2], a[1]), "x2")[4]
     return GenericEliminants(p1, p2, num, den, squarefree_part(elim3), squarefree_part(elim2))
 
 
-def _pivot_solutions_at(a, xi3: Fraction, p1: BivarPolynomial, p2: BivarPolynomial) -> list[EinsteinSolution]:
+def _pivot_solutions_at(a, xi3: Fraction, p1: Form, p2: Form) -> list[EinsteinSolution]:
     """Exact solutions sitting at the rational pivot point x3 = xi3, if any."""
-    q1, q2 = p1.eval_x(xi3), p2.eval_x(xi3)
+    q1, q2 = (Polynomial(c(xi3) for c in p) for p in (p1, p2))
     g = poly_gcd(q1, q2)
     if g.degree < 1:
         return []
@@ -420,18 +404,11 @@ def _residual_at_midpoint(a, x) -> Fraction:
     return max(abs(r1 - r2), abs(r1 - r3), abs(r2 - r3))
 
 
-def _ricci_interval(a, boxes: tuple[Interval, Interval, Interval], i: int) -> Interval:
-    j, k = [t for t in range(3) if t != i]
-    xi, xj, xk = boxes[i], boxes[j], boxes[k]
-    spread = xi / (xj * xk) - xk / (xi * xj) - xj / (xi * xk)
-    return Interval.point(Fraction(1)) / (2 * xi) + Interval.point(a[i] * HALF) * spread
-
-
 def _constant_sign_interval(a, x, max_refine: int = 60) -> str:
     xs = list(x)
     for _ in range(max_refine):
         boxes = tuple(_coord_enclosure(c) for c in xs)
-        r1 = _ricci_interval(a, boxes, 0)
+        r1 = _ricci(a, boxes, 0)
         if r1.strictly_positive():
             return "positive"
         if r1.strictly_negative():
@@ -498,7 +475,7 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     current = sol
     for _ in range(_VERIFY_STEPS):
         boxes = tuple(_coord_enclosure(c) for c in current.x)
-        rs = [_ricci_interval(a, boxes, i) for i in range(3)]
+        rs = [_ricci(a, boxes, i) for i in range(3)]
         diffs = [rs[0] - rs[1], rs[0] - rs[2], rs[1] - rs[2]]
         if any(not d.contains_zero() for d in diffs):
             return False

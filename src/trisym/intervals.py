@@ -31,14 +31,6 @@ class Interval:
             return cls(lo, hi)
         return cls.point(Fraction(v))
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 

@@ -1,7 +1,7 @@
 """Exact univariate polynomial algebra over rationals.
 
 Everything in the certification path (Sturm sequences, root counting,
-isolation, refinement, resultants) is exact; floating point never enters.
+isolation, refinement, elimination) is exact; floating point never enters.
 Polynomial algebra uses `fractions.Fraction`. Signs at rational points come
 from the integer kernel: each polynomial keeps a positive integer multiple of
 itself, and the sign of p at n/d (d > 0) is the sign of the homogenised
@@ -9,7 +9,9 @@ integer sum c_k n^k + c_{k-1} n^(k-1) d + ... + c_0 d^k, evaluated by Horner's
 rule. A polynomial builds its square-free part and its Sturm chain (with
 elements stored the same way) the first time they are needed and keeps them.
 Intervals returned by the isolation routines are certified by a Sturm count
-of one.
+of one. Elimination is by substitution: where one equation is linear in y,
+den * y = num, `resultant` puts y = num/den into the other and clears the
+denominator.
 
 Conventions:
   * coefficients are stored densely in ascending order, no trailing zeros;
@@ -356,9 +358,6 @@ class IsolatingInterval:
     def refine(self, width: RatLike) -> "IsolatingInterval":
         return refine_root(self, width)
 
-    def approx(self) -> float:
-        return float(self.midpoint)
-
 
 def _shrunk_interval_around(p: Polynomial, mid: Fraction, radius: Fraction) -> IsolatingInterval:
     # mid is an exact root hit during bisection; carve a certified interval
@@ -457,116 +456,16 @@ def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
     return IsolatingInterval(Fraction(a, m), Fraction(b, m), p)
 
 
-# ---------------------------------------------------------------------------
-# Thin bivariate layer: just enough for Sylvester-resultant elimination.
-# ---------------------------------------------------------------------------
+def resultant(p: Sequence[Polynomial], num: Polynomial, den: Polynomial) -> Polynomial:
+    """Eliminate y from p(y) = p[0] + p[1] y + ... + p[m] y^m and den * y = num.
 
-
-class BivarPolynomial:
-    """Polynomial in (x, y) stored as coefficients of y-powers, each a Polynomial in x."""
-
-    __slots__ = ("_cy",)
-
-    def __init__(self, coeffs_y: Iterable[Polynomial]):
-        cy = list(coeffs_y)
-        while cy and cy[-1].is_zero:
-            cy.pop()
-        self._cy = tuple(cy)
-
-    @classmethod
-    def from_dict(cls, d: dict[tuple[int, int], RatLike]) -> "BivarPolynomial":
-        """Keys are (x_power, y_power)."""
-        if not d:
-            return cls(())
-        dy = max(j for (_, j) in d)
-        rows = []
-        for j in range(dy + 1):
-            col: dict[int, RatLike] = {i: v for (i, jj), v in d.items() if jj == j}
-            if col:
-                n = max(col)
-                rows.append(Polynomial(col.get(i, 0) for i in range(n + 1)))
-            else:
-                rows.append(Polynomial.zero())
-        return cls(rows)
-
-    @property
-    def coeffs_y(self) -> tuple[Polynomial, ...]:
-        return self._cy
-
-    @property
-    def degree_y(self) -> int:
-        return len(self._cy) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._cy
-
-    def y_coeff(self, j: int) -> Polynomial:
-        return self._cy[j] if 0 <= j < len(self._cy) else Polynomial.zero()
-
-    def transpose(self) -> "BivarPolynomial":
-        """Swap the roles of x and y."""
-        if self.is_zero:
-            return self
-        dx = max(p.degree for p in self._cy)
-        rows = []
-        for i in range(dx + 1):
-            rows.append(Polynomial(self._cy[j][i] for j in range(len(self._cy))))
-        return BivarPolynomial(rows)
-
-    def eval_x(self, x: Fraction) -> Polynomial:
-        """Univariate polynomial in y obtained by substituting x."""
-        return Polynomial(p(x) for p in self._cy)
-
-    def subtract(self, other: "BivarPolynomial") -> "BivarPolynomial":
-        n = max(len(self._cy), len(other._cy))
-        return BivarPolynomial(self.y_coeff(j) - other.y_coeff(j) for j in range(n))
-
-    def scale(self, v: RatLike) -> "BivarPolynomial":
-        return BivarPolynomial(p.scale(v) for p in self._cy)
-
-
-def _poly_matrix_det(m: list[list[Polynomial]]) -> Polynomial:
-    n = len(m)
-    if n == 0:
-        return Polynomial.constant(1)
-    if n == 1:
-        return m[0][0]
-    acc = Polynomial.zero()
-    for i in range(n):
-        if m[i][0].is_zero:
-            continue
-        minor = [row[1:] for k, row in enumerate(m) if k != i]
-        term = m[i][0] * _poly_matrix_det(minor)
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
-
-
-def resultant(p: BivarPolynomial, q: BivarPolynomial, eliminate: str = "y") -> Polynomial:
-    """Sylvester resultant eliminating one variable of a bivariate pair.
-
-    Vanishes exactly at projections of common zeros, plus possibly at points
-    where both leading coefficients vanish; callers must re-check candidates.
+    Returns den^m * p(num / den), by Horner's rule on the homogenised sum; this
+    is the resultant in y of p and den * y - num, up to the sign (-1)^m. It
+    vanishes exactly at projections of common zeros, plus possibly at points
+    where den and p[m] both vanish; callers must re-check candidates.
     """
-    if eliminate not in ("x", "y"):
-        raise ValueError("eliminate must be 'x' or 'y'")
-    if eliminate == "x":
-        p, q = p.transpose(), q.transpose()
-    if p.is_zero or q.is_zero:
-        raise ValueError("resultant of the zero polynomial")
-    m, n = p.degree_y, q.degree_y
-    if m == 0 and n == 0:
-        return Polynomial.constant(1)
-    size = m + n
-    rows: list[list[Polynomial]] = []
-    for k in range(n):
-        row = [Polynomial.zero()] * size
-        for j in range(m + 1):
-            row[k + j] = p.y_coeff(m - j)
-        rows.append(row)
-    for k in range(m):
-        row = [Polynomial.zero()] * size
-        for j in range(n + 1):
-            row[k + j] = q.y_coeff(n - j)
-        rows.append(row)
-    return _poly_matrix_det(rows)
+    acc, dpow = p[-1], Polynomial.constant(1)
+    for c in reversed(p[:-1]):
+        dpow = dpow * den
+        acc = acc * num + c * dpow
+    return acc

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 import functools
 from itertools import permutations
+import random
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,7 @@ from trisym.einstein import (
     verify_solution,
 )
 from trisym.errors import IntegrityError, NotApplicable, TrisymError
-from trisym.polysolve import squarefree_part
+from trisym.polysolve import Polynomial, squarefree_part
 from trisym.surd import QuadraticSurd
 
 rational_a = st.fractions(min_value=F(1, 10), max_value=F(9, 20), max_denominator=24)
@@ -145,6 +146,36 @@ class TestGenericBranch:
             assert elim.degree == 4 and elim.leading == 1
             assert squarefree_part(elim) == elim
         assert e.den.degree == 1
+
+    def test_eliminants_match_sympy_resultants(self):
+        # an independent exact oracle: the monic square-free part of sympy's
+        # resultant of F1 - F3 and F2 - F3 (x1 = 1) in x2, and in x3
+        sympy = pytest.importorskip("sympy")
+        x2, x3 = sympy.symbols("x2 x3")
+
+        def oracle(a, eliminate, keep):
+            a1, a2, a3 = (sympy.Rational(v.numerator, v.denominator) for v in a)
+            f1 = x2 * x3 + a1 * (1 - x2**2 - x3**2)
+            f2 = x3 + a2 * (x2**2 - 1 - x3**2)
+            f3 = x2 + a3 * (x3**2 - 1 - x2**2)
+            res = sympy.Poly(sympy.resultant(f1 - f3, f2 - f3, eliminate), keep, domain=sympy.QQ)
+            coeffs = res.sqf_part().monic().all_coeffs()
+            return Polynomial(F(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+        rng = random.Random(4)
+        edges = (F(1, 2), F(1, 10**6), F(499999, 10**6))
+        triples = list(permutations(edges))
+        while len(triples) < 46:
+            q = rng.randint(10, 10 ** rng.randint(1, 6))
+            t = [F(rng.randint(1, q // 2), q) for _ in range(3)]
+            if len(triples) < 18:
+                t[rng.randrange(3)] = rng.choice(edges)
+            if len(set(t)) == 3:
+                triples.append(tuple(t))
+        for a in triples:
+            e = generic_eliminants(a)
+            assert e.x3 == oracle(a, x2, x3), a
+            assert e.x2 == oracle(a, x3, x2), a
 
     def test_a_validation(self):
         with pytest.raises(TrisymError):

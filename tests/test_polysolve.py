@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from trisym import polysolve
 from trisym.polysolve import (
-    BivarPolynomial,
     IsolatingInterval,
     Polynomial,
     count_real_roots,
@@ -152,29 +151,24 @@ class TestRefine:
 
 
 class TestResultant:
+    # p is given by its coefficients in y (polynomials in x); the second
+    # equation is den(x) * y = num(x)
+
     def test_xy_minus_1(self):
-        p = BivarPolynomial.from_dict({(1, 1): 1, (0, 0): -1})  # x*y - 1
-        q = BivarPolynomial.from_dict({(0, 1): 1, (0, 0): -2})  # y - 2
-        res = resultant(p, q, eliminate="y")
+        p = (poly(-1), X)  # x*y - 1
+        res = resultant(p, poly(2), poly(1))  # y - 2
         lead = res.leading
         assert res.scale(1 / lead) == poly(F(-1, 2), 1)
 
     def test_identical_inputs_vanish(self):
-        p = BivarPolynomial.from_dict({(1, 1): 1, (0, 0): -1})
-        assert resultant(p, p, eliminate="y").is_zero
+        p = (poly(-1), X)  # x*y - 1, i.e. den = x, num = 1
+        assert resultant(p, poly(1), X).is_zero
 
     def test_common_zero_projection_vanishes(self):
         # p = y - x^2, q = y - 2x: common zeros at x = 0, 2
-        p = BivarPolynomial.from_dict({(0, 1): 1, (2, 0): -1})
-        q = BivarPolynomial.from_dict({(0, 1): 1, (1, 0): -2})
-        res = resultant(p, q, eliminate="y")
+        p = (poly(0, 0, -1), poly(1))
+        res = resultant(p, poly(0, 2), poly(1))
         assert res(F(0)) == 0 and res(F(2)) == 0 and res(F(1)) != 0
-
-    def test_transpose_elimination(self):
-        p = BivarPolynomial.from_dict({(1, 1): 1, (0, 0): -1})
-        q = BivarPolynomial.from_dict({(1, 0): 1, (0, 0): -2})  # x - 2
-        res = resultant(p, q, eliminate="x")
-        assert res.scale(1 / res.leading) == poly(F(-1, 2), 1)
 
 
 class TestProperties:
