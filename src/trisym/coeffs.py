@@ -15,7 +15,7 @@ of the classical matrix models, or zero for abelian k_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cases import Factor, SpaceCase
@@ -27,46 +27,33 @@ Triple = tuple[Fraction, Fraction, Fraction]
 
 @dataclass(frozen=True)
 class IsotropyData:
-    """Dimensions and exact rational coefficients of one case."""
+    """Dimensions, gammas and the coefficients they determine for one case.
+
+    casimirs c_i = gamma_i / 2, A = d_i (1 - gamma_i) / 2 and
+    a_i = (1 - gamma_i) / 2 = A / d_i are derived once from (dims, gammas).
+    """
 
     dims: tuple[int, int, int]
     gammas: Triple
-    casimirs: Triple
-    A: Fraction
-    a: Triple
+    casimirs: Triple = field(init=False)
+    A: Fraction = field(init=False)
+    a: Triple = field(init=False)
 
     def __post_init__(self):
-        d, g, c, a = self.dims, self.gammas, self.casimirs, self.a
-        for i in range(3):
-            if not (0 <= g[i] < 1):
-                raise InconsistentData(f"gamma_{i + 1} = {g[i]} outside [0, 1)")
-            if c[i] * 2 != g[i]:
-                raise InconsistentData("casimir constants must be gamma/2")
-            if a[i] != (1 - g[i]) / 2 or a[i] * d[i] != self.A:
-                raise InconsistentData("a_i must equal (1 - gamma_i)/2 = A/d_i")
-            if not (0 < a[i] <= Fraction(1, 2)):
-                raise InconsistentData(f"a_{i + 1} = {a[i]} outside (0, 1/2]")
-            if Fraction(d[i]) * (1 - 2 * c[i]) != 2 * self.A:
-                raise InconsistentData("d_i (1 - 2 c_i) must equal 2A for all i")
+        A_vals = {Fraction(d) * (1 - g) / 2 for d, g in zip(self.dims, self.gammas)}
+        if len(A_vals) != 1:
+            raise InconsistentData(f"gammas {self.gammas} inconsistent with dims {self.dims}")
+        for i, g in enumerate(self.gammas):
+            if not (0 <= g < 1):
+                raise InconsistentData(f"gamma_{i + 1} = {g} outside [0, 1)")
+        object.__setattr__(self, "casimirs", tuple(g / 2 for g in self.gammas))
+        object.__setattr__(self, "A", A_vals.pop())
+        object.__setattr__(self, "a", tuple((1 - g) / 2 for g in self.gammas))
 
     @property
     def boundary(self) -> bool:
         """True when some a_i = 1/2 (equivalently gamma_i = 0)."""
         return any(v == Fraction(1, 2) for v in self.a)
-
-
-def _build(dims: tuple[int, int, int], gammas: Triple) -> IsotropyData:
-    A_vals = {Fraction(d) * (1 - g) / 2 for d, g in zip(dims, gammas)}
-    if len(A_vals) != 1:
-        raise InconsistentData(f"gammas {gammas} inconsistent with dims {dims}")
-    A = A_vals.pop()
-    return IsotropyData(
-        dims=dims,
-        gammas=gammas,
-        casimirs=tuple(g / 2 for g in gammas),
-        A=A,
-        a=tuple((1 - g) / 2 for g in gammas),
-    )
 
 
 def gamma_from_killing_ratio(sub: Factor, ambient: Factor, embedding_index: int = 1) -> Fraction:
@@ -112,7 +99,7 @@ def derive_gammas(
                 f"derived gamma_{i + 1} = {g} outside range (wrong anchor or dims?)"
             )
         gammas.append(g)
-    return _build(tuple(dims), tuple(gammas))
+    return IsotropyData(tuple(dims), tuple(gammas))
 
 
 _SIZES_GAMMA_SHIFT = {"su": 0, "sp": 1, "so": -2}
@@ -139,9 +126,9 @@ def coefficients_for_case(case: SpaceCase) -> IsotropyData:
     """IsotropyData for a catalog entry, via its recorded anchor strategy."""
     dims = case.dims[1:]
     if case.gamma_mode == "abelian":
-        return _build(dims, (Fraction(0), Fraction(0), Fraction(0)))
+        return IsotropyData(dims, (Fraction(0), Fraction(0), Fraction(0)))
     if case.gamma_mode == "anchor":
         return derive_gammas(dims, case.anchor_block, case.anchor_gamma)
     if case.gamma_mode == "sizes":
-        return _build(dims, sizes_gammas(*case.sizes))
+        return IsotropyData(dims, sizes_gammas(*case.sizes))
     raise TrisymError(f"unknown gamma mode {case.gamma_mode!r}")

@@ -160,17 +160,11 @@ def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
     return vals
 
 
-def _is_zero(v: Exact) -> bool:
-    if isinstance(v, QuadraticSurd):
-        return False  # canonical surds are irrational
-    return v == 0
-
-
 def _exact_solution(a, triple: list[Exact], branch: str) -> EinsteinSolution:
     t0 = triple[0]
     x = (Fraction(1), triple[1] / t0, triple[2] / t0)
     r1, r2, r3 = ricci_coefficients(a, x)
-    if not (_is_zero(r1 - r2) and _is_zero(r1 - r3)):
+    if not (exact_sign(r1 - r2) == 0 and exact_sign(r1 - r3) == 0):
         raise IntegrityError(f"branch {branch} produced a non-solution {x}")
     sign = exact_sign(r1)
     return EinsteinSolution(
@@ -471,7 +465,7 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     tol = Fraction(tol)
     if sol.is_exact:
         r1, r2, r3 = ricci_coefficients(a, sol.x)
-        return _is_zero(r1 - r2) and _is_zero(r1 - r3)
+        return exact_sign(r1 - r2) == 0 and exact_sign(r1 - r3) == 0
     current = sol
     for _ in range(_VERIFY_STEPS):
         boxes = tuple(_coord_enclosure(c) for c in current.x)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .polysolve import Polynomial
-from .surd import QuadraticSurd
 
 
 @dataclass(frozen=True)
@@ -23,12 +22,9 @@ class Interval:
         return cls(v, v)
 
     @classmethod
-    def of(cls, v, prec: int = 40) -> "Interval":
+    def of(cls, v) -> "Interval":
         if isinstance(v, Interval):
             return v
-        if isinstance(v, QuadraticSurd):
-            lo, hi = v.bounds(prec)
-            return cls(lo, hi)
         return cls.point(Fraction(v))
 
     def contains_zero(self) -> bool:

@@ -1,9 +1,17 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
-Values are kept in the canonical form p + q*sqrt(d) with d squarefree and
-q != 0; anything with a rational value collapses to `Fraction`. Signs and
-comparisons are decided exactly, so these numbers can flow through the same
-code paths as rationals.
+A `QuadraticSurd` p + q*sqrt(d) is irrational by construction: q != 0 and
+d >= 2 is not a perfect square, which one `isqrt` checks. Anything with a
+rational value is a `Fraction`. Equality and hashing are by value: the same
+p, the same sign of q and the same q^2*d, so no correctness depends on d
+being square-free.
+
+A radicand is reduced to its square-free part once, where it enters, by
+`make_quadratic`; `roots_of_quadratic` reduces one radicand for both roots.
+Arithmetic combines a surd with rationals and with surds over the same d,
+and keeps that d, so a quadratic's values share its reduced radicand and no
+operation factors it again. Signs and comparisons are decided exactly, so
+these numbers can flow through the same code paths as rationals.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 def make_quadratic(p: Fraction, q: Fraction, d: int) -> Exact:
-    """p + q*sqrt(d) in canonical form (a Fraction when the value is rational)."""
+    """p + q*sqrt(d) with d reduced to its square-free part (a Fraction when the value is rational)."""
     p, q = Fraction(p), Fraction(q)
     if q == 0 or d == 0:
         return p
@@ -51,7 +59,7 @@ def sqrt_bounds(d: int, prec: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class QuadraticSurd:
-    """Canonical irrational element p + q*sqrt(d) of a real quadratic field."""
+    """Irrational element p + q*sqrt(d) of a real quadratic field."""
 
     p: Fraction
     q: Fraction
@@ -60,31 +68,21 @@ class QuadraticSurd:
     def __post_init__(self):
         if self.q == 0:
             raise ValueError("rational value; use Fraction")
-        _, d0 = squarefree_decompose(self.d)
-        if d0 != self.d or self.d < 2:
-            raise ValueError("radicand must be squarefree and >= 2")
+        if self.d < 2 or isqrt(self.d) ** 2 == self.d:
+            raise ValueError("radicand must be >= 2 and not a perfect square")
 
     # -- basic structure ----------------------------------------------------
-
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self.p, -self.q, self.d)
 
     def norm(self) -> Fraction:
         return self.p * self.p - self.q * self.q * self.d
 
     def sign(self) -> int:
-        # sign(p + q*sqrt(d)) from the signs of p, q and the field norm
-        sp = (self.p > 0) - (self.p < 0)
-        sq = (self.q > 0) - (self.q < 0)
-        if sp >= 0 and sq > 0:
-            return 1
-        if sp <= 0 and sq < 0:
-            return -1
-        # p and q have strictly opposite signs here
-        n = self.norm()
-        if n == 0:
-            return 0
-        return sp if n > 0 else -sp
+        # sign(p + q*sqrt(d)) from the signs of p, q and, when they differ, the field norm
+        sq = 1 if self.q > 0 else -1
+        if self.p * sq >= 0:
+            return sq
+        # the norm is nonzero since the value is irrational
+        return -sq if self.norm() > 0 else sq
 
     def bounds(self, prec: int = 30) -> tuple[Fraction, Fraction]:
         lo, hi = sqrt_bounds(self.d, prec)
@@ -102,7 +100,10 @@ class QuadraticSurd:
     def __repr__(self) -> str:
         return f"({self.p} + {self.q}*sqrt({self.d}))"
 
-    # -- field arithmetic ---------------------------------------------------
+    # -- field arithmetic (results stay over self.d) --------------------------
+
+    def _in_field(self, p: Fraction, q: Fraction) -> Exact:
+        return QuadraticSurd(p, q, self.d) if q else p
 
     def _coerce(self, other) -> tuple[Fraction, Fraction] | None:
         if isinstance(other, QuadraticSurd):
@@ -117,7 +118,7 @@ class QuadraticSurd:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return make_quadratic(self.p + co[0], self.q + co[1], self.d)
+        return self._in_field(self.p + co[0], self.q + co[1])
 
     __radd__ = __add__
 
@@ -128,7 +129,7 @@ class QuadraticSurd:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return make_quadratic(self.p - co[0], self.q - co[1], self.d)
+        return self._in_field(self.p - co[0], self.q - co[1])
 
     def __rsub__(self, other):
         return -(self - other)
@@ -138,21 +139,17 @@ class QuadraticSurd:
         if co is None:
             return NotImplemented
         p2, q2 = co
-        return make_quadratic(self.p * p2 + self.q * q2 * self.d, self.p * q2 + self.q * p2, self.d)
+        return self._in_field(self.p * p2 + self.q * q2 * self.d, self.p * q2 + self.q * p2)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Exact":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("surd with zero norm")
-        return make_quadratic(self.p / n, -self.q / n, self.d)
+    def inverse(self) -> "QuadraticSurd":
+        n = self.norm()  # nonzero since the value is irrational
+        return QuadraticSurd(self.p / n, -self.q / n, self.d)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return make_quadratic(self.p / other, self.q / other, self.d)
+            return QuadraticSurd(self.p / other, self.q / other, self.d)
         if isinstance(other, QuadraticSurd) and other.d == self.d:
             return self * other.inverse()
         return NotImplemented
@@ -165,13 +162,17 @@ class QuadraticSurd:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadraticSurd):
-            return (self.p, self.q, self.d) == (other.p, other.q, other.d)
+            return self._value_key() == other._value_key()
         if isinstance(other, (int, Fraction)):
-            return False  # canonical surds are irrational
+            return False  # every QuadraticSurd is irrational
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.p, self.q, self.d))
+        return hash(self._value_key())
+
+    def _value_key(self) -> tuple[Fraction, bool, Fraction]:
+        # p + q*sqrt(d) is determined by p, the sign of q and q*q*d
+        return self.p, self.q > 0, self.q * self.q * self.d
 
     def _cmp_sign(self, other) -> int:
         diff = self - other
@@ -225,7 +226,7 @@ def roots_of_quadratic(a: Fraction, b: Fraction, c: Fraction) -> list[Exact]:
     radicand = num * den
     base = -b / (2 * a)
     spread = Fraction(1, den) / (2 * a)
-    r1 = make_quadratic(base, -spread, radicand)
     r2 = make_quadratic(base, spread, radicand)
+    r1 = 2 * base - r2  # the conjugate, over the radicand reduced once
     # r2 - r1 = 2 * spread * sqrt(radicand) has the sign of a
     return [r1, r2] if a > 0 else [r2, r1]

@@ -130,10 +130,13 @@ class TestInvariants:
 
     def test_isotropy_data_validation(self):
         with pytest.raises(InconsistentData):
-            IsotropyData(
-                dims=(2, 2, 2),
-                gammas=(F(1, 2), F(1, 2), F(1, 3)),
-                casimirs=(F(1, 4), F(1, 4), F(1, 6)),
-                A=F(1, 2),
-                a=(F(1, 4), F(1, 4), F(1, 3)),
-            )
+            IsotropyData(dims=(2, 2, 2), gammas=(F(1, 2), F(1, 2), F(1, 3)))
+        with pytest.raises(InconsistentData):
+            IsotropyData(dims=(2, 2, 2), gammas=(F(1), F(1), F(1)))
+
+    def test_isotropy_data_derives_coefficients(self):
+        data = IsotropyData(dims=(2, 4, 4), gammas=(F(0), F(1, 2), F(1, 2)))
+        assert data.casimirs == (F(0), F(1, 4), F(1, 4))
+        assert data.A == 1
+        assert data.a == (F(1, 2), F(1, 4), F(1, 4))
+        assert data.boundary

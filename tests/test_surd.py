@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trisym import surd
+from trisym.einstein import ricci_coefficients, solve_einstein
 from trisym.surd import QuadraticSurd, exact_sign, make_quadratic, roots_of_quadratic, squarefree_decompose
 
 
@@ -106,3 +109,49 @@ def test_sign_matches_float(pn, qn, d):
     f = pn + qn * d**0.5
     if abs(f) > 1e-9:
         assert exact_sign(v) == (1 if f > 0 else -1)
+
+
+def test_equality_is_by_value():
+    a = QuadraticSurd(F(0), F(1), 8)  # sqrt(8) = 2 sqrt(2)
+    b = make_quadratic(F(0), F(2), 2)
+    assert a == b and hash(a) == hash(b)
+    assert QuadraticSurd(F(1), F(-1), 8) != QuadraticSurd(F(1), F(2), 2)  # q of opposite signs
+    assert QuadraticSurd(F(1), F(1), 8) != QuadraticSurd(F(1), F(1), 3)  # different fields
+
+
+@pytest.mark.parametrize("d", [0, 1, 4, 9])
+def test_constructor_rejects_rational_radicands(d):
+    with pytest.raises(ValueError):
+        QuadraticSurd(F(0), F(1), d)
+
+
+def test_constructor_accepts_non_square_free_radicand():
+    v = QuadraticSurd(F(1), F(1), 8)
+    assert v.d == 8 and exact_sign(v - 3) == 1  # 1 + sqrt(8) > 3
+
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return squarefree_decompose(n)
+
+    monkeypatch.setattr(surd, "squarefree_decompose", counted)
+    return calls
+
+
+def test_quadratic_reduces_its_radicand_once(decompose_calls):
+    roots = roots_of_quadratic(F(7), F(-15), F(7))
+    assert len(roots) == 2 and len(decompose_calls) == 1
+
+
+def test_field_arithmetic_never_reduces(decompose_calls):
+    a = (F(4, 15), F(1, 5), F(1, 5))  # E8-I: (1, q, q) with 7q^2 - 15q + 7 = 0
+    sols = solve_einstein(a)
+    decompose_calls.clear()
+    for s in sols:
+        r1, r2, r3 = ricci_coefficients(a, s.x)
+        assert r1 == r2 == r3
+    assert len(sols) == 2 and decompose_calls == []
