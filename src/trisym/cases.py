@@ -126,9 +126,9 @@ class SpaceCase:
     isotropy_factors: tuple[Factor, ...]
     fixed_subalgebra_types: tuple[tuple[Factor, ...], tuple[Factor, ...], tuple[Factor, ...]]
     marking: InvolutionMarking
+    # coefficient data is anchored by anchor_gamma when set, else by sizes
+    # when set, else abelian (see coeffs.coefficients_for_case)
     sizes: Optional[tuple[str, tuple[int, int, int]]] = None
-    # gamma_mode: how coefficient data is anchored (see coeffs module)
-    gamma_mode: str = "sizes"
     anchor_block: int = 0
     anchor_gamma: Optional[Fraction] = None
     isomorphic_summands: bool = False
@@ -326,7 +326,6 @@ def _a_i(l):
         isotropy_factors=(),
         fixed_subalgebra_types=((_torus(1),), (_torus(1),), (_torus(1),)),
         marking=InvolutionMarking(frozenset({1}), frozenset(), outer="center-negation"),
-        gamma_mode="abelian",
     )
 
 
@@ -341,7 +340,6 @@ def _a_ii(l):
             (("D", k),),
         ),
         marking=InvolutionMarking(frozenset({k}), frozenset(), outer="diagram-flip"),
-        gamma_mode="anchor",
         anchor_block=2,
         anchor_gamma=Fraction(k + 1, 2 * k),
     )
@@ -490,7 +488,6 @@ def _d_v(l):
             (_torus(1), ("A", l - 1)),
         ),
         marking=InvolutionMarking.inner({1}, {l}),
-        gamma_mode="anchor",
         anchor_block=1,
         anchor_gamma=Fraction(2 * l - 4, 2 * l - 2),
     )
@@ -503,7 +500,6 @@ def _exceptional(label, tag, group, rank, iso, ks, marking, anchor_block, anchor
             isotropy_factors=iso,
             fixed_subalgebra_types=ks,
             marking=marking,
-            gamma_mode="anchor",
             anchor_block=anchor_block,
             anchor_gamma=anchor_gamma,
         )

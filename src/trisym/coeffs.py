@@ -123,12 +123,10 @@ def sizes_gammas(kind: str, sizes: tuple[int, int, int]) -> Triple:
 
 
 def coefficients_for_case(case: SpaceCase) -> IsotropyData:
-    """IsotropyData for a catalog entry, via its recorded anchor strategy."""
+    """IsotropyData for a catalog entry: from its anchored gamma, else its sizes model, else abelian."""
     dims = case.dims[1:]
-    if case.gamma_mode == "abelian":
-        return IsotropyData(dims, (Fraction(0), Fraction(0), Fraction(0)))
-    if case.gamma_mode == "anchor":
+    if case.anchor_gamma is not None:
         return derive_gammas(dims, case.anchor_block, case.anchor_gamma)
-    if case.gamma_mode == "sizes":
+    if case.sizes is not None:
         return IsotropyData(dims, sizes_gammas(*case.sizes))
-    raise TrisymError(f"unknown gamma mode {case.gamma_mode!r}")
+    return IsotropyData(dims, (Fraction(0), Fraction(0), Fraction(0)))

@@ -30,6 +30,15 @@ Branches:
     single rational point) are handled by solving the two univariate
     quadratics there exactly.
 
+Every positive solution has a positive Einstein constant, because a_i <= 1/2:
+let x_i be the largest coordinate; then x_i^2 - x_j^2 - x_k^2 >= -min(x_j, x_k)^2,
+so F_i >= x_j x_k - a_i min(x_j, x_k)^2 >= x_j x_k / 2 > 0, and at a solution
+the Einstein constant is r_i = F_i / (2 x1 x2 x3). No sign needs certifying.
+
+Interval solutions are tightened by one step, ``_tighten``: refine x3 below
+the target width and re-link x2 inside its current interval through num/den.
+``refine_solution`` takes it once and ``verify_solution`` once per round.
+
 All certification is exact; floating point appears only in display helpers.
 """
 
@@ -38,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from .cases import SpaceCase
 from .coeffs import coefficients_for_case
@@ -84,22 +93,25 @@ Coordinate = Union[Fraction, QuadraticSurd, RootCoordinate]
 
 @dataclass(frozen=True)
 class _GenericLink:
-    """Back-substitution data tying the x2 and x3 coordinates of one solution."""
+    """Back-substitution data of a generic solution: x2 = num(x3) / den(x3)."""
 
     a: tuple[Fraction, Fraction, Fraction]
-    iv3: IsolatingInterval
-    iv2: IsolatingInterval
-    num: Polynomial  # x2 = num(x3) / den(x3)
+    num: Polynomial
     den: Polynomial
 
 
 @dataclass(frozen=True)
 class EinsteinSolution:
-    """One invariant Einstein metric, normalized to x1 = 1."""
+    """One invariant Einstein metric, normalized to x1 = 1.
+
+    The Einstein constant of every positive solution is positive (the lemma
+    in the module docstring), so its sign is a class constant.
+    """
+
+    einstein_constant_sign: ClassVar[str] = "positive"
 
     x: tuple[Coordinate, Coordinate, Coordinate]
     branch: str
-    einstein_constant_sign: str
     residual_bound: Fraction
     _link: Optional[_GenericLink] = None
 
@@ -166,13 +178,7 @@ def _exact_solution(a, triple: list[Exact], branch: str) -> EinsteinSolution:
     r1, r2, r3 = ricci_coefficients(a, x)
     if not (exact_sign(r1 - r2) == 0 and exact_sign(r1 - r3) == 0):
         raise IntegrityError(f"branch {branch} produced a non-solution {x}")
-    sign = exact_sign(r1)
-    return EinsteinSolution(
-        x=x,
-        branch=branch,
-        einstein_constant_sign={1: "positive", 0: "zero", -1: "negative"}[sign],
-        residual_bound=Fraction(0),
-    )
+    return EinsteinSolution(x=x, branch=branch, residual_bound=Fraction(0))
 
 
 def _solutions_all_equal(a: Fraction) -> list[EinsteinSolution]:
@@ -307,12 +313,6 @@ def _pivot_solutions_at(a, xi3: Fraction, p1: Form, p2: Form) -> list[EinsteinSo
     return out
 
 
-def _refine_until_positive(iv: IsolatingInterval) -> IsolatingInterval:
-    while iv.lo <= 0:
-        iv = iv.refine(iv.width / 4)
-    return iv
-
-
 def _link_x2_interval(
     eliminant2: Polynomial,
     iv3: IsolatingInterval,
@@ -321,7 +321,7 @@ def _link_x2_interval(
     enclosing: Optional[IsolatingInterval] = None,
     width: Optional[Fraction] = None,
 ) -> tuple[Optional[IsolatingInterval], IsolatingInterval]:
-    """Refine x3 until num/den certifies one positive root of the x2 eliminant.
+    """Refine x3 until it is positive and num/den certifies one positive root of the x2 eliminant.
 
     The x2 enclosure is clipped to ``enclosing`` and must be at most ``width``
     wide, when these are given. Returns (x2 interval, refined x3 interval);
@@ -341,7 +341,8 @@ def _link_x2_interval(
                 lo, hi = max(lo, enclosing.lo), min(hi, enclosing.hi)
             x2_width = hi - lo
             if (
-                0 < lo < hi
+                0 < iv3.lo
+                and 0 < lo < hi
                 and (width is None or hi - lo <= width)
                 and eliminant2.sign_at(lo) != 0
                 and eliminant2.sign_at(hi) != 0
@@ -371,23 +372,16 @@ def _solutions_generic(a) -> list[EinsteinSolution]:
 
     if remaining.degree >= 1:
         zero_x2 = poly_gcd(remaining, num)
+        link = _GenericLink(a=a, num=num, den=den)
         for iv3 in isolate_real_roots(remaining, 0, None):
             if zero_x2.degree >= 1 and count_real_roots(zero_x2, iv3.lo, iv3.hi) == 1:
                 continue  # back-substitution gives x2 = 0 exactly
-            iv3 = _refine_until_positive(iv3)
             iv2, iv3 = _link_x2_interval(e.x2, iv3, num, den)
             if iv2 is None:
                 continue
             x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
-            link = _GenericLink(a=a, iv3=iv3, iv2=iv2, num=num, den=den)
             out.append(
-                EinsteinSolution(
-                    x=x,
-                    branch=BRANCH_GENERIC,
-                    einstein_constant_sign=_constant_sign_interval(a, x),
-                    residual_bound=_residual_at_midpoint(a, x),
-                    _link=link,
-                )
+                EinsteinSolution(x=x, branch=BRANCH_GENERIC, residual_bound=_residual_at_midpoint(a, x), _link=link)
             )
     return out
 
@@ -398,22 +392,16 @@ def _residual_at_midpoint(a, x) -> Fraction:
     return max(abs(r1 - r2), abs(r1 - r3), abs(r2 - r3))
 
 
-def _constant_sign_interval(a, x, max_refine: int = 60) -> str:
-    xs = list(x)
-    for _ in range(max_refine):
-        boxes = tuple(_coord_enclosure(c) for c in xs)
-        r1 = _ricci(a, boxes, 0)
-        if r1.strictly_positive():
-            return "positive"
-        if r1.strictly_negative():
-            return "negative"
-        xs = [
-            RootCoordinate(c.interval.refine(c.interval.width / 4))
-            if isinstance(c, RootCoordinate)
-            else c
-            for c in xs
-        ]
-    raise _budget_exhausted("Einstein-constant sign", max_refine, _coordinate_widths(xs))
+def _tighten(x, link: Optional[_GenericLink], width: Fraction):
+    """The interval coordinates ``x`` with x3 refined below ``width`` and x2 re-linked inside its interval."""
+    if link is None:
+        raise IntegrityError("interval solution without refinement data")
+    iv2, iv3 = x[1].interval, x[2].interval
+    if iv3.width > width:
+        iv3 = iv3.refine(width)
+    # num/den encloses the positive x2 inside iv2, so the result is never None here
+    iv2, iv3 = _link_x2_interval(iv2.poly, iv3, link.num, link.den, iv2, width)
+    return (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
 
 
 def _sort_key(sol: EinsteinSolution):
@@ -436,22 +424,8 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
     """Shrink interval coordinates below ``width``; exact solutions pass through."""
     if sol.is_exact:
         return sol
-    link = sol._link
-    if link is None:
-        raise IntegrityError("interval solution without refinement data")
-    width = Fraction(width)
-    iv3 = link.iv3
-    if iv3.width > width:
-        iv3 = iv3.refine(width)
-    # num/den encloses the positive x2 inside link.iv2, so the result is never None here
-    iv2, iv3 = _link_x2_interval(link.iv2.poly, iv3, link.num, link.den, link.iv2, width)
-    x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
-    return replace(
-        sol,
-        x=x,
-        residual_bound=_residual_at_midpoint(link.a, x),
-        _link=replace(link, iv2=iv2, iv3=iv3),
-    )
+    x = _tighten(sol.x, sol._link, Fraction(width))
+    return replace(sol, x=x, residual_bound=_residual_at_midpoint(sol._link.a, x))
 
 
 def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
@@ -466,18 +440,18 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     if sol.is_exact:
         r1, r2, r3 = ricci_coefficients(a, sol.x)
         return exact_sign(r1 - r2) == 0 and exact_sign(r1 - r3) == 0
-    current = sol
+    x = sol.x
     for _ in range(_VERIFY_STEPS):
-        boxes = tuple(_coord_enclosure(c) for c in current.x)
+        boxes = tuple(_coord_enclosure(c) for c in x)
         rs = [_ricci(a, boxes, i) for i in range(3)]
         diffs = [rs[0] - rs[1], rs[0] - rs[2], rs[1] - rs[2]]
         if any(not d.contains_zero() for d in diffs):
             return False
         if all(d.abs_bound() < tol for d in diffs):
             return True
-        w = max(_coordinate_widths(current.x).values())
-        current = refine_solution(current, w / 8)
-    raise _budget_exhausted("verification", _VERIFY_STEPS, _coordinate_widths(current.x))
+        w = max(_coordinate_widths(x).values())
+        x = _tighten(x, sol._link, w / 8)
+    raise _budget_exhausted("verification", _VERIFY_STEPS, _coordinate_widths(x))
 
 
 @dataclass(frozen=True)

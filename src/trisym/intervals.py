@@ -17,15 +17,12 @@ class Interval:
             raise ValueError("interval endpoints out of order")
 
     @classmethod
-    def point(cls, v: Fraction) -> "Interval":
-        v = Fraction(v)
-        return cls(v, v)
-
-    @classmethod
     def of(cls, v) -> "Interval":
+        """``v`` itself if it is an interval, else the point interval [v, v]."""
         if isinstance(v, Interval):
             return v
-        return cls.point(Fraction(v))
+        v = Fraction(v)
+        return cls(v, v)
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -74,17 +71,14 @@ class Interval:
 
 
 def eval_poly_range(p: Polynomial, box: Interval) -> Interval:
-    """Exact range for degree <= 2, conservative Horner enclosure otherwise."""
+    """Exact range of ``p`` over ``box``, for degree at most 2."""
     if p.degree <= 1:
         vals = sorted((p(box.lo), p(box.hi)))
         return Interval(vals[0], vals[1])
-    if p.degree == 2:
-        candidates = [p(box.lo), p(box.hi)]
-        crit = -p[1] / (2 * p[2])
-        if box.lo <= crit <= box.hi:
-            candidates.append(p(crit))
-        return Interval(min(candidates), max(candidates))
-    acc = Interval.point(Fraction(0))
-    for c in reversed(p.coeffs):
-        acc = acc * box + Interval.point(c)
-    return acc
+    if p.degree > 2:
+        raise ValueError(f"eval_poly_range takes degree <= 2, got {p.degree}")
+    candidates = [p(box.lo), p(box.hi)]
+    crit = -p[1] / (2 * p[2])
+    if box.lo <= crit <= box.hi:
+        candidates.append(p(crit))
+    return Interval(min(candidates), max(candidates))

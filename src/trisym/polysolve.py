@@ -359,14 +359,22 @@ class IsolatingInterval:
         return refine_root(self, width)
 
 
-def _shrunk_interval_around(p: Polynomial, mid: Fraction, radius: Fraction) -> IsolatingInterval:
+def _shrunk_interval_around(
+    p: Polynomial, mid: Fraction, radius: Fraction, width: Optional[Fraction] = None
+) -> IsolatingInterval:
     # mid is an exact root hit during bisection; carve a certified interval
-    # around it by denominator doubling until the endpoints are off-root.
+    # around it, at most ``width`` wide when given, by denominator doubling
+    # until the endpoints are off-root.
     d = radius
     while True:
         d = d / 2
         lo, hi = mid - d, mid + d
-        if p.sign_at(lo) != 0 and p.sign_at(hi) != 0 and count_real_roots(p, lo, hi) == 1:
+        if (
+            (width is None or hi - lo <= width)
+            and p.sign_at(lo) != 0
+            and p.sign_at(hi) != 0
+            and count_real_roots(p, lo, hi) == 1
+        ):
             return IsolatingInterval(lo, hi, p)
 
 
@@ -440,14 +448,7 @@ def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
         mid = a + b
         s_mid = _horner_sign(ints, mid, 2 * m)
         if s_mid == 0:
-            # root hit exactly; shrink symmetrically by denominator doubling
-            mid_f = Fraction(mid, 2 * m)
-            d = Fraction(b - a, 4 * m)
-            while True:
-                lo, hi = mid_f - d, mid_f + d
-                if hi - lo <= width and p.sign_at(lo) != 0 and p.sign_at(hi) != 0:
-                    return IsolatingInterval(lo, hi, p)
-                d = d / 2
+            return _shrunk_interval_around(p, Fraction(mid, 2 * m), Fraction(b - a, 2 * m), width)
         if s_mid == s_lo:
             a, b = mid, 2 * b
         else:

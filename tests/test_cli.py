@@ -74,11 +74,14 @@ class TestDims:
         assert "ambiguous" in res.stderr
 
 
-# sha256 of the stdout of `trisym <argv>`, recorded before the integer Sturm kernel
+# sha256 of the stdout of `trisym <argv>`: the first three recorded before the
+# integer Sturm kernel, the two edge triples before the single tightening step
 SOLVE_PINS = {
     "solve E7-II --digits 50 --format json": "2fbcb017fec0e2402f96f6fd3c2fa8648a53ae638910bbddbbcc396232e61463",
     "solve E6-III --format json": "4dbd69059edb7fd318fdd7439c189e1ed5dacd8cfb0070d2df232fc31a1db30a",
     "solve --a 1/7 2/9 3/11 --digits 50 --format json": "b4d70953b39722eddb3e77129454f0856617f059f39e60548319abd234e28151",
+    "solve --a 1/2 1/1000000 499999/1000000 --format json": "7cb72c33576a5d51f18c066d29a96994d996f1ef374f1555d7b284d9c4910fc0",
+    "solve --a 1/1000 499/1000 1/4 --digits 50 --format json": "b1f0835d4ad7db1c63a2928e16495ca5c733195a5451790e5c5d37b07a1b8b2a",
 }
 
 

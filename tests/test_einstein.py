@@ -1,6 +1,5 @@
 from fractions import Fraction as F
-import functools
-from itertools import permutations
+from itertools import combinations, permutations
 import random
 
 import pytest
@@ -11,6 +10,7 @@ from trisym import cli, einstein
 from trisym.cases import make_case
 from trisym.coeffs import coefficients_for_case
 from trisym.einstein import (
+    BRANCH_GENERIC,
     BRANCH_PAIR_LINEAR,
     BRANCH_PAIR_SUM,
     BRANCH_STANDARD,
@@ -71,6 +71,40 @@ class TestAllEqualBranch:
     def test_einstein_constant_positive(self):
         for s in solve_einstein((F(1, 6),) * 3):
             assert s.einstein_constant_sign == "positive"
+
+
+positive_x = st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6)
+admissible_a = st.fractions(min_value=F(1, 10**6), max_value=F(1, 2), max_denominator=10**6)
+GENERIC_CASES = [("E6-III", {}), ("E7-II", {}), ("A-II", dict(l=3)), ("A-II", dict(l=9))]
+EDGE_TRIPLES = list(combinations((F(1, 2), F(1, 4), F(1, 1000), F(499, 1000), F(1, 10**6), F(499999, 10**6)), 3))
+
+
+class TestPositiveConstant:
+    """a_i <= 1/2 makes the Einstein constant of every positive solution positive."""
+
+    @given(st.tuples(positive_x, positive_x, positive_x), st.tuples(admissible_a, admissible_a, admissible_a))
+    def test_lemma_at_largest_coordinate(self, x, a):
+        # F_i = x_j x_k + a_i (x_i^2 - x_j^2 - x_k^2) >= x_j x_k / 2 when x_i is largest
+        i = max(range(3), key=lambda t: x[t])
+        j, k = [t for t in range(3) if t != i]
+        f_i = x[j] * x[k] + a[i] * (x[i] ** 2 - x[j] ** 2 - x[k] ** 2)
+        assert f_i >= x[j] * x[k] / 2 > 0
+        assert einstein._ricci(a, x, i) == f_i / (2 * x[0] * x[1] * x[2])
+
+    @pytest.mark.parametrize(
+        "a",
+        [coefficients_for_case(make_case(label, **params)).a for label, params in GENERIC_CASES] + EDGE_TRIPLES,
+    )
+    def test_ricci_positive_on_verified_boxes(self, a):
+        tol = F(1, 10**20)
+        sols = [s for s in solve_einstein(a) if s.branch == BRANCH_GENERIC and not s.is_exact]
+        assert sols
+        for s in sols:
+            assert all(c.interval.lo > 0 for c in s.x[1:])
+            s = refine_solution(s, tol)
+            assert verify_solution(a, s, tol)
+            boxes = tuple(einstein._coord_enclosure(c) for c in s.x)
+            assert einstein._ricci(a, boxes, 0).strictly_positive()
 
 
 class TestEqualPairBranch:
@@ -230,7 +264,6 @@ class TestVerify:
         bad = EinsteinSolution(
             x=(F(1), F(4, 5) + F(1, 100), F(4, 5)),
             branch=BRANCH_PAIR_LINEAR,
-            einstein_constant_sign="positive",
             residual_bound=F(0),
         )
         assert not verify_solution((F(2, 9),) * 3, bad)
@@ -252,19 +285,10 @@ class TestBudgets:
 
     A = (F(1, 4), F(1, 8), F(7, 24))
 
-    def test_sign_budget(self):
-        sol = solve_einstein(self.A)[0]
-        with pytest.raises(IntegrityError) as exc:
-            einstein._constant_sign_interval(self.A, sol.x, max_refine=0)
-        msg = str(exc.value)
-        assert msg.startswith("Einstein-constant sign: not certified within its budget of 0 steps")
-        assert "last widths: x2 " in msg and ", x3 " in msg
-
-    def test_sign_budget_exits_3(self, monkeypatch, capsys):
-        starved = functools.partial(einstein._constant_sign_interval, max_refine=0)
-        monkeypatch.setattr(einstein, "_constant_sign_interval", starved)
+    def test_verification_budget_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(einstein, "_VERIFY_STEPS", 0)
         assert cli.main(["solve", "--a", "1/4", "1/8", "7/24"]) == 3
-        assert "Einstein-constant sign" in capsys.readouterr().err
+        assert "verification: not certified within its budget of 0 steps" in capsys.readouterr().err
 
     def test_back_substitution_budget(self, monkeypatch):
         monkeypatch.setattr(einstein, "_LINK_STEPS", 0)
