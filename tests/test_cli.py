@@ -125,6 +125,10 @@ class TestSolve:
         assert listed.returncode == 0 and bare.returncode == 0
         assert listed.stdout == bare.stdout
 
+    def test_tolerance_far_below_the_solve_width(self):
+        res = run_cli("solve", "E7-II", "--tol", f"1/{10**300}")
+        assert res.returncode == 0, res.stderr
+
     def test_not_applicable_case(self):
         res = run_cli("solve", "D-IV", "--l", "4")
         assert res.returncode == 0

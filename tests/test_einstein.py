@@ -24,6 +24,7 @@ from trisym.einstein import (
     verify_solution,
 )
 from trisym.errors import IntegrityError, NotApplicable, TrisymError
+from trisym.intervals import Interval, eval_poly_range
 from trisym.polysolve import Polynomial, squarefree_part
 from trisym.surd import QuadraticSurd
 
@@ -273,6 +274,68 @@ class TestVerify:
         for s in solve_einstein(a):
             assert verify_solution(a, s, F(1, 10**8))
 
+    def test_interval_perturbed_false(self):
+        # the solutions of a nearby triple leave a residual near 10^-12, far above tol
+        a = (F(1, 4), F(1, 8), F(7, 24))
+        perturbed = (a[0], a[1], a[2] + F(1, 10**12))
+        for s in solve_einstein(a):
+            assert verify_solution(perturbed, s, F(1, 10**20)) is False
+
+    def test_tolerance_far_below_the_solve_width(self):
+        a = (F(1, 4), F(1, 3), F(1, 5))
+        for s in solve_einstein(a):
+            assert verify_solution(a, s, F(1, 10**300)) is True
+
+    @pytest.mark.parametrize("tol", [0, F(-1, 10**20)])
+    def test_tolerance_must_be_positive(self, tol):
+        a = (F(1, 4), F(1, 3), F(1, 5))
+        with pytest.raises(TrisymError, match="must be positive"):
+            verify_solution(a, solve_einstein(a)[0], tol)
+
+
+class TestVerifyRounds:
+    """Each tightening is sized from the residual enclosure, so one is enough."""
+
+    @pytest.fixture
+    def tightenings(self, monkeypatch):
+        calls = []
+        tighten = einstein._tighten
+
+        def counted(*args):
+            calls.append(args)
+            return tighten(*args)
+
+        monkeypatch.setattr(einstein, "_tighten", counted)
+        return calls
+
+    @pytest.mark.parametrize("label", ["E6-III", "E7-II"])
+    def test_one_round_at_cli_defaults(self, label, tightenings):
+        result = solve_case(make_case(label))
+        sols = [s for s in result.solutions if not s.is_exact]
+        assert len(sols) == 2
+        for s in sols:
+            tightenings.clear()
+            assert verify_solution(result.a, s, F(1, 10**20))
+            assert len(tightenings) == 1
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            (F(1, 4), F(1, 3), F(1, 5)),
+            (F(1, 4), F(1, 8), F(7, 24)),
+            (F(1, 1000), F(499, 1000), F(1, 4)),
+            (F(1, 2), F(1, 10**6), F(499999, 10**6)),
+        ],
+    )
+    @pytest.mark.parametrize("digits", [10, 50, 300])
+    def test_at_most_one_round_after_refinement(self, a, digits, tightenings):
+        tol = F(1, 10**digits)
+        for s in solve_einstein(a):
+            s = refine_solution(s, tol)
+            tightenings.clear()
+            assert verify_solution(a, s, tol)
+            assert len(tightenings) <= 1
+
     def test_every_solution_verifies_tightly(self):
         for label in ("E6-II", "E7-II", "E8-I", "F4-II", "E7-I"):
             result = solve_case(make_case(label))
@@ -294,6 +357,19 @@ class TestBudgets:
         monkeypatch.setattr(einstein, "_LINK_STEPS", 0)
         with pytest.raises(IntegrityError, match=r"^x2 back-substitution: .* budget of 0 steps; last widths: x3 "):
             solve_einstein(self.A)
+
+    def test_x2_link_stays_inside_enclosing(self, monkeypatch):
+        # hand-built: the x2 interval of one solution as the enclosure for the
+        # x3 interval of the other, so num/den over the x3 box misses it
+        s, other = (refine_solution(t, F(1, 10**10)) for t in solve_einstein(self.A))
+        e = generic_eliminants(self.A)
+        iv3, enclosing = s.x[2].interval, other.x[1].interval
+        box = Interval(iv3.lo, iv3.hi)
+        rng = eval_poly_range(e.num, box) / eval_poly_range(e.den, box)
+        assert rng.hi < enclosing.lo or enclosing.hi < rng.lo
+        monkeypatch.setattr(einstein, "_LINK_STEPS", 3)
+        with pytest.raises(IntegrityError, match=r"^x2 back-substitution: .* budget of 3 steps"):
+            einstein._link_x2_interval(e.x2, iv3, e.num, e.den, enclosing)
 
     def test_verification_budget(self, monkeypatch):
         sol = solve_einstein(self.A)[0]
