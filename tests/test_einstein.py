@@ -292,6 +292,12 @@ class TestVerify:
         with pytest.raises(TrisymError, match="must be positive"):
             verify_solution(a, solve_einstein(a)[0], tol)
 
+    def test_every_solution_verifies_tightly(self):
+        for label in ("E6-II", "E7-II", "E8-I", "F4-II", "E7-I"):
+            result = solve_case(make_case(label))
+            for s in result.solutions:
+                assert verify_solution(result.a, s, F(1, 10**20))
+
 
 class TestVerifyRounds:
     """Each tightening is sized from the residual enclosure, so one is enough."""
@@ -335,12 +341,6 @@ class TestVerifyRounds:
             tightenings.clear()
             assert verify_solution(a, s, tol)
             assert len(tightenings) <= 1
-
-    def test_every_solution_verifies_tightly(self):
-        for label in ("E6-II", "E7-II", "E8-I", "F4-II", "E7-I"):
-            result = solve_case(make_case(label))
-            for s in result.solutions:
-                assert verify_solution(result.a, s, F(1, 10**20))
 
 
 class TestBudgets:
