@@ -14,9 +14,10 @@ markings), the summand dimensions are computed from root parities: a root
 a = sum n_k a_k contributes its two real root dimensions to the block
 selected by (e_H(a), e_H1(a)) = (sum of n_k over theta-marks mod 2, same
 for tau-marks). For pairs with an outer ingredient, dimensions come from
-the curated types of the fixed subalgebras k_i = h + p_i; the identity
-dim h + d1 + d2 + d3 = dim g is enforced either way, as is
-dim k_i = dim h + d_i for the recorded subalgebra types.
+the curated types of the fixed subalgebras k_i = h + p_i, as
+d_i = dim k_i - dim h. The identity dim h + d1 + d2 + d3 = dim g is
+enforced either way; for inner pairs, so is dim k_i = dim h + d_i for the
+recorded subalgebra types.
 
 Families with a classical matrix model additionally carry a "sizes" triple
 (s1, s2, s3): the space is G(s1+s2+s3)/G(s1)xG(s2)xG(s3) with p_i the
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .errors import IntegrityError, InvalidMarking, TrisymError
-from .rootsys import RootSystem, build_root_system, dimension
+from .rootsys import LOW_RANK_COINCIDENCES, RootSystem, build_root_system, dimension, type_dimension
 
 # A subalgebra factor: ("T", k) is a k-dimensional torus, otherwise (family, rank).
 Factor = tuple[str, int]
@@ -40,29 +41,19 @@ Factor = tuple[str, int]
 
 def factor_dim(f: Factor) -> int:
     fam, r = f
-    if fam == "T":
-        return r
-    if r == 0:
-        return 0
-    if fam == "A":
-        return r * (r + 2)
-    if fam in ("B", "C"):
-        return r * (2 * r + 1)
-    if fam == "D":
-        return r * (2 * r - 1)
-    return {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}[(fam, r)]
-
-
-_CANONICAL_NAMES = {("B", 1): "A1", ("C", 1): "A1", ("C", 2): "B2", ("D", 1): "T", ("D", 3): "A3"}
+    return r if fam == "T" else type_dimension(fam, r)
 
 
 def factor_name(f: Factor) -> str:
     fam, r = f
     if fam == "T":
         return "T" if r == 1 else f"T^{r}"
-    if (fam, r) == ("D", 2):
+    if f == ("D", 1):
+        return "T"
+    if f == ("D", 2):
         return "A1xA1"
-    return _CANONICAL_NAMES.get((fam, r), f"{fam}{r}")
+    fam, r = LOW_RANK_COINCIDENCES.get(f, f)
+    return f"{fam}{r}"
 
 
 def factors_dim(factors: tuple[Factor, ...]) -> int:
@@ -149,10 +140,6 @@ class SpaceCase:
         return factors_name(self.isotropy_factors)
 
     @property
-    def ambient(self) -> tuple[str, int]:
-        return (self.family, self.rank)
-
-    @property
     def is_inner(self) -> bool:
         return self.marking.outer is None
 
@@ -179,6 +166,7 @@ def case_dims(case: SpaceCase) -> tuple[int, int, int, int]:
     """
     dim_g = ambient_dim(case)
     dim_h = isotropy_dim(case)
+    ks = [factors_dim(kt) for kt in case.fixed_subalgebra_types]
     if case.is_inner:
         rs = build_root_system(case.family, case.rank)
         h_from_roots, d1, d2, d3 = inner_decomposition_dims(rs, case.marking)
@@ -187,7 +175,6 @@ def case_dims(case: SpaceCase) -> tuple[int, int, int, int]:
                 f"{case.describe()}: isotropy metadata dim {dim_h} != parity dim {h_from_roots}"
             )
     else:
-        ks = [factors_dim(kt) for kt in case.fixed_subalgebra_types]
         d1, d2, d3 = (k - dim_h for k in ks)
     if dim_h + d1 + d2 + d3 != dim_g:
         raise IntegrityError(
@@ -195,12 +182,10 @@ def case_dims(case: SpaceCase) -> tuple[int, int, int, int]:
         )
     if min(d1, d2, d3) <= 0:
         raise IntegrityError(f"{case.describe()}: nonpositive summand dimension {(d1, d2, d3)}")
-    for idx, kt in enumerate(case.fixed_subalgebra_types):
-        expected = dim_h + (d1, d2, d3)[idx]
-        if factors_dim(kt) != expected:
-            raise IntegrityError(
-                f"{case.describe()}: dim k{idx + 1} = {factors_dim(kt)} != dim h + d{idx + 1} = {expected}"
-            )
+    if case.is_inner:  # outer entries define d_i by dim k_i - dim h
+        for idx, (k, d) in enumerate(zip(ks, (d1, d2, d3)), 1):
+            if k != dim_h + d:
+                raise IntegrityError(f"{case.describe()}: dim k{idx} = {k} != dim h + d{idx} = {dim_h + d}")
     if case.sizes is not None:
         kind, (s1, s2, s3) = case.sizes
         kappa = {"su": 2, "sp": 4, "so": 1}[kind]

@@ -108,6 +108,9 @@ DECIMALS = {
     "E7-II": ((F("1.7489"), F("1.5535")), (F("0.6139"), F("0.7302"))),
 }
 
+# the A-II solution-count sweep runs over k = 2.._A_II_K_MAX
+_A_II_K_MAX = 50
+
 EXPECTED_COUNTS = {
     "E6-II": 2, "E6-III": 2, "E7-II": 2, "E8-I": 2, "F4-II": 2,
     "E7-I": 4, "E7-III": 4, "E8-II": 4, "F4-I": 4, "E6-I": 4,
@@ -122,7 +125,7 @@ def _the_case(label: str, **params) -> SpaceCase:
 
 
 def _a_ii(k: int) -> SpaceCase:
-    return make_case("A-II", l=2 * k - 1)
+    return make_case("A-II", k=k)
 
 
 def _rational_pattern(a: Fraction) -> set[tuple[Fraction, Fraction, Fraction]]:
@@ -238,18 +241,18 @@ def check_coefficients() -> list[CheckResult]:
 # -- solution checks ---------------------------------------------------------
 
 
-def check_solution_counts(k_max: int = 50) -> list[CheckResult]:
+def check_solution_counts() -> list[CheckResult]:
     out = []
 
     def a_ii_sweep():
-        for k in range(2, k_max + 1):
+        for k in range(2, _A_II_K_MAX + 1):
             sols = solve_case(_a_ii(k)).solutions
             if len(sols) != 2:
                 raise AssertionError(f"A-II k={k}: {len(sols)} solutions")
             u0 = a_ii_quartic(k)
             if count_real_roots(u0, 0, None) != 2:
                 raise AssertionError(f"A-II k={k}: Sturm count on (0, inf) != 2")
-        return f"k = 2..{k_max}"
+        return f"k = 2..{_A_II_K_MAX}"
 
     out.append(_result("A-II family: two metrics, quartic has two positive roots", a_ii_sweep))
 

@@ -174,6 +174,10 @@ def _cmd_solve(args) -> int:
     width = Fraction(1, 10 ** (digits + 3))
     warnings: list[str] = []
     if args.a:
+        case_inputs = [repr(args.case)] if args.case else []
+        case_inputs += [f"--{k}" for k in ("l", "i", "j", "k") if getattr(args, k) is not None]
+        if case_inputs:
+            raise _UsageError(f"--a solves a raw triple; it cannot be combined with {', '.join(case_inputs)}")
         a = tuple(_fraction(t) for t in args.a)
         try:
             sols = solve_einstein(a)

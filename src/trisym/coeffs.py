@@ -66,23 +66,15 @@ def gamma_from_killing_ratio(sub: Factor, ambient: Factor, embedding_index: int 
     return Fraction(dual_coxeter_number(*sub), embedding_index * dual_coxeter_number(*ambient))
 
 
-def derive_gammas(
-    dims: tuple[int, int, int],
-    anchor_index: int,
-    anchor_gamma: Fraction,
-    *,
-    allow_boundary: bool = False,
-) -> IsotropyData:
+def derive_gammas(dims: tuple[int, int, int], anchor_index: int, anchor_gamma: Fraction) -> IsotropyData:
     """Full coefficient set from one anchored gamma via 2A = d_i(1 - 2c_i).
 
-    Rejects anchors or derived values outside (0, 1); boundary values
-    (gamma = 0, i.e. abelian effective subalgebras) only with consent.
+    Rejects anchors or derived values outside (0, 1).
     """
     if anchor_index not in (1, 2, 3):
         raise ValueError("anchor_index must be 1, 2 or 3")
     anchor_gamma = Fraction(anchor_gamma)
-    lo_ok = anchor_gamma >= 0 if allow_boundary else anchor_gamma > 0
-    if not (lo_ok and anchor_gamma < 1):
+    if not 0 < anchor_gamma < 1:
         raise InconsistentData(f"anchor gamma {anchor_gamma} outside the admissible range")
     if min(dims) <= 0:
         raise ValueError("dims must be positive")
@@ -93,8 +85,7 @@ def derive_gammas(
             gammas.append(anchor_gamma)
             continue
         g = 1 - 2 * A / d
-        lo_ok = g >= 0 if allow_boundary else g > 0
-        if not (lo_ok and g < 1):
+        if not 0 < g < 1:
             raise InconsistentData(
                 f"derived gamma_{i + 1} = {g} outside range (wrong anchor or dims?)"
             )

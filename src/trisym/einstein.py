@@ -146,8 +146,12 @@ def _coord_enclosure(c: Coordinate) -> Interval:
 
 def _budget_exhausted(stage: str, budget: int, widths: dict[str, Fraction]) -> IntegrityError:
     """The error for a certification loop that ran out of steps, with its last interval widths."""
-    shown = ", ".join(f"{name} {Decimal(w.numerator) / Decimal(w.denominator):.3e}" for name, w in widths.items())
+    shown = _format_widths(widths)
     return IntegrityError(f"{stage}: not certified within its budget of {budget} steps; last widths: {shown}")
+
+
+def _format_widths(widths: dict[str, Fraction]) -> str:
+    return ", ".join(f"{name} {Decimal(w.numerator) / Decimal(w.denominator):.3e}" for name, w in widths.items())
 
 
 def _coordinate_widths(x) -> dict[str, Fraction]:
@@ -336,8 +340,8 @@ def _link_x2_interval(
     For intervals the solver made, the clip never binds: ``enclosing`` is
     num/den over an x3 box containing ``iv3``, and the range of num/den is
     inclusion isotone. It guards hand-built solutions, whose x2 may lie
-    elsewhere; an empty clip exhausts the budget instead of returning an
-    x2 interval outside ``enclosing``.
+    elsewhere; an empty clip raises at once, since by that isotonicity no
+    smaller x3 box can reopen it.
     """
     x2_width = None
     for _ in range(_LINK_STEPS):
@@ -350,6 +354,9 @@ def _link_x2_interval(
             lo, hi = rng.lo, rng.hi
             if enclosing is not None:
                 lo, hi = max(lo, enclosing.lo), min(hi, enclosing.hi)
+                if lo >= hi:
+                    shown = _format_widths({"x3": iv3.width, "x2 range": rng.hi - rng.lo, "enclosing x2": enclosing.width})
+                    raise IntegrityError(f"x2 back-substitution: x2 range misses the enclosing x2 interval; widths: {shown}")
             x2_width = hi - lo
             if (
                 0 < iv3.lo

@@ -21,9 +21,11 @@ root, so marking a_i fixes sp(i) + sp(l-i); this mapping is pinned by the
 symplectic-family dimension tests (Sp(3)/Sp(1)^3 with blocks (4, 4, 4),
 Sp(4)/Sp(1)Sp(1)Sp(2) with blocks (8, 4, 8)).
 
-Low-rank coincidences are canonicalized before construction:
-B1 = C1 = A1, C2 = B2, D3 = A3; D_2 and rank-0 types are rejected as
-non-simple.
+Each simple type's facts are declared here once: dim g and the dual Coxeter
+number (closed forms for A..D, one table for E, F, G) and the map of
+low-rank coincidences. Construction canonicalizes the coincidences, rejects
+D1, D2 and rank-0 types as non-simple, and checks every enumerated
+dimension against the declared one.
 """
 
 from __future__ import annotations
@@ -33,15 +35,31 @@ from functools import lru_cache
 
 from .errors import InvalidRootSystem
 
-FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
-_DUAL_COXETER = {
-    "E": {6: 12, 7: 18, 8: 30},
-    "F": {4: 9},
-    "G": {2: 4},
+# (dim g, h^vee) of the classical types. The dimensions hold at every rank
+# >= 0, including the non-simple D1 = T and D2 = A1 x A1; h^vee holds only
+# for canonical types, so it is read after canonicalization.
+_CLASSICAL = {
+    "A": lambda l: (l * (l + 2), l + 1),
+    "B": lambda l: (l * (2 * l + 1), 2 * l - 1),
+    "C": lambda l: (l * (2 * l + 1), l + 1),
+    "D": lambda l: (l * (2 * l - 1), 2 * l - 2),
 }
 
-_EXPECTED_DIMS = {"E6": 78, "E7": 133, "E8": 248, "F4": 52, "G2": 14}
+# (dim g, h^vee) of the exceptional types
+_EXCEPTIONAL = {("E", 6): (78, 12), ("E", 7): (133, 18), ("E", 8): (248, 30), ("F", 4): (52, 9), ("G", 2): (14, 4)}
+
+LOW_RANK_COINCIDENCES = {("B", 1): ("A", 1), ("C", 1): ("A", 1), ("C", 2): ("B", 2), ("D", 3): ("A", 3)}
+
+FAMILIES = (*_CLASSICAL, *dict.fromkeys(fam for fam, _ in _EXCEPTIONAL))
+
+
+def _facts(family: str, rank: int) -> tuple[int, int]:
+    return _CLASSICAL[family](rank) if family in _CLASSICAL else _EXCEPTIONAL[family, rank]
+
+
+def type_dimension(family: str, rank: int) -> int:
+    """dim g of the type as declared; any rank >= 0 for A..D, the tabled ranks for E, F, G."""
+    return _facts(family, rank)[0]
 
 
 def canonicalize_type(family: str, rank: int) -> tuple[str, int]:
@@ -50,35 +68,17 @@ def canonicalize_type(family: str, rank: int) -> tuple[str, int]:
         raise InvalidRootSystem(f"unknown family {family!r}; expected one of {FAMILIES}")
     if rank < 1:
         raise InvalidRootSystem(f"{family}{rank}: rank must be >= 1")
-    if family == "A":
-        return "A", rank
-    if family == "B":
-        return ("A", 1) if rank == 1 else ("B", rank)
-    if family == "C":
-        if rank == 1:
-            return "A", 1
-        if rank == 2:
-            return "B", 2
-        return "C", rank
-    if family == "D":
-        if rank == 1:
-            raise InvalidRootSystem("D1 is a torus, not a simple type")
-        if rank == 2:
-            raise InvalidRootSystem("D2 = A1 x A1 is not simple")
-        if rank == 3:
-            return "A", 3
-        return "D", rank
-    if family == "E":
-        if rank not in (6, 7, 8):
-            raise InvalidRootSystem(f"E{rank}: rank must be 6, 7 or 8")
-        return "E", rank
-    if family == "F":
-        if rank != 4:
-            raise InvalidRootSystem(f"F{rank}: rank must be 4")
-        return "F", 4
-    if rank != 2:
-        raise InvalidRootSystem(f"G{rank}: rank must be 2")
-    return "G", 2
+    if (family, rank) == ("D", 1):
+        raise InvalidRootSystem("D1 is a torus, not a simple type")
+    if (family, rank) == ("D", 2):
+        raise InvalidRootSystem("D2 = A1 x A1 is not simple")
+    if family in _CLASSICAL:
+        return LOW_RANK_COINCIDENCES.get((family, rank), (family, rank))
+    if (family, rank) not in _EXCEPTIONAL:
+        ranks = [str(r) for fam, r in _EXCEPTIONAL if fam == family]
+        need = f"{', '.join(ranks[:-1])} or {ranks[-1]}" if len(ranks) > 1 else ranks[0]
+        raise InvalidRootSystem(f"{family}{rank}: rank must be {need}")
+    return family, rank
 
 
 def _edges(family: str, rank: int) -> list[tuple[int, int, int, int]]:
@@ -161,22 +161,14 @@ class RootSystem:
 
 def dual_coxeter_number(family: str, rank: int) -> int:
     """Dual Coxeter number of the canonical simple type."""
-    family, rank = canonicalize_type(family, rank)
-    if family == "A":
-        return rank + 1
-    if family == "B":
-        return 2 * rank - 1
-    if family == "C":
-        return rank + 1
-    if family == "D":
-        return 2 * rank - 2
-    return _DUAL_COXETER[family][rank]
+    return _facts(*canonicalize_type(family, rank))[1]
 
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system, canonicalizing low-rank coincidences first."""
     family, rank = canonicalize_type(family, rank)
+    dim, dual_coxeter = _facts(family, rank)
     cartan = _cartan_matrix(family, rank)
     roots = _generate_positive_roots(cartan)
     maximal = max(roots, key=sum)
@@ -188,11 +180,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         cartan=cartan,
         positive_roots=tuple(roots),
         maximal_root=maximal,
-        dual_coxeter=dual_coxeter_number(family, rank),
+        dual_coxeter=dual_coxeter,
     )
-    label = f"{family}{rank}"
-    if label in _EXPECTED_DIMS and dimension(rs) != _EXPECTED_DIMS[label]:
-        raise InvalidRootSystem(f"{label}: dimension {dimension(rs)} != {_EXPECTED_DIMS[label]}")
+    if dimension(rs) != dim:
+        raise InvalidRootSystem(f"{family}{rank}: dimension {dimension(rs)} != {dim}")
     return rs
 
 

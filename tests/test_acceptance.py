@@ -44,7 +44,7 @@ def test_criterion_2_coefficient_reproduction():
 
 def test_criterion_3_solution_counts():
     t0 = time.monotonic()
-    results = check_solution_counts(k_max=50)
+    results = check_solution_counts()
     elapsed = time.monotonic() - t0
     _report("3 (solution counts, Sturm-certified)", results, elapsed)
     assert elapsed < 10.0, f"count sweep took {elapsed:.2f}s (budget 10s)"

@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
+import re
 from collections import Counter
 
 import pytest
@@ -16,7 +18,7 @@ from trisym.cases import (
     make_case,
 )
 from trisym.cli import main as cli_main
-from trisym.errors import InvalidMarking, TrisymError
+from trisym.errors import IntegrityError, InvalidMarking, TrisymError
 from trisym.rootsys import build_root_system
 
 DIM_ROWS = {
@@ -80,6 +82,14 @@ LIST_12_SHA256 = {
     "csv": "20d8e4e6969d1e40dd47f90bfb966b3f6f795cbab5eaffc6940227bd48e5e096",
 }
 
+# sha256 of the stdout of `trisym <argv>`, recorded before the simple-type facts
+# were declared once: rank 20 covers every factor name and dimension of the
+# catalog, `verify tables` the dual-Coxeter anchor ratios
+CATALOG_SHA256 = {
+    "list --max-rank 20 --format json": "c2c748c9d184b89bcde58dd797227f2ae8b73fd8be5c6098eb5187500031e3d6",
+    "verify tables --format json": "3720086fc88338f7ddb62fe1c2b02e2b63752a6cdd7371669891d895e1ce5d47",
+}
+
 
 def _observed_spans(cases):
     """(label, earlier params, name) -> (min, max, an entry) over the given cases."""
@@ -132,6 +142,13 @@ class TestDeclaration:
         with contextlib.redirect_stdout(buf):
             assert cli_main(["list", "--max-rank", "12", "--format", fmt]) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == LIST_12_SHA256[fmt]
+
+    @pytest.mark.parametrize("argv", sorted(CATALOG_SHA256))
+    def test_catalog_output_is_pinned(self, argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli_main(argv.split()) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CATALOG_SHA256[argv]
 
 
 class TestInnerDecomposition:
@@ -207,6 +224,30 @@ class TestCaseDims:
         n1, n2, n3 = i, j - i, l + 1 - j
         _, d1, d2, d3 = case_dims(case)
         assert sorted((d1, d2, d3)) == sorted((2 * n1 * n2, 2 * n2 * n3, 2 * n1 * n3))
+
+    @pytest.mark.parametrize(
+        "label,params,change,message",
+        [
+            ("E7-II", {}, dict(isotropy_factors=(("A", 5),)), "isotropy metadata dim 35 != parity dim 39"),
+            (
+                "E6-III", {}, dict(fixed_subalgebra_types=((("A", 1), ("A", 5)), (("F", 4),), (("C", 3),))),
+                "dim h + sum(d) = 63 != dim g = 78",
+            ),
+            (
+                "E6-III", {}, dict(fixed_subalgebra_types=((("T", 24),), (("T", 51),), (("T", 51),))),
+                "nonpositive summand dimension (0, 27, 27)",
+            ),
+            (
+                "E7-II", {}, dict(fixed_subalgebra_types=((("A", 6),), (("A", 1), ("D", 6)), (("T", 1), ("E", 6)))),
+                "dim k1 = 48 != dim h + d1 = 63",
+            ),
+            ("A-III", dict(l=5, i=1, j=2), dict(sizes=("su", (1, 2, 3))), "sizes model dims (12, 6, 4) != (8, 2, 8)"),
+        ],
+    )
+    def test_gate_rejects_inconsistent_metadata(self, label, params, change, message):
+        case = make_case(label, **params)
+        with pytest.raises(IntegrityError, match="^" + re.escape(f"{case.describe()}: {message}")):
+            dataclasses.replace(case, **change)
 
     def test_c_i_matches_symplectic_model(self):
         _, d1, d2, d3 = case_dims(make_case("C-I", l=3, i=1, j=2))

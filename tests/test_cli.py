@@ -142,6 +142,12 @@ class TestSolve:
         res = run_cli("solve")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("extra", [("E7-II",), ("--l", "3"), ("--k", "2")])
+    def test_a_excludes_a_case(self, extra):
+        res = run_cli("solve", *extra, "--a", "1/3", "1/4", "1/5")
+        assert res.returncode == 1
+        assert "--a" in res.stderr and extra[0] in res.stderr
+
 
 class TestVerify:
     def test_tables_pass(self):

@@ -1,5 +1,6 @@
 import pytest
 
+from trisym import rootsys
 from trisym.errors import InvalidRootSystem
 from trisym.rootsys import build_root_system, canonicalize_type, dimension, dual_coxeter_number
 
@@ -93,6 +94,17 @@ class TestInvariants:
         assert len(set(rs.positive_roots)) == len(rs.positive_roots)
         for root in rs.positive_roots:
             assert all(c >= 0 for c in root) and any(c > 0 for c in root)
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)])
+    def test_enumerated_dimension_checked_against_declaration(self, monkeypatch, family, rank):
+        dim, dual_coxeter = rootsys._facts(family, rank)
+        monkeypatch.setattr(rootsys, "_facts", lambda f, r: (dim + 1, dual_coxeter))
+        build_root_system.cache_clear()
+        try:
+            with pytest.raises(InvalidRootSystem, match=f"^{family}{rank}: dimension {dim} != {dim + 1}$"):
+                build_root_system(family, rank)
+        finally:
+            build_root_system.cache_clear()
 
 
 class TestCanonicalization:
