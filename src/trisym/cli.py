@@ -39,6 +39,9 @@ EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_INTEGRITY = 3
 
+# search bound of case selectors when --max-rank is not given
+_SELECTOR_MAX_RANK = 12
+
 
 class _UsageError(Exception):
     pass
@@ -78,8 +81,9 @@ def _coord_decimal(c, digits: int) -> str:
 
 def _resolve_case(args):
     params = {k: getattr(args, k, None) for k in ("l", "i", "j", "k")}
+    max_rank = _SELECTOR_MAX_RANK if args.max_rank is None else args.max_rank
     try:
-        matches = find_cases(args.case, max_rank=args.max_rank, **params)
+        matches = find_cases(args.case, max_rank=max_rank, **params)
     except TrisymError as exc:
         raise _UsageError(str(exc))
     if not matches:
@@ -98,7 +102,9 @@ def _add_case_args(p):
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="A-II alias: l = 2k - 1")
-    p.add_argument("--max-rank", type=int, default=12, help="search bound for parameter-free selectors")
+    p.add_argument(
+        "--max-rank", type=int, default=None, help=f"search bound for parameter-free selectors (default {_SELECTOR_MAX_RANK})"
+    )
 
 
 def _cmd_list(args) -> int:
@@ -176,6 +182,8 @@ def _cmd_solve(args) -> int:
     if args.a:
         case_inputs = [repr(args.case)] if args.case else []
         case_inputs += [f"--{k}" for k in ("l", "i", "j", "k") if getattr(args, k) is not None]
+        if args.max_rank is not None:
+            case_inputs.append("--max-rank")
         if case_inputs:
             raise _UsageError(f"--a solves a raw triple; it cannot be combined with {', '.join(case_inputs)}")
         a = tuple(_fraction(t) for t in args.a)

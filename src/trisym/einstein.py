@@ -37,18 +37,33 @@ the Einstein constant is r_i = F_i / (2 x1 x2 x3). No sign needs certifying.
 
 Interval solutions are tightened by one step, ``_tighten``: refine x3 below
 the target width and re-link x2 inside its current interval through num/den.
-``refine_solution`` takes it once and ``verify_solution`` once per round. A
-verification round sizes its step from the residual enclosure it has just
-computed: the naive enclosure of a smooth expression overestimates by an
-amount linear in the box width (Moore, *Interval Analysis*, 1966). Width w
-with enclosure bound B becomes w * tol / (4 B), and at most w / 8, so one
-round usually certifies.
+``refine_solution`` takes it once and ``verify_solution`` once per round.
+
+Verification works on the cleared form, in integers. For positive x,
+r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
+quadratic form in (x1, x2, x3), L the lcm of the denominators of a; its
+coefficients are combined once per call from F_i = P_i + a_i Q_i, whose
+integer parts are read off ``_cleared`` once. A box is written as
+integer numerators [A_u, B_u] over one denominator D. Every monomial
+x_s x_t scaled by D^2 is the product of two positive numerators, so it is
+monotone in them, and G = L D^2 (F_i - F_j) over the box lies between the
+sums taking the lower corner for positive coefficients and the upper one
+for negative coefficients, and the other way round. If G excludes 0 the
+residual is certifiably nonzero; otherwise
+|r_i - r_j| <= max|G| D / (2 L A1 A2 A3), a bound that is exact on a point
+box, which is how ``residual_bound`` is computed. The enclosure
+overestimates by an amount linear in the box width (Moore, *Interval
+Analysis*, 1966), so a verification round sizes its step from it: width w
+with bound B becomes w * tol / (4 B), and at most w / 8, and one round
+usually certifies. Exact solutions are checked by F1 = F2 = F3 in their
+field, which takes multiplications only.
 
 All certification is exact; floating point appears only in display helpers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -88,9 +103,6 @@ class RootCoordinate:
     """A coordinate known exactly as the unique root of a polynomial in an interval."""
 
     interval: IsolatingInterval
-
-    def enclosure(self) -> Interval:
-        return Interval(self.interval.lo, self.interval.hi)
 
 
 Coordinate = Union[Fraction, QuadraticSurd, RootCoordinate]
@@ -138,12 +150,6 @@ def _coord_approx(c: Coordinate, prec: int = 40) -> Fraction:
     return exact_approx(c, prec)
 
 
-def _coord_enclosure(c: Coordinate) -> Interval:
-    if isinstance(c, RootCoordinate):
-        return c.enclosure()
-    return Interval.of(c)
-
-
 def _budget_exhausted(stage: str, budget: int, widths: dict[str, Fraction]) -> IntegrityError:
     """The error for a certification loop that ran out of steps, with its last interval widths."""
     shown = _format_widths(widths)
@@ -165,12 +171,102 @@ def _ricci(a, x, i: int):
     return 1 / (2 * xi) + a[i] * HALF * (xi / (xj * xk) - xk / (xi * xj) - xj / (xi * xk))
 
 
-def ricci_coefficients(a, x):
-    """(r1, r2, r3) at metric x; exact for rational or quadratic-surd input."""
+def _require_positive(x) -> None:
     for v in x:
         if exact_sign(v) <= 0:
             raise ValueError("metric coordinates must be positive")
+
+
+def ricci_coefficients(a, x):
+    """(r1, r2, r3) at metric x; exact for rational or quadratic-surd input."""
+    _require_positive(x)
     return tuple(_ricci(a, x, i) for i in range(3))
+
+
+def _cleared(a, x, i: int):
+    """F_i = 2 x1 x2 x3 r_i = x_j x_k + a_i (x_i^2 - x_j^2 - x_k^2); any ring values, no division."""
+    j, k = [t for t in range(3) if t != i]
+    return x[j] * x[k] + a[i] * (x[i] * x[i] - x[j] * x[j] - x[k] * x[k])
+
+
+def _solves_exactly(a, x) -> bool:
+    """F1 = F2 = F3 at the positive exact metric x."""
+    _require_positive(x)
+    f1, f2, f3 = (_cleared(a, x, i) for i in range(3))
+    return exact_sign(f1 - f2) == 0 and exact_sign(f1 - f3) == 0
+
+
+# the monomials x_s x_t of a quadratic form in (x1, x2, x3), and the pairs (i, j) of r_i - r_j
+_MONOMIALS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _form_coefficients(f) -> tuple[int, ...]:
+    """Coefficients over ``_MONOMIALS`` of the quadratic form ``f``, by polarization.
+
+    x_s^2 has coefficient f(e_s), and x_s x_t has f(e_s + e_t) - f(e_s) - f(e_t).
+    """
+
+    def at(*indices):  # f at the sum of the unit vectors e_s, s in indices
+        return f(tuple(indices.count(u) for u in range(3)))
+
+    sq = [at(s) for s in range(3)]
+    return tuple(sq[s] if s == t else at(s, t) - sq[s] - sq[t] for s, t in _MONOMIALS)
+
+
+# F_i = P_i + a_i Q_i: the integer coefficients of P_i and Q_i over _MONOMIALS, read off _cleared
+_AFFINE_PARTS = tuple(
+    (
+        _form_coefficients(lambda x: _cleared((0, 0, 0), x, i)),
+        _form_coefficients(lambda x: _cleared((1, 1, 1), x, i) - _cleared((0, 0, 0), x, i)),
+    )
+    for i in range(3)
+)
+
+
+def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(L, rows): L the lcm of the denominators of ``a``, and for each of ``_PAIRS``
+    the integer coefficients of L (F_i - F_j) = L (P_i - P_j) + n_i Q_i - n_j Q_j
+    over ``_MONOMIALS``, where n_i = L a_i."""
+    scale = math.lcm(*(v.denominator for v in a))
+    forms = []
+    for (free, slope), v in zip(_AFFINE_PARTS, a):
+        n = v.numerator * (scale // v.denominator)
+        forms.append(tuple(scale * p + n * q for p, q in zip(free, slope)))
+    return scale, tuple(tuple(p - q for p, q in zip(forms[i], forms[j])) for i, j in _PAIRS)
+
+
+def _residual_enclosure(scale: int, rows, ends) -> tuple[bool, int, int]:
+    """Enclose every r_i - r_j over a positive box in integers.
+
+    ``ends`` holds the (lo, hi) endpoints of x1, x2, x3; ``scale`` and
+    ``rows`` come from ``_difference_rows``. Returns (excludes_zero, n, d):
+    excludes_zero when some r_i - r_j is certifiably nonzero on the box, and
+    max |r_i - r_j| <= n / d over the box, with equality on a point box.
+    """
+    common = math.prod(math.lcm(lo.denominator, hi.denominator) for lo, hi in ends)
+    lo = [v.numerator * (common // v.denominator) for v, _ in ends]
+    hi = [v.numerator * (common // v.denominator) for _, v in ends]
+    if min(lo) <= 0:
+        raise ValueError("metric coordinates must be positive")
+    # G = scale * common^2 * (F_i - F_j) is a sum of coefficient times monomial,
+    # each monomial increasing in the numerators
+    mono_lo = [lo[s] * lo[t] for s, t in _MONOMIALS]
+    mono_hi = [hi[s] * hi[t] for s, t in _MONOMIALS]
+    excludes_zero, g_max = False, 0
+    for row in rows:
+        g_lo = g_hi = 0
+        for c, m_lo, m_hi in zip(row, mono_lo, mono_hi):
+            if c > 0:
+                g_lo += c * m_lo
+                g_hi += c * m_hi
+            elif c < 0:
+                g_lo += c * m_hi
+                g_hi += c * m_lo
+        excludes_zero = excludes_zero or g_lo > 0 or g_hi < 0
+        g_max = max(g_max, g_hi, -g_lo)
+    # |r_i - r_j| = |F_i - F_j| / (2 x1 x2 x3) <= (g_max / (scale common^2)) / (2 lo1 lo2 lo3 / common^3)
+    return excludes_zero, g_max * common, 2 * scale * lo[0] * lo[1] * lo[2]
 
 
 def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
@@ -184,8 +280,7 @@ def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
 def _exact_solution(a, triple: list[Exact], branch: str) -> EinsteinSolution:
     t0 = triple[0]
     x = (Fraction(1), triple[1] / t0, triple[2] / t0)
-    r1, r2, r3 = ricci_coefficients(a, x)
-    if not (exact_sign(r1 - r2) == 0 and exact_sign(r1 - r3) == 0):
+    if not _solves_exactly(a, x):
         raise IntegrityError(f"branch {branch} produced a non-solution {x}")
     return EinsteinSolution(x=x, branch=branch, residual_bound=Fraction(0))
 
@@ -405,9 +500,9 @@ def _solutions_generic(a) -> list[EinsteinSolution]:
 
 
 def _residual_at_midpoint(a, x) -> Fraction:
-    mids = tuple(_coord_approx(c) for c in x)
-    r1, r2, r3 = ricci_coefficients(a, mids)
-    return max(abs(r1 - r2), abs(r1 - r3), abs(r2 - r3))
+    """max |r_i - r_j| at the midpoint of the box ``x``, exactly: the enclosure of the point box."""
+    _, n, d = _residual_enclosure(*_difference_rows(a), [(m, m) for m in map(_coord_approx, x)])
+    return Fraction(n, d)
 
 
 def _tighten(x, link: Optional[_GenericLink], width: Fraction):
@@ -449,34 +544,37 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
 def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     """Certified check that ``sol`` solves the Einstein system to tolerance.
 
-    Exact coordinates are checked by identity in their field; interval
-    coordinates are refined until the residual enclosure lies inside
-    (-tol, tol), or until it certifiably excludes zero (returns False).
-    Each round shrinks the widest coordinate width w to
-    w * min(1/8, tol / (4 B)), where B bounds the residual enclosure: since
-    the enclosure overestimates linearly in w, the first round usually
-    certifies, and no round shrinks by less than 8. ``_VERIFY_STEPS`` bounds
-    the rounds. ``tol`` must be positive.
+    Exact coordinates are checked by F1 = F2 = F3 in their field. Interval
+    coordinates are tightened until the integer enclosure of every r_i - r_j
+    (module docstring) lies inside (-tol, tol), or until it certifiably
+    excludes zero (returns False). Each round shrinks the widest coordinate
+    width w to w * min(1/8, tol / (4 B)), where B bounds the residual
+    enclosure: since the enclosure overestimates linearly in w, the first
+    round usually certifies, and no round shrinks by less than 8.
+    ``_VERIFY_STEPS`` bounds the rounds. ``tol`` must be positive.
+
+    True means every residual is below ``tol`` on a box around the solution,
+    False that one residual is nonzero. On a non-solution whose true
+    residual lies below ``tol`` both answers are certified, and which one
+    comes back depends on the enclosure and the tightening path.
     """
     a = _validate_a(a)
     tol = Fraction(tol)
     if tol <= 0:
         raise TrisymError(f"tolerance {tol} must be positive")
     if sol.is_exact:
-        r1, r2, r3 = ricci_coefficients(a, sol.x)
-        return exact_sign(r1 - r2) == 0 and exact_sign(r1 - r3) == 0
+        return _solves_exactly(a, sol.x)
+    scale, rows = _difference_rows(a)
     x = sol.x
     for _ in range(_VERIFY_STEPS):
-        boxes = tuple(_coord_enclosure(c) for c in x)
-        rs = [_ricci(a, boxes, i) for i in range(3)]
-        diffs = [rs[0] - rs[1], rs[0] - rs[2], rs[1] - rs[2]]
-        if any(not d.contains_zero() for d in diffs):
+        ends = [(c.interval.lo, c.interval.hi) if isinstance(c, RootCoordinate) else (c, c) for c in x]
+        excludes_zero, n, d = _residual_enclosure(scale, rows, ends)
+        if excludes_zero:
             return False
-        bound = max(d.abs_bound() for d in diffs)
-        if bound < tol:
+        if n * tol.denominator < tol.numerator * d:  # n / d < tol
             return True
         w = max(_coordinate_widths(x).values())
-        x = _tighten(x, sol._link, w * min(Fraction(1, 8), tol / (4 * bound)))
+        x = _tighten(x, sol._link, w * min(Fraction(1, 8), tol / (4 * Fraction(n, d))))
     raise _budget_exhausted("verification", _VERIFY_STEPS, _coordinate_widths(x))
 
 

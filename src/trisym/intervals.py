@@ -1,4 +1,8 @@
-"""Closed rational interval arithmetic for certified residual bounds."""
+"""Closed rational interval arithmetic for the back-substitution ranges.
+
+The solver encloses x2 = num(x3) / den(x3) over an x3 box with it; residual
+enclosures are integer computations in ``einstein``.
+"""
 
 from __future__ import annotations
 
@@ -65,9 +69,6 @@ class Interval:
 
     def __rtruediv__(self, other) -> "Interval":
         return Interval.of(other) * self.recip()
-
-    def abs_bound(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
 
 
 def eval_poly_range(p: Polynomial, box: Interval) -> Interval:

@@ -82,6 +82,9 @@ SOLVE_PINS = {
     "solve --a 1/7 2/9 3/11 --digits 50 --format json": "b4d70953b39722eddb3e77129454f0856617f059f39e60548319abd234e28151",
     "solve --a 1/2 1/1000000 499999/1000000 --format json": "7cb72c33576a5d51f18c066d29a96994d996f1ef374f1555d7b284d9c4910fc0",
     "solve --a 1/1000 499/1000 1/4 --digits 50 --format json": "b1f0835d4ad7db1c63a2928e16495ca5c733195a5451790e5c5d37b07a1b8b2a",
+    "solve E7-II --tol 1e-300 --format json": "d305b08e6c5a6978aaa935b4646979f05e5bee32b728a95268a5f4bda281458b",
+    "solve --a 4/15 1/5 1/5 --format json": "f72034d1d61a9c09a8389a8adc60e883cd46847e88f5d95c97e4774be2954f8c",
+    "solve --a 499/1000 499/1000 1/3 --format json": "337b464bd0772eec7177e657279ff38f726ba783874538b01844bc357037076b",
 }
 
 
@@ -142,7 +145,7 @@ class TestSolve:
         res = run_cli("solve")
         assert res.returncode == 1
 
-    @pytest.mark.parametrize("extra", [("E7-II",), ("--l", "3"), ("--k", "2")])
+    @pytest.mark.parametrize("extra", [("E7-II",), ("--l", "3"), ("--k", "2"), ("--max-rank", "3")])
     def test_a_excludes_a_case(self, extra):
         res = run_cli("solve", *extra, "--a", "1/3", "1/4", "1/5")
         assert res.returncode == 1

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 import random
 
 import pytest
@@ -77,7 +77,8 @@ class TestAllEqualBranch:
 positive_x = st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6)
 admissible_a = st.fractions(min_value=F(1, 10**6), max_value=F(1, 2), max_denominator=10**6)
 GENERIC_CASES = [("E6-III", {}), ("E7-II", {}), ("A-II", dict(l=3)), ("A-II", dict(l=9))]
-EDGE_TRIPLES = list(combinations((F(1, 2), F(1, 4), F(1, 1000), F(499, 1000), F(1, 10**6), F(499999, 10**6)), 3))
+EDGE_VALUES = (F(1, 2), F(1, 4), F(1, 1000), F(499, 1000), F(1, 10**6), F(499999, 10**6))
+EDGE_TRIPLES = list(combinations(EDGE_VALUES, 3))
 
 
 class TestPositiveConstant:
@@ -104,7 +105,7 @@ class TestPositiveConstant:
             assert all(c.interval.lo > 0 for c in s.x[1:])
             s = refine_solution(s, tol)
             assert verify_solution(a, s, tol)
-            boxes = tuple(einstein._coord_enclosure(c) for c in s.x)
+            boxes = (s.x[0],) + tuple(Interval(c.interval.lo, c.interval.hi) for c in s.x[1:])
             assert einstein._ricci(a, boxes, 0).strictly_positive()
 
 
@@ -280,6 +281,18 @@ class TestVerify:
         perturbed = (a[0], a[1], a[2] + F(1, 10**12))
         for s in solve_einstein(a):
             assert verify_solution(perturbed, s, F(1, 10**20)) is False
+            for tol in (F(1, 10**50), F(1, 10**300)):
+                assert verify_solution(perturbed, refine_solution(s, tol), tol) is False
+
+    def test_surd_perturbed_false(self):
+        # exact coordinates are checked by identity, so any perturbation is caught
+        a = (F(4, 15), F(1, 5), F(1, 5))
+        perturbed = (a[0] + F(1, 10**12), a[1], a[2])
+        sols = solve_einstein(a)
+        assert len(sols) == 2 and all(isinstance(s.x[1], QuadraticSurd) for s in sols)
+        for s in sols:
+            assert verify_solution(a, s) is True
+            assert verify_solution(perturbed, s) is False
 
     def test_tolerance_far_below_the_solve_width(self):
         a = (F(1, 4), F(1, 3), F(1, 5))
@@ -341,6 +354,51 @@ class TestVerifyRounds:
             tightenings.clear()
             assert verify_solution(a, s, tol)
             assert len(tightenings) <= 1
+
+
+kernel_a = st.one_of(admissible_a, st.sampled_from(EDGE_VALUES))
+unit_fraction = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+
+@st.composite
+def positive_boxes(draw):
+    """(lo, hi) around a point of [10^-3, 10^3], 10^-1 to 10^-300 wide, over a power of 2 or of 10^30 + 7."""
+    center = draw(st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=10**6))
+    digits = draw(st.integers(1, 300))
+    base = draw(st.sampled_from([2, 10**30 + 7]))
+    den = base
+    while den < 10 ** (digits + 2):
+        den *= base
+    lo = F(center.numerator * den // center.denominator, den)
+    return lo, lo + F(den // 10**digits, den)
+
+
+def ricci_differences(a, x):
+    r = [einstein._ricci(a, x, i) for i in range(3)]
+    return [r[i] - r[j] for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+class TestResidualKernel:
+    """The integer enclosure of every r_i - r_j holds the exact differences over its box."""
+
+    @given(
+        st.tuples(kernel_a, kernel_a, kernel_a),
+        st.tuples(st.one_of(st.just((F(1), F(1))), positive_boxes()), positive_boxes(), positive_boxes()),
+        st.lists(st.tuples(unit_fraction, unit_fraction, unit_fraction), min_size=1, max_size=3),
+    )
+    def test_bound_holds_over_the_box(self, a, ends, interior):
+        excludes_zero, n, d = einstein._residual_enclosure(*einstein._difference_rows(a), ends)
+        points = list(product(*ends))
+        points += [tuple(lo + t * (hi - lo) for (lo, hi), t in zip(ends, ts)) for ts in [(F(1, 2),) * 3, *interior]]
+        diffs = [ricci_differences(a, x) for x in points]
+        assert max(abs(v) for row in diffs for v in row) <= F(n, d)
+        if excludes_zero:  # then some difference keeps one strict sign on the box
+            assert any(all(row[p] > 0 for row in diffs) or all(row[p] < 0 for row in diffs) for p in range(3))
+
+    @given(st.tuples(kernel_a, kernel_a, kernel_a), st.tuples(positive_x, positive_x, positive_x))
+    def test_point_box_is_exact(self, a, x):
+        _, n, d = einstein._residual_enclosure(*einstein._difference_rows(a), [(v, v) for v in x])
+        assert F(n, d) == max(abs(v) for v in ricci_differences(a, x))
 
 
 class TestBudgets:
