@@ -129,12 +129,6 @@ class SpaceCase:
     def __post_init__(self):
         object.__setattr__(self, "dims", case_dims(self))
 
-    def param(self, name: str) -> int:
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
-
     @property
     def isotropy_type(self) -> str:
         return factors_name(self.isotropy_factors)

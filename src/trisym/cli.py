@@ -177,6 +177,9 @@ def _cmd_solve(args) -> int:
     digits = args.digits
     if digits < 1 or digits > 50:
         raise _UsageError("--digits must be in 1..50")
+    tol = _fraction(args.tol)
+    if tol <= 0:
+        raise _UsageError("--tol must be positive")
     width = Fraction(1, 10 ** (digits + 3))
     warnings: list[str] = []
     if args.a:
@@ -209,9 +212,6 @@ def _cmd_solve(args) -> int:
             return EXIT_OK
         a, sols, label = result.a, list(result.solutions), case
     sols = [refine_solution(s, width) for s in sols]
-    tol = _fraction(args.tol)
-    if tol <= 0:
-        raise _UsageError("--tol must be positive")
     for s in sols:
         if not verify_solution(a, s, tol):
             raise IntegrityError(f"solution failed certification at tol {tol}: {s}")

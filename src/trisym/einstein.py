@@ -24,11 +24,12 @@ Branches:
     get a relation x2 * den(x3) = num(x3) with den linear, eliminate x2 by
     substituting num/den into F2-F3 (the eliminant den^2 (F2-F3)(num/den)),
     isolate the positive real roots of the squarefree eliminant by Sturm
-    bisection, and back-substitute through num/den. The system is invariant
-    under swapping x2, x3 together with a2, a3, so the x2 eliminant is the
-    x3 eliminant of (a1, a3, a2). Roots where the pivot den vanishes (a
-    single rational point) are handled by solving the two univariate
-    quadratics there exactly.
+    bisection, and back-substitute through num/den, whose range over an x3
+    box is computed in integers. The system is invariant under swapping
+    x2, x3 together with a2, a3, so the x2 eliminant is the x3 eliminant
+    of (a1, a3, a2). Roots where the pivot den vanishes (a single rational
+    point) are handled by solving the two univariate quadratics there
+    exactly.
 
 Every positive solution has a positive Einstein constant, because a_i <= 1/2:
 let x_i be the largest coordinate; then x_i^2 - x_j^2 - x_k^2 >= -min(x_j, x_k)^2,
@@ -63,7 +64,6 @@ All certification is exact; floating point appears only in display helpers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -72,11 +72,12 @@ from typing import ClassVar, Optional, Union
 from .cases import SpaceCase
 from .coeffs import coefficients_for_case
 from .errors import IntegrityError, NotApplicable, TrisymError
-from .intervals import Interval, eval_poly_range
+from .intervals import eval_poly_range
 from .polysolve import (
     IsolatingInterval,
     Polynomial,
     count_real_roots,
+    integer_numerators,
     isolate_real_roots,
     poly_gcd,
     resultant,
@@ -165,7 +166,7 @@ def _coordinate_widths(x) -> dict[str, Fraction]:
 
 
 def _ricci(a, x, i: int):
-    """r_i at metric x; works for any values with field arithmetic (Fraction, QuadraticSurd, Interval)."""
+    """r_i at metric x; works for any values with field arithmetic (Fraction, QuadraticSurd)."""
     j, k = [t for t in range(3) if t != i]
     xi, xj, xk = x[i], x[j], x[k]
     return 1 / (2 * xi) + a[i] * HALF * (xi / (xj * xk) - xk / (xi * xj) - xj / (xi * xk))
@@ -228,11 +229,8 @@ def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(L, rows): L the lcm of the denominators of ``a``, and for each of ``_PAIRS``
     the integer coefficients of L (F_i - F_j) = L (P_i - P_j) + n_i Q_i - n_j Q_j
     over ``_MONOMIALS``, where n_i = L a_i."""
-    scale = math.lcm(*(v.denominator for v in a))
-    forms = []
-    for (free, slope), v in zip(_AFFINE_PARTS, a):
-        n = v.numerator * (scale // v.denominator)
-        forms.append(tuple(scale * p + n * q for p, q in zip(free, slope)))
+    nums, scale = integer_numerators(a)
+    forms = [tuple(scale * p + n * q for p, q in zip(free, slope)) for (free, slope), n in zip(_AFFINE_PARTS, nums)]
     return scale, tuple(tuple(p - q for p, q in zip(forms[i], forms[j])) for i, j in _PAIRS)
 
 
@@ -244,9 +242,8 @@ def _residual_enclosure(scale: int, rows, ends) -> tuple[bool, int, int]:
     excludes_zero when some r_i - r_j is certifiably nonzero on the box, and
     max |r_i - r_j| <= n / d over the box, with equality on a point box.
     """
-    common = math.prod(math.lcm(lo.denominator, hi.denominator) for lo, hi in ends)
-    lo = [v.numerator * (common // v.denominator) for v, _ in ends]
-    hi = [v.numerator * (common // v.denominator) for _, v in ends]
+    nums, common = integer_numerators(v for pair in ends for v in pair)
+    lo, hi = nums[0::2], nums[1::2]
     if min(lo) <= 0:
         raise ValueError("metric coordinates must be positive")
     # G = scale * common^2 * (F_i - F_j) is a sum of coefficient times monomial,
@@ -437,24 +434,35 @@ def _link_x2_interval(
     inclusion isotone. It guards hand-built solutions, whose x2 may lie
     elsewhere; an empty clip raises at once, since by that isotonicity no
     smaller x3 box can reopen it.
+
+    The ranges are exact integer computations (``eval_poly_range``) on num
+    and den cleared to one denominator and on the x3 box as numerators
+    [A, B] over one denominator M; one ``Fraction`` is built per x2 endpoint.
     """
-    x2_width = None
+    ints, _ = integer_numerators(num.coeffs + den.coeffs)  # num/den as a quotient of integer polynomials
+    num_c, den_c = ints[: len(num.coeffs)], ints[len(num.coeffs) :]
+    x2 = None
     for _ in range(_LINK_STEPS):
-        box = Interval(iv3.lo, iv3.hi)
-        den_range = eval_poly_range(den, box)
-        if not den_range.contains_zero():
-            rng = eval_poly_range(num, box) / den_range
-            if rng.strictly_negative() or rng.hi == 0:
+        (A, B), M = integer_numerators((iv3.lo, iv3.hi))
+        d_lo, d_hi, d_s = eval_poly_range(den_c, A, B, M)
+        if d_lo > 0 or d_hi < 0:
+            n_lo, n_hi, n_s = eval_poly_range(num_c, A, B, M)
+            if d_hi < 0:  # num/den = (-num)/(-den), with -den positive on the box
+                n_lo, n_hi, d_lo, d_hi = -n_hi, -n_lo, -d_hi, -d_lo
+            if n_hi <= 0:
                 return None, iv3
-            lo, hi = rng.lo, rng.hi
+            # each end of num/den divides by the end of den that makes it extreme
+            lo = Fraction(n_lo * d_s, (d_hi if n_lo >= 0 else d_lo) * n_s)
+            hi = Fraction(n_hi * d_s, d_lo * n_s)
             if enclosing is not None:
-                lo, hi = max(lo, enclosing.lo), min(hi, enclosing.hi)
-                if lo >= hi:
-                    shown = _format_widths({"x3": iv3.width, "x2 range": rng.hi - rng.lo, "enclosing x2": enclosing.width})
+                clip_lo, clip_hi = max(lo, enclosing.lo), min(hi, enclosing.hi)
+                if clip_lo >= clip_hi:
+                    shown = _format_widths({"x3": iv3.width, "x2 range": hi - lo, "enclosing x2": enclosing.width})
                     raise IntegrityError(f"x2 back-substitution: x2 range misses the enclosing x2 interval; widths: {shown}")
-            x2_width = hi - lo
+                lo, hi = clip_lo, clip_hi
+            x2 = lo, hi
             if (
-                0 < iv3.lo
+                0 < A
                 and 0 < lo < hi
                 and (width is None or hi - lo <= width)
                 and eliminant2.sign_at(lo) != 0
@@ -464,8 +472,8 @@ def _link_x2_interval(
                 return IsolatingInterval(lo, hi, eliminant2), iv3
         iv3 = iv3.refine(iv3.width / 4)
     widths = {"x3": iv3.width}
-    if x2_width is not None:
-        widths["x2 enclosure"] = x2_width
+    if x2 is not None:
+        widths["x2 enclosure"] = x2[1] - x2[0]
     raise _budget_exhausted("x2 back-substitution", _LINK_STEPS, widths)
 
 

@@ -1,85 +1,31 @@
-"""Closed rational interval arithmetic for the back-substitution ranges.
+"""Exact range of a polynomial of degree at most 2 over a box, in integers.
 
-The solver encloses x2 = num(x3) / den(x3) over an x3 box with it; residual
-enclosures are integer computations in ``einstein``.
+The box is [A/M, B/M], integer numerators over one positive denominator, the
+form ``polysolve.refine_root`` works in; the polynomial is given by integer
+coefficients. The range is taken from the endpoint values, plus the vertex
+value when the vertex -c1 / (2 c2) lies in the box, so it is exact. The
+solver encloses x2 = num(x3) / den(x3) over an x3 box with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from .polysolve import Polynomial
+from typing import Sequence
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
+def eval_poly_range(c: Sequence[int], A: int, B: int, M: int) -> tuple[int, int, int]:
+    """(lo, hi, s): the range of c0 + c1 x + c2 x^2 over [A/M, B/M] is [lo/s, hi/s], s > 0.
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    @classmethod
-    def of(cls, v) -> "Interval":
-        """``v`` itself if it is an interval, else the point interval [v, v]."""
-        if isinstance(v, Interval):
-            return v
-        v = Fraction(v)
-        return cls(v, v)
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
-    def __add__(self, other) -> "Interval":
-        o = Interval.of(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "Interval":
-        return self + (-Interval.of(other))
-
-    def __rsub__(self, other) -> "Interval":
-        return Interval.of(other) + (-self)
-
-    def __mul__(self, other) -> "Interval":
-        o = Interval.of(other)
-        prods = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return Interval(min(prods), max(prods))
-
-    __rmul__ = __mul__
-
-    def recip(self) -> "Interval":
-        if self.contains_zero():
-            raise ZeroDivisionError("interval straddles zero")
-        return Interval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other) -> "Interval":
-        return self * Interval.of(other).recip()
-
-    def __rtruediv__(self, other) -> "Interval":
-        return Interval.of(other) * self.recip()
-
-
-def eval_poly_range(p: Polynomial, box: Interval) -> Interval:
-    """Exact range of ``p`` over ``box``, for degree at most 2."""
-    if p.degree <= 1:
-        vals = sorted((p(box.lo), p(box.hi)))
-        return Interval(vals[0], vals[1])
-    if p.degree > 2:
-        raise ValueError(f"eval_poly_range takes degree <= 2, got {p.degree}")
-    candidates = [p(box.lo), p(box.hi)]
-    crit = -p[1] / (2 * p[2])
-    if box.lo <= crit <= box.hi:
-        candidates.append(p(crit))
-    return Interval(min(candidates), max(candidates))
+    Needs A <= B and M > 0. The scale is M for degree <= 1 and 4 |c2| M^2 for degree 2.
+    """
+    if len(c) > 3:
+        raise ValueError(f"eval_poly_range takes degree <= 2, got {len(c) - 1}")
+    c0, c1, c2 = (tuple(c) + (0, 0, 0))[:3]
+    if c2 == 0:
+        vals = (c0 * M + c1 * A, c0 * M + c1 * B)
+        return min(vals), max(vals), M
+    # 4 |c2| M^2 p(X / M) at X = A, B; and at the vertex, where 4 c2 p = 4 c0 c2 - c1^2
+    s = 4 * abs(c2)
+    vals = [s * (c0 * M * M + (c1 * M + c2 * X) * X) for X in (A, B)]
+    if (c1 * M + 2 * c2 * A) * (c1 * M + 2 * c2 * B) <= 0:  # p' changes sign on the box
+        vals.append((4 * c0 * c2 - c1 * c1) * M * M * (1 if c2 > 0 else -1))
+    return min(vals), max(vals), s * M * M

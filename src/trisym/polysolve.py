@@ -11,7 +11,8 @@ elements stored the same way) the first time they are needed and keeps them.
 Intervals returned by the isolation routines are certified by a Sturm count
 of one. Elimination is by substitution: where one equation is linear in y,
 den * y = num, `resultant` puts y = num/den into the other and clears the
-denominator.
+denominator. Boxes become integer numerators over one denominator by
+`integer_numerators`, the one place that step is written.
 
 Conventions:
   * coefficients are stored densely in ascending order, no trailing zeros;
@@ -30,6 +31,13 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import IntegrityError
 
 RatLike = Union[int, Fraction]
+
+
+def integer_numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """(numerators, m): m the lcm of the denominators of ``values``, and value = numerator / m for each."""
+    values = list(values)
+    m = _int_lcm(*(v.denominator for v in values))
+    return [v.numerator * (m // v.denominator) for v in values], m
 
 
 def _horner_sign(ints: Sequence[int], n: int, d: int) -> int:
@@ -217,8 +225,7 @@ class Polynomial:
         Unlike ``primitive`` this never flips the sign, so signs at points agree with self's.
         """
         if self._ints is None:
-            den = _int_lcm(*(c.denominator for c in self._c))
-            ints = [c.numerator * (den // c.denominator) for c in self._c]
+            ints, _ = integer_numerators(self._c)
             g = _int_gcd(*ints)
             self._ints = tuple(v // g for v in ints)
         return self._ints
@@ -436,8 +443,7 @@ def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
         raise ValueError("width must be positive")
     p = iv.poly
     ints = p._int_coeffs()
-    m = _int_lcm(iv.lo.denominator, iv.hi.denominator)
-    a, b = iv.lo.numerator * (m // iv.lo.denominator), iv.hi.numerator * (m // iv.hi.denominator)
+    (a, b), m = integer_numerators((iv.lo, iv.hi))
     s_lo, s_hi = _horner_sign(ints, a, m), _horner_sign(ints, b, m)
     if s_lo == 0 or s_hi == 0:
         raise IntegrityError("isolating interval endpoints must not be roots")

@@ -288,7 +288,7 @@ class TestSelectors:
 
     def test_find_cases_filters(self):
         found = find_cases("A-III", max_rank=6, i=1)
-        assert found and all(c.param("i") == 1 for c in found)
+        assert found and all(dict(c.params)["i"] == 1 for c in found)
 
     def test_flags(self):
         assert make_case("D-IV", l=5).isomorphic_summands

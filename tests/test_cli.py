@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from trisym import cli
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -144,6 +146,19 @@ class TestSolve:
     def test_missing_selector(self):
         res = run_cli("solve")
         assert res.returncode == 1
+
+    @pytest.mark.parametrize(
+        "tol,message", [("0", "--tol must be positive"), ("-1/2", "--tol must be positive"), ("abc", "not a rational number")]
+    )
+    @pytest.mark.parametrize("selector", [("--a", "1/7", "2/9", "3/11"), ("E7-II",)])
+    def test_bad_tolerance_rejected_before_solving(self, tol, message, selector, monkeypatch, capsys):
+        def no_solve(*args):
+            raise AssertionError("solver called before --tol was checked")
+
+        monkeypatch.setattr(cli, "solve_einstein", no_solve)
+        monkeypatch.setattr(cli, "solve_case", no_solve)
+        assert cli.main(["solve", *selector, f"--tol={tol}"]) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [("E7-II",), ("--l", "3"), ("--k", "2"), ("--max-rank", "3")])
     def test_a_excludes_a_case(self, extra):

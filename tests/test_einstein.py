@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import hashlib
 from itertools import combinations, permutations, product
 import random
 
@@ -24,9 +25,10 @@ from trisym.einstein import (
     verify_solution,
 )
 from trisym.errors import IntegrityError, NotApplicable, TrisymError
-from trisym.intervals import Interval, eval_poly_range
-from trisym.polysolve import Polynomial, squarefree_part
+from trisym.polysolve import Polynomial, integer_numerators, squarefree_part
 from trisym.surd import QuadraticSurd
+
+from test_intervals import fraction_range
 
 rational_a = st.fractions(min_value=F(1, 10), max_value=F(9, 20), max_denominator=24)
 
@@ -105,8 +107,16 @@ class TestPositiveConstant:
             assert all(c.interval.lo > 0 for c in s.x[1:])
             s = refine_solution(s, tol)
             assert verify_solution(a, s, tol)
-            boxes = (s.x[0],) + tuple(Interval(c.interval.lo, c.interval.hi) for c in s.x[1:])
-            assert einstein._ricci(a, boxes, 0).strictly_positive()
+            # r_1 = F_1 / (2 x1 x2 x3), and q F_1 = q P_1 + p Q_1 for a_1 = p / q has integer
+            # coefficients; over a box with numerators over one denominator D, q D^2 F_1 is
+            # at least the sum taking each monomial at its lower corner when its coefficient
+            # is positive and at its upper corner otherwise; so that sum > 0 gives r_1 > 0
+            free, slope = einstein._AFFINE_PARTS[0]
+            coeffs = [a[0].denominator * u + a[0].numerator * v for u, v in zip(free, slope)]
+            nums, _ = integer_numerators([s.x[0], s.x[0]] + [e for c in s.x[1:] for e in (c.interval.lo, c.interval.hi)])
+            lo, hi = nums[0::2], nums[1::2]
+            corner = [lo if c > 0 else hi for c in coeffs]
+            assert sum(c * m[u] * m[v] for c, m, (u, v) in zip(coeffs, corner, einstein._MONOMIALS)) > 0
 
 
 class TestEqualPairBranch:
@@ -312,6 +322,30 @@ class TestVerify:
                 assert verify_solution(result.a, s, F(1, 10**20))
 
 
+class TestTighteningPin:
+    """The refine-and-verify path of the ``sweep-generic`` benchmark keeps its values.
+
+    ``SOLVE_PINS`` reach ``_tighten`` only at the CLI's one width; this digest
+    of (x, residual_bound, verify_solution) after ``refine_solution`` to
+    10^-10, 10^-50 and 10^-300 on the 20 edge triples was recorded with the
+    ``Fraction`` interval back-substitution.
+    """
+
+    DIGEST = "37f0c5d6140a92eddc4a1e0f4c25d893fbd80e8b92dbd220945b09bf214630e4"
+
+    def test_edge_triples_refine_and_verify_unchanged(self):
+        record = []
+        for a in EDGE_TRIPLES:
+            for s in solve_einstein(a):
+                for d in (10, 50, 300):
+                    tol = F(1, 10**d)
+                    r = refine_solution(s, tol)
+                    x = [(c.interval.lo, c.interval.hi) if isinstance(c, RootCoordinate) else str(c) for c in r.x]
+                    record.append((x, r.residual_bound, verify_solution(a, r, tol)))
+        assert len(record) == 102
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == self.DIGEST
+
+
 class TestVerifyRounds:
     """Each tightening is sized from the residual enclosure, so one is enough."""
 
@@ -422,9 +456,10 @@ class TestBudgets:
         s, other = (refine_solution(t, F(1, 10**10)) for t in solve_einstein(self.A))
         e = generic_eliminants(self.A)
         iv3, enclosing = s.x[2].interval, other.x[1].interval
-        box = Interval(iv3.lo, iv3.hi)
-        rng = eval_poly_range(e.num, box) / eval_poly_range(e.den, box)
-        assert rng.hi < enclosing.lo or enclosing.hi < rng.lo
+        num_range, den_range = (fraction_range(p.coeffs, iv3.lo, iv3.hi) for p in (e.num, e.den))
+        assert den_range[0] > 0 or den_range[1] < 0
+        quotients = [n / d for n in num_range for d in den_range]
+        assert max(quotients) < enclosing.lo or enclosing.hi < min(quotients)
         monkeypatch.setattr(einstein, "_LINK_STEPS", 3)
         with pytest.raises(IntegrityError, match=r"^x2 back-substitution: x2 range misses the enclosing") as err:
             einstein._link_x2_interval(e.x2, iv3, e.num, e.den, enclosing)

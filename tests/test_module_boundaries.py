@@ -1,0 +1,95 @@
+"""No trisym module uses another trisym module's private names.
+
+A private name starts with one underscore (dunders such as ``__version__``
+are not private). The check reads the source with ``ast``: it rejects
+``from .x import _name`` (or ``from trisym.x import _name``) and
+``x._name`` where ``x`` is a trisym module bound by an import, across
+modules; a module may use its own private names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trisym"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _imported_module(node: ast.ImportFrom):
+    """The trisym module a ``from ... import`` reads from; "" for the package itself, None outside it."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module is not None and node.module.split(".")[0] == "trisym":
+        return node.module.partition(".")[2]
+    return None
+
+
+def private_uses(source: str, own: str) -> list[str]:
+    """Each use, in ``source`` of module ``own``, of another trisym module's private name."""
+    tree = ast.parse(source)
+    aliases = {}  # local name -> the trisym module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _imported_module(node)
+            if module is None:
+                continue
+            for alias in node.names:
+                if module == "" and alias.name in MODULES:  # from . import x
+                    aliases[alias.asname or alias.name] = alias.name
+                elif module != own and _is_private(alias.name):
+                    found.append(f"line {node.lineno}: from {module} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "trisym" and len(parts) == 2 and alias.asname:  # import trisym.x as y
+                    aliases[alias.asname] = parts[1]
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and _is_private(node.attr)):
+            continue
+        value = node.value
+        if isinstance(value, ast.Name) and value.id in aliases:
+            module = aliases[value.id]
+        elif (
+            isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id == "trisym"
+            and value.attr in MODULES
+        ):
+            module = value.attr  # trisym.x._name after import trisym.x
+        else:
+            continue
+        if module != own:
+            found.append(f"line {node.lineno}: {module}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_across_modules(module):
+    assert private_uses((SRC / f"{module}.py").read_text(), module) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .polysolve import Polynomial, _horner_sign\n",
+        "from trisym.polysolve import _variations\n",
+        "from . import polysolve\nsign = polysolve._horner_sign\n",
+        "from . import polysolve as ps\nps._variations([])\n",
+        "import trisym.polysolve\ntrisym.polysolve._horner_sign\n",
+        "import trisym.polysolve as ps\nps._horner_sign\n",
+    ],
+)
+def test_each_form_is_caught(source):
+    assert len(private_uses(source, "einstein")) == 1
+
+
+def test_own_and_public_names_pass():
+    source = "from .polysolve import Polynomial\nfrom . import polysolve\npolysolve.refine_root\n_x = 1\n"
+    assert private_uses(source, "einstein") == []
+    assert private_uses("from .polysolve import _horner_sign\n", "polysolve") == []
