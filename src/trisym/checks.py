@@ -407,10 +407,14 @@ def _random_a_triple(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
     return (_random_fraction(rng), _random_fraction(rng), _random_fraction(rng))
 
 
-def grid_count_oracle(a, box_hi: float = 20.0, n: int = 600) -> int:
+_GRID_BOX_HI = 20.0
+_GRID_N = 600
+
+
+def grid_count_oracle(a) -> int:
     """Independent float oracle for the number of positive solutions.
 
-    Scans the grid over (0, box_hi]^2 (x1 = 1) for cells where both cleared
+    Scans the grid over (0, _GRID_BOX_HI]^2 (x1 = 1) for cells where both cleared
     differences change sign, polishes every candidate cell center with plain
     2x2 Newton iteration in floating point, and counts the distinct
     converged positive solutions.
@@ -425,7 +429,7 @@ def grid_count_oracle(a, box_hi: float = 20.0, n: int = 600) -> int:
         f3 = x2 + a3 * (x3**2 - 1 - x2**2)
         return f1 - f3, f2 - f3
 
-    xs = np.linspace(1e-9, box_hi, n + 1)
+    xs = np.linspace(1e-9, _GRID_BOX_HI, _GRID_N + 1)
     x2g, x3g = np.meshgrid(xs, xs, indexing="ij")
     g1, g2 = g_pair(x2g, x3g)
 
@@ -434,7 +438,7 @@ def grid_count_oracle(a, box_hi: float = 20.0, n: int = 600) -> int:
         return (c.min(axis=0) <= 0) & (c.max(axis=0) >= 0)
 
     cand = np.argwhere(cellwise_change(g1) & cellwise_change(g2))
-    half = box_hi / (2 * n)
+    half = _GRID_BOX_HI / (2 * _GRID_N)
     found: list[tuple[float, float]] = []
     for ci, cj in cand:
         u, v = xs[ci] + half, xs[cj] + half
@@ -453,7 +457,7 @@ def grid_count_oracle(a, box_hi: float = 20.0, n: int = 600) -> int:
             u, v = u - du, v - dv
             if abs(du) + abs(dv) < 1e-14:
                 break
-        if not (1e-6 < u <= box_hi and 1e-6 < v <= box_hi):
+        if not (1e-6 < u <= _GRID_BOX_HI and 1e-6 < v <= _GRID_BOX_HI):
             continue
         h1, h2 = g_pair(u, v)
         if abs(h1) + abs(h2) > 1e-9:
@@ -483,11 +487,10 @@ def check_properties(seed: int = 42) -> list[CheckResult]:
         for label in labels:
             case = make_case(label, l=5) if label == "A-II" else _the_case(label)
             a = coefficients_for_case(case).a
-            base = {tuple(F(v) for v in s.approx(40)) for s in solve_einstein(a)}
+            base = len(solve_einstein(a))
             for perm in permutations(range(3)):
                 pa = tuple(a[p] for p in perm)
-                sols = solve_einstein(pa)
-                if len(sols) != len(base):
+                if len(solve_einstein(pa)) != base:
                     raise AssertionError(f"{label} perm {perm}: count changed")
         return None
 
@@ -535,9 +538,9 @@ def check_properties(seed: int = 42) -> list[CheckResult]:
         checked = 0
         while checked < 200:
             a = _random_a_triple(rng)
-            sols = solve_einstein(a)
-            if grid_count_oracle(a) != len(sols):
-                raise AssertionError(f"a = {a}: oracle {grid_count_oracle(a)} != {len(sols)}")
+            found, expected = len(solve_einstein(a)), grid_count_oracle(a)
+            if expected != found:
+                raise AssertionError(f"a = {a}: oracle {expected} != {found}")
             checked += 1
         return "200 random triples + named cases"
 

@@ -15,13 +15,7 @@ from fractions import Fraction
 from .cases import enumerate_cases, find_cases
 from .coeffs import coefficients_for_case
 from .checks import run_checks
-from .einstein import (
-    RootCoordinate,
-    refine_solution,
-    solve_case,
-    solve_einstein,
-    verify_solution,
-)
+from .einstein import refine_solution, solve_case, solve_einstein, verify_solution
 from .errors import IntegrityError, NotApplicable, TrisymError
 from .serialize import (
     encode_case,
@@ -32,7 +26,6 @@ from .serialize import (
     render_table,
     to_json,
 )
-from .surd import QuadraticSurd, exact_approx
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,14 +62,6 @@ def _decimal_str(value: Fraction, digits: int) -> str:
     n = abs(n)
     whole, frac = divmod(n, scale)
     return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
-
-
-def _coord_decimal(c, digits: int) -> str:
-    if isinstance(c, RootCoordinate):
-        return _decimal_str(c.interval.midpoint, digits)
-    if isinstance(c, QuadraticSurd):
-        return _decimal_str(exact_approx(c, digits + 15), digits)
-    return _decimal_str(Fraction(c), digits)
 
 
 def _resolve_case(args):
@@ -165,7 +150,7 @@ def _solution_rows(solutions, digits: int):
         rows.append(
             [
                 s.branch,
-                "(" + ", ".join(_coord_decimal(c, digits) for c in s.x) + ")",
+                "(" + ", ".join(_decimal_str(v, digits) for v in s.approx(digits + 15)) + ")",
                 s.einstein_constant_sign,
                 "exact" if s.is_exact else "certified interval",
             ]

@@ -29,12 +29,31 @@ Branches:
     x2, x3 together with a2, a3, so the x2 eliminant is the x3 eliminant
     of (a1, a3, a2). Roots where the pivot den vanishes (a single rational
     point) are handled by solving the two univariate quadratics there
-    exactly.
+    exactly. Every other positive root gives the real solution
+    (1, num/den, x3): x2 = num/den solves F2 = F3, and then
+    den x2 - num = c2 (F1-F3) - c1 (F2-F3) with c2 = a2 + a3 > 0 gives
+    F1 = F3. By the x2 lemma below its x2 is positive, except at x3 = 1 when
+    a2 = 1/2, which is skipped.
 
 Every positive solution has a positive Einstein constant, because a_i <= 1/2:
 let x_i be the largest coordinate; then x_i^2 - x_j^2 - x_k^2 >= -min(x_j, x_k)^2,
 so F_i >= x_j x_k - a_i min(x_j, x_k)^2 >= x_j x_k / 2 > 0, and at a solution
 the Einstein constant is r_i = F_i / (2 x1 x2 x3). No sign needs certifying.
+
+The x2 lemma: for a_i in (0, 1/2], every real solution with x1, x3 > 0 has
+x2 >= 0, and x2 = 0 only at (1, 0, 1) with a2 = 1/2. Let A = a1 + a2 and
+C = a2 + a3. For x2 = -s < 0 put P = s^2 - x1^2 + x3^2 and
+Q = s^2 + x1^2 - x3^2; then F2 - F1 = 0 and F2 - F3 = 0 read
+
+    A P = 2 a2 x3^2 - x3 (x1 + s),    C Q = 2 a2 x1^2 - x1 (x3 + s).
+
+If x3 >= x1, the second right-hand side is at most x1 (x1 - x3 - s) < 0, so
+Q < 0 < P, as P + Q = 2 s^2. Since A > a2 and C > a2, this gives
+x3 (x1 + s) < a2 (x1^2 + x3^2 - s^2) < x1 (x3 + s), that is, x3 < x1: a
+contradiction. If x1 > x3, the same steps with the two equations swapped give
+x1 < x3. If x2 = 0, F1 = F3 reads (a1 + a3)(x1^2 - x3^2) = 0, so x3 = x1, and
+then F2 = F1 reads x1^2 (1 - 2 a2) = 0, so a2 = 1/2. Conversely (1, 0, 1)
+solves the system whenever a2 = 1/2.
 
 Interval solutions are tightened by one step, ``_tighten``: refine x3 below
 the target width and re-link x2 inside its current interval through num/den.
@@ -76,10 +95,12 @@ from .intervals import eval_poly_range
 from .polysolve import (
     IsolatingInterval,
     Polynomial,
-    count_real_roots,
+    deflate_endpoint_roots,
     integer_numerators,
     isolate_real_roots,
+    isolates,
     poly_gcd,
+    refine_root,
     resultant,
     squarefree_part,
 )
@@ -110,15 +131,6 @@ Coordinate = Union[Fraction, QuadraticSurd, RootCoordinate]
 
 
 @dataclass(frozen=True)
-class _GenericLink:
-    """Back-substitution data of a generic solution: x2 = num(x3) / den(x3)."""
-
-    a: tuple[Fraction, Fraction, Fraction]
-    num: Polynomial
-    den: Polynomial
-
-
-@dataclass(frozen=True)
 class EinsteinSolution:
     """One invariant Einstein metric, normalized to x1 = 1.
 
@@ -131,7 +143,7 @@ class EinsteinSolution:
     x: tuple[Coordinate, Coordinate, Coordinate]
     branch: str
     residual_bound: Fraction
-    _link: Optional[_GenericLink] = None
+    _link: Optional[GenericEliminants] = None
 
     @property
     def is_exact(self) -> bool:
@@ -354,13 +366,14 @@ Form = tuple[Polynomial, Polynomial, Polynomial]
 
 @dataclass(frozen=True)
 class GenericEliminants:
-    """Elimination data of the all-distinct branch at x1 = 1.
+    """Elimination data of the all-distinct branch at x1 = 1 for the triple ``a``.
 
     ``p1`` = F1 - F3 and ``p2`` = F2 - F3 (coefficients of 1, x2, x2^2);
     x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero;
     ``x3`` and ``x2`` are the square-free eliminants in x3 and in x2.
     """
 
+    a: tuple[Fraction, Fraction, Fraction]
     p1: Form
     p2: Form
     num: Polynomial
@@ -394,40 +407,32 @@ def generic_eliminants(a) -> GenericEliminants:
     """
     p1, p2, num, den, elim3 = _eliminate_x2(a, "x3")
     elim2 = _eliminate_x2((a[0], a[2], a[1]), "x2")[4]
-    return GenericEliminants(p1, p2, num, den, squarefree_part(elim3), squarefree_part(elim2))
+    return GenericEliminants(a, p1, p2, num, den, squarefree_part(elim3), squarefree_part(elim2))
 
 
-def _pivot_solutions_at(a, xi3: Fraction, p1: Form, p2: Form) -> list[EinsteinSolution]:
+def _pivot_solutions_at(e: GenericEliminants, xi3: Fraction) -> list[EinsteinSolution]:
     """Exact solutions sitting at the rational pivot point x3 = xi3, if any."""
-    q1, q2 = (Polynomial(c(xi3) for c in p) for p in (p1, p2))
+    q1, q2 = (Polynomial(c(xi3) for c in p) for p in (e.p1, e.p2))
     g = poly_gcd(q1, q2)
     if g.degree < 1:
         return []
-    if g.degree == 1:
-        roots: list[Exact] = [-g[0] / g[1]]
-    else:
-        roots = roots_of_quadratic(g[2], g[1], g[0])
-    out = []
-    for y in roots:
-        if exact_sign(y) > 0:
-            out.append(_exact_solution(a, [Fraction(1), y, xi3], BRANCH_GENERIC))
-    return out
+    roots = roots_of_quadratic(g[2], g[1], g[0])  # linear when g has degree 1
+    # every real root y is positive by the x2 lemma, since xi3 != 1 when a1 != a3
+    return [_exact_solution(e.a, [Fraction(1), y, xi3], BRANCH_GENERIC) for y in roots]
 
 
 def _link_x2_interval(
-    eliminant2: Polynomial,
+    e: GenericEliminants,
     iv3: IsolatingInterval,
-    num: Polynomial,
-    den: Polynomial,
     enclosing: Optional[IsolatingInterval] = None,
     width: Optional[Fraction] = None,
-) -> tuple[Optional[IsolatingInterval], IsolatingInterval]:
+) -> tuple[IsolatingInterval, IsolatingInterval]:
     """Refine x3 until it is positive and num/den certifies one positive root of the x2 eliminant.
 
     The x2 enclosure is clipped to ``enclosing`` and must be at most ``width``
-    wide, when these are given. Returns (x2 interval, refined x3 interval);
-    the x2 interval is None when the back-substituted coordinate is
-    certifiably nonpositive.
+    wide, when these are given. Returns (x2 interval, refined x3 interval).
+    No sign test is needed: x2 is positive by the x2 lemma (module docstring),
+    and a nonpositive x2 would fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
 
     For intervals the solver made, the clip never binds: ``enclosing`` is
     num/den over an x3 box containing ``iv3``, and the range of num/den is
@@ -439,8 +444,8 @@ def _link_x2_interval(
     and den cleared to one denominator and on the x3 box as numerators
     [A, B] over one denominator M; one ``Fraction`` is built per x2 endpoint.
     """
-    ints, _ = integer_numerators(num.coeffs + den.coeffs)  # num/den as a quotient of integer polynomials
-    num_c, den_c = ints[: len(num.coeffs)], ints[len(num.coeffs) :]
+    ints, _ = integer_numerators(e.num.coeffs + e.den.coeffs)  # num/den as a quotient of integer polynomials
+    num_c, den_c = ints[: len(e.num.coeffs)], ints[len(e.num.coeffs) :]
     x2 = None
     for _ in range(_LINK_STEPS):
         (A, B), M = integer_numerators((iv3.lo, iv3.hi))
@@ -449,8 +454,6 @@ def _link_x2_interval(
             n_lo, n_hi, n_s = eval_poly_range(num_c, A, B, M)
             if d_hi < 0:  # num/den = (-num)/(-den), with -den positive on the box
                 n_lo, n_hi, d_lo, d_hi = -n_hi, -n_lo, -d_hi, -d_lo
-            if n_hi <= 0:
-                return None, iv3
             # each end of num/den divides by the end of den that makes it extreme
             lo = Fraction(n_lo * d_s, (d_hi if n_lo >= 0 else d_lo) * n_s)
             hi = Fraction(n_hi * d_s, d_lo * n_s)
@@ -461,16 +464,9 @@ def _link_x2_interval(
                     raise IntegrityError(f"x2 back-substitution: x2 range misses the enclosing x2 interval; widths: {shown}")
                 lo, hi = clip_lo, clip_hi
             x2 = lo, hi
-            if (
-                0 < A
-                and 0 < lo < hi
-                and (width is None or hi - lo <= width)
-                and eliminant2.sign_at(lo) != 0
-                and eliminant2.sign_at(hi) != 0
-                and count_real_roots(eliminant2, lo, hi) == 1
-            ):
-                return IsolatingInterval(lo, hi, eliminant2), iv3
-        iv3 = iv3.refine(iv3.width / 4)
+            if 0 < A and 0 < lo < hi and (width is None or hi - lo <= width) and isolates(e.x2, lo, hi):
+                return IsolatingInterval(lo, hi, e.x2), iv3
+        iv3 = refine_root(iv3, iv3.width / 4)
     widths = {"x3": iv3.width}
     if x2 is not None:
         widths["x2 enclosure"] = x2[1] - x2[0]
@@ -479,31 +475,21 @@ def _link_x2_interval(
 
 def _solutions_generic(a) -> list[EinsteinSolution]:
     e = generic_eliminants(a)
-    num, den, elim3 = e.num, e.den, e.x3
-
     out: list[EinsteinSolution] = []
 
     # pivot point of the back-substitution: single rational root of den
-    xi = -den[0] / den[1]
-    remaining = elim3
-    if xi > 0 and elim3.sign_at(xi) == 0:
-        out.extend(_pivot_solutions_at(a, xi, e.p1, e.p2))
-        while remaining.degree >= 1 and remaining.sign_at(xi) == 0:
-            remaining = remaining.exact_div(Polynomial((-xi, 1)))
+    xi = -e.den[0] / e.den[1]
+    remaining = e.x3
+    if remaining.sign_at(xi) == 0:
+        out.extend(_pivot_solutions_at(e, xi))
+        remaining = deflate_endpoint_roots(remaining, xi, None)
 
-    if remaining.degree >= 1:
-        zero_x2 = poly_gcd(remaining, num)
-        link = _GenericLink(a=a, num=num, den=den)
-        for iv3 in isolate_real_roots(remaining, 0, None):
-            if zero_x2.degree >= 1 and count_real_roots(zero_x2, iv3.lo, iv3.hi) == 1:
-                continue  # back-substitution gives x2 = 0 exactly
-            iv2, iv3 = _link_x2_interval(e.x2, iv3, num, den)
-            if iv2 is None:
-                continue
-            x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
-            out.append(
-                EinsteinSolution(x=x, branch=BRANCH_GENERIC, residual_bound=_residual_at_midpoint(a, x), _link=link)
-            )
+    for iv3 in isolate_real_roots(remaining, 0, None):
+        if a[1] == HALF and iv3.lo < 1 < iv3.hi:
+            continue  # the point (1, 0, 1), the one root with x2 = 0 (x2 lemma)
+        iv2, iv3 = _link_x2_interval(e, iv3)
+        x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
+        out.append(EinsteinSolution(x=x, branch=BRANCH_GENERIC, residual_bound=_residual_at_midpoint(a, x), _link=e))
     return out
 
 
@@ -513,15 +499,14 @@ def _residual_at_midpoint(a, x) -> Fraction:
     return Fraction(n, d)
 
 
-def _tighten(x, link: Optional[_GenericLink], width: Fraction):
+def _tighten(x, e: Optional[GenericEliminants], width: Fraction):
     """The interval coordinates ``x`` with x3 refined below ``width`` and x2 re-linked inside its interval."""
-    if link is None:
+    if e is None:
         raise IntegrityError("interval solution without refinement data")
     iv2, iv3 = x[1].interval, x[2].interval
     if iv3.width > width:
-        iv3 = iv3.refine(width)
-    # num/den encloses the positive x2 inside iv2, so the result is never None here
-    iv2, iv3 = _link_x2_interval(iv2.poly, iv3, link.num, link.den, iv2, width)
+        iv3 = refine_root(iv3, width)
+    iv2, iv3 = _link_x2_interval(e, iv3, iv2, width)
     return (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
 
 
@@ -542,10 +527,13 @@ def solve_einstein(a) -> list[EinsteinSolution]:
 
 
 def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
-    """Shrink interval coordinates below ``width``; exact solutions pass through."""
+    """Shrink interval coordinates below ``width``, which must be positive; exact solutions pass through."""
+    width = Fraction(width)
+    if width <= 0:
+        raise TrisymError(f"width {width} must be positive")
     if sol.is_exact:
         return sol
-    x = _tighten(sol.x, sol._link, Fraction(width))
+    x = _tighten(sol.x, sol._link, width)
     return replace(sol, x=x, residual_bound=_residual_at_midpoint(sol._link.a, x))
 
 

@@ -9,10 +9,10 @@ integer sum c_k n^k + c_{k-1} n^(k-1) d + ... + c_0 d^k, evaluated by Horner's
 rule. A polynomial builds its square-free part and its Sturm chain (with
 elements stored the same way) the first time they are needed and keeps them.
 Intervals returned by the isolation routines are certified by a Sturm count
-of one. Elimination is by substitution: where one equation is linear in y,
-den * y = num, `resultant` puts y = num/den into the other and clears the
-denominator. Boxes become integer numerators over one denominator by
-`integer_numerators`, the one place that step is written.
+of one, the test `isolates` makes. Elimination is by substitution: where one
+equation is linear in y, den * y = num, `resultant` puts y = num/den into the
+other and clears the denominator. Boxes become integer numerators over one
+denominator by `integer_numerators`, the one place that step is written.
 
 Conventions:
   * coefficients are stored densely in ascending order, no trailing zeros;
@@ -302,10 +302,12 @@ def _variations_at(chain: Sequence[Sequence[int]], x: Optional[Fraction], *, neg
     return _variations(_horner_sign(q, n, d) for q in chain)
 
 
-def _deflate_endpoint_roots(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> Polynomial:
-    # Open-interval semantics: a root at a finite endpoint is excluded, so it
-    # is divided out exactly rather than nudging the endpoint (nudging without
-    # a separation bound can move interior roots across the endpoint).
+def deflate_endpoint_roots(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> Polynomial:
+    """``p`` with its roots at the finite points among ``lo`` and ``hi`` divided out exactly.
+
+    Nudging an endpoint off a root instead, without a separation bound, could
+    move interior roots across it.
+    """
     for pt in (lo, hi):
         if pt is None:
             continue
@@ -325,7 +327,7 @@ def count_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[R
     hi_f = Fraction(hi) if hi is not None else None
     if lo_f is not None and hi_f is not None and not lo_f < hi_f:
         raise ValueError("degenerate interval: need lo < hi")
-    sf = _deflate_endpoint_roots(p.squarefree(), lo_f, hi_f)
+    sf = deflate_endpoint_roots(p.squarefree(), lo_f, hi_f)
     if sf.degree <= 0:
         return 0
     chain = sf._sturm_chain()
@@ -340,6 +342,11 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
         return Fraction(1)
     lead = abs(p.leading)
     return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
+
+
+def isolates(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
+    """True when (lo, hi) is an isolating interval of ``p``: neither end a root, one root inside."""
+    return p.sign_at(lo) != 0 and p.sign_at(hi) != 0 and count_real_roots(p, lo, hi) == 1
 
 
 @dataclass(frozen=True)
@@ -362,9 +369,6 @@ class IsolatingInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def refine(self, width: RatLike) -> "IsolatingInterval":
-        return refine_root(self, width)
-
 
 def _shrunk_interval_around(
     p: Polynomial, mid: Fraction, radius: Fraction, width: Optional[Fraction] = None
@@ -376,12 +380,7 @@ def _shrunk_interval_around(
     while True:
         d = d / 2
         lo, hi = mid - d, mid + d
-        if (
-            (width is None or hi - lo <= width)
-            and p.sign_at(lo) != 0
-            and p.sign_at(hi) != 0
-            and count_real_roots(p, lo, hi) == 1
-        ):
+        if (width is None or hi - lo <= width) and isolates(p, lo, hi):
             return IsolatingInterval(lo, hi, p)
 
 
@@ -393,7 +392,7 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
     hi_f = Fraction(hi) if hi is not None else None
     if lo_f is not None and hi_f is not None and not lo_f < hi_f:
         raise ValueError("degenerate interval: need lo < hi")
-    sf = _deflate_endpoint_roots(p.squarefree(), lo_f, hi_f)
+    sf = deflate_endpoint_roots(p.squarefree(), lo_f, hi_f)
     if sf.degree <= 0:
         return []
     bound = cauchy_root_bound(sf)

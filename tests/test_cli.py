@@ -77,7 +77,8 @@ class TestDims:
 
 
 # sha256 of the stdout of `trisym <argv>`: the first three recorded before the
-# integer Sturm kernel, the two edge triples before the single tightening step
+# integer Sturm kernel, the two edge triples before the single tightening step,
+# the four text-format runs before the table shared the solver's approximation
 SOLVE_PINS = {
     "solve E7-II --digits 50 --format json": "2fbcb017fec0e2402f96f6fd3c2fa8648a53ae638910bbddbbcc396232e61463",
     "solve E6-III --format json": "4dbd69059edb7fd318fdd7439c189e1ed5dacd8cfb0070d2df232fc31a1db30a",
@@ -87,6 +88,10 @@ SOLVE_PINS = {
     "solve E7-II --tol 1e-300 --format json": "d305b08e6c5a6978aaa935b4646979f05e5bee32b728a95268a5f4bda281458b",
     "solve --a 4/15 1/5 1/5 --format json": "f72034d1d61a9c09a8389a8adc60e883cd46847e88f5d95c97e4774be2954f8c",
     "solve --a 499/1000 499/1000 1/3 --format json": "337b464bd0772eec7177e657279ff38f726ba783874538b01844bc357037076b",
+    "solve E6-II": "5cadf3c06e7a66d953b5a65a929d4591cad32c1e6eebc25301bcc365e818e1b6",
+    "solve --a 4/15 1/5 1/5 --digits 30": "f68ce2baeb64328ed8542355d1afb22916771888a5cde6bcfe7444a5acc55aa0",
+    "solve --a 2/9 2/9 2/9": "ef71c272edec67201bc670f23510b99ec789317d3c559b5bf9952a208c8f3196",
+    "solve E7-II --digits 50": "80cb1952f16bed9742c2f276e2a68549fdd2f5a27f02468e9c9abaab3efc9fb5",
 }
 
 

@@ -186,6 +186,13 @@ class TestGenericBranch:
             assert old.interval.lo <= new.interval.lo < new.interval.hi <= old.interval.hi
             assert new.interval.width <= F(1, 10**10)
 
+    @pytest.mark.parametrize("width", [0, F(-1, 10**10)])
+    @pytest.mark.parametrize("a", [(F(1, 4), F(1, 4), F(1, 6)), (F(1, 4), F(1, 8), F(7, 24))])  # exact, interval
+    def test_refine_width_must_be_positive(self, a, width):
+        for s in solve_einstein(a):
+            with pytest.raises(TrisymError, match="must be positive"):
+                refine_solution(s, width)
+
     def test_eliminants_are_squarefree_quartics(self):
         e = generic_eliminants((F(5, 18), F(2, 9), F(1, 6)))  # E7-II
         for elim in (e.x3, e.x2):
@@ -222,6 +229,43 @@ class TestGenericBranch:
             e = generic_eliminants(a)
             assert e.x3 == oracle(a, x2, x3), a
             assert e.x2 == oracle(a, x3, x2), a
+
+    def test_counts_match_sympy_resultant(self):
+        # the x2 lemma: every positive root x3 of the resultant in x2 of
+        # F1 - F3 and F2 - F3 (x1 = 1) is one positive solution, except
+        # x3 = 1 when a2 = 1/2, the point (1, 0, 1); sympy is the exact oracle
+        sympy = pytest.importorskip("sympy")
+        x2, x3 = sympy.symbols("x2 x3")
+        rng = random.Random(12)
+
+        def rand():
+            q = rng.randint(10, 10 ** rng.randint(1, 6))
+            return F(rng.randint(1, q // 2), q)
+
+        triples = []
+        for edge in (F(1, 2), F(1, 10**6), F(499999, 10**6)):
+            for pos in range(3):
+                for _ in range(3):
+                    t = [rand(), rand(), rand()]
+                    t[pos] = edge
+                    triples.append(tuple(t))
+        triples += [(rand(), F(1, 2), rand()) for _ in range(20)]
+        checked = {True: 0, False: 0}  # by a2 == 1/2
+        for a in triples:
+            if len(set(a)) < 3:
+                continue
+            a1, a2, a3 = (sympy.Rational(v.numerator, v.denominator) for v in a)
+            f1 = x2 * x3 + a1 * (1 - x2**2 - x3**2)
+            f2 = x3 + a2 * (x2**2 - 1 - x3**2)
+            f3 = x2 + a3 * (x3**2 - 1 - x2**2)
+            res = sympy.Poly(sympy.resultant(f1 - f3, f2 - f3, x2), x3, domain=sympy.QQ)
+            if res.eval((a1 + a2) / (a2 + a3)) == 0:
+                continue  # a root at the pivot may lift to a complex x2
+            positive = sum(1 for r in res.sqf_part().real_roots() if r > 0)
+            half = a[1] == F(1, 2)
+            assert len(solve_einstein(a)) == positive - half, a
+            checked[half] += 1
+        assert checked[True] >= 20 and checked[False] >= 20
 
     def test_a_validation(self):
         with pytest.raises(TrisymError):
@@ -462,7 +506,7 @@ class TestBudgets:
         assert max(quotients) < enclosing.lo or enclosing.hi < min(quotients)
         monkeypatch.setattr(einstein, "_LINK_STEPS", 3)
         with pytest.raises(IntegrityError, match=r"^x2 back-substitution: x2 range misses the enclosing") as err:
-            einstein._link_x2_interval(e.x2, iv3, e.num, e.den, enclosing)
+            einstein._link_x2_interval(e, iv3, enclosing)
         assert " -" not in str(err.value)  # widths only, never a negative clip
 
     def test_verification_budget(self, monkeypatch):

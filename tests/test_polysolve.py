@@ -106,7 +106,7 @@ class TestIsolation:
         p = poly(855, -4152, 7048, -4960, 1200)
         ivs = isolate_real_roots(p, 0, None)
         assert len(ivs) == 2
-        mids = [float(iv.refine(F(1, 10**8)).midpoint) for iv in ivs]
+        mids = [float(refine_root(iv, F(1, 10**8)).midpoint) for iv in ivs]
         assert abs(mids[0] - 0.4838) < 5e-4
         assert abs(mids[1] - 1.8845) < 5e-4
 
