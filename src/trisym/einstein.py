@@ -278,8 +278,15 @@ def _residual_enclosure(scale: int, rows, ends) -> tuple[bool, int, int]:
     return excludes_zero, g_max * common, 2 * scale * lo[0] * lo[1] * lo[2]
 
 
+def _exact(v, what: str) -> Fraction:
+    """``v`` as a Fraction; a float is refused, since it stands for a binary fraction, not the decimal it shows."""
+    if isinstance(v, float):
+        raise TrisymError(f"{what} {v!r} is a float; give an int, a Fraction or a 'p/q' string")
+    return Fraction(v)
+
+
 def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
-    vals = tuple(Fraction(v) for v in a)
+    vals = tuple(_exact(v, "coefficient a =") for v in a)
     for v in vals:
         if not (0 < v <= HALF):
             raise TrisymError(f"coefficient a = {v} outside (0, 1/2]")
@@ -368,26 +375,30 @@ Form = tuple[Polynomial, Polynomial, Polynomial]
 class GenericEliminants:
     """Elimination data of the all-distinct branch at x1 = 1 for the triple ``a``.
 
-    ``p1`` = F1 - F3 and ``p2`` = F2 - F3 (coefficients of 1, x2, x2^2);
     x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero;
     ``x3`` and ``x2`` are the square-free eliminants in x3 and in x2.
     """
 
     a: tuple[Fraction, Fraction, Fraction]
-    p1: Form
-    p2: Form
     num: Polynomial
     den: Polynomial
     x3: Polynomial
     x2: Polynomial
 
 
-def _eliminate_x2(a, name: str) -> tuple[Form, Form, Polynomial, Polynomial, Polynomial]:
-    """(p1, p2, num, den, eliminant in x3) for the triple ``a``."""
+def _forms(a) -> tuple[Form, Form]:
+    """F1 - F3 and F2 - F3 for the triple ``a`` (coefficients of 1, x2, x2^2)."""
     a1, a2, a3 = a
-    c1, c2 = a3 - a1, a2 + a3  # x2^2 coefficients of p1 and p2
+    c1, c2 = a3 - a1, a2 + a3  # x2^2 coefficients
     p1 = (Polynomial((a1 + a3, 0, -(a1 + a3))), Polynomial((-1, 1)), Polynomial((c1,)))
     p2 = (Polynomial((a3 - a2, 1, -c2)), Polynomial((-1,)), Polynomial((c2,)))
+    return p1, p2
+
+
+def _eliminate_x2(a, name: str) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(num, den, eliminant in x3) for the triple ``a``."""
+    p1, p2 = _forms(a)
+    c1, c2 = p1[2][0], p2[2][0]
     # cancel x2^2: c2*p1 - c1*p2 = den(x3) * x2 - num(x3)
     den = p1[1].scale(c2) - p2[1].scale(c1)
     num = p2[0].scale(c1) - p1[0].scale(c2)
@@ -396,7 +407,7 @@ def _eliminate_x2(a, name: str) -> tuple[Form, Form, Polynomial, Polynomial, Pol
     elim = resultant(p2, num, den)
     if elim.is_zero:
         raise IntegrityError(f"{name} eliminant vanished identically")
-    return p1, p2, num, den, elim
+    return num, den, elim
 
 
 def generic_eliminants(a) -> GenericEliminants:
@@ -405,14 +416,14 @@ def generic_eliminants(a) -> GenericEliminants:
     Swapping x2 with x3 and a2 with a3 exchanges F2 and F3, so it maps the
     ideal (F1 - F3, F2 - F3) to itself.
     """
-    p1, p2, num, den, elim3 = _eliminate_x2(a, "x3")
-    elim2 = _eliminate_x2((a[0], a[2], a[1]), "x2")[4]
-    return GenericEliminants(a, p1, p2, num, den, squarefree_part(elim3), squarefree_part(elim2))
+    num, den, elim3 = _eliminate_x2(a, "x3")
+    elim2 = _eliminate_x2((a[0], a[2], a[1]), "x2")[2]
+    return GenericEliminants(a, num, den, squarefree_part(elim3), squarefree_part(elim2))
 
 
 def _pivot_solutions_at(e: GenericEliminants, xi3: Fraction) -> list[EinsteinSolution]:
     """Exact solutions sitting at the rational pivot point x3 = xi3, if any."""
-    q1, q2 = (Polynomial(c(xi3) for c in p) for p in (e.p1, e.p2))
+    q1, q2 = (Polynomial(c(xi3) for c in p) for p in _forms(e.a))
     g = poly_gcd(q1, q2)
     if g.degree < 1:
         return []
@@ -528,7 +539,7 @@ def solve_einstein(a) -> list[EinsteinSolution]:
 
 def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
     """Shrink interval coordinates below ``width``, which must be positive; exact solutions pass through."""
-    width = Fraction(width)
+    width = _exact(width, "width")
     if width <= 0:
         raise TrisymError(f"width {width} must be positive")
     if sol.is_exact:
@@ -555,7 +566,7 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     comes back depends on the enclosure and the tightening path.
     """
     a = _validate_a(a)
-    tol = Fraction(tol)
+    tol = _exact(tol, "tolerance")
     if tol <= 0:
         raise TrisymError(f"tolerance {tol} must be positive")
     if sol.is_exact:

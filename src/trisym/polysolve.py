@@ -2,17 +2,29 @@
 
 Everything in the certification path (Sturm sequences, root counting,
 isolation, refinement, elimination) is exact; floating point never enters.
-Polynomial algebra uses `fractions.Fraction`. Signs at rational points come
-from the integer kernel: each polynomial keeps a positive integer multiple of
+Polynomials hold `fractions.Fraction` coefficients, but the solve path works
+on integer forms: each polynomial keeps a positive integer multiple of
 itself, and the sign of p at n/d (d > 0) is the sign of the homogenised
 integer sum c_k n^k + c_{k-1} n^(k-1) d + ... + c_0 d^k, evaluated by Horner's
-rule. A polynomial builds its square-free part and its Sturm chain (with
-elements stored the same way) the first time they are needed and keeps them.
+rule.
+
+Square-free parts, gcds and Sturm chains come from one integer remainder
+sequence, `_remainder_sequence`, of primitive pseudo-remainders. With
+b = lead(B), prem(A, B) = b^s rem(A, B) for the number s of reduction steps
+actually taken (fewer than deg A - deg B + 1 when a leading coefficient
+cancels on its own), so -sign(b)^s prem(A, B) is a positive multiple of
+-rem(A, B), and every element is the integer form of the `Fraction` one,
+sign kept. `squarefree_part` runs the sequence of (p, p') once: when it ends
+in a constant it is also the Sturm chain of the part, which keeps it, so
+each eliminant's sequence is computed once. `sturm_sequence` stays the
+`Fraction` definition, off the solve path.
+
 Intervals returned by the isolation routines are certified by a Sturm count
 of one, the test `isolates` makes. Elimination is by substitution: where one
 equation is linear in y, den * y = num, `resultant` puts y = num/den into the
-other and clears the denominator. Boxes become integer numerators over one
-denominator by `integer_numerators`, the one place that step is written.
+other and clears the denominator, in integers over one common denominator.
+Boxes become integer numerators over one denominator by `integer_numerators`,
+the one place that step is written.
 
 Conventions:
   * coefficients are stored densely in ascending order, no trailing zeros;
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -74,7 +87,7 @@ class Polynomial:
     __slots__ = ("_c", "_ints", "_sf", "_chain")
 
     def __init__(self, coeffs: Iterable[RatLike]):
-        c = [Fraction(v) for v in coeffs]
+        c = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
@@ -245,28 +258,92 @@ class Polynomial:
         """Integer forms of ``sturm_sequence(self)``, built once per square-free part."""
         sf = self.squarefree()
         if sf._chain is None:
-            sf._chain = tuple(q._int_coeffs() for q in sturm_sequence(sf))
+            ints = sf._int_coeffs()
+            sf._chain = _remainder_sequence(ints, _derivative_ints(ints)) if len(ints) > 1 else (ints,)
         return sf._chain
+
+
+def _primitive(c: Sequence[int]) -> tuple[int, ...]:
+    """``c`` divided by its positive content; ``c`` itself when that content is 1 and it is a tuple."""
+    g = _int_gcd(*c)
+    if g == 1 and isinstance(c, tuple):
+        return c
+    return tuple(v // g for v in c)
+
+
+def _neg_prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive multiple of -rem(a, b) for deg b >= 1, in integers (empty when b divides a).
+
+    Each step cancels the leading term r of the remainder by (b'/g) R - (r/g) x^k b,
+    with b' = lead(b) and g = gcd(r, b') > 0, so after s steps the remainder is
+    c * rem(a, b) with sign(c) = sign(b')^s; s is the number of steps taken, which
+    is below deg a - deg b + 1 when a leading coefficient cancels on its own.
+    """
+    r = list(a)
+    m, lead = len(b) - 1, b[-1]
+    steps = 0
+    while len(r) - 1 >= m:
+        top = r.pop()
+        k = len(r) - m
+        g = _int_gcd(top, lead)
+        u, v = lead // g, top // g
+        r[:k] = [u * c for c in r[:k]]
+        r[k:] = [u * c - v * d for c, d in zip(r[k:], b)]
+        while r and not r[-1]:
+            r.pop()
+        steps += 1
+    return r if lead < 0 and steps % 2 else [-c for c in r]
+
+
+def _remainder_sequence(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer forms of a, b, -rem(a, b), ..., each a positive multiple of the rational one.
+
+    ``a`` and ``b`` are nonzero ascending integer coefficients. The sequence
+    stops at a constant or at a zero remainder, like the Sturm chain; so on
+    (p, p') it is the integer form of ``sturm_sequence`` when p is
+    square-free, and otherwise it ends at a multiple of gcd(p, p').
+    """
+    seq = [_primitive(a), _primitive(b)]
+    while len(seq[-1]) > 1:
+        r = _neg_prem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(_primitive(r))
+    return tuple(seq)
+
+
+def _derivative_ints(c: Sequence[int]) -> list[int]:
+    """Integer coefficients of the derivative."""
+    return [i * v for i, v in enumerate(c) if i > 0]
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over the rationals (constant 1 for coprime inputs)."""
-    while not b.is_zero:
-        a, b = b, a.rem(b)
-    if a.is_zero:
-        return a
-    return a.monic()
+    if a.is_zero or b.is_zero:
+        return b.monic() if a.is_zero else a.monic()
+    return Polynomial(_remainder_sequence(a._int_coeffs(), b._int_coeffs())[-1]).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p with all multiplicities reduced to one, monic."""
+    """p with all multiplicities reduced to one, monic.
+
+    The remainder sequence of (p, p') is run once: when it ends in a
+    constant, p is square-free and the sequence, negated when lead(p) < 0,
+    is the Sturm chain of the part; otherwise its last element is the gcd.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         sf = Polynomial.constant(1)
     else:
-        g = poly_gcd(p, p.derivative())
-        sf = p.monic() if g.degree == 0 else p.exact_div(g).monic()
+        ints = p._int_coeffs()
+        seq = _remainder_sequence(ints, _derivative_ints(ints))
+        if len(seq[-1]) == 1:
+            sf = p.monic()
+            sf._chain = seq if ints[-1] > 0 else tuple(tuple(-v for v in q) for q in seq)
+            sf._ints = sf._chain[0]
+        else:
+            sf = p.exact_div(Polynomial(seq[-1])).monic()
     sf._sf = sf  # a monic square-free polynomial is its own square-free part
     return sf
 
@@ -462,6 +539,18 @@ def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
     return IsolatingInterval(Fraction(a, m), Fraction(b, m), p)
 
 
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two polynomials given by ascending integer coefficients."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
 def resultant(p: Sequence[Polynomial], num: Polynomial, den: Polynomial) -> Polynomial:
     """Eliminate y from p(y) = p[0] + p[1] y + ... + p[m] y^m and den * y = num.
 
@@ -469,9 +558,17 @@ def resultant(p: Sequence[Polynomial], num: Polynomial, den: Polynomial) -> Poly
     is the resultant in y of p and den * y - num, up to the sign (-1)^m. It
     vanishes exactly at projections of common zeros, plus possibly at points
     where den and p[m] both vanish; callers must re-check candidates.
+
+    The sum runs in integers: with every coefficient an integer over one
+    denominator M, it is the integer sum over M^(m + 1).
     """
-    acc, dpow = p[-1], Polynomial.constant(1)
-    for c in reversed(p[:-1]):
-        dpow = dpow * den
-        acc = acc * num + c * dpow
-    return acc
+    polys = (*p, num, den)
+    ints, scale = integer_numerators(c for q in polys for c in q.coeffs)
+    it = iter(ints)
+    *ps, n, d = [[next(it) for _ in q.coeffs] for q in polys]
+    acc, dpow = ps[-1], [1]
+    for c in reversed(ps[:-1]):
+        dpow = _int_mul(dpow, d)
+        acc = [u + v for u, v in zip_longest(_int_mul(acc, n), _int_mul(c, dpow), fillvalue=0)]
+    denom = scale ** len(ps)
+    return Polynomial(Fraction(v, denom) for v in acc)

@@ -184,10 +184,12 @@ class TestVerify:
         assert doc["payload"]["passed"] is True
 
     def test_properties_deterministic_given_seed(self):
-        a = run_cli("verify", "properties", "--seed", "3", "--format", "json")
-        b = run_cli("verify", "properties", "--seed", "3", "--format", "json")
-        assert a.stdout == b.stdout
-        assert a.returncode == 0
+        argv = [sys.executable, "-m", "trisym", "verify", "properties", "--seed", "3", "--format", "json"]
+        # the two runs are independent processes, so they run side by side
+        procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for _ in range(2)]
+        (a_out, _), (b_out, _) = (p.communicate() for p in procs)
+        assert a_out == b_out
+        assert procs[0].returncode == 0
 
 
 class TestUsage:

@@ -193,6 +193,13 @@ class TestGenericBranch:
             with pytest.raises(TrisymError, match="must be positive"):
                 refine_solution(s, width)
 
+    @pytest.mark.parametrize("a", [(F(1, 4), F(1, 4), F(1, 6)), (F(1, 4), F(1, 8), F(7, 24))])  # exact, interval
+    def test_refine_width_float_rejected(self, a):
+        for s in solve_einstein(a):
+            with pytest.raises(TrisymError, match="width 1e-10 is a float"):
+                refine_solution(s, 1e-10)
+            assert refine_solution(s, "1/10000000000").x == refine_solution(s, F(1, 10**10)).x
+
     def test_eliminants_are_squarefree_quartics(self):
         e = generic_eliminants((F(5, 18), F(2, 9), F(1, 6)))  # E7-II
         for elim in (e.x3, e.x2):
@@ -272,6 +279,19 @@ class TestGenericBranch:
             solve_einstein((F(0), F(1, 4), F(1, 3)))
         with pytest.raises(TrisymError):
             solve_einstein((F(3, 4), F(1, 4), F(1, 3)))
+
+    def test_float_coefficient_rejected(self):
+        # 0.3 is the binary fraction 5404319552844595/18014398509481984, not 3/10
+        with pytest.raises(TrisymError, match="a = 0.3 is a float"):
+            solve_einstein((F(1, 4), 0.3, F(1, 5)))
+        with pytest.raises(TrisymError, match="a = 0.25 is a float"):
+            solve_einstein((0.25, 0.3, 0.2))
+
+    def test_exact_inputs_accepted(self):
+        expected = [s.approx(20) for s in solve_einstein((F(1, 4), F(3, 10), F(1, 5)))]
+        assert [s.approx(20) for s in solve_einstein(("1/4", "3/10", "1/5"))] == expected
+        with pytest.raises(TrisymError, match="outside"):  # an int is exact, only out of range
+            solve_einstein((1, F(1, 4), F(1, 5)))
 
 
 class TestSolveCase:
@@ -358,6 +378,12 @@ class TestVerify:
         a = (F(1, 4), F(1, 3), F(1, 5))
         with pytest.raises(TrisymError, match="must be positive"):
             verify_solution(a, solve_einstein(a)[0], tol)
+
+    def test_float_tolerance_rejected(self):
+        a = (F(1, 4), F(1, 3), F(1, 5))
+        with pytest.raises(TrisymError, match="tolerance 1e-20 is a float"):
+            verify_solution(a, solve_einstein(a)[0], 1e-20)
+        assert verify_solution(a, solve_einstein(a)[0], "1/100000000000000000000") is True
 
     def test_every_solution_verifies_tightly(self):
         for label in ("E6-II", "E7-II", "E8-I", "F4-II", "E7-I"):

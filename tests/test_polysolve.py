@@ -341,14 +341,102 @@ class TestIntegerKernel:
     def test_chain_built_once_per_polynomial(self, monkeypatch):
         builds = []
 
-        def counting(q):
-            builds.append(q)
-            return sturm_sequence(q)
+        real = polysolve._remainder_sequence
 
-        monkeypatch.setattr(polysolve, "sturm_sequence", counting)
+        def counting(a, b):
+            builds.append(a)
+            return real(a, b)
+
+        monkeypatch.setattr(polysolve, "_remainder_sequence", counting)
         p = poly(855, -4152, 7048, -4960, 1200)
         ivs = isolate_real_roots(p, 0, None)
         for iv in ivs:
             refine_root(iv, F(1, 10**50))
             count_real_roots(iv.poly, iv.lo, iv.hi)
         assert len(ivs) == 2 and len(builds) == 1
+
+
+# -- the integer remainder sequence against its Fraction definition ----------
+
+big = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**12))
+nonzero_big = big.filter(lambda v: v != 0)
+
+
+@st.composite
+def sparse_polys(draw):
+    """Degree 1..8, at least half the coefficients zero, a leading coefficient of either sign.
+
+    Sparse remainders lose more than one degree per step, which is where the
+    sign of a pseudo-remainder depends on the steps actually taken. A third
+    carry the repeated factor x^j, a third the square of a binomial.
+    """
+    repeat = draw(st.sampled_from(["none", "power of x", "binomial squared"]))
+    if repeat == "binomial squared":
+        i = draw(st.integers(2, 4))  # (c x^i + e)^2: 3 nonzero of 2i + 1 coefficients
+        binomial = poly(draw(nonzero_big), *[0] * (i - 1), draw(nonzero_big))
+        return binomial**2 * poly(*[0] * draw(st.integers(0, 8 - 2 * i)), draw(nonzero_big))
+    d = draw(st.integers(1, 6 if repeat == "power of x" else 8))
+    coeffs = [F(0)] * d + [draw(nonzero_big)]
+    free = (d + 1) // 2 - 1  # nonzero coefficients below the lead
+    if free:  # one of the two lowest is nonzero, so x^2 divides only in the power-of-x third
+        for k in {draw(st.integers(0, 1))} | draw(st.sets(st.integers(2, d - 1), max_size=free - 1)):
+            coeffs[k] = draw(nonzero_big)
+    j = draw(st.integers(2, 8 - d)) if repeat == "power of x" else 0
+    return poly(*[0] * j, *coeffs)
+
+
+def ref_gcd(a, b):
+    """Monic gcd by the Fraction Euclidean algorithm."""
+    while not b.is_zero:
+        a, b = b, a.rem(b)
+    return a.monic()
+
+
+def ref_squarefree(p):
+    if p.degree == 0:
+        return poly(1)
+    g = ref_gcd(p, p.derivative())
+    return p.monic() if g.degree == 0 else p.exact_div(g).monic()
+
+
+def ref_resultant(p, num, den):
+    """den^m p(num / den) by Fraction Horner."""
+    acc, dpow = p[-1], poly(1)
+    for c in reversed(p[:-1]):
+        dpow = dpow * den
+        acc = acc * num + c * dpow
+    return acc
+
+
+class TestRemainderSequence:
+    @given(st.one_of(sparse_polys(), repeated_root_polys))
+    def test_chain_is_the_fraction_sturm_sequence(self, p):
+        assert p._sturm_chain() == tuple(q._int_coeffs() for q in sturm_sequence(p))
+
+    @given(sparse_polys())
+    def test_squarefree_part_matches_fraction_euclid(self, p):
+        sf = squarefree_part(p)
+        assert sf == ref_squarefree(p)
+        if sf._chain is not None:
+            assert sf._chain[0] is sf._int_coeffs()
+
+    @given(sparse_polys(), sparse_polys())
+    def test_gcd_matches_fraction_euclid(self, p, q):
+        assert poly_gcd(p, q) == ref_gcd(p, q)
+        assert poly_gcd(p * q, q) == ref_gcd(p * q, q) == q.monic()
+
+    @given(st.lists(sparse_polys(), min_size=1, max_size=3), sparse_polys(), sparse_polys())
+    def test_resultant_matches_fraction_horner(self, p, num, den):
+        assert resultant(p, num, den) == ref_resultant(p, num, den)
+
+    def test_squarefree_input_calls_no_fraction_euclid(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Fraction Euclid on the solve path")
+
+        monkeypatch.setattr(polysolve, "poly_gcd", refuse)
+        monkeypatch.setattr(Polynomial, "rem", refuse)
+        p = poly(-7, 0, 0, 3, 0, -2)  # square-free, negative lead
+        sf = squarefree_part(p)
+        assert sf.leading == 1 and sf._chain is not None
+        monkeypatch.undo()
+        assert sf._sturm_chain() == tuple(q._int_coeffs() for q in sturm_sequence(p))
