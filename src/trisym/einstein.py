@@ -75,8 +75,13 @@ box, which is how ``residual_bound`` is computed. The enclosure
 overestimates by an amount linear in the box width (Moore, *Interval
 Analysis*, 1966), so a verification round sizes its step from it: width w
 with bound B becomes w * tol / (4 B), and at most w / 8, and one round
-usually certifies. Exact solutions are checked by F1 = F2 = F3 in their
-field, which takes multiplications only.
+usually certifies. Exact solutions go through the same rows: with the
+coordinates written as x_u = (P_u + Q_u sqrt d) / R over one R, R^2 x_s x_t
+is the integer pair (P_s P_t + Q_s Q_t d, P_s Q_t + Q_s P_t), so
+L R^2 (F_i - F_j) = g + h sqrt d with integers g and h, and F1 = F2 = F3
+holds exactly when g = h = 0 for the pairs (1, 2) and (1, 3), since sqrt d
+is irrational. Positivity is the sign of P_u + Q_u sqrt d, decided by
+comparing P_u^2 with Q_u^2 d.
 
 All certification is exact; floating point appears only in display helpers.
 """
@@ -104,7 +109,7 @@ from .polysolve import (
     resultant,
     squarefree_part,
 )
-from .surd import Exact, QuadraticSurd, exact_approx, exact_sign, roots_of_quadratic
+from .surd import Exact, QuadraticSurd, exact_approx, exact_sign, integer_sign, roots_of_quadratic
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -184,15 +189,10 @@ def _ricci(a, x, i: int):
     return 1 / (2 * xi) + a[i] * HALF * (xi / (xj * xk) - xk / (xi * xj) - xj / (xi * xk))
 
 
-def _require_positive(x) -> None:
-    for v in x:
-        if exact_sign(v) <= 0:
-            raise ValueError("metric coordinates must be positive")
-
-
 def ricci_coefficients(a, x):
     """(r1, r2, r3) at metric x; exact for rational or quadratic-surd input."""
-    _require_positive(x)
+    if any(exact_sign(v) <= 0 for v in x):
+        raise ValueError("metric coordinates must be positive")
     return tuple(_ricci(a, x, i) for i in range(3))
 
 
@@ -200,13 +200,6 @@ def _cleared(a, x, i: int):
     """F_i = 2 x1 x2 x3 r_i = x_j x_k + a_i (x_i^2 - x_j^2 - x_k^2); any ring values, no division."""
     j, k = [t for t in range(3) if t != i]
     return x[j] * x[k] + a[i] * (x[i] * x[i] - x[j] * x[j] - x[k] * x[k])
-
-
-def _solves_exactly(a, x) -> bool:
-    """F1 = F2 = F3 at the positive exact metric x."""
-    _require_positive(x)
-    f1, f2, f3 = (_cleared(a, x, i) for i in range(3))
-    return exact_sign(f1 - f2) == 0 and exact_sign(f1 - f3) == 0
 
 
 # the monomials x_s x_t of a quadratic form in (x1, x2, x3), and the pairs (i, j) of r_i - r_j
@@ -276,6 +269,41 @@ def _residual_enclosure(scale: int, rows, ends) -> tuple[bool, int, int]:
         g_max = max(g_max, g_hi, -g_lo)
     # |r_i - r_j| = |F_i - F_j| / (2 x1 x2 x3) <= (g_max / (scale common^2)) / (2 lo1 lo2 lo3 / common^3)
     return excludes_zero, g_max * common, 2 * scale * lo[0] * lo[1] * lo[2]
+
+
+def _solves_exactly(a, x) -> bool:
+    """F1 = F2 = F3 at the positive exact metric x, in integers.
+
+    Writes x_u = (P_u + Q_u sqrt d) / R over one R > 0, with d the one
+    radicand of the surd coordinates (0 when all are rational) and Q_u = 0
+    for a rational coordinate. R^2 x_s x_t is then
+    (P_s P_t + Q_s Q_t d) + (P_s Q_t + Q_s P_t) sqrt d, so the rows of the
+    pairs (0, 1) and (0, 2) of ``_difference_rows`` give
+    L R^2 (F_i - F_j) = g + h sqrt d with integers g and h. As sqrt d is
+    irrational (every ``QuadraticSurd`` is), F_i = F_j exactly when
+    g = h = 0. Each x_u > 0 is decided by ``integer_sign``; no field product
+    is taken.
+    """
+    d, parts = 0, []
+    for c in x:
+        if isinstance(c, QuadraticSurd):
+            if d and c.d != d:
+                raise TrisymError(f"exact coordinates over two radicands, {d} and {c.d}; give every surd over one")
+            d = c.d
+            parts += (c.p, c.q)
+        else:
+            parts += (_exact(c, "metric coordinate"), 0)
+    nums, _ = integer_numerators(parts)
+    P, Q = nums[0::2], nums[1::2]
+    if any(integer_sign(p, q, d) <= 0 for p, q in zip(P, Q)):
+        raise TrisymError("metric coordinates must be positive")
+    rational = [P[s] * P[t] + Q[s] * Q[t] * d for s, t in _MONOMIALS]
+    irrational = [P[s] * Q[t] + Q[s] * P[t] for s, t in _MONOMIALS]
+    _, rows = _difference_rows(a)
+    return all(
+        sum(c * m for c, m in zip(row, rational)) == 0 == sum(c * m for c, m in zip(row, irrational))
+        for row in rows[:2]  # the pairs (0, 1) and (0, 2) of _PAIRS
+    )
 
 
 def _exact(v, what: str) -> Fraction:
@@ -551,14 +579,16 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
 def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     """Certified check that ``sol`` solves the Einstein system to tolerance.
 
-    Exact coordinates are checked by F1 = F2 = F3 in their field. Interval
-    coordinates are tightened until the integer enclosure of every r_i - r_j
-    (module docstring) lies inside (-tol, tol), or until it certifiably
-    excludes zero (returns False). Each round shrinks the widest coordinate
-    width w to w * min(1/8, tol / (4 B)), where B bounds the residual
-    enclosure: since the enclosure overestimates linearly in w, the first
-    round usually certifies, and no round shrinks by less than 8.
-    ``_VERIFY_STEPS`` bounds the rounds. ``tol`` must be positive.
+    Exact coordinates are checked by F1 = F2 = F3 in integers
+    (``_solves_exactly``); coordinates over two radicands, or not all
+    positive, raise ``TrisymError``. Interval coordinates are tightened until
+    the integer enclosure of every r_i - r_j (module docstring) lies inside
+    (-tol, tol), or until it certifiably excludes zero (returns False). Each
+    round shrinks the widest coordinate width w to w * min(1/8, tol / (4 B)),
+    where B bounds the residual enclosure: since the enclosure overestimates
+    linearly in w, the first round usually certifies, and no round shrinks
+    by less than 8. ``_VERIFY_STEPS`` bounds the rounds. ``tol`` must be
+    positive.
 
     True means every residual is below ``tol`` on a box around the solution,
     False that one residual is nonzero. On a non-solution whose true

@@ -10,8 +10,10 @@ A radicand is reduced to its square-free part once, where it enters, by
 `make_quadratic`; `roots_of_quadratic` reduces one radicand for both roots.
 Arithmetic combines a surd with rationals and with surds over the same d,
 and keeps that d, so a quadratic's values share its reduced radicand and no
-operation factors it again. Signs and comparisons are decided exactly, so
-these numbers can flow through the same code paths as rationals.
+operation factors it again. Signs and comparisons are decided exactly, by
+one rule on (p, q, d), `integer_sign`, which `einstein`'s exact check also
+applies to integer coordinates; so these numbers can flow through the same
+code paths as rationals.
 """
 
 from __future__ import annotations
@@ -57,6 +59,20 @@ def sqrt_bounds(d: int, prec: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, scale), Fraction(lo + 1, scale)
 
 
+def integer_sign(p, q, d: int) -> int:
+    """The sign of p + q*sqrt(d), for rationals p, q (integers on the hot path) and an integer d >= 0.
+
+    When p and q do not have opposite signs it is the sign of whichever is
+    nonzero; otherwise |p| and |q| sqrt(d) are compared through p^2 and q^2 d.
+    """
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0) if d else 0
+    if sp * sq >= 0:
+        return sp or sq
+    n = p * p - q * q * d
+    return sp if n > 0 else sq if n < 0 else 0
+
+
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Irrational element p + q*sqrt(d) of a real quadratic field."""
@@ -77,12 +93,7 @@ class QuadraticSurd:
         return self.p * self.p - self.q * self.q * self.d
 
     def sign(self) -> int:
-        # sign(p + q*sqrt(d)) from the signs of p, q and, when they differ, the field norm
-        sq = 1 if self.q > 0 else -1
-        if self.p * sq >= 0:
-            return sq
-        # the norm is nonzero since the value is irrational
-        return -sq if self.norm() > 0 else sq
+        return integer_sign(self.p, self.q, self.d)
 
     def bounds(self, prec: int = 30) -> tuple[Fraction, Fraction]:
         lo, hi = sqrt_bounds(self.d, prec)

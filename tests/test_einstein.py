@@ -1,13 +1,15 @@
 from fractions import Fraction as F
 import hashlib
+from math import isqrt
 from itertools import combinations, permutations, product
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from trisym import cli, einstein
+from trisym import cli, einstein, surd
 from trisym.cases import make_case
 from trisym.coeffs import coefficients_for_case
 from trisym.einstein import (
@@ -26,7 +28,7 @@ from trisym.einstein import (
 )
 from trisym.errors import IntegrityError, NotApplicable, TrisymError
 from trisym.polysolve import Polynomial, integer_numerators, squarefree_part
-from trisym.surd import QuadraticSurd
+from trisym.surd import QuadraticSurd, make_quadratic
 
 from test_intervals import fraction_range
 
@@ -503,6 +505,141 @@ class TestResidualKernel:
     def test_point_box_is_exact(self, a, x):
         _, n, d = einstein._residual_enclosure(*einstein._difference_rows(a), [(v, v) for v in x])
         assert F(n, d) == max(abs(v) for v in ricci_differences(a, x))
+
+
+def cleared_reference(a, x) -> bool:
+    """F1 = F2 = F3 by ``_cleared`` in ``QuadraticSurd`` arithmetic: the field definition."""
+    f1, f2, f3 = (einstein._cleared(a, x, i) for i in range(3))
+    return f1 == f2 == f3
+
+
+HALF = F(1, 2)
+exact_a = st.one_of(
+    st.fractions(min_value=F(1, 10**4), max_value=F(1, 2), max_denominator=10**4),
+    st.sampled_from([F(1, 2), F(1, 4), F(1, 10**6), F(499999, 10**6)]),
+)
+
+
+@st.composite
+def exact_triples(draw):
+    """An all-equal or equal-pair triple (a_odd = 1/2 often), or a distinct triple summing to 1/2.
+
+    Every solution of the first two kinds is exact; the third kind has exact
+    solutions at the pivot point of the generic branch.
+    """
+    kind = draw(st.sampled_from(["equal", "pair", "pivot"]))
+    if kind == "equal":
+        return (draw(exact_a),) * 3
+    if kind == "pair":
+        pair, odd = draw(exact_a), draw(st.one_of(exact_a, st.just(HALF)))
+        assume(pair != odd)
+        k = draw(st.integers(0, 2))
+        return tuple(odd if t == k else pair for t in range(3))
+    a1, a2 = draw(exact_a), draw(exact_a)
+    a3 = HALF - a1 - a2
+    assume(a3 > 0 and len({a1, a2, a3}) == 3)
+    return (a1, a2, a3)
+
+
+def _square_part_only(n: int) -> tuple[int, int]:
+    """``squarefree_decompose`` without trial division: (1, n) unless n is a perfect square."""
+    r = isqrt(n)
+    return (r, 1) if r * r == n else (1, n)
+
+
+def exact_solutions(a):
+    """The exact solutions of ``a``, over unreduced radicands.
+
+    Trial division hangs on the radicands of some equal-pair triples with
+    denominators near 10^4; ``QuadraticSurd`` needs only a radicand that is
+    not a perfect square, and neither check below needs more.
+    """
+    with mock.patch.object(surd, "squarefree_decompose", _square_part_only):
+        return [s.x for s in solve_einstein(a) if s.is_exact]
+
+
+class TestExactCheck:
+    """The integer kernel ``_solves_exactly`` against F1 = F2 = F3 in field arithmetic."""
+
+    @given(exact_triples())
+    def test_every_exact_solution_passes(self, a):
+        sols = exact_solutions(a)
+        assume(sols)
+        for x in sols:
+            assert einstein._solves_exactly(a, x) is True
+            assert cleared_reference(a, x)
+
+    @given(exact_triples(), st.data())
+    def test_perturbed_coordinate_fails(self, a, data):
+        sols = exact_solutions(a)
+        assume(sols)
+        x = data.draw(st.sampled_from(sols))
+        u, part, k = data.draw(st.integers(0, 2)), data.draw(st.sampled_from("pq")), data.draw(st.integers(1, 60))
+        d = next((c.d for c in x if isinstance(c, QuadraticSurd)), 2)
+        p, q = (x[u].p, x[u].q) if isinstance(x[u], QuadraticSurd) else (x[u], F(0))
+        delta = F(1, 10**k)
+        y = list(x)
+        p, q = (p + delta, q) if part == "p" else (p, q + delta)
+        y[u] = QuadraticSurd(p, q, d) if q else p
+        # another solution can differ from x in one coordinate by delta: (1, 1, 1) and
+        # (1, 11/10, 1) for a = 5/21, so compare with all of them after normalizing
+        assume(all(y[1] / y[0] != z[1] or y[2] / y[0] != z[2] for z in sols))
+        assert einstein._solves_exactly(a, tuple(y)) is False
+        assert cleared_reference(a, tuple(y)) is False
+
+    @given(exact_triples().filter(lambda a: len(set(a)) < 3), st.data())
+    def test_perturbed_odd_coefficient_fails(self, a, data):
+        k = einstein._pair_odd_index(a)
+        k = data.draw(st.integers(0, 2)) if k < 0 else k
+        perturbed = tuple(v - F(1, 10**12) if t == k else v for t, v in enumerate(a))
+        for x in exact_solutions(a):
+            assert einstein._solves_exactly(perturbed, x) is False
+            assert cleared_reference(perturbed, x) is False
+
+    @given(exact_a.filter(lambda v: v not in (F(1, 4), HALF)), st.data())
+    def test_rational_part_alone_does_not_certify(self, a, data):
+        # u + v sqrt 2 for two rational solutions u, v of (a, a, a): the rational part
+        # G(u) + 2 G(v) of each cleared difference G vanishes, the sqrt 2 part does not
+        u, v = data.draw(st.permutations(exact_solutions((a,) * 3)))[:2]
+        x = tuple(make_quadratic(s, t, 2) for s, t in zip(u, v))
+        assert einstein._solves_exactly((a,) * 3, x) is False
+        assert cleared_reference((a,) * 3, x) is False
+
+    def test_no_field_arithmetic(self, monkeypatch):
+        cases = [(a, solve_einstein(a)) for a in [(F(4, 15), F(1, 5), F(1, 5)), (F(2, 9),) * 3, (F(1, 4), F(1, 4), F(1, 6))]]
+        assert [len(sols) for _, sols in cases] == [2, 4, 2]
+        assert all(s.is_exact for _, sols in cases for s in sols)
+
+        def refuse(*args):
+            raise AssertionError("field arithmetic on the exact certification path")
+
+        for cls, names in (
+            (QuadraticSurd, ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__truediv__", "norm")),
+            (F, ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__truediv__", "__rtruediv__")),
+        ):
+            for name in names:
+                monkeypatch.setattr(cls, name, refuse)
+        for a, sols in cases:
+            for s in sols:
+                assert einstein._solves_exactly(a, s.x) is True
+                assert verify_solution(a, s) is True
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (
+                (F(1), make_quadratic(F(1), F(1), 2), make_quadratic(F(1), F(1), 3)),
+                "exact coordinates over two radicands, 2 and 3",
+            ),
+            ((F(1), F(-1), F(1)), "metric coordinates must be positive"),
+            ((F(1), 0.5, F(1)), "metric coordinate 0.5 is a float"),
+            ((F(1), make_quadratic(F(1), F(-1), 2), F(1)), "metric coordinates must be positive"),
+        ],
+    )
+    def test_hand_built_solution_errors(self, x, message):
+        sol = EinsteinSolution(x=x, branch=BRANCH_PAIR_LINEAR, residual_bound=F(0))
+        with pytest.raises(TrisymError, match=message):
+            verify_solution((F(1, 3), F(1, 3), F(1, 5)), sol)
 
 
 class TestBudgets:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -109,6 +110,32 @@ def test_sign_matches_float(pn, qn, d):
     f = pn + qn * d**0.5
     if abs(f) > 1e-9:
         assert exact_sign(v) == (1 if f > 0 else -1)
+
+
+@st.composite
+def near_cancelling(draw):
+    """(p, q, d) with p within 1 of -q sqrt(d) half of the time, d a perfect square now and then."""
+    q = draw(st.integers(-(10**30), 10**30))
+    d = draw(st.one_of(st.integers(0, 10**12), st.integers(0, 10**6).map(lambda r: r * r)))
+    if draw(st.booleans()):
+        root = isqrt(q * q * d)
+        return (-root if q > 0 else root) + draw(st.integers(-1, 1)), q, d
+    return draw(st.integers(-(10**30), 10**30)), q, d
+
+
+@given(near_cancelling())
+def test_integer_sign_matches_rational_bounds(pqd):
+    p, q, d = pqd
+    r = isqrt(d)
+    if r * r == d:
+        expected = exact_sign(F(p + q * r))
+    else:  # p + q sqrt(d) is 0 or at least 1 / (|p| + |q| sqrt(d)) > 10^-40 away, so 10^-80 bounds decide
+        lo, hi = surd.sqrt_bounds(d, 80)
+        expected = exact_sign(p + q * lo)
+        assert expected == exact_sign(p + q * hi)
+    assert surd.integer_sign(p, q, d) == expected
+    if q and r * r != d:
+        assert QuadraticSurd(F(p), F(q), d).sign() == expected
 
 
 def test_equality_is_by_value():
