@@ -9,6 +9,7 @@ failure, 3 internal integrity error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -239,6 +240,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     p = _Parser(prog="trisym", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -20,20 +20,20 @@ Branches:
       x_i = x_j:                (1-2a_k) x_i^2 - x_i x_k + (a_i+a_k) x_k^2 = 0
       x_k = 2a_i (x_i + x_j):   (a_i+a_k)(1-4a_i^2)(x_i^2 + x_j^2)
                                    = (1 - 2a_i + 8a_i^2 (a_i+a_k)) x_i x_j
-  * all distinct: set x1 = 1, cancel the x2^2 terms of F1-F3 and F2-F3 to
-    get a relation x2 * den(x3) = num(x3) with den linear, eliminate x2 by
-    substituting num/den into F2-F3 (the eliminant den^2 (F2-F3)(num/den)),
-    isolate the positive real roots of the squarefree eliminant by Sturm
-    bisection, and back-substitute through num/den, whose range over an x3
-    box is computed in integers. The system is invariant under swapping
-    x2, x3 together with a2, a3, so the x2 eliminant is the x3 eliminant
-    of (a1, a3, a2). Roots where the pivot den vanishes (a single rational
-    point) are handled by solving the two univariate quadratics there
-    exactly. Every other positive root gives the real solution
+  * all distinct: set x1 = 1, read G1 = L (F1-F3) and G2 = L (F2-F3) off the
+    integer rows of ``_cleared`` (L the lcm of the denominators of a), cancel
+    their x2^2 terms to get a relation x2 * den(x3) = num(x3) with den linear,
+    eliminate x2 by substituting num/den into G2 (the eliminant
+    den^2 G2(num/den)), isolate the positive real roots of the squarefree
+    eliminant by Sturm bisection, and back-substitute through num/den, whose
+    range over an x3 box is computed in integers. The system is invariant
+    under swapping x2, x3 together with a2, a3, so the x2 eliminant is the x3
+    eliminant of (a1, a3, a2). Roots where the pivot den vanishes (a single
+    rational point) are handled by solving the two univariate quadratics
+    there exactly. Every other positive root gives the real solution
     (1, num/den, x3): x2 = num/den solves F2 = F3, and then
-    den x2 - num = c2 (F1-F3) - c1 (F2-F3) with c2 = a2 + a3 > 0 gives
-    F1 = F3. By the x2 lemma below its x2 is positive, except at x3 = 1 when
-    a2 = 1/2, which is skipped.
+    den x2 - num = c2 G1 - c1 G2 with c2 = L (a2 + a3) > 0 gives F1 = F3. By
+    the x2 lemma its x2 is positive, except at x3 = 1 when a2 = 1/2 (skipped).
 
 Every positive solution has a positive Einstein constant, because a_i <= 1/2:
 let x_i be the largest coordinate; then x_i^2 - x_j^2 - x_k^2 >= -min(x_j, x_k)^2,
@@ -234,7 +234,7 @@ def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(L, rows): L the lcm of the denominators of ``a``, and for each of ``_PAIRS``
     the integer coefficients of L (F_i - F_j) = L (P_i - P_j) + n_i Q_i - n_j Q_j
     over ``_MONOMIALS``, where n_i = L a_i."""
-    nums, scale = integer_numerators(a)
+    nums, scale = integer_numerators(_exact(v, "coefficient a =") for v in a)
     forms = [tuple(scale * p + n * q for p, q in zip(free, slope)) for (free, slope), n in zip(_AFFINE_PARTS, nums)]
     return scale, tuple(tuple(p - q for p, q in zip(forms[i], forms[j])) for i, j in _PAIRS)
 
@@ -250,7 +250,7 @@ def _residual_enclosure(scale: int, rows, ends) -> tuple[bool, int, int]:
     nums, common = integer_numerators(v for pair in ends for v in pair)
     lo, hi = nums[0::2], nums[1::2]
     if min(lo) <= 0:
-        raise ValueError("metric coordinates must be positive")
+        raise TrisymError("metric coordinates must be positive")
     # G = scale * common^2 * (F_i - F_j) is a sum of coefficient times monomial,
     # each monomial increasing in the numerators
     mono_lo = [lo[s] * lo[t] for s, t in _MONOMIALS]
@@ -354,13 +354,8 @@ def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
     a_pair, a_odd = a[i], a[k]
     out: list[EinsteinSolution] = []
 
-    # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k
-    lead = 1 - 2 * a_odd
-    if lead == 0:
-        roots: list[Exact] = [a_pair + a_odd]
-    else:
-        roots = roots_of_quadratic(lead, Fraction(-1), a_pair + a_odd)
-    for r in roots:
+    # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k (linear when a_odd = 1/2)
+    for r in roots_of_quadratic(1 - 2 * a_odd, Fraction(-1), a_pair + a_odd):
         if exact_sign(r) <= 0:
             raise IntegrityError("equal-pair quadratic produced a nonpositive root")
         triple: list[Exact] = [Fraction(0)] * 3
@@ -387,24 +382,20 @@ def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
 def _dedupe_exact(sols: list[EinsteinSolution]) -> list[EinsteinSolution]:
     kept: list[EinsteinSolution] = []
     for s in sols:
-        if not any(all(x == y for x, y in zip(s.x, t.x)) for t in kept):
+        if not any(s.x == t.x for t in kept):
             kept.append(s)
     return kept
 
 
 # -- generic branch (all coefficients distinct) ------------------------------
 
-# F1 - F3 and F2 - F3 at x1 = 1, with F_i = x_j x_k + a_i (x_i^2 - x_j^2 - x_k^2),
-# as coefficient triples in x2 whose entries are polynomials in x3
-Form = tuple[Polynomial, Polynomial, Polynomial]
-
-
 @dataclass(frozen=True)
 class GenericEliminants:
     """Elimination data of the all-distinct branch at x1 = 1 for the triple ``a``.
 
-    x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero;
-    ``x3`` and ``x2`` are the square-free eliminants in x3 and in x2.
+    x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero; num
+    and den have integer values, and only their ratio matters. ``x3`` and
+    ``x2`` are the square-free eliminants in x3 and in x2.
     """
 
     a: tuple[Fraction, Fraction, Fraction]
@@ -414,25 +405,21 @@ class GenericEliminants:
     x2: Polynomial
 
 
-def _forms(a) -> tuple[Form, Form]:
-    """F1 - F3 and F2 - F3 for the triple ``a`` (coefficients of 1, x2, x2^2)."""
-    a1, a2, a3 = a
-    c1, c2 = a3 - a1, a2 + a3  # x2^2 coefficients
-    p1 = (Polynomial((a1 + a3, 0, -(a1 + a3))), Polynomial((-1, 1)), Polynomial((c1,)))
-    p2 = (Polynomial((a3 - a2, 1, -c2)), Polynomial((-1,)), Polynomial((c2,)))
-    return p1, p2
+def _forms(a) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """L (F1 - F3) and L (F2 - F3) at x1 = 1 as the integer (A, B, (c,)) of A(x3) + B(x3) x2 + c x2^2."""
+    # rows (0, 2) and (1, 2) of _difference_rows; over _MONOMIALS, A is x1^2, x1 x3, x3^2; B x1 x2, x2 x3; c x2^2
+    return tuple(((r[0], r[4], r[2]), (r[5], r[3]), (r[1],)) for r in _difference_rows(a)[1][1:])
 
 
 def _eliminate_x2(a, name: str) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(num, den, eliminant in x3) for the triple ``a``."""
-    p1, p2 = _forms(a)
-    c1, c2 = p1[2][0], p2[2][0]
-    # cancel x2^2: c2*p1 - c1*p2 = den(x3) * x2 - num(x3)
-    den = p1[1].scale(c2) - p2[1].scale(c1)
-    num = p2[0].scale(c1) - p1[0].scale(c2)
+    (A1, B1, (c1,)), (A2, B2, (c2,)) = _forms(a)
+    # cancel x2^2: c2 L (F1 - F3) - c1 L (F2 - F3) = den(x3) x2 - num(x3)
+    den = Polynomial(c2 * u - c1 * v for u, v in zip(B1, B2))
+    num = Polynomial(c1 * u - c2 * v for u, v in zip(A2, A1))
     if den.degree != 1:
         raise IntegrityError("pivot polynomial is not linear")
-    elim = resultant(p2, num, den)
+    elim = resultant((Polynomial(A2), Polynomial(B2), Polynomial((c2,))), num, den)
     if elim.is_zero:
         raise IntegrityError(f"{name} eliminant vanished identically")
     return num, den, elim
@@ -451,8 +438,7 @@ def generic_eliminants(a) -> GenericEliminants:
 
 def _pivot_solutions_at(e: GenericEliminants, xi3: Fraction) -> list[EinsteinSolution]:
     """Exact solutions sitting at the rational pivot point x3 = xi3, if any."""
-    q1, q2 = (Polynomial(c(xi3) for c in p) for p in _forms(e.a))
-    g = poly_gcd(q1, q2)
+    g = poly_gcd(*(Polynomial(Polynomial(part)(xi3) for part in f) for f in _forms(e.a)))
     if g.degree < 1:
         return []
     roots = roots_of_quadratic(g[2], g[1], g[0])  # linear when g has degree 1
@@ -580,15 +566,15 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     """Certified check that ``sol`` solves the Einstein system to tolerance.
 
     Exact coordinates are checked by F1 = F2 = F3 in integers
-    (``_solves_exactly``); coordinates over two radicands, or not all
-    positive, raise ``TrisymError``. Interval coordinates are tightened until
-    the integer enclosure of every r_i - r_j (module docstring) lies inside
-    (-tol, tol), or until it certifiably excludes zero (returns False). Each
-    round shrinks the widest coordinate width w to w * min(1/8, tol / (4 B)),
-    where B bounds the residual enclosure: since the enclosure overestimates
-    linearly in w, the first round usually certifies, and no round shrinks
-    by less than 8. ``_VERIFY_STEPS`` bounds the rounds. ``tol`` must be
-    positive.
+    (``_solves_exactly``). A float coordinate, a coordinate or box that is
+    not positive, and surds over two radicands raise ``TrisymError``.
+    Interval coordinates are tightened until the integer enclosure of every
+    r_i - r_j (module docstring) lies inside (-tol, tol), or until it
+    certifiably excludes zero (returns False). Each round shrinks the widest
+    coordinate width w to w * min(1/8, tol / (4 B)), where B bounds the
+    residual enclosure: since the enclosure overestimates linearly in w, the
+    first round usually certifies, and no round shrinks by less than 8.
+    ``_VERIFY_STEPS`` bounds the rounds. ``tol`` must be positive.
 
     True means every residual is below ``tol`` on a box around the solution,
     False that one residual is nonzero. On a non-solution whose true
@@ -602,7 +588,7 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     if sol.is_exact:
         return _solves_exactly(a, sol.x)
     scale, rows = _difference_rows(a)
-    x = sol.x
+    x = tuple(c if isinstance(c, RootCoordinate) else _exact(c, "metric coordinate") for c in sol.x)
     for _ in range(_VERIFY_STEPS):
         ends = [(c.interval.lo, c.interval.hi) if isinstance(c, RootCoordinate) else (c, c) for c in x]
         excludes_zero, n, d = _residual_enclosure(scale, rows, ends)

@@ -192,6 +192,31 @@ class TestVerify:
         assert procs[0].returncode == 0
 
 
+class TestParser:
+    """The parser is built once per process, and one call leaves nothing behind for the next."""
+
+    def test_second_call_builds_no_parser(self, monkeypatch):
+        cli.main(["list", "--max-rank", "1"])
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert cli.main(["list", "--max-rank", "1"]) == 0
+        assert built == []
+
+    def test_in_process_sequence_matches_fresh_processes(self, capsys):
+        argvs = ["solve --a x 1/3 1/5", "solve E6-II --format json", "list --max-rank 0", "solve E7-II --digits 4"]
+        for argv in argvs:
+            code = cli.main(argv.split())
+            out, err = capsys.readouterr()
+            res = run_cli(*argv.split())
+            assert (code, out, err) == (res.returncode, res.stdout, res.stderr), argv
+
+
 class TestUsage:
     def test_unknown_command(self):
         res = run_cli("frobnicate")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 import hashlib
 from math import isqrt
@@ -161,6 +162,11 @@ class TestEqualPairBranch:
 
 
 class TestGenericBranch:
+    def test_float_a_refused(self):
+        # a float stands for a binary fraction, not the decimal it shows
+        with pytest.raises(TrisymError, match="coefficient a = 0.25 is a float"):
+            generic_eliminants((0.25, F(1, 8), F(7, 24)))
+
     def test_counts(self):
         assert len(solve_einstein((F(5, 18), F(2, 9), F(1, 6)))) == 2
         assert len(solve_einstein((F(1, 4), F(1, 8), F(7, 24)))) == 2
@@ -634,12 +640,25 @@ class TestExactCheck:
             ((F(1), F(-1), F(1)), "metric coordinates must be positive"),
             ((F(1), 0.5, F(1)), "metric coordinate 0.5 is a float"),
             ((F(1), make_quadratic(F(1), F(-1), 2), F(1)), "metric coordinates must be positive"),
+            # edits of the coordinates of an interval solution of a generic triple
+            pytest.param(lambda x: (1.0, *x[1:]), "metric coordinate 1.0 is a float", id="interval-x1-float"),
+            pytest.param(lambda x: (F(0), *x[1:]), "metric coordinates must be positive", id="interval-x1-zero"),
+            pytest.param(
+                lambda x: (*x[:2], RootCoordinate(replace(x[2].interval, lo=F(0)))),
+                "metric coordinates must be positive",
+                id="interval-x3-box-from-zero",
+            ),
         ],
     )
     def test_hand_built_solution_errors(self, x, message):
-        sol = EinsteinSolution(x=x, branch=BRANCH_PAIR_LINEAR, residual_bound=F(0))
+        if callable(x):
+            a = (F(1, 4), F(1, 8), F(7, 24))
+            sol = solve_einstein(a)[0]
+            sol = replace(sol, x=x(sol.x))
+        else:
+            a, sol = (F(1, 3), F(1, 3), F(1, 5)), EinsteinSolution(x=x, branch=BRANCH_PAIR_LINEAR, residual_bound=F(0))
         with pytest.raises(TrisymError, match=message):
-            verify_solution((F(1, 3), F(1, 3), F(1, 5)), sol)
+            verify_solution(a, sol)
 
 
 class TestBudgets:
