@@ -25,13 +25,18 @@ Branches:
     their x2^2 terms to get a relation x2 * den(x3) = num(x3) with den linear,
     eliminate x2 by substituting num/den into G2 (the eliminant
     den^2 G2(num/den)), isolate the positive real roots of the squarefree
-    eliminant by Sturm bisection, and back-substitute through num/den, whose
-    range over an x3 box is computed in integers. The system is invariant
+    eliminant by Sturm bisection, and back-substitute through num/den. The
+    back-substitution loop runs on integer boxes, with no ``Fraction``
+    inside it: the x3 box stays as integer numerators over one denominator,
+    is bisected in place by ``polysolve.bisect_root``, and the range of
+    num/den over it and the x2 ends are integer pairs. The system is invariant
     under swapping x2, x3 together with a2, a3, so the x2 eliminant is the x3
-    eliminant of (a1, a3, a2). Roots where the pivot den vanishes (a single
-    rational point) are handled by solving the two univariate quadratics
-    there exactly. Every other positive root gives the real solution
-    (1, num/den, x3): x2 = num/den solves F2 = F3, and then
+    eliminant of (a1, a3, a2), read off the same rows with x2 and x3 swapped.
+    ``_difference_rows`` runs once per solve, and ``GenericEliminants`` keeps
+    it for the pivot, the residual bounds and refinement. Roots where the
+    pivot den vanishes (a single rational point) are handled by solving the
+    two univariate quadratics there exactly. Every other positive root gives
+    the real solution (1, num/den, x3): x2 = num/den solves F2 = F3, and then
     den x2 - num = c2 G1 - c1 G2 with c2 = L (a2 + a3) > 0 gives F1 = F3. By
     the x2 lemma its x2 is positive, except at x3 = 1 when a2 = 1/2 (skipped).
 
@@ -58,6 +63,9 @@ solves the system whenever a2 = 1/2.
 Interval solutions are tightened by one step, ``_tighten``: refine x3 below
 the target width and re-link x2 inside its current interval through num/den.
 ``refine_solution`` takes it once and ``verify_solution`` once per round.
+x1 is kept as given, so verification encloses the residual at the
+coordinates it was handed: an interval solution has a rational x1 beside
+interval x2 and x3, and any other shape raises ``TrisymError``.
 
 Verification works on the cleared form, in integers. For positive x,
 r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
@@ -100,13 +108,15 @@ from .intervals import eval_poly_range
 from .polysolve import (
     IsolatingInterval,
     Polynomial,
+    bisect_root,
     deflate_endpoint_roots,
     integer_numerators,
     isolate_real_roots,
-    isolates,
+    isolates_at,
     poly_gcd,
     refine_root,
     resultant,
+    root_box,
     squarefree_part,
 )
 from .surd import Exact, QuadraticSurd, exact_approx, exact_sign, integer_sign, roots_of_quadratic
@@ -271,14 +281,14 @@ def _residual_enclosure(scale: int, rows, ends) -> tuple[bool, int, int]:
     return excludes_zero, g_max * common, 2 * scale * lo[0] * lo[1] * lo[2]
 
 
-def _solves_exactly(a, x) -> bool:
-    """F1 = F2 = F3 at the positive exact metric x, in integers.
+def _solves_exactly(rows, x) -> bool:
+    """F1 = F2 = F3 at the positive exact metric x, in integers; ``rows`` from ``_difference_rows(a)``.
 
     Writes x_u = (P_u + Q_u sqrt d) / R over one R > 0, with d the one
     radicand of the surd coordinates (0 when all are rational) and Q_u = 0
     for a rational coordinate. R^2 x_s x_t is then
     (P_s P_t + Q_s Q_t d) + (P_s Q_t + Q_s P_t) sqrt d, so the rows of the
-    pairs (0, 1) and (0, 2) of ``_difference_rows`` give
+    pairs (0, 1) and (0, 2) of ``rows`` give
     L R^2 (F_i - F_j) = g + h sqrt d with integers g and h. As sqrt d is
     irrational (every ``QuadraticSurd`` is), F_i = F_j exactly when
     g = h = 0. Each x_u > 0 is decided by ``integer_sign``; no field product
@@ -299,7 +309,6 @@ def _solves_exactly(a, x) -> bool:
         raise TrisymError("metric coordinates must be positive")
     rational = [P[s] * P[t] + Q[s] * Q[t] * d for s, t in _MONOMIALS]
     irrational = [P[s] * Q[t] + Q[s] * P[t] for s, t in _MONOMIALS]
-    _, rows = _difference_rows(a)
     return all(
         sum(c * m for c, m in zip(row, rational)) == 0 == sum(c * m for c, m in zip(row, irrational))
         for row in rows[:2]  # the pairs (0, 1) and (0, 2) of _PAIRS
@@ -321,22 +330,22 @@ def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
     return vals
 
 
-def _exact_solution(a, triple: list[Exact], branch: str) -> EinsteinSolution:
+def _exact_solution(rows, triple: list[Exact], branch: str) -> EinsteinSolution:
     t0 = triple[0]
     x = (Fraction(1), triple[1] / t0, triple[2] / t0)
-    if not _solves_exactly(a, x):
+    if not _solves_exactly(rows, x):
         raise IntegrityError(f"branch {branch} produced a non-solution {x}")
     return EinsteinSolution(x=x, branch=branch, residual_bound=Fraction(0))
 
 
 def _solutions_all_equal(a: Fraction) -> list[EinsteinSolution]:
-    aa = (a, a, a)
-    out = [_exact_solution(aa, [Fraction(1)] * 3, BRANCH_STANDARD)]
+    rows = _difference_rows((a, a, a))[1]
+    out = [_exact_solution(rows, [Fraction(1)] * 3, BRANCH_STANDARD)]
     if a in (QUARTER, HALF):
         return out
     big, small = 1 - 2 * a, 2 * a
     for pat in ([big, small, small], [small, big, small], [small, small, big]):
-        out.append(_exact_solution(aa, pat, BRANCH_PAIR_LINEAR))
+        out.append(_exact_solution(rows, pat, BRANCH_PAIR_LINEAR))
     return out
 
 
@@ -352,6 +361,7 @@ def _pair_odd_index(a) -> int:
 def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
     i, j = [t for t in range(3) if t != k]
     a_pair, a_odd = a[i], a[k]
+    rows = _difference_rows(a)[1]
     out: list[EinsteinSolution] = []
 
     # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k (linear when a_odd = 1/2)
@@ -361,7 +371,7 @@ def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
         triple: list[Exact] = [Fraction(0)] * 3
         triple[i] = triple[j] = r
         triple[k] = Fraction(1)
-        out.append(_exact_solution(a, triple, BRANCH_PAIR_LINEAR))
+        out.append(_exact_solution(rows, triple, BRANCH_PAIR_LINEAR))
 
     # branch x_k = 2 a_pair (x_i + x_j): symmetric quadratic in q = x_i / x_j
     if a_pair != HALF:
@@ -374,7 +384,7 @@ def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
             triple[i] = q
             triple[j] = Fraction(1)
             triple[k] = 2 * a_pair * (q + 1)
-            out.append(_exact_solution(a, triple, BRANCH_PAIR_SUM))
+            out.append(_exact_solution(rows, triple, BRANCH_PAIR_SUM))
 
     return _dedupe_exact(out)
 
@@ -395,7 +405,9 @@ class GenericEliminants:
 
     x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero; num
     and den have integer values, and only their ratio matters. ``x3`` and
-    ``x2`` are the square-free eliminants in x3 and in x2.
+    ``x2`` are the square-free eliminants in x3 and in x2. ``cleared`` is
+    ``_difference_rows(a)``, which the pivot, the residual bounds and the
+    exact checks of the solve read.
     """
 
     a: tuple[Fraction, Fraction, Fraction]
@@ -403,17 +415,32 @@ class GenericEliminants:
     den: Polynomial
     x3: Polynomial
     x2: Polynomial
+    cleared: tuple[int, tuple[tuple[int, ...], ...]]
 
 
-def _forms(a) -> tuple[tuple[tuple[int, ...], ...], ...]:
+# the index in _MONOMIALS of the image of each monomial under x2 <-> x3
+_SWAP_X2_X3 = (0, 2, 1, 3, 5, 4)
+
+
+def _swapped_rows(rows):
+    """The rows of ``_difference_rows((a1, a3, a2))`` from those of a.
+
+    With x2, x3 swapped and a2, a3 swapped, F1 stays and F2, F3 trade places,
+    so the pairs (1, 2), (1, 3), (2, 3) become (1, 3), (1, 2) and minus (2, 3).
+    """
+    r12, r13, r23 = (tuple(r[i] for i in _SWAP_X2_X3) for r in rows)
+    return r13, r12, tuple(-c for c in r23)
+
+
+def _forms(rows) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """L (F1 - F3) and L (F2 - F3) at x1 = 1 as the integer (A, B, (c,)) of A(x3) + B(x3) x2 + c x2^2."""
     # rows (0, 2) and (1, 2) of _difference_rows; over _MONOMIALS, A is x1^2, x1 x3, x3^2; B x1 x2, x2 x3; c x2^2
-    return tuple(((r[0], r[4], r[2]), (r[5], r[3]), (r[1],)) for r in _difference_rows(a)[1][1:])
+    return tuple(((r[0], r[4], r[2]), (r[5], r[3]), (r[1],)) for r in rows[1:])
 
 
-def _eliminate_x2(a, name: str) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(num, den, eliminant in x3) for the triple ``a``."""
-    (A1, B1, (c1,)), (A2, B2, (c2,)) = _forms(a)
+def _eliminate_x2(rows, name: str) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(num, den, eliminant in x3) for the triple whose ``_difference_rows`` are ``rows``."""
+    (A1, B1, (c1,)), (A2, B2, (c2,)) = _forms(rows)
     # cancel x2^2: c2 L (F1 - F3) - c1 L (F2 - F3) = den(x3) x2 - num(x3)
     den = Polynomial(c2 * u - c1 * v for u, v in zip(B1, B2))
     num = Polynomial(c1 * u - c2 * v for u, v in zip(A2, A1))
@@ -431,19 +458,26 @@ def generic_eliminants(a) -> GenericEliminants:
     Swapping x2 with x3 and a2 with a3 exchanges F2 and F3, so it maps the
     ideal (F1 - F3, F2 - F3) to itself.
     """
-    num, den, elim3 = _eliminate_x2(a, "x3")
-    elim2 = _eliminate_x2((a[0], a[2], a[1]), "x2")[2]
-    return GenericEliminants(a, num, den, squarefree_part(elim3), squarefree_part(elim2))
+    cleared = _difference_rows(a)
+    num, den, elim3 = _eliminate_x2(cleared[1], "x3")
+    elim2 = _eliminate_x2(_swapped_rows(cleared[1]), "x2")[2]
+    return GenericEliminants(a, num, den, squarefree_part(elim3), squarefree_part(elim2), cleared)
 
 
 def _pivot_solutions_at(e: GenericEliminants, xi3: Fraction) -> list[EinsteinSolution]:
     """Exact solutions sitting at the rational pivot point x3 = xi3, if any."""
-    g = poly_gcd(*(Polynomial(Polynomial(part)(xi3) for part in f) for f in _forms(e.a)))
+    rows = e.cleared[1]
+    g = poly_gcd(*(Polynomial(Polynomial(part)(xi3) for part in f) for f in _forms(rows)))
     if g.degree < 1:
         return []
     roots = roots_of_quadratic(g[2], g[1], g[0])  # linear when g has degree 1
     # every real root y is positive by the x2 lemma, since xi3 != 1 when a1 != a3
-    return [_exact_solution(e.a, [Fraction(1), y, xi3], BRANCH_GENERIC) for y in roots]
+    return [_exact_solution(rows, [Fraction(1), y, xi3], BRANCH_GENERIC) for y in roots]
+
+
+def _below(u: tuple[int, int], v: tuple[int, int]) -> bool:
+    """u < v for rationals given as (numerator, positive denominator)."""
+    return u[0] * v[1] < v[0] * u[1]
 
 
 def _link_x2_interval(
@@ -465,36 +499,58 @@ def _link_x2_interval(
     elsewhere; an empty clip raises at once, since by that isotonicity no
     smaller x3 box can reopen it.
 
-    The ranges are exact integer computations (``eval_poly_range``) on num
-    and den cleared to one denominator and on the x3 box as numerators
-    [A, B] over one denominator M; one ``Fraction`` is built per x2 endpoint.
+    The loop runs in integers. The x3 box stays as numerators [A, B] over
+    one denominator M: ``root_box`` checks its ends once, before the first
+    bisection, and each iteration that fails halves the box twice with
+    ``bisect_root``, the kernel of ``refine_root``, so it visits the boxes
+    ``refine_root(iv3, iv3.width / 4)`` would return. The range of num/den
+    over the box is exact (``eval_poly_range``); its ends, the clip and the
+    width are compared as pairs (numerator, positive denominator), and the
+    x2 eliminant's Sturm chain is evaluated at them by ``isolates_at``.
+    ``Fraction``s are built only for the returned intervals, for errors, and
+    on an exact dyadic hit, where the iteration's box goes through
+    ``refine_root`` itself.
     """
     ints, _ = integer_numerators(e.num.coeffs + e.den.coeffs)  # num/den as a quotient of integer polynomials
     num_c, den_c = ints[: len(e.num.coeffs)], ints[len(e.num.coeffs) :]
+    p3 = iv3.poly
+    A, B, M, s3 = root_box(iv3)
+    if enclosing is not None:
+        e_lo = (enclosing.lo.numerator, enclosing.lo.denominator)
+        e_hi = (enclosing.hi.numerator, enclosing.hi.denominator)
     x2 = None
     for _ in range(_LINK_STEPS):
-        (A, B), M = integer_numerators((iv3.lo, iv3.hi))
         d_lo, d_hi, d_s = eval_poly_range(den_c, A, B, M)
         if d_lo > 0 or d_hi < 0:
             n_lo, n_hi, n_s = eval_poly_range(num_c, A, B, M)
             if d_hi < 0:  # num/den = (-num)/(-den), with -den positive on the box
                 n_lo, n_hi, d_lo, d_hi = -n_hi, -n_lo, -d_hi, -d_lo
             # each end of num/den divides by the end of den that makes it extreme
-            lo = Fraction(n_lo * d_s, (d_hi if n_lo >= 0 else d_lo) * n_s)
-            hi = Fraction(n_hi * d_s, d_lo * n_s)
+            lo = (n_lo * d_s, (d_hi if n_lo >= 0 else d_lo) * n_s)
+            hi = (n_hi * d_s, d_lo * n_s)
             if enclosing is not None:
-                clip_lo, clip_hi = max(lo, enclosing.lo), min(hi, enclosing.hi)
-                if clip_lo >= clip_hi:
-                    shown = _format_widths({"x3": iv3.width, "x2 range": hi - lo, "enclosing x2": enclosing.width})
+                clip_lo = e_lo if _below(lo, e_lo) else lo
+                clip_hi = e_hi if _below(e_hi, hi) else hi
+                if not _below(clip_lo, clip_hi):
+                    x2_range = Fraction(*hi) - Fraction(*lo)
+                    shown = _format_widths({"x3": Fraction(B - A, M), "x2 range": x2_range, "enclosing x2": enclosing.width})
                     raise IntegrityError(f"x2 back-substitution: x2 range misses the enclosing x2 interval; widths: {shown}")
                 lo, hi = clip_lo, clip_hi
             x2 = lo, hi
-            if 0 < A and 0 < lo < hi and (width is None or hi - lo <= width) and isolates(e.x2, lo, hi):
-                return IsolatingInterval(lo, hi, e.x2), iv3
-        iv3 = refine_root(iv3, iv3.width / 4)
-    widths = {"x3": iv3.width}
+            # hi - lo <= width, as (hi_n lo_d - lo_n hi_d) / (lo_d hi_d)
+            narrow = width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width.denominator <= width.numerator * lo[1] * hi[1]
+            if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and isolates_at(e.x2, *lo, *hi):
+                iv2 = IsolatingInterval(Fraction(*lo), Fraction(*hi), e.x2)
+                return iv2, IsolatingInterval(Fraction(A, M), Fraction(B, M), p3)
+        box = A, B, M
+        A, B, M, hit = bisect_root(p3, s3, A, B, M, B - A, 4 * M)
+        if hit:  # refine_root carves an interval around the exact root, from this iteration's box
+            A, B, M = box
+            iv = refine_root(IsolatingInterval(Fraction(A, M), Fraction(B, M), p3), Fraction(B - A, 4 * M))
+            A, B, M, _ = root_box(iv)
+    widths = {"x3": Fraction(B - A, M)}
     if x2 is not None:
-        widths["x2 enclosure"] = x2[1] - x2[0]
+        widths["x2 enclosure"] = Fraction(*x2[1]) - Fraction(*x2[0])
     raise _budget_exhausted("x2 back-substitution", _LINK_STEPS, widths)
 
 
@@ -514,25 +570,28 @@ def _solutions_generic(a) -> list[EinsteinSolution]:
             continue  # the point (1, 0, 1), the one root with x2 = 0 (x2 lemma)
         iv2, iv3 = _link_x2_interval(e, iv3)
         x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
-        out.append(EinsteinSolution(x=x, branch=BRANCH_GENERIC, residual_bound=_residual_at_midpoint(a, x), _link=e))
+        out.append(EinsteinSolution(x=x, branch=BRANCH_GENERIC, residual_bound=_residual_at_midpoint(e.cleared, x), _link=e))
     return out
 
 
-def _residual_at_midpoint(a, x) -> Fraction:
-    """max |r_i - r_j| at the midpoint of the box ``x``, exactly: the enclosure of the point box."""
-    _, n, d = _residual_enclosure(*_difference_rows(a), [(m, m) for m in map(_coord_approx, x)])
+def _residual_at_midpoint(cleared, x) -> Fraction:
+    """max |r_i - r_j| at the midpoint of the box ``x``, exactly: the enclosure of the point box.
+
+    ``cleared`` is ``_difference_rows(a)``.
+    """
+    _, n, d = _residual_enclosure(*cleared, [(m, m) for m in map(_coord_approx, x)])
     return Fraction(n, d)
 
 
 def _tighten(x, e: Optional[GenericEliminants], width: Fraction):
-    """The interval coordinates ``x`` with x3 refined below ``width`` and x2 re-linked inside its interval."""
+    """``x`` with x3 refined below ``width`` and x2 re-linked inside its interval; x1 is kept as given."""
     if e is None:
         raise IntegrityError("interval solution without refinement data")
     iv2, iv3 = x[1].interval, x[2].interval
     if iv3.width > width:
         iv3 = refine_root(iv3, width)
     iv2, iv3 = _link_x2_interval(e, iv3, iv2, width)
-    return (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
+    return (x[0], RootCoordinate(iv2), RootCoordinate(iv3))
 
 
 def _sort_key(sol: EinsteinSolution):
@@ -559,7 +618,7 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
     if sol.is_exact:
         return sol
     x = _tighten(sol.x, sol._link, width)
-    return replace(sol, x=x, residual_bound=_residual_at_midpoint(sol._link.a, x))
+    return replace(sol, x=x, residual_bound=_residual_at_midpoint(sol._link.cleared, x))
 
 
 def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
@@ -585,10 +644,14 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     tol = _exact(tol, "tolerance")
     if tol <= 0:
         raise TrisymError(f"tolerance {tol} must be positive")
-    if sol.is_exact:
-        return _solves_exactly(a, sol.x)
     scale, rows = _difference_rows(a)
-    x = tuple(c if isinstance(c, RootCoordinate) else _exact(c, "metric coordinate") for c in sol.x)
+    if sol.is_exact:
+        return _solves_exactly(rows, sol.x)
+    x1, x2, x3 = sol.x
+    if isinstance(x1, (RootCoordinate, QuadraticSurd)) or not all(isinstance(c, RootCoordinate) for c in (x2, x3)):
+        shown = ", ".join(type(c).__name__ for c in sol.x)
+        raise TrisymError(f"an interval solution has a rational x1 and interval x2 and x3; got {shown}")
+    x = (_exact(x1, "metric coordinate"), x2, x3)
     for _ in range(_VERIFY_STEPS):
         ends = [(c.interval.lo, c.interval.hi) if isinstance(c, RootCoordinate) else (c, c) for c in x]
         excludes_zero, n, d = _residual_enclosure(scale, rows, ends)

@@ -20,7 +20,20 @@ each eliminant's sequence is computed once. `sturm_sequence` stays the
 `Fraction` definition, off the solve path.
 
 Intervals returned by the isolation routines are certified by a Sturm count
-of one, the test `isolates` makes. Elimination is by substitution: where one
+of one, the test `isolates` makes. It evaluates the chain once per endpoint
+and counts only when the chain's head, the square-free part, has opposite
+signs at the two ends: the head vanishes exactly at the roots, and a
+square-free polynomial changes sign across its one simple root in an
+isolating interval. `isolates_at` is the same test at integer pairs
+(numerator, positive denominator). `isolate_real_roots` carries the
+variation count of each bisection endpoint on its stack, so the chain is
+evaluated once per midpoint.
+
+Refinement is bisection of a box held as integer numerators a < b over one
+denominator m: `root_box` writes an isolating interval that way and checks
+the signs at its ends, and `bisect_root` halves it in place. `refine_root`
+is built on the two, and so is the solver's back-substitution loop, so
+there is one bisection loop. Elimination is by substitution: where one
 equation is linear in y, den * y = num, `resultant` puts y = num/den into the
 other and clears the denominator, in integers over one common denominator.
 Boxes become integer numerators over one denominator by `integer_numerators`,
@@ -421,9 +434,30 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
     return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
 
 
-def isolates(p: Polynomial, lo: Fraction, hi: Fraction) -> bool:
+def isolates(p: Polynomial, lo: RatLike, hi: RatLike) -> bool:
     """True when (lo, hi) is an isolating interval of ``p``: neither end a root, one root inside."""
-    return p.sign_at(lo) != 0 and p.sign_at(hi) != 0 and count_real_roots(p, lo, hi) == 1
+    lo, hi = Fraction(lo), Fraction(hi)
+    return isolates_at(p, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+
+def isolates_at(p: Polynomial, lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> bool:
+    """``isolates`` at lo = lo_n / lo_d and hi = hi_n / hi_d, with lo_d, hi_d > 0 and lo < hi.
+
+    The Sturm chain of the square-free part is evaluated once per endpoint.
+    Its head vanishes exactly at the roots of ``p``, and the count is
+    decided only when the head has opposite signs at the two ends: a
+    square-free polynomial changes sign across each simple root, so with
+    exactly one root inside, and neither end a root, the end signs differ.
+    """
+    if not lo_n * hi_d < hi_n * lo_d:
+        raise ValueError("degenerate interval: need lo < hi")
+    head, *rest = p._sturm_chain()
+    s_lo, s_hi = _horner_sign(head, lo_n, lo_d), _horner_sign(head, hi_n, hi_d)
+    if s_lo * s_hi >= 0:
+        return False
+    v_lo = _variations([s_lo, *(_horner_sign(q, lo_n, lo_d) for q in rest)])
+    v_hi = _variations([s_hi, *(_horner_sign(q, hi_n, hi_d) for q in rest)])
+    return v_lo - v_hi == 1
 
 
 @dataclass(frozen=True)
@@ -477,65 +511,87 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
     b = hi_f if hi_f is not None else bound
     if not a < b:
         return []
-    # the Cauchy bound itself is never a root; user endpoints were deflated
-    total = count_real_roots(sf, a, b)
+    # the Cauchy bound itself is never a root, and user endpoints were deflated; so
+    # is every pushed endpoint, and each carries its variation count
+    chain = sf._sturm_chain()
     out: list[IsolatingInterval] = []
-    stack = [(a, b, total)]
+    stack = [(a, b, _variations_at(chain, a), _variations_at(chain, b))]
     while stack:
-        s, t, n = stack.pop()
+        s, t, v_s, v_t = stack.pop()
+        n = v_s - v_t
         if n == 0:
             continue
         if n == 1:
             out.append(IsolatingInterval(s, t, sf))
             continue
         mid = (s + t) / 2
-        if sf.sign_at(mid) == 0:
+        signs = [_horner_sign(q, mid.numerator, mid.denominator) for q in chain]
+        if signs[0] == 0:
             iv = _shrunk_interval_around(sf, mid, min(mid - s, t - mid))
             out.append(iv)
-            n_left = count_real_roots(sf, s, iv.lo)
-            n_right = count_real_roots(sf, iv.hi, t)
-            if n_left:
-                stack.append((s, iv.lo, n_left))
-            if n_right:
-                stack.append((iv.hi, t, n_right))
+            stack.append((s, iv.lo, v_s, _variations_at(chain, iv.lo)))
+            stack.append((iv.hi, t, _variations_at(chain, iv.hi), v_t))
         else:
-            n_left = count_real_roots(sf, s, mid)
-            stack.append((s, mid, n_left))
-            stack.append((mid, t, n - n_left))
+            v_mid = _variations(signs)
+            stack.append((s, mid, v_s, v_mid))
+            stack.append((mid, t, v_mid, v_t))
     out.sort(key=lambda iv: iv.lo)
     return out
 
 
-def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
-    """Deterministic bisection down to the requested width; output nests in input.
+def root_box(iv: IsolatingInterval) -> tuple[int, int, int, int]:
+    """(a, b, m, s): the ends of ``iv`` as integer numerators a < b over one m > 0, and the sign at a/m.
 
-    The endpoints are kept as integer numerators A < B over a shared
-    denominator M; halving maps (A, B, M) to (2A, A + B, 2M) or
-    (A + B, 2B, 2M), so they are the dyadic points a Fraction bisection
-    would visit.
+    Raises ``IntegrityError`` unless ``iv.poly`` has nonzero, opposite signs
+    at the two ends.
     """
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
-    p = iv.poly
-    ints = p._int_coeffs()
+    ints = iv.poly._int_coeffs()
     (a, b), m = integer_numerators((iv.lo, iv.hi))
     s_lo, s_hi = _horner_sign(ints, a, m), _horner_sign(ints, b, m)
     if s_lo == 0 or s_hi == 0:
         raise IntegrityError("isolating interval endpoints must not be roots")
     if s_lo == s_hi:
         raise IntegrityError("isolating interval endpoints must straddle the root")
-    wn, wd = width.numerator, width.denominator
-    while (b - a) * wd > wn * m:  # (b - a) / m > width
+    return a, b, m, s_lo
+
+
+def bisect_root(p: Polynomial, s_lo: int, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int, bool]:
+    """Halve the box [a/m, b/m] around the root of ``p`` in it until (b - a) / m <= wn / wd.
+
+    ``s_lo`` is the sign of p at a/m, and p has the other sign at b/m. Halving
+    maps (a, b, m) to (2a, a + b, 2m) or (a + b, 2b, 2m), so the ends are the
+    dyadic points a ``Fraction`` bisection would visit. Returns (a, b, m, hit):
+    hit when the midpoint (a + b) / (2m) of the returned box is itself a root,
+    found exactly, and the box was not halved further.
+    """
+    ints = p._int_coeffs()
+    while (b - a) * wd > wn * m:
         mid = a + b
         s_mid = _horner_sign(ints, mid, 2 * m)
         if s_mid == 0:
-            return _shrunk_interval_around(p, Fraction(mid, 2 * m), Fraction(b - a, 2 * m), width)
+            return a, b, m, True
         if s_mid == s_lo:
             a, b = mid, 2 * b
         else:
             a, b = 2 * a, mid
         m *= 2
+    return a, b, m, False
+
+
+def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
+    """Deterministic bisection down to the requested width; output nests in input.
+
+    The box goes through ``root_box`` and ``bisect_root`` in integers. On an
+    exact hit the root gets a certified interval of its own around it.
+    """
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError("width must be positive")
+    p = iv.poly
+    a, b, m, s_lo = root_box(iv)
+    a, b, m, hit = bisect_root(p, s_lo, a, b, m, width.numerator, width.denominator)
+    if hit:
+        return _shrunk_interval_around(p, Fraction(a + b, 2 * m), Fraction(b - a, 2 * m), width)
     return IsolatingInterval(Fraction(a, m), Fraction(b, m), p)
 
 

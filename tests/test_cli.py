@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from trisym import cli
+from trisym.cases import enumerate_cases
 
 
 def run_cli(*args):
@@ -164,6 +165,21 @@ class TestSolve:
         monkeypatch.setattr(cli, "solve_case", no_solve)
         assert cli.main(["solve", *selector, f"--tol={tol}"]) == 1
         assert f"usage error: {message}" in capsys.readouterr().err
+
+    # sha256 over the stdout, in catalog order, of `solve <label> [--l/--i/--j as listed] --format json`
+    # for every catalog entry to rank 12 (the inputs of the catalog-solve benchmark), recorded before
+    # the certification loop moved onto integer boxes
+    CATALOG_DIGEST = "1a128be85ed2a16ce56a4bbe31c0534e4f8faec2f1bec608ac6e1bdcdaaa4dc4"
+
+    def test_catalog_output_bytes_pinned(self, capsys):
+        digest, runs = hashlib.sha256(), 0
+        for case in enumerate_cases(12):
+            argv = ["solve", case.type_label, *(t for k, v in case.params for t in (f"--{k}", str(v))), "--format", "json"]
+            assert cli.main(argv) == 0, argv
+            digest.update(capsys.readouterr().out.encode())
+            runs += 1
+        assert runs == 617
+        assert digest.hexdigest() == self.CATALOG_DIGEST
 
     @pytest.mark.parametrize("extra", [("E7-II",), ("--l", "3"), ("--k", "2"), ("--max-rank", "3")])
     def test_a_excludes_a_case(self, extra):

@@ -28,7 +28,15 @@ from trisym.einstein import (
     verify_solution,
 )
 from trisym.errors import IntegrityError, NotApplicable, TrisymError
-from trisym.polysolve import Polynomial, integer_numerators, squarefree_part
+from trisym.polysolve import (
+    IsolatingInterval,
+    Polynomial,
+    integer_numerators,
+    isolate_real_roots,
+    isolates,
+    refine_root,
+    squarefree_part,
+)
 from trisym.surd import QuadraticSurd, make_quadratic
 
 from test_intervals import fraction_range
@@ -564,6 +572,10 @@ def exact_solutions(a):
         return [s.x for s in solve_einstein(a) if s.is_exact]
 
 
+def solves_exactly(a, x):
+    return einstein._solves_exactly(einstein._difference_rows(a)[1], x)
+
+
 class TestExactCheck:
     """The integer kernel ``_solves_exactly`` against F1 = F2 = F3 in field arithmetic."""
 
@@ -572,7 +584,7 @@ class TestExactCheck:
         sols = exact_solutions(a)
         assume(sols)
         for x in sols:
-            assert einstein._solves_exactly(a, x) is True
+            assert solves_exactly(a, x) is True
             assert cleared_reference(a, x)
 
     @given(exact_triples(), st.data())
@@ -590,7 +602,7 @@ class TestExactCheck:
         # another solution can differ from x in one coordinate by delta: (1, 1, 1) and
         # (1, 11/10, 1) for a = 5/21, so compare with all of them after normalizing
         assume(all(y[1] / y[0] != z[1] or y[2] / y[0] != z[2] for z in sols))
-        assert einstein._solves_exactly(a, tuple(y)) is False
+        assert solves_exactly(a, tuple(y)) is False
         assert cleared_reference(a, tuple(y)) is False
 
     @given(exact_triples().filter(lambda a: len(set(a)) < 3), st.data())
@@ -599,7 +611,7 @@ class TestExactCheck:
         k = data.draw(st.integers(0, 2)) if k < 0 else k
         perturbed = tuple(v - F(1, 10**12) if t == k else v for t, v in enumerate(a))
         for x in exact_solutions(a):
-            assert einstein._solves_exactly(perturbed, x) is False
+            assert solves_exactly(perturbed, x) is False
             assert cleared_reference(perturbed, x) is False
 
     @given(exact_a.filter(lambda v: v not in (F(1, 4), HALF)), st.data())
@@ -608,7 +620,7 @@ class TestExactCheck:
         # G(u) + 2 G(v) of each cleared difference G vanishes, the sqrt 2 part does not
         u, v = data.draw(st.permutations(exact_solutions((a,) * 3)))[:2]
         x = tuple(make_quadratic(s, t, 2) for s, t in zip(u, v))
-        assert einstein._solves_exactly((a,) * 3, x) is False
+        assert solves_exactly((a,) * 3, x) is False
         assert cleared_reference((a,) * 3, x) is False
 
     def test_no_field_arithmetic(self, monkeypatch):
@@ -627,7 +639,7 @@ class TestExactCheck:
                 monkeypatch.setattr(cls, name, refuse)
         for a, sols in cases:
             for s in sols:
-                assert einstein._solves_exactly(a, s.x) is True
+                assert solves_exactly(a, s.x) is True
                 assert verify_solution(a, s) is True
 
     @pytest.mark.parametrize(
@@ -644,6 +656,16 @@ class TestExactCheck:
             pytest.param(lambda x: (1.0, *x[1:]), "metric coordinate 1.0 is a float", id="interval-x1-float"),
             pytest.param(lambda x: (F(0), *x[1:]), "metric coordinates must be positive", id="interval-x1-zero"),
             pytest.param(
+                lambda x: (1 + make_quadratic(F(0), F(1, 10), 2), *x[1:]),
+                "rational x1 and interval x2 and x3; got QuadraticSurd, RootCoordinate, RootCoordinate",
+                id="interval-x1-surd",
+            ),
+            pytest.param(
+                lambda x: (x[0], F(1), x[2]),
+                "rational x1 and interval x2 and x3; got Fraction, Fraction, RootCoordinate",
+                id="interval-x2-rational",
+            ),
+            pytest.param(
                 lambda x: (*x[:2], RootCoordinate(replace(x[2].interval, lo=F(0)))),
                 "metric coordinates must be positive",
                 id="interval-x3-box-from-zero",
@@ -659,6 +681,119 @@ class TestExactCheck:
             a, sol = (F(1, 3), F(1, 3), F(1, 5)), EinsteinSolution(x=x, branch=BRANCH_PAIR_LINEAR, residual_bound=F(0))
         with pytest.raises(TrisymError, match=message):
             verify_solution(a, sol)
+
+
+class TestIntervalSolutionAsGiven:
+    """verify_solution encloses the residual at the coordinates it is given, x1 included."""
+
+    A = (F(1, 4), F(1, 8), F(7, 24))
+
+    @pytest.mark.parametrize("tol", [F(1, 10**20), F(1, 10**3)])
+    def test_wrong_x1_is_rejected(self, tol):
+        for s in solve_einstein(self.A):
+            assert verify_solution(self.A, replace(s, x=(F(1001, 1000), *s.x[1:])), tol) is False
+
+    @given(
+        st.tuples(admissible_a, admissible_a, admissible_a).filter(lambda a: len(set(a)) == 3),
+        st.fractions(min_value=F(1, 10**6), max_value=F(1, 10), max_denominator=10**7),
+        st.booleans(),
+    )
+    def test_any_shifted_x1_is_rejected(self, a, delta, negative):
+        sols = [s for s in solve_einstein(a) if not s.is_exact]
+        assume(sols)
+        x1 = 1 - delta if negative else 1 + delta
+        for s in sols:
+            assert verify_solution(a, replace(s, x=(x1, *s.x[1:])), F(1, 10**20)) is False
+
+
+class TestDifferenceRows:
+    @given(st.tuples(kernel_a, kernel_a, kernel_a))
+    def test_swapped_rows_are_those_of_the_swapped_triple(self, a):
+        assert einstein._swapped_rows(einstein._difference_rows(a)[1]) == einstein._difference_rows((a[0], a[2], a[1]))[1]
+
+    @pytest.mark.parametrize(
+        "a", [(F(1, 4), F(1, 8), F(7, 24)), (F(1, 6), F(1, 8), F(5, 24)), (F(4, 15), F(1, 5), F(1, 5)), (F(2, 9),) * 3]
+    )
+    def test_computed_once_per_solve(self, a, monkeypatch):
+        calls = []
+        rows = einstein._difference_rows
+
+        def counted(b):
+            calls.append(b)
+            return rows(b)
+
+        monkeypatch.setattr(einstein, "_difference_rows", counted)
+        sols = solve_einstein(a)
+        assert sols and len(calls) == 1
+        for s in sols:
+            refine_solution(s, F(1, 10**30))
+        assert len(calls) == 1
+
+
+def reference_link(e, iv3, enclosing=None, width=None):
+    """The x2 link in Fractions: num/den over the x3 box, then ``refine_root(iv3, iv3.width / 4)``."""
+    for _ in range(einstein._LINK_STEPS):
+        (n_lo, n_hi), (d_lo, d_hi) = (fraction_range(p.coeffs, iv3.lo, iv3.hi) for p in (e.num, e.den))
+        if d_lo > 0 or d_hi < 0:
+            quotients = [n / d for n in (n_lo, n_hi) for d in (d_lo, d_hi)]
+            lo, hi = min(quotients), max(quotients)
+            if enclosing is not None:
+                lo, hi = max(lo, enclosing.lo), min(hi, enclosing.hi)
+            if 0 < iv3.lo and 0 < lo < hi and (width is None or hi - lo <= width) and isolates(e.x2, lo, hi):
+                return (lo, hi), (iv3.lo, iv3.hi)
+        iv3 = refine_root(iv3, iv3.width / 4)
+    raise AssertionError("reference link ran out of steps")
+
+
+def link_ends(e, iv3, enclosing=None, width=None):
+    iv2, iv3 = einstein._link_x2_interval(e, iv3, enclosing, width)
+    return (iv2.lo, iv2.hi), (iv3.lo, iv3.hi)
+
+
+class TestLink:
+    """The link bisects the x3 box in integers through the same boxes as ``refine_root``."""
+
+    A = (F(1, 4), F(1, 8), F(7, 24))
+
+    @pytest.mark.parametrize("a", [A, (F(5, 18), F(2, 9), F(1, 6)), *EDGE_TRIPLES[:6]])
+    def test_same_intervals_as_refine_root(self, a):
+        e = generic_eliminants(a)
+        for iv3 in isolate_real_roots(e.x3, 0, None):
+            if a[1] == HALF and iv3.lo < 1 < iv3.hi:
+                continue
+            assert link_ends(e, iv3) == reference_link(e, iv3)
+            iv2 = einstein._link_x2_interval(e, iv3)[0]
+            for width in (F(1, 10**10), F(1, 10**50)):
+                start = refine_root(iv3, width)
+                assert link_ends(e, start, iv2, width) == reference_link(e, start, iv2, width)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exact_dyadic_hit(self, k, monkeypatch):
+        # a hand-built x3 box whose polynomial x - c has its root at the first midpoint
+        e = generic_eliminants(self.A)
+        calls = []
+
+        def counted(iv, width):
+            calls.append(iv)
+            return refine_root(iv, width)
+
+        for s in solve_einstein(self.A):
+            c = refine_solution(s, F(1, 2**40)).x[2].interval.lo
+            box = IsolatingInterval(c - F(1, 2**k), c + F(1, 2**k), Polynomial((-c, 1)))
+            expected = reference_link(e, box)
+            calls.clear()
+            monkeypatch.setattr(einstein, "refine_root", counted)
+            assert link_ends(e, box) == expected
+            monkeypatch.undo()
+            assert calls == [box]  # the hit falls back to refine_root from the iteration's box
+
+    def test_ends_that_do_not_straddle_the_root(self):
+        e = generic_eliminants(self.A)
+        iv3 = solve_einstein(self.A)[0].x[2].interval
+        beside = IsolatingInterval(iv3.hi, iv3.hi + iv3.width, iv3.poly)
+        assert iv3.poly.sign_at(beside.lo) == iv3.poly.sign_at(beside.hi) != 0
+        with pytest.raises(IntegrityError, match="^isolating interval endpoints must straddle the root$"):
+            einstein._link_x2_interval(e, beside)
 
 
 class TestBudgets:

@@ -7,14 +7,19 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from trisym import polysolve
+from trisym.errors import IntegrityError
 from trisym.polysolve import (
     IsolatingInterval,
     Polynomial,
+    bisect_root,
     count_real_roots,
     isolate_real_roots,
+    isolates,
+    isolates_at,
     poly_gcd,
     refine_root,
     resultant,
+    root_box,
     squarefree_part,
     sturm_sequence,
 )
@@ -440,3 +445,69 @@ class TestRemainderSequence:
         assert sf.leading == 1 and sf._chain is not None
         monkeypatch.undo()
         assert sf._sturm_chain() == tuple(q._int_coeffs() for q in sturm_sequence(p))
+
+
+# -- the kernels shared with the x2 link ---------------------------------------
+
+integer_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=8).map(lambda c: poly(*c)).filter(
+    lambda p: not p.is_zero
+)
+finite_endpoints = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=8),
+    st.integers(-5 * 10**30, 5 * 10**30).map(lambda n: F(n, 10**30 + 7)),
+)
+
+
+class TestSharedKernels:
+    @given(st.one_of(integer_polys, repeated_root_polys, sparse_polys()), st.data())
+    def test_isolates_is_its_definition(self, p, data):
+        # endpoints often sit on rational roots of p
+        ends = st.one_of(finite_endpoints, st.sampled_from(_rational_roots(p) or [F(0)]))
+        lo, hi = data.draw(ends), data.draw(ends)
+        assume(lo < hi)
+        expected = p.sign_at(lo) != 0 and p.sign_at(hi) != 0 and count_real_roots(p, lo, hi) == 1
+        assert isolates(p, lo, hi) is expected
+        assert isolates_at(p, lo.numerator, lo.denominator, hi.numerator, hi.denominator) is expected
+
+    def test_isolates_needs_lo_below_hi(self):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            isolates(poly(-2, 0, 1), F(2), F(1))
+
+    @given(repeated_root_polys, st.integers(1, 60))
+    def test_bisect_root_gives_the_fraction_bisection(self, p, bits):
+        width = F(1, 2**bits)
+        for iv in isolate_real_roots(p):
+            a, b, m, s_lo = root_box(iv)
+            assert (F(a, m), F(b, m)) == (iv.lo, iv.hi) and s_lo == iv.poly.sign_at(iv.lo)
+            a, b, m, hit = bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator)
+            lo, hi = ref_refine(iv.poly, iv.lo, iv.hi, width)
+            if hit:  # the reference carves its interval around the same exact root
+                assert iv.poly(F(a + b, 2 * m)) == 0 and lo < F(a + b, 2 * m) < hi
+            else:
+                assert (F(a, m), F(b, m)) == (lo, hi)
+
+    @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
+    def test_bisect_root_stops_at_an_exact_hit(self, root, k, bits, c):
+        p = poly(-root, 1) * (poly(1) if c is None else poly(-c, 0, 1))
+        d = F(1, 2**k)
+        assume(isolates(p, root - d, root + d))
+        iv = IsolatingInterval(root - d, root + d, p)
+        a, b, m, s_lo = root_box(iv)
+        width = F(1, 2**bits)
+        got = bisect_root(p, s_lo, a, b, m, width.numerator, width.denominator)
+        if 2 * d <= width:
+            assert got == (a, b, m, False)
+        else:  # the first midpoint is the root: the box comes back as it went in
+            assert got == (a, b, m, True)
+            assert (refine_root(iv, width).lo, refine_root(iv, width).hi) == ref_refine(p, iv.lo, iv.hi, width)
+
+    @pytest.mark.parametrize(
+        "iv, message",
+        [
+            (IsolatingInterval(F(1), F(2), poly(-1, 0, 1)), "must not be roots"),
+            (IsolatingInterval(F(2), F(3), poly(-2, 0, 1)), "must straddle the root"),
+        ],
+    )
+    def test_root_box_checks_the_ends(self, iv, message):
+        with pytest.raises(IntegrityError, match=message):
+            root_box(iv)
