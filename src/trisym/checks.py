@@ -138,9 +138,8 @@ def _rational_pattern(a: Fraction) -> set[tuple[Fraction, Fraction, Fraction]]:
 
 
 def _proportional(p: Polynomial, q: Polynomial) -> bool:
-    if p.degree != q.degree or p.is_zero or q.is_zero:
-        return False
-    return p.scale(q.leading) == q.scale(p.leading)
+    """p = c q for a rational c != 0: their primitive integer coefficients agree up to sign."""
+    return not p.is_zero and p.ints in (q.ints, tuple(-v for v in q.ints))
 
 
 # -- table checks ------------------------------------------------------------
@@ -364,7 +363,7 @@ def check_quartic_eliminants() -> list[CheckResult]:
             data = coefficients_for_case(_the_case(label))
             got = generic_eliminants(data.a).x3
             if not _proportional(got, want):
-                raise AssertionError(f"{label}: {got.primitive().coeffs}")
+                raise AssertionError(f"{label}: {got.ints}")
         return None
 
     out.append(_result("E6-III and E7-II eliminants match the reference quartics", fixed_quartics))
@@ -375,7 +374,7 @@ def check_quartic_eliminants() -> list[CheckResult]:
             got = generic_eliminants(data.a).x3
             want = a_ii_quartic(k)
             if not _proportional(got, squarefree_part(want)):
-                raise AssertionError(f"k={k}: {got.primitive().coeffs}")
+                raise AssertionError(f"k={k}: {got.ints}")
         return f"k = 2..10"
 
     out.append(_result("A-II eliminant matches the symbolic quartic", a_ii_quartics))

@@ -110,6 +110,7 @@ from .polysolve import (
     Polynomial,
     bisect_root,
     deflate_endpoint_roots,
+    exact_rational,
     integer_numerators,
     isolate_real_roots,
     isolates_at,
@@ -244,7 +245,7 @@ def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(L, rows): L the lcm of the denominators of ``a``, and for each of ``_PAIRS``
     the integer coefficients of L (F_i - F_j) = L (P_i - P_j) + n_i Q_i - n_j Q_j
     over ``_MONOMIALS``, where n_i = L a_i."""
-    nums, scale = integer_numerators(_exact(v, "coefficient a =") for v in a)
+    nums, scale = integer_numerators(exact_rational(v, "coefficient a =") for v in a)
     forms = [tuple(scale * p + n * q for p, q in zip(free, slope)) for (free, slope), n in zip(_AFFINE_PARTS, nums)]
     return scale, tuple(tuple(p - q for p, q in zip(forms[i], forms[j])) for i, j in _PAIRS)
 
@@ -302,7 +303,7 @@ def _solves_exactly(rows, x) -> bool:
             d = c.d
             parts += (c.p, c.q)
         else:
-            parts += (_exact(c, "metric coordinate"), 0)
+            parts += (exact_rational(c, "metric coordinate"), 0)
     nums, _ = integer_numerators(parts)
     P, Q = nums[0::2], nums[1::2]
     if any(integer_sign(p, q, d) <= 0 for p, q in zip(P, Q)):
@@ -315,15 +316,8 @@ def _solves_exactly(rows, x) -> bool:
     )
 
 
-def _exact(v, what: str) -> Fraction:
-    """``v`` as a Fraction; a float is refused, since it stands for a binary fraction, not the decimal it shows."""
-    if isinstance(v, float):
-        raise TrisymError(f"{what} {v!r} is a float; give an int, a Fraction or a 'p/q' string")
-    return Fraction(v)
-
-
 def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
-    vals = tuple(_exact(v, "coefficient a =") for v in a)
+    vals = tuple(exact_rational(v, "coefficient a =") for v in a)
     for v in vals:
         if not (0 < v <= HALF):
             raise TrisymError(f"coefficient a = {v} outside (0, 1/2]")
@@ -403,16 +397,18 @@ def _dedupe_exact(sols: list[EinsteinSolution]) -> list[EinsteinSolution]:
 class GenericEliminants:
     """Elimination data of the all-distinct branch at x1 = 1 for the triple ``a``.
 
-    x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero; num
-    and den have integer values, and only their ratio matters. ``x3`` and
-    ``x2`` are the square-free eliminants in x3 and in x2. ``cleared`` is
-    ``_difference_rows(a)``, which the pivot, the residual bounds and the
-    exact checks of the solve read.
+    x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero.
+    ``num`` and ``den`` are ascending integer coefficients, as
+    ``_eliminate_x2`` forms them: each keeps the common scale of the rows,
+    since only their ratio matters, and reducing each one to its primitive
+    part would change it. ``x3`` and ``x2`` are the square-free eliminants
+    in x3 and in x2. ``cleared`` is ``_difference_rows(a)``, which the
+    pivot, the residual bounds and the exact checks of the solve read.
     """
 
     a: tuple[Fraction, Fraction, Fraction]
-    num: Polynomial
-    den: Polynomial
+    num: tuple[int, ...]
+    den: tuple[int, ...]
     x3: Polynomial
     x2: Polynomial
     cleared: tuple[int, tuple[tuple[int, ...], ...]]
@@ -438,15 +434,15 @@ def _forms(rows) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(((r[0], r[4], r[2]), (r[5], r[3]), (r[1],)) for r in rows[1:])
 
 
-def _eliminate_x2(rows, name: str) -> tuple[Polynomial, Polynomial, Polynomial]:
+def _eliminate_x2(rows, name: str) -> tuple[tuple[int, ...], tuple[int, ...], Polynomial]:
     """(num, den, eliminant in x3) for the triple whose ``_difference_rows`` are ``rows``."""
     (A1, B1, (c1,)), (A2, B2, (c2,)) = _forms(rows)
     # cancel x2^2: c2 L (F1 - F3) - c1 L (F2 - F3) = den(x3) x2 - num(x3)
-    den = Polynomial(c2 * u - c1 * v for u, v in zip(B1, B2))
-    num = Polynomial(c1 * u - c2 * v for u, v in zip(A2, A1))
-    if den.degree != 1:
+    den = tuple(c2 * u - c1 * v for u, v in zip(B1, B2))
+    num = tuple(c1 * u - c2 * v for u, v in zip(A2, A1))
+    if not den[1]:
         raise IntegrityError("pivot polynomial is not linear")
-    elim = resultant((Polynomial(A2), Polynomial(B2), Polynomial((c2,))), num, den)
+    elim = resultant((Polynomial(A2), Polynomial(B2), Polynomial((c2,))), Polynomial(num), Polynomial(den))
     if elim.is_zero:
         raise IntegrityError(f"{name} eliminant vanished identically")
     return num, den, elim
@@ -511,8 +507,6 @@ def _link_x2_interval(
     on an exact dyadic hit, where the iteration's box goes through
     ``refine_root`` itself.
     """
-    ints, _ = integer_numerators(e.num.coeffs + e.den.coeffs)  # num/den as a quotient of integer polynomials
-    num_c, den_c = ints[: len(e.num.coeffs)], ints[len(e.num.coeffs) :]
     p3 = iv3.poly
     A, B, M, s3 = root_box(iv3)
     if enclosing is not None:
@@ -520,9 +514,9 @@ def _link_x2_interval(
         e_hi = (enclosing.hi.numerator, enclosing.hi.denominator)
     x2 = None
     for _ in range(_LINK_STEPS):
-        d_lo, d_hi, d_s = eval_poly_range(den_c, A, B, M)
+        d_lo, d_hi, d_s = eval_poly_range(e.den, A, B, M)
         if d_lo > 0 or d_hi < 0:
-            n_lo, n_hi, n_s = eval_poly_range(num_c, A, B, M)
+            n_lo, n_hi, n_s = eval_poly_range(e.num, A, B, M)
             if d_hi < 0:  # num/den = (-num)/(-den), with -den positive on the box
                 n_lo, n_hi, d_lo, d_hi = -n_hi, -n_lo, -d_hi, -d_lo
             # each end of num/den divides by the end of den that makes it extreme
@@ -559,7 +553,7 @@ def _solutions_generic(a) -> list[EinsteinSolution]:
     out: list[EinsteinSolution] = []
 
     # pivot point of the back-substitution: single rational root of den
-    xi = -e.den[0] / e.den[1]
+    xi = Fraction(-e.den[0], e.den[1])
     remaining = e.x3
     if remaining.sign_at(xi) == 0:
         out.extend(_pivot_solutions_at(e, xi))
@@ -612,7 +606,7 @@ def solve_einstein(a) -> list[EinsteinSolution]:
 
 def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
     """Shrink interval coordinates below ``width``, which must be positive; exact solutions pass through."""
-    width = _exact(width, "width")
+    width = exact_rational(width, "width")
     if width <= 0:
         raise TrisymError(f"width {width} must be positive")
     if sol.is_exact:
@@ -641,7 +635,7 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     comes back depends on the enclosure and the tightening path.
     """
     a = _validate_a(a)
-    tol = _exact(tol, "tolerance")
+    tol = exact_rational(tol, "tolerance")
     if tol <= 0:
         raise TrisymError(f"tolerance {tol} must be positive")
     scale, rows = _difference_rows(a)
@@ -651,7 +645,7 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     if isinstance(x1, (RootCoordinate, QuadraticSurd)) or not all(isinstance(c, RootCoordinate) for c in (x2, x3)):
         shown = ", ".join(type(c).__name__ for c in sol.x)
         raise TrisymError(f"an interval solution has a rational x1 and interval x2 and x3; got {shown}")
-    x = (_exact(x1, "metric coordinate"), x2, x3)
+    x = (exact_rational(x1, "metric coordinate"), x2, x3)
     for _ in range(_VERIFY_STEPS):
         ends = [(c.interval.lo, c.interval.hi) if isinstance(c, RootCoordinate) else (c, c) for c in x]
         excludes_zero, n, d = _residual_enclosure(scale, rows, ends)

@@ -1,23 +1,30 @@
 """Exact univariate polynomial algebra over rationals.
 
 Everything in the certification path (Sturm sequences, root counting,
-isolation, refinement, elimination) is exact; floating point never enters.
-Polynomials hold `fractions.Fraction` coefficients, but the solve path works
-on integer forms: each polynomial keeps a positive integer multiple of
-itself, and the sign of p at n/d (d > 0) is the sign of the homogenised
-integer sum c_k n^k + c_{k-1} n^(k-1) d + ... + c_0 d^k, evaluated by Horner's
-rule.
+isolation, refinement, elimination) is exact; floating point never enters,
+and every public entry point refuses a float (``exact_rational``).
+
+A polynomial is stored as content * ints: ``ints`` its primitive integer
+coefficients (gcd 1, sign kept) and ``content`` one positive ``Fraction``,
+from which the ``Fraction`` coefficients are derived. No ``Fraction``
+arithmetic on polynomials is left; every routine reads ``ints``. The sign of
+p at n/d (d > 0) is that of the homogenised integer sum
+c_k n^k + c_{k-1} n^(k-1) d + ... + c_0 d^k, by Horner's rule. Exact
+division is integer long division: by Gauss's lemma an exact quotient of
+primitive integer polynomials is a primitive integer polynomial (Knuth,
+TAOCP vol. 2, 4.6.1).
 
 Square-free parts, gcds and Sturm chains come from one integer remainder
 sequence, `_remainder_sequence`, of primitive pseudo-remainders. With
 b = lead(B), prem(A, B) = b^s rem(A, B) for the number s of reduction steps
 actually taken (fewer than deg A - deg B + 1 when a leading coefficient
 cancels on its own), so -sign(b)^s prem(A, B) is a positive multiple of
--rem(A, B), and every element is the integer form of the `Fraction` one,
-sign kept. `squarefree_part` runs the sequence of (p, p') once: when it ends
-in a constant it is also the Sturm chain of the part, which keeps it, so
-each eliminant's sequence is computed once. `sturm_sequence` stays the
-`Fraction` definition, off the solve path.
+-rem(A, B), and every element is a positive multiple of the rational one.
+`squarefree_part` runs the sequence of (p, p') once: when it ends in a
+constant it is also the Sturm chain of the part, which keeps it, so each
+eliminant's sequence is computed once. `sturm_sequence` returns that chain,
+each element a positive multiple of the textbook one; a Sturm count reads
+only signs, so its counts are the textbook ones.
 
 Intervals returned by the isolation routines are certified by a Sturm count
 of one, the test `isolates` makes. It evaluates the chain once per endpoint
@@ -35,13 +42,13 @@ the signs at its ends, and `bisect_root` halves it in place. `refine_root`
 is built on the two, and so is the solver's back-substitution loop, so
 there is one bisection loop. Elimination is by substitution: where one
 equation is linear in y, den * y = num, `resultant` puts y = num/den into the
-other and clears the denominator, in integers over one common denominator.
-Boxes become integer numerators over one denominator by `integer_numerators`,
-the one place that step is written.
+other and clears the denominator, in integers over one common denominator
+of the contents. Boxes become integer numerators over one denominator by
+`integer_numerators`, the one place that step is written.
 
 Conventions:
-  * coefficients are stored densely in ascending order, no trailing zeros;
-  * the zero polynomial has degree -1;
+  * coefficients are in ascending order, no trailing zeros;
+  * the zero polynomial has degree -1, no ``ints`` and content 1;
   * open-interval semantics everywhere: a root sitting exactly on a finite
     endpoint is divided out before counting, so it is never included.
 """
@@ -54,9 +61,18 @@ from itertools import zip_longest
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import IntegrityError
+from .errors import IntegrityError, TrisymError
 
-RatLike = Union[int, Fraction]
+RatLike = Union[int, Fraction, str]
+
+_ONE = Fraction(1)
+
+
+def exact_rational(v, what: str) -> Fraction:
+    """``v`` as a Fraction; a float is refused, since it stands for a binary fraction, not the decimal it shows."""
+    if isinstance(v, float):
+        raise TrisymError(f"{what} {v!r} is a float; give an int, a Fraction or a 'p/q' string")
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def integer_numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -89,177 +105,111 @@ def _variations(values: Iterable[int]) -> int:
 
 
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial over the rationals, stored as ``content * ints``.
 
-    Derived data is filled in on first use and kept: ``_ints``, a positive
-    integer multiple of the coefficients; ``_sf``, the square-free part; and
-    ``_chain``, the integer forms of the Sturm chain of the square-free part
-    (set on that part only).
+    ``ints`` holds the primitive integer coefficients in ascending order (gcd
+    1, the polynomial's sign kept, empty for zero), and ``content`` is a
+    positive ``Fraction``; ``coeffs`` derives the ``Fraction`` coefficients.
+    Derived data is filled in on first use and kept: ``_sf``, the
+    square-free part, and ``_chain``, the Sturm chain of the square-free part
+    as primitive integer tuples (set on that part only).
     """
 
-    __slots__ = ("_c", "_ints", "_sf", "_chain")
+    __slots__ = ("ints", "content", "_sf", "_chain")
 
     def __init__(self, coeffs: Iterable[RatLike]):
-        c = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
-        while c and c[-1] == 0:
+        c, m = list(coeffs), 1
+        if not all(type(v) is int for v in c):
+            c, m = integer_numerators(exact_rational(v, "coefficient") for v in c)
+        while c and not c[-1]:
             c.pop()
-        self._c = tuple(c)
-        self._ints = self._sf = self._chain = None
+        g = _int_gcd(*c)
+        self.ints = tuple(v // g for v in c) if g > 1 else tuple(c)
+        self.content = Fraction(g, m) if c and g != m else _ONE
+        self._sf = self._chain = None
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def constant(cls, v: RatLike) -> "Polynomial":
-        return cls((v,))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
+    def _of(cls, ints: tuple[int, ...], content: Fraction = _ONE) -> "Polynomial":
+        """content * ints, for ``ints`` already primitive and without trailing zeros."""
+        p = cls.__new__(cls)
+        p.ints, p.content, p._sf, p._chain = ints, content, None, None
+        return p
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
+        n, d = self.content.numerator, self.content.denominator
+        return tuple(Fraction(v * n, d) for v in self.ints)
 
     @property
     def degree(self) -> int:
-        return len(self._c) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
-        if not self._c:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._c[-1]
+        return self.ints[-1] * self.content
 
     def __getitem__(self, i: int) -> Fraction:
-        return self._c[i] if 0 <= i < len(self._c) else Fraction(0)
+        return self.ints[i] * self.content if 0 <= i < len(self.ints) else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self._c == other._c
+        return isinstance(other, Polynomial) and self.ints == other.ints and self.content == other.content
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self.ints, self.content))
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "Polynomial(0)"
-        terms = []
-        for i, c in enumerate(self._c):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x")
-            else:
-                terms.append(f"{c}*x^{i}")
-        return "Polynomial(" + " + ".join(terms) + ")"
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._c)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self._c), len(other._c))
-        return Polynomial(self[i] + other[i] for i in range(n))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self._c), len(other._c))
-        return Polynomial(self[i] - other[i] for i in range(n))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._c):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        terms = [str(c) if i == 0 else f"{c}*x" if i == 1 else f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c]
+        return "Polynomial(" + (" + ".join(terms) or "0") + ")"
 
     def scale(self, v: RatLike) -> "Polynomial":
-        v = Fraction(v)
-        return Polynomial(c * v for c in self._c)
+        v = exact_rational(v, "scale factor")
+        if not v or not self.ints:
+            return Polynomial(())
+        return Polynomial._of(self.ints if v > 0 else tuple(-c for c in self.ints), self.content * abs(v))
 
     def __call__(self, x):
-        """Horner evaluation; works for any value with field arithmetic."""
-        acc = None
-        for c in reversed(self._c):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0)
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self._c) if i > 0)
-
-    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self._c)
-        d, lead = other.degree, other.leading
-        while len(r) - 1 >= d and any(v != 0 for v in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            f = r[-1] / lead
-            q[k] = f
-            for i in range(d + 1):
-                r[k + i] -= f * other._c[i]
-        return Polynomial(q), Polynomial(r)
-
-    def rem(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
+        """content times the Horner value of ``ints``; works for any value with field arithmetic."""
+        acc = 0
+        for c in reversed(self.ints):
+            acc = acc * x + c
+        return self.content * acc
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = self.divmod(other)
-        if not r.is_zero:
+        """self / other, by integer long division of the primitive parts; ``other`` must divide self.
+
+        By Gauss's lemma an exact quotient is a primitive integer polynomial,
+        so every step divides exactly; a step that does not, or a nonzero
+        remainder, raises ``IntegrityError``.
+        """
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        r, q = list(self.ints), []
+        m, lead = other.degree, other.ints[-1]
+        while len(r) > m and not r[-1] % lead:
+            t = r.pop() // lead
+            k = len(r) - m
+            r[k:] = [u - t * v for u, v in zip(r[k:], other.ints)]
+            q.append(t)
+        if any(r):  # a nonzero remainder, or a top coefficient lead does not divide
             raise IntegrityError("exact_div called on non-divisible polynomials")
-        return q
+        return Polynomial._of(tuple(reversed(q)), self.content / other.content) if q else Polynomial(())
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        return self.scale(1 / self.leading)
-
-    def primitive(self) -> "Polynomial":
-        """Integer-coefficient scalar multiple with content 1 and positive lead."""
-        if self.is_zero:
-            return self
-        ints = self._int_coeffs()
-        return Polynomial(ints if ints[-1] > 0 else [-v for v in ints])
-
-    def _int_coeffs(self) -> tuple[int, ...]:
-        """Coefficients of m * self for the positive rational m that makes them coprime integers.
-
-        Unlike ``primitive`` this never flips the sign, so signs at points agree with self's.
-        """
-        if self._ints is None:
-            ints, _ = integer_numerators(self._c)
-            g = _int_gcd(*ints)
-            self._ints = tuple(v // g for v in ints)
-        return self._ints
+        lead = self.ints[-1]
+        return Polynomial._of(self.ints if lead > 0 else tuple(-v for v in self.ints), Fraction(1, abs(lead)))
 
     def sign_at(self, x: RatLike) -> int:
         """Sign of self(x) at a rational x, by integer Horner evaluation."""
-        x = Fraction(x)
-        return _horner_sign(self._int_coeffs(), x.numerator, x.denominator)
+        x = exact_rational(x, "point")
+        return _horner_sign(self.ints, x.numerator, x.denominator)
 
     def squarefree(self) -> "Polynomial":
         """``squarefree_part(self)``, computed once per polynomial."""
@@ -268,10 +218,10 @@ class Polynomial:
         return self._sf
 
     def _sturm_chain(self) -> tuple[tuple[int, ...], ...]:
-        """Integer forms of ``sturm_sequence(self)``, built once per square-free part."""
+        """Primitive integer forms of ``sturm_sequence(self)``, built once per square-free part."""
         sf = self.squarefree()
         if sf._chain is None:
-            ints = sf._int_coeffs()
+            ints = sf.ints
             sf._chain = _remainder_sequence(ints, _derivative_ints(ints)) if len(ints) > 1 else (ints,)
         return sf._chain
 
@@ -313,8 +263,8 @@ def _remainder_sequence(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, 
 
     ``a`` and ``b`` are nonzero ascending integer coefficients. The sequence
     stops at a constant or at a zero remainder, like the Sturm chain; so on
-    (p, p') it is the integer form of ``sturm_sequence`` when p is
-    square-free, and otherwise it ends at a multiple of gcd(p, p').
+    (p, p') it is the Sturm chain of p when p is square-free, and otherwise
+    it ends at a multiple of gcd(p, p').
     """
     seq = [_primitive(a), _primitive(b)]
     while len(seq[-1]) > 1:
@@ -334,7 +284,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd over the rationals (constant 1 for coprime inputs)."""
     if a.is_zero or b.is_zero:
         return b.monic() if a.is_zero else a.monic()
-    return Polynomial(_remainder_sequence(a._int_coeffs(), b._int_coeffs())[-1]).monic()
+    return Polynomial._of(_remainder_sequence(a.ints, b.ints)[-1]).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -347,39 +297,31 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
-        sf = Polynomial.constant(1)
+        sf = Polynomial._of((1,))
     else:
-        ints = p._int_coeffs()
+        ints = p.ints
         seq = _remainder_sequence(ints, _derivative_ints(ints))
         if len(seq[-1]) == 1:
             sf = p.monic()
             sf._chain = seq if ints[-1] > 0 else tuple(tuple(-v for v in q) for q in seq)
-            sf._ints = sf._chain[0]
         else:
-            sf = p.exact_div(Polynomial(seq[-1])).monic()
+            sf = p.exact_div(Polynomial._of(seq[-1])).monic()
     sf._sf = sf  # a monic square-free polynomial is its own square-free part
     return sf
 
 
 def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    """Sturm chain of the squarefree part of ``p``.
+    """Sturm chain of the squarefree part of ``p``, each element a positive multiple of the textbook one.
 
-    S0 = p, S1 = p', S_{k+1} = -rem(S_{k-1}, S_k), ending at a nonzero
-    constant. Squarefree reduction is applied first so that the chain has
-    the sign-variation property even for inputs with repeated roots.
+    The textbook chain is S0 = sf, S1 = sf', S_{k+1} = -rem(S_{k-1}, S_k),
+    ending at a nonzero constant, for sf the monic square-free part of p, so
+    that the chain has the sign-variation property even for inputs with
+    repeated roots. Here each element is the primitive integer form of S_k,
+    which has the same signs everywhere and so the same variation counts.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    sf = p.squarefree()
-    chain = [sf]
-    if sf.degree >= 1:
-        chain.append(sf.derivative())
-        while chain[-1].degree >= 1:
-            nxt = -(chain[-2].rem(chain[-1]))
-            if nxt.is_zero:
-                break
-            chain.append(nxt)
-    return chain
+    return [Polynomial(q) for q in p._sturm_chain()]
 
 
 def _variations_at(chain: Sequence[Sequence[int]], x: Optional[Fraction], *, neg_inf: bool = False) -> int:
@@ -406,6 +348,15 @@ def deflate_endpoint_roots(p: Polynomial, lo: Optional[Fraction], hi: Optional[F
     return p
 
 
+def _bounds(lo: Optional[RatLike], hi: Optional[RatLike]) -> tuple[Optional[Fraction], Optional[Fraction]]:
+    """The bounds of a root count or isolation as Fractions (None for an infinity), checked lo < hi."""
+    lo = None if lo is None else exact_rational(lo, "bound")
+    hi = None if hi is None else exact_rational(hi, "bound")
+    if lo is not None and hi is not None and not lo < hi:
+        raise ValueError("degenerate interval: need lo < hi")
+    return lo, hi
+
+
 def count_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[RatLike] = None) -> int:
     """Number of distinct real roots of ``p`` in the open interval (lo, hi).
 
@@ -413,30 +364,25 @@ def count_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[R
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    lo_f = Fraction(lo) if lo is not None else None
-    hi_f = Fraction(hi) if hi is not None else None
-    if lo_f is not None and hi_f is not None and not lo_f < hi_f:
-        raise ValueError("degenerate interval: need lo < hi")
-    sf = deflate_endpoint_roots(p.squarefree(), lo_f, hi_f)
+    lo, hi = _bounds(lo, hi)
+    sf = deflate_endpoint_roots(p.squarefree(), lo, hi)
     if sf.degree <= 0:
         return 0
     chain = sf._sturm_chain()
-    va = _variations_at(chain, lo_f, neg_inf=True)
-    vb = _variations_at(chain, hi_f)
-    return va - vb
+    return _variations_at(chain, lo, neg_inf=True) - _variations_at(chain, hi)
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
     """All real roots of ``p`` lie in (-M, M) for the returned M."""
-    if p.is_zero or p.degree < 1:
+    if p.degree < 1:
         return Fraction(1)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
+    *rest, lead = p.ints
+    return 1 + Fraction(max(map(abs, rest)), abs(lead))
 
 
 def isolates(p: Polynomial, lo: RatLike, hi: RatLike) -> bool:
     """True when (lo, hi) is an isolating interval of ``p``: neither end a root, one root inside."""
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = exact_rational(lo, "endpoint"), exact_rational(hi, "endpoint")
     return isolates_at(p, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
@@ -469,6 +415,9 @@ class IsolatingInterval:
     poly: Polynomial
 
     def __post_init__(self):
+        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
+            object.__setattr__(self, "lo", exact_rational(self.lo, "endpoint"))
+            object.__setattr__(self, "hi", exact_rational(self.hi, "endpoint"))
         if not self.lo < self.hi:
             raise ValueError("interval endpoints out of order")
 
@@ -499,16 +448,13 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
     """Pairwise-disjoint certified intervals, one per distinct root in (lo, hi)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    lo_f = Fraction(lo) if lo is not None else None
-    hi_f = Fraction(hi) if hi is not None else None
-    if lo_f is not None and hi_f is not None and not lo_f < hi_f:
-        raise ValueError("degenerate interval: need lo < hi")
-    sf = deflate_endpoint_roots(p.squarefree(), lo_f, hi_f)
+    lo, hi = _bounds(lo, hi)
+    sf = deflate_endpoint_roots(p.squarefree(), lo, hi)
     if sf.degree <= 0:
         return []
     bound = cauchy_root_bound(sf)
-    a = lo_f if lo_f is not None else -bound
-    b = hi_f if hi_f is not None else bound
+    a = lo if lo is not None else -bound
+    b = hi if hi is not None else bound
     if not a < b:
         return []
     # the Cauchy bound itself is never a root, and user endpoints were deflated; so
@@ -545,7 +491,7 @@ def root_box(iv: IsolatingInterval) -> tuple[int, int, int, int]:
     Raises ``IntegrityError`` unless ``iv.poly`` has nonzero, opposite signs
     at the two ends.
     """
-    ints = iv.poly._int_coeffs()
+    ints = iv.poly.ints
     (a, b), m = integer_numerators((iv.lo, iv.hi))
     s_lo, s_hi = _horner_sign(ints, a, m), _horner_sign(ints, b, m)
     if s_lo == 0 or s_hi == 0:
@@ -564,7 +510,7 @@ def bisect_root(p: Polynomial, s_lo: int, a: int, b: int, m: int, wn: int, wd: i
     hit when the midpoint (a + b) / (2m) of the returned box is itself a root,
     found exactly, and the box was not halved further.
     """
-    ints = p._int_coeffs()
+    ints = p.ints
     while (b - a) * wd > wn * m:
         mid = a + b
         s_mid = _horner_sign(ints, mid, 2 * m)
@@ -584,7 +530,7 @@ def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
     The box goes through ``root_box`` and ``bisect_root`` in integers. On an
     exact hit the root gets a certified interval of its own around it.
     """
-    width = Fraction(width)
+    width = exact_rational(width, "width")
     if width <= 0:
         raise ValueError("width must be positive")
     p = iv.poly
@@ -615,16 +561,15 @@ def resultant(p: Sequence[Polynomial], num: Polynomial, den: Polynomial) -> Poly
     vanishes exactly at projections of common zeros, plus possibly at points
     where den and p[m] both vanish; callers must re-check candidates.
 
-    The sum runs in integers: with every coefficient an integer over one
-    denominator M, it is the integer sum over M^(m + 1).
+    The sum runs in integers: with every content an integer over one
+    denominator M, each polynomial is an integer one over M, and the sum is
+    an integer polynomial over M^(m + 1).
     """
     polys = (*p, num, den)
-    ints, scale = integer_numerators(c for q in polys for c in q.coeffs)
-    it = iter(ints)
-    *ps, n, d = [[next(it) for _ in q.coeffs] for q in polys]
+    scales, common = integer_numerators(q.content for q in polys)
+    *ps, n, d = [[k * v for v in q.ints] for k, q in zip(scales, polys)]
     acc, dpow = ps[-1], [1]
     for c in reversed(ps[:-1]):
         dpow = _int_mul(dpow, d)
         acc = [u + v for u, v in zip_longest(_int_mul(acc, n), _int_mul(c, dpow), fillvalue=0)]
-    denom = scale ** len(ps)
-    return Polynomial(Fraction(v, denom) for v in acc)
+    return Polynomial(acc).scale(Fraction(1, common ** len(ps)))

@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from trisym import polysolve
-from trisym.errors import IntegrityError
+from trisym.errors import IntegrityError, TrisymError
 from trisym.polysolve import (
     IsolatingInterval,
     Polynomial,
@@ -24,7 +24,11 @@ from trisym.polysolve import (
     sturm_sequence,
 )
 
-X = Polynomial.x()
+sympy = pytest.importorskip("sympy")
+
+# the independent reference: sympy polynomials over QQ, the field of fractions
+X = sympy.Symbol("x")
+QQ = sympy.QQ
 
 
 def poly(*coeffs):
@@ -32,38 +36,71 @@ def poly(*coeffs):
     return Polynomial(coeffs)
 
 
-class TestArithmetic:
-    def test_divmod_exact(self):
-        p = poly(-2, 0, 1)  # x^2 - 2
-        q, r = (p * poly(3, 1)).divmod(p)
-        assert q == poly(3, 1) and r.is_zero
+def Q(v):
+    v = F(v)
+    return sympy.Rational(v.numerator, v.denominator)
 
+
+def sp(*coeffs):
+    """The sympy polynomial over QQ with these ascending coefficients."""
+    return sympy.Poly.from_list([Q(c) for c in reversed(coeffs)], X, domain=QQ)
+
+
+def to_sympy(p):
+    return sp(*p.coeffs)
+
+
+def from_sympy(s):
+    return Polynomial(F(int(c.p), int(c.q)) for c in reversed(s.all_coeffs()))
+
+
+def sym(expr):
+    """The Polynomial of a sympy expression or polynomial in X: products and powers computed by sympy."""
+    return from_sympy(sympy.Poly(expr, X, domain=QQ))
+
+
+def is_positive_multiple(ints, ref):
+    """``ints`` (ascending integers) is c * ``ref`` for a rational c > 0."""
+    ref = [F(int(r.p), int(r.q)) for r in reversed(ref.all_coeffs())]
+    if len(ints) != len(ref):
+        return False
+    c = ints[-1] / ref[-1]
+    return c > 0 and all(v == c * r for v, r in zip(ints, ref))
+
+
+class TestArithmetic:
     def test_gcd(self):
-        p = poly(-1, 1) * poly(-2, 1)
-        q = poly(-1, 1) * poly(5, 1)
+        p = sym((X - 1) * (X - 2))
+        q = sym((X - 1) * (X + 5))
         assert poly_gcd(p, q) == poly(-1, 1)
 
     def test_squarefree(self):
-        p = poly(-1, 1) ** 2 * poly(-3, 1)
-        sf = squarefree_part(p)
-        assert sf == (poly(-1, 1) * poly(-3, 1)).monic()
+        p = sym((X - 1) ** 2 * (X - 3))
+        assert squarefree_part(p) == sym((X - 1) * (X - 3))
 
     def test_eval(self):
         p = poly(1, -2, 3)
         assert p(F(1, 2)) == 1 - 1 + F(3, 4)
 
-    def test_primitive(self):
-        p = poly(F(1, 2), F(3, 4))
-        assert p.primitive() == poly(2, 3)
+    def test_exact_div(self):
+        p = sym((X**2 - 2) * (3 * X + 1) / 7)
+        assert p.exact_div(poly(-2, 0, 1)) == poly(F(1, 7), F(3, 7))
+        with pytest.raises(IntegrityError, match="non-divisible"):
+            poly(0, 1).exact_div(poly(1, 2))  # x / (2x + 1): the lead 2 does not divide 1, remainder 0 below
+        with pytest.raises(ZeroDivisionError):
+            poly(1, 1).exact_div(poly())
 
 
 class TestSturm:
     def test_chain_x2_minus_2(self):
+        # positive multiples of the textbook chain x^2 - 2, 2x, 2
         chain = sturm_sequence(poly(-2, 0, 1))
-        assert chain == [poly(-2, 0, 1), poly(0, 2), poly(2)]
+        assert chain == [poly(-2, 0, 1), poly(0, 1), poly(1)]
+        ref = sympy.sturm(sp(-2, 0, 1))
+        assert all(is_positive_multiple(q.ints, r) for q, r in zip(chain, ref))
 
     def test_repeated_root_reduced(self):
-        p = poly(-1, 1) ** 2
+        p = sym((X - 1) ** 2)
         assert count_real_roots(p, 0, 2) == 1
 
     def test_a_ii_quartic_k2(self):
@@ -89,7 +126,7 @@ class TestSturm:
         assert count_real_roots(poly(5832, -19926, 24732, -13482, 2744), 0, None) == 2
 
     def test_root_at_endpoint_excluded(self):
-        p = poly(0, 1) * poly(-1, 1)  # roots 0 and 1
+        p = sym(X * (X - 1))  # roots 0 and 1
         assert count_real_roots(p, 0, 2) == 1
         assert count_real_roots(p, 0, 1) == 0
 
@@ -97,7 +134,7 @@ class TestSturm:
         with pytest.raises(ValueError):
             count_real_roots(poly(-2, 0, 1), 1, 1)
         with pytest.raises(ValueError):
-            count_real_roots(Polynomial.zero(), 0, 1)
+            count_real_roots(poly(), 0, 1)
 
 
 class TestIsolation:
@@ -117,7 +154,7 @@ class TestIsolation:
 
     def test_rational_root_hit_by_bisection(self):
         # roots at 1 and 3; midpoint of (0, 2) lands exactly on 1
-        p = poly(-1, 1) * poly(-3, 1)
+        p = sym((X - 1) * (X - 3))
         ivs = isolate_real_roots(p, 0, 2)
         assert len(ivs) == 1
         iv = ivs[0]
@@ -160,14 +197,14 @@ class TestResultant:
     # equation is den(x) * y = num(x)
 
     def test_xy_minus_1(self):
-        p = (poly(-1), X)  # x*y - 1
+        p = (poly(-1), poly(0, 1))  # x*y - 1
         res = resultant(p, poly(2), poly(1))  # y - 2
         lead = res.leading
         assert res.scale(1 / lead) == poly(F(-1, 2), 1)
 
     def test_identical_inputs_vanish(self):
-        p = (poly(-1), X)  # x*y - 1, i.e. den = x, num = 1
-        assert resultant(p, poly(1), X).is_zero
+        p = (poly(-1), poly(0, 1))  # x*y - 1, i.e. den = x, num = 1
+        assert resultant(p, poly(1), poly(0, 1)).is_zero
 
     def test_common_zero_projection_vanishes(self):
         # p = y - x^2, q = y - 2x: common zeros at x = 0, 2
@@ -179,9 +216,7 @@ class TestResultant:
 class TestProperties:
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8, unique=True))
     def test_product_of_distinct_linear_factors(self, roots):
-        p = poly(1)
-        for r in roots:
-            p = p * poly(-r, 1)
+        p = sym(prod((sp(-r, 1) for r in roots), start=sp(1)))
         assert count_real_roots(p, None, None) == len(roots)
 
     def test_count_vs_numeric_oracle(self):
@@ -204,9 +239,7 @@ class TestProperties:
 
     @given(st.lists(st.integers(-9, 9), min_size=2, max_size=6, unique=True), st.integers(2, 12))
     def test_isolation_covers_all_roots(self, roots, denom):
-        p = poly(1)
-        for r in roots:
-            p = p * poly(-r, 1)
+        p = sym(prod((sp(-r, 1) for r in roots), start=sp(1)))
         ivs = isolate_real_roots(p, None, None)
         assert len(ivs) == len(roots)
         for r, iv in zip(sorted(roots), ivs):
@@ -215,36 +248,50 @@ class TestProperties:
             assert refined.lo < r < refined.hi
 
 
-# -- plain-Fraction references for the integer kernel -------------------------
+# -- references for the integer kernel -------------------------------------------
 
 
 def _fraction_sign(v):
     return (v > 0) - (v < 0)
 
 
+def evaluator(p):
+    """x -> p(x) by Horner's rule on the Fraction coefficients, the reference evaluation."""
+    coeffs = p.coeffs[::-1]
+
+    def at(x):
+        acc = F(0)
+        for c in coeffs:
+            acc = acc * x + c
+        return acc
+
+    return at
+
+
 def _ref_variations(chain, x, neg_inf=False):
     if x is None:
-        signs = [_fraction_sign(q.leading) * (-1 if neg_inf and q.degree % 2 else 1) for q in chain]
+        signs = [int(sympy.sign(q.LC())) * (-1 if neg_inf and q.degree() % 2 else 1) for q in chain]
     else:
-        signs = [_fraction_sign(q(x)) for q in chain]
+        signs = [int(sympy.sign(q.eval(Q(x)))) for q in chain]
     signs = [v for v in signs if v]
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
 def ref_count(p, lo, hi):
-    """Distinct roots in the open interval (lo, hi), from a Fraction-evaluated Sturm chain."""
-    sf = squarefree_part(p)
+    """Distinct roots in the open interval (lo, hi), from sympy's Sturm sequence over QQ."""
+    sf = to_sympy(p).sqf_part()
     for pt in (lo, hi):
-        while pt is not None and sf.degree >= 1 and sf(pt) == 0:
-            sf = sf.exact_div(poly(-pt, 1))
-    if sf.degree <= 0:
+        while pt is not None and sf.degree() >= 1 and sf.eval(Q(pt)) == 0:
+            sf = sf.quo(sp(-pt, 1))
+    if sf.degree() <= 0:
         return 0
-    chain = sturm_sequence(sf)
+    chain = sympy.sturm(sf)
     return _ref_variations(chain, lo, neg_inf=True) - _ref_variations(chain, hi)
 
 
 def ref_refine(p, lo, hi, width):
     """Fraction bisection: the endpoints refine_root must reproduce exactly."""
+    p = evaluator(p)
     s_lo = _fraction_sign(p(lo))
     while hi - lo > width:
         mid = (lo + hi) / 2
@@ -264,12 +311,8 @@ def ref_refine(p, lo, hi, width):
 
 
 def _build_poly(roots, mults, c, lead):
-    p = poly(lead)
-    for r, m in zip(roots, mults):
-        p = p * poly(-r, 1) ** m
-    if c is not None:
-        p = p * poly(-c, 0, 1)
-    return p
+    factors = [sp(-r, 1) ** m for r, m in zip(roots, mults)]
+    return sym(prod(factors, start=sp(lead)) * (sp(1) if c is None else sp(-c, 0, 1)))
 
 
 small_roots = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -291,8 +334,8 @@ endpoints = st.one_of(
 
 
 def _rational_roots(p):
-    """Roots of p among the values the ``small_roots`` strategy draws."""
-    return [F(n, d) for d in range(1, 9) for n in range(-4 * d, 4 * d + 1) if p(F(n, d)) == 0]
+    """Roots of p among the values the ``small_roots`` strategy draws (endpoints to test at, not a reference)."""
+    return [F(n, d) for d in range(1, 9) for n in range(-4 * d, 4 * d + 1) if p.sign_at(F(n, d)) == 0]
 
 
 class TestIntegerKernel:
@@ -319,7 +362,7 @@ class TestIntegerKernel:
     @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
     def test_refine_hits_exact_root(self, root, k, bits, c):
         # a dyadic interval centred on a rational root: the first midpoint is the root
-        p = poly(-root, 1) * (poly(1) if c is None else poly(-c, 0, 1))
+        p = sym(sp(-root, 1) * (sp(1) if c is None else sp(-c, 0, 1)))
         d = F(1, 2**k)
         assume(count_real_roots(p, root - d, root + d) == 1 and p(root - d) != 0 and p(root + d) != 0)
         iv = IsolatingInterval(root - d, root + d, p)
@@ -331,17 +374,15 @@ class TestIntegerKernel:
     @given(repeated_root_polys)
     def test_integer_chain_is_a_positive_multiple(self, p):
         chain = p._sturm_chain()
-        ref = sturm_sequence(p)
+        ref = sympy.sturm(to_sympy(p))
         assert len(chain) == len(ref)
         for ints, q in zip(chain, ref):
-            assert len(ints) == len(q.coeffs) and all(isinstance(v, int) for v in ints)
-            m = F(ints[-1]) / q.leading
-            assert m > 0
-            assert all(F(v) == m * c for v, c in zip(ints, q.coeffs))
+            assert all(isinstance(v, int) for v in ints)
+            assert is_positive_multiple(ints, q)
 
     @given(repeated_root_polys, st.fractions(max_denominator=10**12))
     def test_sign_at_matches_fraction_evaluation(self, p, x):
-        assert p.sign_at(x) == _fraction_sign(p(x))
+        assert p.sign_at(x) == _fraction_sign(evaluator(p)(x))
 
     def test_chain_built_once_per_polynomial(self, monkeypatch):
         builds = []
@@ -361,7 +402,7 @@ class TestIntegerKernel:
         assert len(ivs) == 2 and len(builds) == 1
 
 
-# -- the integer remainder sequence against its Fraction definition ----------
+# -- the integer remainder sequence against sympy over QQ ------------------------
 
 big = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**12))
 nonzero_big = big.filter(lambda v: v != 0)
@@ -378,8 +419,8 @@ def sparse_polys(draw):
     repeat = draw(st.sampled_from(["none", "power of x", "binomial squared"]))
     if repeat == "binomial squared":
         i = draw(st.integers(2, 4))  # (c x^i + e)^2: 3 nonzero of 2i + 1 coefficients
-        binomial = poly(draw(nonzero_big), *[0] * (i - 1), draw(nonzero_big))
-        return binomial**2 * poly(*[0] * draw(st.integers(0, 8 - 2 * i)), draw(nonzero_big))
+        binomial = sp(draw(nonzero_big), *[0] * (i - 1), draw(nonzero_big))
+        return sym(binomial**2 * sp(*[0] * draw(st.integers(0, 8 - 2 * i)), draw(nonzero_big)))
     d = draw(st.integers(1, 6 if repeat == "power of x" else 8))
     coeffs = [F(0)] * d + [draw(nonzero_big)]
     free = (d + 1) // 2 - 1  # nonzero coefficients below the lead
@@ -391,44 +432,45 @@ def sparse_polys(draw):
 
 
 def ref_gcd(a, b):
-    """Monic gcd by the Fraction Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a.rem(b)
-    return a.monic()
+    """Monic gcd by sympy over QQ."""
+    return from_sympy(to_sympy(a).gcd(to_sympy(b)))
 
 
 def ref_squarefree(p):
-    if p.degree == 0:
-        return poly(1)
-    g = ref_gcd(p, p.derivative())
-    return p.monic() if g.degree == 0 else p.exact_div(g).monic()
+    """Monic square-free part by sympy over QQ."""
+    return from_sympy(to_sympy(p).sqf_part())
 
 
 def ref_resultant(p, num, den):
-    """den^m p(num / den) by Fraction Horner."""
-    acc, dpow = p[-1], poly(1)
-    for c in reversed(p[:-1]):
-        dpow = dpow * den
-        acc = acc * num + c * dpow
-    return acc
+    """den^m p(num / den) = sum of p[k] num^k den^(m - k), in sympy over QQ."""
+    ps, n, d = [to_sympy(c) for c in p], to_sympy(num), to_sympy(den)
+    m = len(ps) - 1
+    return from_sympy(sum((c * n**k * d ** (m - k) for k, c in enumerate(ps)), sp()))
 
 
 class TestRemainderSequence:
+    # the references are sympy polynomials over QQ, the field of fractions
+
     @given(st.one_of(sparse_polys(), repeated_root_polys))
     def test_chain_is_the_fraction_sturm_sequence(self, p):
-        assert p._sturm_chain() == tuple(q._int_coeffs() for q in sturm_sequence(p))
+        chain = sturm_sequence(p)
+        ref = sympy.sturm(to_sympy(p))
+        assert [q.ints for q in chain] == list(p._sturm_chain())
+        assert len(chain) == len(ref)
+        assert all(q.content == 1 and is_positive_multiple(q.ints, r) for q, r in zip(chain, ref))
 
     @given(sparse_polys())
     def test_squarefree_part_matches_fraction_euclid(self, p):
         sf = squarefree_part(p)
         assert sf == ref_squarefree(p)
         if sf._chain is not None:
-            assert sf._chain[0] is sf._int_coeffs()
+            assert sf._chain[0] == sf.ints
 
     @given(sparse_polys(), sparse_polys())
     def test_gcd_matches_fraction_euclid(self, p, q):
         assert poly_gcd(p, q) == ref_gcd(p, q)
-        assert poly_gcd(p * q, q) == ref_gcd(p * q, q) == q.monic()
+        pq = from_sympy(to_sympy(p) * to_sympy(q))
+        assert poly_gcd(pq, q) == ref_gcd(pq, q) == q.monic()
 
     @given(st.lists(sparse_polys(), min_size=1, max_size=3), sparse_polys(), sparse_polys())
     def test_resultant_matches_fraction_horner(self, p, num, den):
@@ -436,15 +478,116 @@ class TestRemainderSequence:
 
     def test_squarefree_input_calls_no_fraction_euclid(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("Fraction Euclid on the solve path")
+            raise AssertionError("a gcd on the square-free path")
 
         monkeypatch.setattr(polysolve, "poly_gcd", refuse)
-        monkeypatch.setattr(Polynomial, "rem", refuse)
         p = poly(-7, 0, 0, 3, 0, -2)  # square-free, negative lead
         sf = squarefree_part(p)
         assert sf.leading == 1 and sf._chain is not None
         monkeypatch.undo()
-        assert sf._sturm_chain() == tuple(q._int_coeffs() for q in sturm_sequence(p))
+        ref = sympy.sturm(to_sympy(p))
+        assert len(sf._sturm_chain()) == len(ref)
+        assert all(is_positive_multiple(q, r) for q, r in zip(sf._sturm_chain(), ref))
+
+
+# -- the stored form: content * ints -----------------------------------------------
+
+# zeros, small and 10^30-sized rationals, and plain integers (the constructor's integer path)
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(10**30), 10**30),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    big,
+)
+coefficient_lists = st.builds(
+    lambda c, zeros: c + [0] * zeros,  # trailing zeros are stripped
+    st.lists(coefficients, max_size=7),
+    st.integers(0, 3),
+)
+nonzero_polys = coefficient_lists.map(Polynomial).filter(lambda p: not p.is_zero)
+
+
+def _stripped(c):
+    c = [F(v) for v in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+class TestRepresentation:
+    @given(coefficient_lists)
+    def test_stored_form(self, c):
+        p = Polynomial(c)
+        assert type(p.content) is F and p.content > 0
+        assert all(type(v) is int for v in p.ints)
+        assert p.coeffs == _stripped(c) == tuple(v * p.content for v in p.ints)
+        if p.ints:
+            assert gcd(*p.ints) == 1 and p.ints[-1] != 0
+        else:
+            assert p.content == 1 and p.degree == -1
+
+    @given(coefficient_lists, coefficient_lists, st.sampled_from([1, -1, F(3, 7)]))
+    def test_equality_and_hash_follow_coeffs(self, c, d, k):
+        p, q = Polynomial(c), Polynomial(d)
+        assert (p == q) is (p.coeffs == q.coeffs)
+        # the same coefficients built another way: as Fractions, with a trailing zero, or scaled
+        r = Polynomial([F(v) * k for v in c] + [0])
+        assert (p.scale(k) == r) and hash(p.scale(k)) == hash(r)
+        assert (p == r) is (p.coeffs == r.coeffs)
+
+    @given(nonzero_polys, coefficients)
+    def test_monic_and_scale_match_sympy(self, p, v):
+        assert p.monic() == from_sympy(to_sympy(p).monic())
+        assert p.scale(v) == from_sympy(to_sympy(p).mul_ground(Q(v)))
+
+    @given(nonzero_polys, nonzero_polys)
+    def test_exact_div_matches_sympy(self, p, q):
+        pq = from_sympy(to_sympy(p) * to_sympy(q))
+        assert pq.exact_div(q) == p
+        quo, rem = to_sympy(p).div(to_sympy(q))
+        if rem.is_zero:
+            assert p.exact_div(q) == from_sympy(quo)
+        else:
+            with pytest.raises(IntegrityError, match="non-divisible"):
+                p.exact_div(q)
+
+    def test_ratio_strings_accepted(self):
+        assert Polynomial(["1/2", 3]) == poly(F(1, 2), 3)
+
+
+# -- floats are refused at every public entry point ------------------------------
+
+P = poly(-2, 0, 1)
+IV = IsolatingInterval(F(1), F(2), P)
+
+
+class TestFloatsRefused:
+    # a float stands for a binary fraction: Polynomial([0.1, 1]) would hold 3602879701896397/36028797018963968
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: Polynomial([0.1, 1]), "coefficient 0.1", id="coefficient"),
+            pytest.param(lambda: IsolatingInterval(1.0, 2.0, P), "endpoint 1.0", id="interval"),
+            pytest.param(lambda: IsolatingInterval(F(1), 2.0, P), "endpoint 2.0", id="interval-hi"),
+            pytest.param(lambda: P.sign_at(0.5), "point 0.5", id="sign_at"),
+            pytest.param(lambda: P.scale(0.5), "scale factor 0.5", id="scale"),
+            pytest.param(lambda: isolates(P, 1.0, 2), "endpoint 1.0", id="isolates"),
+            pytest.param(lambda: count_real_roots(P, 0.5, None), "bound 0.5", id="count-lo"),
+            pytest.param(lambda: count_real_roots(P, None, 2.5), "bound 2.5", id="count-hi"),
+            pytest.param(lambda: isolate_real_roots(P, 0.5), "bound 0.5", id="isolate-lo"),
+            pytest.param(lambda: isolate_real_roots(P, 0, 2.5), "bound 2.5", id="isolate-hi"),
+            pytest.param(lambda: refine_root(IV, 0.001), "width 0.001", id="refine-width"),
+        ],
+    )
+    def test_float_refused(self, call, message):
+        with pytest.raises(TrisymError, match=f"^{message} is a float; give an int, a Fraction or a 'p/q' string$"):
+            call()
+
+    def test_interval_ends_become_fractions(self):
+        iv = IsolatingInterval(1, "3/2", P)
+        assert (type(iv.lo), type(iv.hi)) == (F, F) and iv.hi == F(3, 2)
+        assert refine_root(iv, "1/1000") == refine_root(IsolatingInterval(F(1), F(3, 2), P), F(1, 1000))
 
 
 # -- the kernels shared with the x2 link ---------------------------------------
@@ -488,7 +631,7 @@ class TestSharedKernels:
 
     @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
     def test_bisect_root_stops_at_an_exact_hit(self, root, k, bits, c):
-        p = poly(-root, 1) * (poly(1) if c is None else poly(-c, 0, 1))
+        p = sym(sp(-root, 1) * (sp(1) if c is None else sp(-c, 0, 1)))
         d = F(1, 2**k)
         assume(isolates(p, root - d, root + d))
         iv = IsolatingInterval(root - d, root + d, p)
