@@ -28,10 +28,11 @@ Branches:
     eliminant by Sturm bisection, and back-substitute through num/den. The
     back-substitution loop runs on integer boxes, with no ``Fraction``
     inside it: the x3 box stays as integer numerators over one denominator,
-    is bisected in place by ``polysolve.bisect_root``, and the range of
-    num/den over it and the x2 ends are integer pairs. The system is invariant
-    under swapping x2, x3 together with a2, a3, so the x2 eliminant is the x3
-    eliminant of (a1, a3, a2), read off the same rows with x2 and x3 swapped.
+    is bisected in place by ``polysolve.bisect_root``, which carves a box
+    around an exact dyadic hit, and the range of num/den over it and the x2
+    ends are integer pairs. The system is invariant under swapping x2, x3
+    together with a2, a3, so the x2 eliminant is the x3 eliminant of
+    (a1, a3, a2), read off the same rows with x2 and x3 swapped.
     ``_difference_rows`` runs once per solve, and ``GenericEliminants`` keeps
     it for the pivot, the residual bounds and refinement. Roots where the
     pivot den vanishes (a single rational point) are handled by solving the
@@ -60,12 +61,13 @@ x1 < x3. If x2 = 0, F1 = F3 reads (a1 + a3)(x1^2 - x3^2) = 0, so x3 = x1, and
 then F2 = F1 reads x1^2 (1 - 2 a2) = 0, so a2 = 1/2. Conversely (1, 0, 1)
 solves the system whenever a2 = 1/2.
 
-Interval solutions are tightened by one step, ``_tighten``: refine x3 below
-the target width and re-link x2 inside its current interval through num/den.
-``refine_solution`` takes it once and ``verify_solution`` once per round.
-x1 is kept as given, so verification encloses the residual at the
-coordinates it was handed: an interval solution has a rational x1 beside
-interval x2 and x3, and any other shape raises ``TrisymError``.
+Interval solutions are tightened by one step, ``_tighten``: one x2 link with
+the target width, which bisects x3 below it and re-links x2 inside its
+current interval through num/den. ``refine_solution`` takes it once and
+``verify_solution`` once per round. x1 is kept as given, so verification
+encloses the residual at the coordinates it was handed: an interval solution
+has a rational x1 beside interval x2 and x3, and any other shape raises
+``TrisymError``.
 
 Verification works on the cleared form, in integers. For positive x,
 r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
@@ -79,7 +81,9 @@ sums taking the lower corner for positive coefficients and the upper one
 for negative coefficients, and the other way round. If G excludes 0 the
 residual is certifiably nonzero; otherwise
 |r_i - r_j| <= max|G| D / (2 L A1 A2 A3), a bound that is exact on a point
-box, which is how ``residual_bound`` is computed. The enclosure
+box: ``residual_bound`` is that bound at a solution's midpoint, derived on
+first read, so a solve or refinement that never reads it never computes it.
+The enclosure
 overestimates by an amount linear in the box width (Moore, *Interval
 Analysis*, 1966), so a verification round sizes its step from it: width w
 with bound B becomes w * tol / (4 B), and at most w / 8, and one round
@@ -99,6 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar, Optional, Union
 
 from .cases import SpaceCase
@@ -115,7 +120,6 @@ from .polysolve import (
     isolate_real_roots,
     isolates_at,
     poly_gcd,
-    refine_root,
     resultant,
     root_box,
     squarefree_part,
@@ -158,12 +162,21 @@ class EinsteinSolution:
 
     x: tuple[Coordinate, Coordinate, Coordinate]
     branch: str
-    residual_bound: Fraction
     _link: Optional[GenericEliminants] = None
 
     @property
     def is_exact(self) -> bool:
         return all(not isinstance(c, RootCoordinate) for c in self.x)
+
+    @cached_property
+    def residual_bound(self) -> Fraction:
+        """max |r_i - r_j| at the midpoint of the box ``x``, exactly (0 when exact); derived on first read."""
+        if self.is_exact:
+            return Fraction(0)
+        if self._link is None:
+            raise IntegrityError("interval solution without refinement data")
+        _, n, d = _residual_enclosure(*self._link.cleared, [(m, m) for m in self.approx()])
+        return Fraction(n, d)
 
     def approx(self, prec: int = 40) -> tuple[Fraction, Fraction, Fraction]:
         return tuple(_coord_approx(c, prec) for c in self.x)
@@ -329,7 +342,7 @@ def _exact_solution(rows, triple: list[Exact], branch: str) -> EinsteinSolution:
     x = (Fraction(1), triple[1] / t0, triple[2] / t0)
     if not _solves_exactly(rows, x):
         raise IntegrityError(f"branch {branch} produced a non-solution {x}")
-    return EinsteinSolution(x=x, branch=branch, residual_bound=Fraction(0))
+    return EinsteinSolution(x=x, branch=branch)
 
 
 def _solutions_all_equal(a: Fraction) -> list[EinsteinSolution]:
@@ -484,8 +497,10 @@ def _link_x2_interval(
 ) -> tuple[IsolatingInterval, IsolatingInterval]:
     """Refine x3 until it is positive and num/den certifies one positive root of the x2 eliminant.
 
-    The x2 enclosure is clipped to ``enclosing`` and must be at most ``width``
-    wide, when these are given. Returns (x2 interval, refined x3 interval).
+    The x2 enclosure is clipped to ``enclosing`` when that is given. With
+    ``width``, x3 is first bisected below ``width`` inside its own box, and
+    the x2 enclosure must be at most ``width`` wide as well. Returns
+    (x2 interval, refined x3 interval).
     No sign test is needed: x2 is positive by the x2 lemma (module docstring),
     and a nonpositive x2 would fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
 
@@ -498,17 +513,18 @@ def _link_x2_interval(
     The loop runs in integers. The x3 box stays as numerators [A, B] over
     one denominator M: ``root_box`` checks its ends once, before the first
     bisection, and each iteration that fails halves the box twice with
-    ``bisect_root``, the kernel of ``refine_root``, so it visits the boxes
+    ``bisect_root``, the kernel of ``refine_root``, which also carves the box
+    around an exact dyadic hit, so it visits the boxes
     ``refine_root(iv3, iv3.width / 4)`` would return. The range of num/den
     over the box is exact (``eval_poly_range``); its ends, the clip and the
     width are compared as pairs (numerator, positive denominator), and the
     x2 eliminant's Sturm chain is evaluated at them by ``isolates_at``.
-    ``Fraction``s are built only for the returned intervals, for errors, and
-    on an exact dyadic hit, where the iteration's box goes through
-    ``refine_root`` itself.
+    ``Fraction``s are built only for the returned intervals and for errors.
     """
     p3 = iv3.poly
     A, B, M, s3 = root_box(iv3)
+    if width is not None:
+        A, B, M = bisect_root(p3, s3, A, B, M, width.numerator, width.denominator)
     if enclosing is not None:
         e_lo = (enclosing.lo.numerator, enclosing.lo.denominator)
         e_hi = (enclosing.hi.numerator, enclosing.hi.denominator)
@@ -536,12 +552,7 @@ def _link_x2_interval(
             if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and isolates_at(e.x2, *lo, *hi):
                 iv2 = IsolatingInterval(Fraction(*lo), Fraction(*hi), e.x2)
                 return iv2, IsolatingInterval(Fraction(A, M), Fraction(B, M), p3)
-        box = A, B, M
-        A, B, M, hit = bisect_root(p3, s3, A, B, M, B - A, 4 * M)
-        if hit:  # refine_root carves an interval around the exact root, from this iteration's box
-            A, B, M = box
-            iv = refine_root(IsolatingInterval(Fraction(A, M), Fraction(B, M), p3), Fraction(B - A, 4 * M))
-            A, B, M, _ = root_box(iv)
+        A, B, M = bisect_root(p3, s3, A, B, M, B - A, 4 * M)
     widths = {"x3": Fraction(B - A, M)}
     if x2 is not None:
         widths["x2 enclosure"] = Fraction(*x2[1]) - Fraction(*x2[0])
@@ -564,27 +575,15 @@ def _solutions_generic(a) -> list[EinsteinSolution]:
             continue  # the point (1, 0, 1), the one root with x2 = 0 (x2 lemma)
         iv2, iv3 = _link_x2_interval(e, iv3)
         x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
-        out.append(EinsteinSolution(x=x, branch=BRANCH_GENERIC, residual_bound=_residual_at_midpoint(e.cleared, x), _link=e))
+        out.append(EinsteinSolution(x=x, branch=BRANCH_GENERIC, _link=e))
     return out
-
-
-def _residual_at_midpoint(cleared, x) -> Fraction:
-    """max |r_i - r_j| at the midpoint of the box ``x``, exactly: the enclosure of the point box.
-
-    ``cleared`` is ``_difference_rows(a)``.
-    """
-    _, n, d = _residual_enclosure(*cleared, [(m, m) for m in map(_coord_approx, x)])
-    return Fraction(n, d)
 
 
 def _tighten(x, e: Optional[GenericEliminants], width: Fraction):
     """``x`` with x3 refined below ``width`` and x2 re-linked inside its interval; x1 is kept as given."""
     if e is None:
         raise IntegrityError("interval solution without refinement data")
-    iv2, iv3 = x[1].interval, x[2].interval
-    if iv3.width > width:
-        iv3 = refine_root(iv3, width)
-    iv2, iv3 = _link_x2_interval(e, iv3, iv2, width)
+    iv2, iv3 = _link_x2_interval(e, x[2].interval, x[1].interval, width)
     return (x[0], RootCoordinate(iv2), RootCoordinate(iv3))
 
 
@@ -611,8 +610,7 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
         raise TrisymError(f"width {width} must be positive")
     if sol.is_exact:
         return sol
-    x = _tighten(sol.x, sol._link, width)
-    return replace(sol, x=x, residual_bound=_residual_at_midpoint(sol._link.cleared, x))
+    return replace(sol, x=_tighten(sol.x, sol._link, width))
 
 
 def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:

@@ -32,18 +32,20 @@ and counts only when the chain's head, the square-free part, has opposite
 signs at the two ends: the head vanishes exactly at the roots, and a
 square-free polynomial changes sign across its one simple root in an
 isolating interval. `isolates_at` is the same test at integer pairs
-(numerator, positive denominator). `isolate_real_roots` carries the
-variation count of each bisection endpoint on its stack, so the chain is
-evaluated once per midpoint.
+(numerator, positive denominator).
 
-Refinement is bisection of a box held as integer numerators a < b over one
-denominator m: `root_box` writes an isolating interval that way and checks
-the signs at its ends, and `bisect_root` halves it in place. `refine_root`
-is built on the two, and so is the solver's back-substitution loop, so
-there is one bisection loop. Elimination is by substitution: where one
-equation is linear in y, den * y = num, `resultant` puts y = num/den into the
-other and clears the denominator, in integers over one common denominator
-of the contents. Boxes become integer numerators over one denominator by
+Isolation and refinement bisect one kind of box, integer numerators a < b
+over one denominator m, halved to (2a, a + b, 2m) or (a + b, 2b, 2m): the
+dyadic points a ``Fraction`` bisection would visit. A midpoint that is an
+exact root gets a box of its own from `_carve`. `isolate_real_roots` stacks
+boxes with the variation counts at their ends, so the chain is evaluated
+once per midpoint. `root_box` writes an isolating interval as a box and
+checks its end signs, and `bisect_root` halves it in place, carving on a
+hit; `refine_root` is the two, and so is the solver's back-substitution
+loop. Elimination is by substitution: where one equation is linear in y,
+den * y = num, `resultant` puts y = num/den into the other and clears the
+denominator, in integers over one common denominator of the contents.
+Rationals become integer numerators over one denominator by
 `integer_numerators`, the one place that step is written.
 
 Conventions:
@@ -324,14 +326,14 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     return [Polynomial(q) for q in p._sturm_chain()]
 
 
-def _variations_at(chain: Sequence[Sequence[int]], x: Optional[Fraction], *, neg_inf: bool = False) -> int:
-    """Sign variations of an integer chain at x; None is -inf with ``neg_inf``, else +inf."""
-    if x is None:
-        if neg_inf:
-            return _variations(-q[-1] if len(q) % 2 == 0 else q[-1] for q in chain)
-        return _variations(q[-1] for q in chain)
-    n, d = x.numerator, x.denominator
+def _variations_at(chain: Sequence[Sequence[int]], n: int, d: int) -> int:
+    """Sign variations of an integer chain at n/d, d > 0."""
     return _variations(_horner_sign(q, n, d) for q in chain)
+
+
+def _variations_at_infinity(chain: Sequence[Sequence[int]], sign: int) -> int:
+    """Sign variations of an integer chain at +inf (``sign`` 1) or -inf (``sign`` -1)."""
+    return _variations(q[-1] if sign > 0 or len(q) % 2 else -q[-1] for q in chain)
 
 
 def deflate_endpoint_roots(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> Polynomial:
@@ -369,7 +371,9 @@ def count_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[R
     if sf.degree <= 0:
         return 0
     chain = sf._sturm_chain()
-    return _variations_at(chain, lo, neg_inf=True) - _variations_at(chain, hi)
+    v_lo = _variations_at_infinity(chain, -1) if lo is None else _variations_at(chain, *lo.as_integer_ratio())
+    v_hi = _variations_at_infinity(chain, 1) if hi is None else _variations_at(chain, *hi.as_integer_ratio())
+    return v_lo - v_hi
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
@@ -430,18 +434,17 @@ class IsolatingInterval:
         return (self.lo + self.hi) / 2
 
 
-def _shrunk_interval_around(
-    p: Polynomial, mid: Fraction, radius: Fraction, width: Optional[Fraction] = None
-) -> IsolatingInterval:
-    # mid is an exact root hit during bisection; carve a certified interval
-    # around it, at most ``width`` wide when given, by denominator doubling
-    # until the endpoints are off-root.
-    d = radius
+def _carve(p: Polynomial, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int]:
+    """(lo, hi, k): an isolating box [lo/k, hi/k] of ``p`` around its exact root (a + b) / (2m).
+
+    The radius (b - a) / (2m) is halved, by doubling the denominator, at least
+    once and until ``isolates_at`` holds and the width is at most wn / wd.
+    """
+    c, r, k = a + b, b - a, 2 * m
     while True:
-        d = d / 2
-        lo, hi = mid - d, mid + d
-        if (width is None or hi - lo <= width) and isolates(p, lo, hi):
-            return IsolatingInterval(lo, hi, p)
+        c, k = 2 * c, 2 * k
+        if 2 * r * wd <= wn * k and isolates_at(p, c - r, k, c + r, k):
+            return c - r, c + r, k
 
 
 def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[RatLike] = None) -> list[IsolatingInterval]:
@@ -453,34 +456,31 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
     if sf.degree <= 0:
         return []
     bound = cauchy_root_bound(sf)
-    a = lo if lo is not None else -bound
-    b = hi if hi is not None else bound
+    (a, b), m = integer_numerators((-bound if lo is None else lo, bound if hi is None else hi))
     if not a < b:
         return []
-    # the Cauchy bound itself is never a root, and user endpoints were deflated; so
-    # is every pushed endpoint, and each carries its variation count
+    # the Cauchy bound itself is never a root, and user endpoints were deflated; so is
+    # every pushed end, and each box (a, b, m) carries the variation counts at its ends
     chain = sf._sturm_chain()
     out: list[IsolatingInterval] = []
-    stack = [(a, b, _variations_at(chain, a), _variations_at(chain, b))]
+    stack = [(a, b, m, _variations_at(chain, a, m), _variations_at(chain, b, m))]
     while stack:
-        s, t, v_s, v_t = stack.pop()
-        n = v_s - v_t
-        if n == 0:
-            continue
-        if n == 1:
-            out.append(IsolatingInterval(s, t, sf))
-            continue
-        mid = (s + t) / 2
-        signs = [_horner_sign(q, mid.numerator, mid.denominator) for q in chain]
-        if signs[0] == 0:
-            iv = _shrunk_interval_around(sf, mid, min(mid - s, t - mid))
-            out.append(iv)
-            stack.append((s, iv.lo, v_s, _variations_at(chain, iv.lo)))
-            stack.append((iv.hi, t, _variations_at(chain, iv.hi), v_t))
-        else:
-            v_mid = _variations(signs)
-            stack.append((s, mid, v_s, v_mid))
-            stack.append((mid, t, v_mid, v_t))
+        a, b, m, v_a, v_b = stack.pop()
+        if v_a - v_b == 1:
+            out.append(IsolatingInterval(Fraction(a, m), Fraction(b, m), sf))
+        elif v_a - v_b > 1:
+            signs = [_horner_sign(q, a + b, 2 * m) for q in chain]
+            if signs[0] == 0:
+                # the box's own width never binds: every carved box is at most half as wide
+                lo_n, hi_n, k = _carve(sf, a, b, m, b - a, m)
+                out.append(IsolatingInterval(Fraction(lo_n, k), Fraction(hi_n, k), sf))
+                r = k // m
+                stack.append((a * r, lo_n, k, v_a, _variations_at(chain, lo_n, k)))
+                stack.append((hi_n, b * r, k, _variations_at(chain, hi_n, k), v_b))
+            else:
+                v_mid = _variations(signs)
+                stack.append((2 * a, a + b, 2 * m, v_a, v_mid))
+                stack.append((a + b, 2 * b, 2 * m, v_mid, v_b))
     out.sort(key=lambda iv: iv.lo)
     return out
 
@@ -501,44 +501,42 @@ def root_box(iv: IsolatingInterval) -> tuple[int, int, int, int]:
     return a, b, m, s_lo
 
 
-def bisect_root(p: Polynomial, s_lo: int, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int, bool]:
+def bisect_root(p: Polynomial, s_lo: int, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int]:
     """Halve the box [a/m, b/m] around the root of ``p`` in it until (b - a) / m <= wn / wd.
 
     ``s_lo`` is the sign of p at a/m, and p has the other sign at b/m. Halving
     maps (a, b, m) to (2a, a + b, 2m) or (a + b, 2b, 2m), so the ends are the
-    dyadic points a ``Fraction`` bisection would visit. Returns (a, b, m, hit):
-    hit when the midpoint (a + b) / (2m) of the returned box is itself a root,
-    found exactly, and the box was not halved further.
+    dyadic points a ``Fraction`` bisection would visit. When a midpoint is
+    itself a root, found exactly, the box around it is carved by ``_carve``
+    from the box that midpoint halves. Returns the final (a, b, m); p keeps
+    the sign ``s_lo`` at its lower end.
     """
     ints = p.ints
     while (b - a) * wd > wn * m:
         mid = a + b
         s_mid = _horner_sign(ints, mid, 2 * m)
         if s_mid == 0:
-            return a, b, m, True
+            return _carve(p, a, b, m, wn, wd)
         if s_mid == s_lo:
             a, b = mid, 2 * b
         else:
             a, b = 2 * a, mid
         m *= 2
-    return a, b, m, False
+    return a, b, m
 
 
 def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
     """Deterministic bisection down to the requested width; output nests in input.
 
-    The box goes through ``root_box`` and ``bisect_root`` in integers. On an
-    exact hit the root gets a certified interval of its own around it.
+    The box goes through ``root_box`` and ``bisect_root`` in integers, which
+    carves a certified box around an exact hit.
     """
     width = exact_rational(width, "width")
     if width <= 0:
         raise ValueError("width must be positive")
-    p = iv.poly
     a, b, m, s_lo = root_box(iv)
-    a, b, m, hit = bisect_root(p, s_lo, a, b, m, width.numerator, width.denominator)
-    if hit:
-        return _shrunk_interval_around(p, Fraction(a + b, 2 * m), Fraction(b - a, 2 * m), width)
-    return IsolatingInterval(Fraction(a, m), Fraction(b, m), p)
+    a, b, m = bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator)
+    return IsolatingInterval(Fraction(a, m), Fraction(b, m), iv.poly)
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

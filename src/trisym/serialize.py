@@ -9,6 +9,7 @@ certifying polynomial in ascending coefficient order.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -22,8 +23,9 @@ SCHEMA_VERSION = "1.0"
 
 
 def encode_fraction(v: Fraction) -> str:
+    """The "p/q" form of ``v``; ``Decimal`` writes the digits, since ``str`` refuses ints past 4,300 digits."""
     v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
+    return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
 
 
 def encode_polynomial(p: Polynomial) -> list[str]:

@@ -356,7 +356,6 @@ class TestVerify:
         bad = EinsteinSolution(
             x=(F(1), F(4, 5) + F(1, 100), F(4, 5)),
             branch=BRANCH_PAIR_LINEAR,
-            residual_bound=F(0),
         )
         assert not verify_solution((F(2, 9),) * 3, bad)
 
@@ -430,6 +429,39 @@ class TestTighteningPin:
                     record.append((x, r.residual_bound, verify_solution(a, r, tol)))
         assert len(record) == 102
         assert hashlib.sha256(repr(record).encode()).hexdigest() == self.DIGEST
+
+
+class TestResidualBound:
+    """``residual_bound`` is derived on first read, from the solution's own coordinates."""
+
+    A = (F(1, 4), F(1, 8), F(7, 24))
+
+    @pytest.fixture
+    def enclosures(self, monkeypatch):
+        calls = []
+        enclose = einstein._residual_enclosure
+
+        def counted(*args):
+            calls.append(args)
+            return enclose(*args)
+
+        monkeypatch.setattr(einstein, "_residual_enclosure", counted)
+        return calls
+
+    def test_derived_once_on_read(self, enclosures):
+        sols = [refine_solution(s, F(1, 10**30)) for s in solve_einstein(self.A)]
+        assert len(sols) == 2 and enclosures == []
+        bounds = [s.residual_bound for s in sols]
+        assert len(enclosures) == 2
+        assert [s.residual_bound for s in sols] == bounds and len(enclosures) == 2
+
+    def test_bound_of_the_new_coordinates(self):
+        for s in solve_einstein(self.A):
+            x = refine_solution(s, F(1, 10**30)).x
+            moved = replace(s, x=x)
+            r = ricci_coefficients(self.A, moved.approx())
+            assert moved.residual_bound == max(abs(r[i] - r[j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+            assert moved.residual_bound < s.residual_bound
 
 
 class TestVerifyRounds:
@@ -678,7 +710,7 @@ class TestExactCheck:
             sol = solve_einstein(a)[0]
             sol = replace(sol, x=x(sol.x))
         else:
-            a, sol = (F(1, 3), F(1, 3), F(1, 5)), EinsteinSolution(x=x, branch=BRANCH_PAIR_LINEAR, residual_bound=F(0))
+            a, sol = (F(1, 3), F(1, 3), F(1, 5)), EinsteinSolution(x=x, branch=BRANCH_PAIR_LINEAR)
         with pytest.raises(TrisymError, match=message):
             verify_solution(a, sol)
 
@@ -766,26 +798,27 @@ class TestLink:
             for width in (F(1, 10**10), F(1, 10**50)):
                 start = refine_root(iv3, width)
                 assert link_ends(e, start, iv2, width) == reference_link(e, start, iv2, width)
+                # given the width, the link bisects x3 below it itself
+                assert link_ends(e, iv3, iv2, width) == reference_link(e, start, iv2, width)
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_exact_dyadic_hit(self, k, monkeypatch):
+    def test_exact_dyadic_hit(self, k):
         # a hand-built x3 box whose polynomial x - c has its root at the first midpoint
         e = generic_eliminants(self.A)
-        calls = []
-
-        def counted(iv, width):
-            calls.append(iv)
-            return refine_root(iv, width)
-
         for s in solve_einstein(self.A):
             c = refine_solution(s, F(1, 2**40)).x[2].interval.lo
             box = IsolatingInterval(c - F(1, 2**k), c + F(1, 2**k), Polynomial((-c, 1)))
-            expected = reference_link(e, box)
-            calls.clear()
-            monkeypatch.setattr(einstein, "refine_root", counted)
-            assert link_ends(e, box) == expected
-            monkeypatch.undo()
-            assert calls == [box]  # the hit falls back to refine_root from the iteration's box
+            assert box.poly.sign_at(box.midpoint) == 0
+            assert link_ends(e, box) == reference_link(e, box)
+
+    def test_no_fractions_in_its_loop(self, fractions_made):
+        e = generic_eliminants(self.A)
+        widths = (None, F(1, 10**10), F(1, 10**300))
+        for iv3 in isolate_real_roots(e.x3, 0, None):
+            iv2 = einstein._link_x2_interval(e, iv3)[0]
+            # from one iteration on the solver's box to hundreds of halvings below 10^-300
+            counts = [fractions_made(lambda: einstein._link_x2_interval(e, iv3, iv2, w)) for w in widths]
+            assert counts == [4] * 3  # the returned endpoints
 
     def test_ends_that_do_not_straddle_the_root(self):
         e = generic_eliminants(self.A)

@@ -12,7 +12,9 @@ from trisym.polysolve import (
     IsolatingInterval,
     Polynomial,
     bisect_root,
+    cauchy_root_bound,
     count_real_roots,
+    deflate_endpoint_roots,
     isolate_real_roots,
     isolates,
     isolates_at,
@@ -310,6 +312,34 @@ def ref_refine(p, lo, hi, width):
     return lo, hi
 
 
+def ref_isolate(p, lo, hi):
+    """Fraction bisection with the carve around an exact hit: the intervals isolate_real_roots must reproduce."""
+    sf = deflate_endpoint_roots(p.squarefree(), lo, hi)
+    if sf.degree <= 0:
+        return []
+    bound = cauchy_root_bound(sf)
+    lo, hi = -bound if lo is None else lo, bound if hi is None else hi
+    out, stack = [], [(lo, hi)] if lo < hi else []
+    while stack:
+        s, t = stack.pop()
+        n = count_real_roots(sf, s, t)
+        if n == 1:
+            out.append((s, t))
+        elif n > 1:
+            mid = (s + t) / 2
+            if sf.sign_at(mid) == 0:
+                d = (t - s) / 2
+                while True:
+                    d = d / 2
+                    if isolates(sf, mid - d, mid + d):
+                        break
+                out.append((mid - d, mid + d))
+                stack += [(s, mid - d), (mid + d, t)]
+            else:
+                stack += [(s, mid), (mid, t)]
+    return sorted(out)
+
+
 def _build_poly(roots, mults, c, lead):
     factors = [sp(-r, 1) ** m for r, m in zip(roots, mults)]
     return sym(prod(factors, start=sp(lead)) * (sp(1) if c is None else sp(-c, 0, 1)))
@@ -358,6 +388,19 @@ class TestIntegerKernel:
         for iv in isolate_real_roots(p):
             got = refine_root(iv, width)
             assert (got.lo, got.hi) == ref_refine(iv.poly, iv.lo, iv.hi, width)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(-40, 40)), min_size=1, max_size=6),
+        st.one_of(st.none(), st.fractions(min_value=-30, max_value=30, max_denominator=16)),
+        st.one_of(st.none(), st.fractions(min_value=-30, max_value=30, max_denominator=16)),
+    )
+    def test_isolate_matches_fraction_bisection(self, factors, lo, hi):
+        # a product of (2^k x - n): dyadic roots, so bisection midpoints hit them exactly
+        assume(lo is None or hi is None or lo < hi)
+        p = sym(prod((sp(-n, 2**k) for k, n in factors), start=sp(1)))
+        got = isolate_real_roots(p, lo, hi)
+        assert [(iv.lo, iv.hi) for iv in got] == ref_isolate(p, lo, hi)
+        assert all(iv.poly == p.squarefree() for iv in got)
 
     @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
     def test_refine_hits_exact_root(self, root, k, bits, c):
@@ -622,12 +665,10 @@ class TestSharedKernels:
         for iv in isolate_real_roots(p):
             a, b, m, s_lo = root_box(iv)
             assert (F(a, m), F(b, m)) == (iv.lo, iv.hi) and s_lo == iv.poly.sign_at(iv.lo)
-            a, b, m, hit = bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator)
-            lo, hi = ref_refine(iv.poly, iv.lo, iv.hi, width)
-            if hit:  # the reference carves its interval around the same exact root
-                assert iv.poly(F(a + b, 2 * m)) == 0 and lo < F(a + b, 2 * m) < hi
-            else:
-                assert (F(a, m), F(b, m)) == (lo, hi)
+            a, b, m = bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator)
+            # on an exact hit too: the box is carved around the root as the reference carves it
+            assert (F(a, m), F(b, m)) == ref_refine(iv.poly, iv.lo, iv.hi, width)
+            assert iv.poly.sign_at(F(a, m)) == s_lo
 
     @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
     def test_bisect_root_stops_at_an_exact_hit(self, root, k, bits, c):
@@ -639,10 +680,25 @@ class TestSharedKernels:
         width = F(1, 2**bits)
         got = bisect_root(p, s_lo, a, b, m, width.numerator, width.denominator)
         if 2 * d <= width:
-            assert got == (a, b, m, False)
-        else:  # the first midpoint is the root: the box comes back as it went in
-            assert got == (a, b, m, True)
-            assert (refine_root(iv, width).lo, refine_root(iv, width).hi) == ref_refine(p, iv.lo, iv.hi, width)
+            assert got == (a, b, m)
+        else:  # the first midpoint is the root: the box is carved around it
+            lo, hi = F(got[0], got[2]), F(got[1], got[2])
+            assert (lo, hi) == ref_refine(p, iv.lo, iv.hi, width) and lo < root < hi
+            assert hi - lo <= width and isolates(p, lo, hi)
+
+    def test_refine_root_builds_no_fractions_in_its_loop(self, fractions_made):
+        iv = isolate_real_roots(poly(-2, 0, 1), 1, 2)[0]
+        shallow, deep = (fractions_made(lambda: refine_root(iv, w)) for w in (F(1, 10**10), F(1, 10**300)))
+        assert deep == shallow <= 2  # the returned endpoints
+
+    def test_isolate_builds_no_fractions_in_its_loop(self, fractions_made):
+        close = sym(sp(F(-1, 3), 1) * sp(F(-1, 3) - F(1, 10**40), 1) * sp(-5, 1))
+        apart = sym(sp(F(-1, 3), 1) * sp(F(-2, 3), 1) * sp(-5, 1))
+        counts = []
+        for p in (close, apart):
+            p._sturm_chain()  # the chain is built once per polynomial, outside the loop
+            counts.append(fractions_made(lambda: isolate_real_roots(p)))
+        assert counts[0] == counts[1] <= 6 + 3  # the returned endpoints, and the Cauchy bound
 
     @pytest.mark.parametrize(
         "iv, message",

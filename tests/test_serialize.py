@@ -1,9 +1,10 @@
 import json
+from decimal import Decimal
 from fractions import Fraction as F
 
 from trisym.cases import make_case
 from trisym.coeffs import coefficients_for_case
-from trisym.einstein import solve_case, solve_einstein
+from trisym.einstein import refine_solution, solve_case, solve_einstein
 from trisym.serialize import (
     SCHEMA_VERSION,
     encode_case,
@@ -22,6 +23,14 @@ def test_fraction_encoding():
     assert encode_fraction(F(3, 7)) == "3/7"
     assert encode_fraction(F(2)) == "2/1"
     assert encode_fraction(F(-5, 10)) == "-1/2"
+
+
+def test_fraction_encoding_past_the_int_to_str_limit():
+    # the residual bound at 10^-1003 has a denominator of about 6,060 digits, past str()'s 4,300
+    sol = refine_solution(solve_einstein((F(1, 7), F(2, 9), F(3, 11)))[0], F(1, 10**1003))
+    n, d = encode_solution(sol)["residual_bound"].split("/")
+    assert len(d) > 4300
+    assert (int(Decimal(n)), int(Decimal(d))) == (sol.residual_bound.numerator, sol.residual_bound.denominator)
 
 
 def test_coordinate_encodings_cover_all_kinds():
