@@ -61,6 +61,14 @@ x1 < x3. If x2 = 0, F1 = F3 reads (a1 + a3)(x1^2 - x3^2) = 0, so x3 = x1, and
 then F2 = F1 reads x1^2 (1 - 2 a2) = 0, so a2 = 1/2. Conversely (1, 0, 1)
 solves the system whenever a2 = 1/2.
 
+The equal-pair lemma: every real root of the two equal-pair quadratics is
+positive. For a_k < 1/2 the roots r of (1 - 2a_k) r^2 - r + (a_i + a_k) have
+positive product and sum; at a_k = 1/2 the one root is a_i + 1/2. The sum
+branch runs only for a_i < 1/2, where L q^2 + M q + L has
+L = (a_i + a_k)(1 - 4a_i^2) > 0 and -M = 1 - 2a_i + 8a_i^2 (a_i + a_k) > 0:
+its roots have product 1 and a positive sum, and x_k = 2a_i (q + 1) > 0.
+So the branch tests no sign; ``_solves_exactly`` is the one positivity check.
+
 Interval solutions are tightened by one step, ``_tighten``: one x2 link with
 the target width, which bisects x3 below it and re-links x2 inside its
 current interval through num/den. ``refine_solution`` takes it once and
@@ -124,7 +132,7 @@ from .polysolve import (
     root_box,
     squarefree_part,
 )
-from .surd import Exact, QuadraticSurd, exact_approx, exact_sign, integer_sign, roots_of_quadratic
+from .surd import Exact, QuadraticSurd, exact_sign, integer_sign, roots_of_quadratic
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -179,17 +187,16 @@ class EinsteinSolution:
         return Fraction(n, d)
 
     def approx(self, prec: int = 40) -> tuple[Fraction, Fraction, Fraction]:
-        return tuple(_coord_approx(c, prec) for c in self.x)
+        return tuple(
+            c.interval.midpoint if isinstance(c, RootCoordinate)
+            else c.approx(prec) if isinstance(c, QuadraticSurd)
+            else Fraction(c)
+            for c in self.x
+        )
 
     def __repr__(self) -> str:
         vals = ", ".join(f"{float(v):.6f}" for v in self.approx())
         return f"EinsteinSolution({self.branch}; x = ({vals}))"
-
-
-def _coord_approx(c: Coordinate, prec: int = 40) -> Fraction:
-    if isinstance(c, RootCoordinate):
-        return c.interval.midpoint
-    return exact_approx(c, prec)
 
 
 def _budget_exhausted(stage: str, budget: int, widths: dict[str, Fraction]) -> IntegrityError:
@@ -255,10 +262,10 @@ _AFFINE_PARTS = tuple(
 
 
 def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(L, rows): L the lcm of the denominators of ``a``, and for each of ``_PAIRS``
-    the integer coefficients of L (F_i - F_j) = L (P_i - P_j) + n_i Q_i - n_j Q_j
-    over ``_MONOMIALS``, where n_i = L a_i."""
-    nums, scale = integer_numerators(exact_rational(v, "coefficient a =") for v in a)
+    """(L, rows): L the lcm of the denominators of the rational triple ``a``, and for
+    each of ``_PAIRS`` the integer coefficients of L (F_i - F_j) = L (P_i - P_j) +
+    n_i Q_i - n_j Q_j over ``_MONOMIALS``, where n_i = L a_i."""
+    nums, scale = integer_numerators(a)
     forms = [tuple(scale * p + n * q for p, q in zip(free, slope)) for (free, slope), n in zip(_AFFINE_PARTS, nums)]
     return scale, tuple(tuple(p - q for p, q in zip(forms[i], forms[j])) for i, j in _PAIRS)
 
@@ -331,6 +338,8 @@ def _solves_exactly(rows, x) -> bool:
 
 def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
     vals = tuple(exact_rational(v, "coefficient a =") for v in a)
+    if len(vals) != 3:
+        raise TrisymError(f"give three coefficients a = (a1, a2, a3); got {len(vals)}")
     for v in vals:
         if not (0 < v <= HALF):
             raise TrisymError(f"coefficient a = {v} outside (0, 1/2]")
@@ -371,10 +380,9 @@ def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
     rows = _difference_rows(a)[1]
     out: list[EinsteinSolution] = []
 
-    # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k (linear when a_odd = 1/2)
+    # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k (linear when a_odd = 1/2);
+    # the roots of both branches are positive by the equal-pair lemma (module docstring)
     for r in roots_of_quadratic(1 - 2 * a_odd, Fraction(-1), a_pair + a_odd):
-        if exact_sign(r) <= 0:
-            raise IntegrityError("equal-pair quadratic produced a nonpositive root")
         triple: list[Exact] = [Fraction(0)] * 3
         triple[i] = triple[j] = r
         triple[k] = Fraction(1)
@@ -385,23 +393,13 @@ def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
         lead2 = (a_pair + a_odd) * (1 - 4 * a_pair * a_pair)
         mid2 = -(1 - 2 * a_pair + 8 * a_pair * a_pair * (a_pair + a_odd))
         for q in roots_of_quadratic(lead2, mid2, lead2):
-            if exact_sign(q) <= 0:
-                raise IntegrityError("equal-pair sum branch produced a nonpositive root")
             triple = [Fraction(0)] * 3
             triple[i] = q
             triple[j] = Fraction(1)
             triple[k] = 2 * a_pair * (q + 1)
             out.append(_exact_solution(rows, triple, BRANCH_PAIR_SUM))
 
-    return _dedupe_exact(out)
-
-
-def _dedupe_exact(sols: list[EinsteinSolution]) -> list[EinsteinSolution]:
-    kept: list[EinsteinSolution] = []
-    for s in sols:
-        if not any(s.x == t.x for t in kept):
-            kept.append(s)
-    return kept
+    return [s for n, s in enumerate(out) if all(s.x != t.x for t in out[:n])]  # the first of equal metrics
 
 
 # -- generic branch (all coefficients distinct) ------------------------------
@@ -467,7 +465,7 @@ def generic_eliminants(a) -> GenericEliminants:
     Swapping x2 with x3 and a2 with a3 exchanges F2 and F3, so it maps the
     ideal (F1 - F3, F2 - F3) to itself.
     """
-    cleared = _difference_rows(a)
+    cleared = _difference_rows(_validate_a(a))
     num, den, elim3 = _eliminate_x2(cleared[1], "x3")
     elim2 = _eliminate_x2(_swapped_rows(cleared[1]), "x2")[2]
     return GenericEliminants(a, num, den, squarefree_part(elim3), squarefree_part(elim2), cleared)

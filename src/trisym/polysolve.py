@@ -20,11 +20,13 @@ b = lead(B), prem(A, B) = b^s rem(A, B) for the number s of reduction steps
 actually taken (fewer than deg A - deg B + 1 when a leading coefficient
 cancels on its own), so -sign(b)^s prem(A, B) is a positive multiple of
 -rem(A, B), and every element is a positive multiple of the rational one.
-`squarefree_part` runs the sequence of (p, p') once: when it ends in a
-constant it is also the Sturm chain of the part, which keeps it, so each
-eliminant's sequence is computed once. `sturm_sequence` returns that chain,
-each element a positive multiple of the textbook one; a Sturm count reads
-only signs, so its counts are the textbook ones.
+`squarefree_part`, the one square-free entry, runs the sequence of (p, p')
+once and keeps the part on p: when the sequence ends in a constant it is
+also the Sturm chain of the part, which keeps it, so each eliminant's
+sequence is computed once. `sturm_sequence` returns that chain, each element
+a positive multiple of the textbook one; a Sturm count reads only signs, so
+its counts are the textbook ones. Counting and isolation start from one box,
+`_end_box`, which puts -/+ the Cauchy bound, never a root, for an infinite end.
 
 Intervals returned by the isolation routines are certified by a Sturm count
 of one, the test `isolates` makes. It evaluates the chain once per endpoint
@@ -71,10 +73,15 @@ _ONE = Fraction(1)
 
 
 def exact_rational(v, what: str) -> Fraction:
-    """``v`` as a Fraction; a float is refused, since it stands for a binary fraction, not the decimal it shows."""
+    """``v`` as a Fraction; a float (a binary fraction, not the decimal it shows) or a non-rational is refused."""
+    if type(v) is Fraction:
+        return v
     if isinstance(v, float):
         raise TrisymError(f"{what} {v!r} is a float; give an int, a Fraction or a 'p/q' string")
-    return v if type(v) is Fraction else Fraction(v)
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise TrisymError(f"{what} {v!r} is not a rational number; give an int, a Fraction or a 'p/q' string") from None
 
 
 def integer_numerators(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -150,12 +157,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.ints
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.ints:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.ints[-1] * self.content
-
     def __getitem__(self, i: int) -> Fraction:
         return self.ints[i] * self.content if 0 <= i < len(self.ints) else Fraction(0)
 
@@ -213,15 +214,9 @@ class Polynomial:
         x = exact_rational(x, "point")
         return _horner_sign(self.ints, x.numerator, x.denominator)
 
-    def squarefree(self) -> "Polynomial":
-        """``squarefree_part(self)``, computed once per polynomial."""
-        if self._sf is None:
-            self._sf = squarefree_part(self)
-        return self._sf
-
     def _sturm_chain(self) -> tuple[tuple[int, ...], ...]:
         """Primitive integer forms of ``sturm_sequence(self)``, built once per square-free part."""
-        sf = self.squarefree()
+        sf = squarefree_part(self)
         if sf._chain is None:
             ints = sf.ints
             sf._chain = _remainder_sequence(ints, _derivative_ints(ints)) if len(ints) > 1 else (ints,)
@@ -290,12 +285,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
-    """p with all multiplicities reduced to one, monic.
+    """p with all multiplicities reduced to one, monic; computed once per polynomial and kept in ``p._sf``.
 
     The remainder sequence of (p, p') is run once: when it ends in a
     constant, p is square-free and the sequence, negated when lead(p) < 0,
     is the Sturm chain of the part; otherwise its last element is the gcd.
     """
+    if p._sf is not None:
+        return p._sf
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
@@ -308,7 +305,7 @@ def squarefree_part(p: Polynomial) -> Polynomial:
             sf._chain = seq if ints[-1] > 0 else tuple(tuple(-v for v in q) for q in seq)
         else:
             sf = p.exact_div(Polynomial._of(seq[-1])).monic()
-    sf._sf = sf  # a monic square-free polynomial is its own square-free part
+    sf._sf = p._sf = sf  # a monic square-free polynomial is its own square-free part
     return sf
 
 
@@ -321,19 +318,12 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     repeated roots. Here each element is the primitive integer form of S_k,
     which has the same signs everywhere and so the same variation counts.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
     return [Polynomial(q) for q in p._sturm_chain()]
 
 
 def _variations_at(chain: Sequence[Sequence[int]], n: int, d: int) -> int:
     """Sign variations of an integer chain at n/d, d > 0."""
     return _variations(_horner_sign(q, n, d) for q in chain)
-
-
-def _variations_at_infinity(chain: Sequence[Sequence[int]], sign: int) -> int:
-    """Sign variations of an integer chain at +inf (``sign`` 1) or -inf (``sign`` -1)."""
-    return _variations(q[-1] if sign > 0 or len(q) % 2 else -q[-1] for q in chain)
 
 
 def deflate_endpoint_roots(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> Polynomial:
@@ -350,13 +340,28 @@ def deflate_endpoint_roots(p: Polynomial, lo: Optional[Fraction], hi: Optional[F
     return p
 
 
-def _bounds(lo: Optional[RatLike], hi: Optional[RatLike]) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    """The bounds of a root count or isolation as Fractions (None for an infinity), checked lo < hi."""
+def _end_box(p: Polynomial, lo: Optional[RatLike], hi: Optional[RatLike]) -> tuple[Polynomial, int, int, int, int, int]:
+    """(sf, a, b, m, v_a, v_b): the start of a root count or isolation of ``p`` in (lo, hi).
+
+    sf is the square-free part of p with its roots at finite ends divided
+    out, and (a/m, b/m) is (lo, hi) with an infinite end replaced by -/+
+    ``cauchy_root_bound(sf)``, which lies beyond every root and is no root;
+    so neither end is a root, and sf has v_a - v_b roots in (lo, hi) for the
+    variation counts v_a, v_b of its chain at the ends (0 when a >= b).
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
     lo = None if lo is None else exact_rational(lo, "bound")
     hi = None if hi is None else exact_rational(hi, "bound")
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("degenerate interval: need lo < hi")
-    return lo, hi
+    sf = deflate_endpoint_roots(squarefree_part(p), lo, hi)
+    if lo is None or hi is None:
+        bound = cauchy_root_bound(sf)
+        lo, hi = -bound if lo is None else lo, bound if hi is None else hi
+    (a, b), m = integer_numerators((lo, hi))
+    chain = sf._sturm_chain()
+    return sf, a, b, m, _variations_at(chain, a, m), _variations_at(chain, b, m)
 
 
 def count_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[RatLike] = None) -> int:
@@ -364,16 +369,8 @@ def count_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[R
 
     ``None`` stands for the corresponding infinity.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    lo, hi = _bounds(lo, hi)
-    sf = deflate_endpoint_roots(p.squarefree(), lo, hi)
-    if sf.degree <= 0:
-        return 0
-    chain = sf._sturm_chain()
-    v_lo = _variations_at_infinity(chain, -1) if lo is None else _variations_at(chain, *lo.as_integer_ratio())
-    v_hi = _variations_at_infinity(chain, 1) if hi is None else _variations_at(chain, *hi.as_integer_ratio())
-    return v_lo - v_hi
+    *_, v_a, v_b = _end_box(p, lo, hi)
+    return v_a - v_b
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
@@ -449,21 +446,12 @@ def _carve(p: Polynomial, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int
 
 def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[RatLike] = None) -> list[IsolatingInterval]:
     """Pairwise-disjoint certified intervals, one per distinct root in (lo, hi)."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    lo, hi = _bounds(lo, hi)
-    sf = deflate_endpoint_roots(p.squarefree(), lo, hi)
-    if sf.degree <= 0:
-        return []
-    bound = cauchy_root_bound(sf)
-    (a, b), m = integer_numerators((-bound if lo is None else lo, bound if hi is None else hi))
-    if not a < b:
-        return []
-    # the Cauchy bound itself is never a root, and user endpoints were deflated; so is
-    # every pushed end, and each box (a, b, m) carries the variation counts at its ends
+    sf, a, b, m, v_a, v_b = _end_box(p, lo, hi)
+    # neither end is a root (``_end_box``), nor is any end pushed below, and
+    # each box (a, b, m) carries the variation counts at its ends
     chain = sf._sturm_chain()
     out: list[IsolatingInterval] = []
-    stack = [(a, b, m, _variations_at(chain, a, m), _variations_at(chain, b, m))]
+    stack = [(a, b, m, v_a, v_b)]
     while stack:
         a, b, m, v_a, v_b = stack.pop()
         if v_a - v_b == 1:

@@ -52,13 +52,6 @@ def make_quadratic(p: Fraction, q: Fraction, d: int) -> Exact:
     return QuadraticSurd(p, q * s, d0)
 
 
-def sqrt_bounds(d: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds on sqrt(d) within 10**-prec."""
-    scale = 10 ** prec
-    lo = isqrt(d * scale * scale)
-    return Fraction(lo, scale), Fraction(lo + 1, scale)
-
-
 def integer_sign(p, q, d: int) -> int:
     """The sign of p + q*sqrt(d), for rationals p, q (integers on the hot path) and an integer d >= 0.
 
@@ -95,15 +88,9 @@ class QuadraticSurd:
     def sign(self) -> int:
         return integer_sign(self.p, self.q, self.d)
 
-    def bounds(self, prec: int = 30) -> tuple[Fraction, Fraction]:
-        lo, hi = sqrt_bounds(self.d, prec)
-        if self.q >= 0:
-            return self.p + self.q * lo, self.p + self.q * hi
-        return self.p + self.q * hi, self.p + self.q * lo
-
     def approx(self, prec: int = 30) -> Fraction:
-        lo, hi = self.bounds(prec)
-        return (lo + hi) / 2
+        """p + q*s, s the midpoint of the two multiples of 10**-prec around sqrt(d)."""
+        return self.p + self.q * Fraction(2 * isqrt(self.d * 10 ** (2 * prec)) + 1, 2 * 10**prec)
 
     def __float__(self) -> float:
         return float(self.approx(25))
@@ -209,12 +196,6 @@ def exact_sign(v: Exact) -> int:
     if isinstance(v, QuadraticSurd):
         return v.sign()
     return (v > 0) - (v < 0)
-
-
-def exact_approx(v: Exact, prec: int = 30) -> Fraction:
-    if isinstance(v, QuadraticSurd):
-        return v.approx(prec)
-    return Fraction(v)
 
 
 def roots_of_quadratic(a: Fraction, b: Fraction, c: Fraction) -> list[Exact]:

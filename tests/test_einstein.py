@@ -4,10 +4,11 @@ import hashlib
 from math import isqrt
 from itertools import combinations, permutations, product
 import random
+import re
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from trisym import cli, einstein, surd
@@ -37,7 +38,7 @@ from trisym.polysolve import (
     refine_root,
     squarefree_part,
 )
-from trisym.surd import QuadraticSurd, make_quadratic
+from trisym.surd import QuadraticSurd, exact_sign, make_quadratic, roots_of_quadratic
 
 from test_intervals import fraction_range
 
@@ -169,6 +170,59 @@ class TestEqualPairBranch:
         assert solve_einstein((F(1, 2), F(1, 2), F(1, 3))) == []
 
 
+class TestEqualPairPositivity:
+    """The equal-pair lemma (module docstring): every root of both branch quadratics is positive."""
+
+    pair_a = st.one_of(
+        st.fractions(min_value=F(1, 10**4), max_value=F(1, 2), max_denominator=10**4),
+        st.sampled_from([F(1, 4), F(1, 2), F(1, 10**6), F(499999, 10**6)]),
+    )
+
+    @given(pair_a, pair_a)
+    @example(F(1, 4), F(1, 2))
+    @example(F(1, 2), F(1, 4))
+    @example(F(1, 4), F(1, 3))
+    @example(F(1, 3), F(1, 2))
+    def test_branch_roots_positive(self, a_pair, a_odd):
+        assume(a_pair != a_odd)
+        with mock.patch.object(surd, "squarefree_decompose", _square_part_only):
+            linear = roots_of_quadratic(1 - 2 * a_odd, F(-1), a_pair + a_odd)
+            total = []
+            if a_pair != HALF:
+                lead = (a_pair + a_odd) * (1 - 4 * a_pair * a_pair)
+                total = roots_of_quadratic(lead, -(1 - 2 * a_pair + 8 * a_pair * a_pair * (a_pair + a_odd)), lead)
+        assert all(exact_sign(r) > 0 for r in linear)
+        assert all(exact_sign(q) > 0 and exact_sign(2 * a_pair * (q + 1)) > 0 for q in total)
+
+
+class TestBadInput:
+    """Every entry point reads a through ``exact_rational`` and takes exactly three coefficients."""
+
+    SOL = solve_einstein((F(1, 4), F(1, 8), F(7, 24)))[0]
+
+    ENTRIES = [solve_einstein, generic_eliminants, lambda a: verify_solution(a, TestBadInput.SOL)]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "a, shown",
+        [(("1/3", "x", "1/5"), "'x'"), (("1/3", "1/0", "1/5"), "'1/0'"), ((F(1, 3), None, F(1, 5)), "None")],
+    )
+    def test_non_rational_coefficient(self, entry, a, shown):
+        with pytest.raises(TrisymError, match=f"^coefficient a = {re.escape(shown)} is not a rational number"):
+            entry(a)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("a", [(F(1, 3), F(1, 4)), (F(1, 3), F(1, 4), F(1, 5), F(1, 7)), ()])
+    def test_three_coefficients(self, entry, a):
+        with pytest.raises(TrisymError, match=f"^give three coefficients a = \\(a1, a2, a3\\); got {len(a)}$"):
+            entry(a)
+
+    @pytest.mark.parametrize("width", ["x", "1/0", None])
+    def test_non_rational_width(self, width):
+        with pytest.raises(TrisymError, match=f"^width {re.escape(repr(width))} is not a rational number"):
+            refine_solution(self.SOL, width)
+
+
 class TestGenericBranch:
     def test_float_a_refused(self):
         # a float stands for a binary fraction, not the decimal it shows
@@ -219,7 +273,7 @@ class TestGenericBranch:
     def test_eliminants_are_squarefree_quartics(self):
         e = generic_eliminants((F(5, 18), F(2, 9), F(1, 6)))  # E7-II
         for elim in (e.x3, e.x2):
-            assert elim.degree == 4 and elim.leading == 1
+            assert elim.degree == 4 and elim[4] == 1
             assert squarefree_part(elim) == elim
         assert len(e.den) == 2 and e.den[1] != 0  # den is linear
 

@@ -1,10 +1,12 @@
-"""No trisym module uses another trisym module's private names.
+"""No trisym module uses another trisym module's private names, and no private function is dead.
 
 A private name starts with one underscore (dunders such as ``__version__``
 are not private). The check reads the source with ``ast``: it rejects
 ``from .x import _name`` (or ``from trisym.x import _name``) and
 ``x._name`` where ``x`` is a trisym module bound by an import, across
-modules; a module may use its own private names.
+modules; a module may use its own private names. A private function or
+method must be referenced somewhere under ``src/trisym`` outside its own
+body, unless a decorator call such as ``@_family(...)`` registers it.
 """
 
 import ast
@@ -93,3 +95,39 @@ def test_own_and_public_names_pass():
     source = "from .polysolve import Polynomial\nfrom . import polysolve\npolysolve.refine_root\n_x = 1\n"
     assert private_uses(source, "einstein") == []
     assert private_uses("from .polysolve import _horner_sign\n", "polysolve") == []
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Each private function or method in ``sources`` (module -> source) that nothing else references."""
+    defs, refs = [], []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(node.name):
+                if not any(isinstance(d, ast.Call) for d in node.decorator_list):  # registered by a decorator call
+                    defs.append((module, node))
+            elif isinstance(node, ast.Name):
+                refs.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((module, node.attr, node.lineno))
+    return [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, node in defs
+        if not any(
+            name == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, name, line in refs
+        )
+    ]
+
+
+def test_no_dead_private_functions():
+    assert unreferenced_private_functions({m: (SRC / f"{m}.py").read_text() for m in MODULES}) == []
+
+
+def test_dead_private_function_is_caught():
+    source = (
+        "def _used():\n    return 1\n\n"
+        "def _dead():\n    return _dead()\n\n"  # only its own body calls it
+        "class C:\n    def _method(self):\n        return _used()\n\n"
+        "@_register('x')\ndef _registered():\n    pass\n"
+    )
+    assert unreferenced_private_functions({"m": source}) == ["m._dead (line 4)", "m._method (line 8)"]

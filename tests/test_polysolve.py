@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from math import gcd, isqrt, prod
 
@@ -201,7 +202,7 @@ class TestResultant:
     def test_xy_minus_1(self):
         p = (poly(-1), poly(0, 1))  # x*y - 1
         res = resultant(p, poly(2), poly(1))  # y - 2
-        lead = res.leading
+        lead = res[res.degree]
         assert res.scale(1 / lead) == poly(F(-1, 2), 1)
 
     def test_identical_inputs_vanish(self):
@@ -248,6 +249,55 @@ class TestProperties:
             assert iv.lo < r < iv.hi
             refined = refine_root(iv, F(1, denom))
             assert refined.lo < r < refined.hi
+
+
+@st.composite
+def factored_polys(draw):
+    """(p, roots): c * prod (q x - n)^k times, half the time, a quadratic irreducible over Q; degree <= 8.
+
+    ``roots`` are the distinct rational roots.
+    """
+    quadratic = draw(st.booleans())
+    factors, roots, degree = [], set(), 2 if quadratic else 0
+    for n, q, k in draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 5), st.integers(1, 3)), max_size=5)):
+        if degree + k <= 8:
+            factors.append(sp(-n, q) ** k)
+            roots.add(F(n, q))
+            degree += k
+    if quadratic:  # x^2 + b x + c with a discriminant that is not a square: two irrational real roots, or none
+        b, c = draw(st.integers(-6, 6)), draw(st.integers(-20, 20))
+        disc = b * b - 4 * c
+        assume(disc < 0 or isqrt(disc) ** 2 != disc)
+        factors.append(sp(c, b, 1))
+    return sym(prod(factors, start=sp(draw(st.integers(-9, 9).filter(bool))))), sorted(roots)
+
+
+@st.composite
+def end(draw, p, roots, sign):
+    """An end of a count: None, a finite rational, a root of p, or at or beyond the Cauchy bound on either side."""
+    kind = draw(st.sampled_from(["none", "finite", "root", "beyond"]))
+    if kind == "none":
+        return None
+    if kind == "finite":
+        return draw(st.fractions(min_value=-15, max_value=15, max_denominator=6))
+    if kind == "root" and roots:
+        return draw(st.sampled_from(roots))
+    return draw(st.sampled_from([sign, -sign])) * (cauchy_root_bound(p) + draw(st.integers(0, 3)))
+
+
+class TestEndBox:
+    @given(factored_polys(), st.data())
+    def test_count_isolation_and_sympy_agree(self, pr, data):
+        # the end box replaces an infinite end by the Cauchy bound: the count must not change
+        p, roots = pr
+        lo, hi = data.draw(end(p, roots, -1)), data.draw(end(p, roots, 1))
+        assume(lo is None or hi is None or lo < hi)
+        inside = {
+            r
+            for r in to_sympy(p).real_roots()
+            if (lo is None or bool(r > Q(lo))) and (hi is None or bool(r < Q(hi)))
+        }
+        assert count_real_roots(p, lo, hi) == len(isolate_real_roots(p, lo, hi)) == len(inside)
 
 
 # -- references for the integer kernel -------------------------------------------
@@ -314,7 +364,7 @@ def ref_refine(p, lo, hi, width):
 
 def ref_isolate(p, lo, hi):
     """Fraction bisection with the carve around an exact hit: the intervals isolate_real_roots must reproduce."""
-    sf = deflate_endpoint_roots(p.squarefree(), lo, hi)
+    sf = deflate_endpoint_roots(squarefree_part(p), lo, hi)
     if sf.degree <= 0:
         return []
     bound = cauchy_root_bound(sf)
@@ -400,7 +450,7 @@ class TestIntegerKernel:
         p = sym(prod((sp(-n, 2**k) for k, n in factors), start=sp(1)))
         got = isolate_real_roots(p, lo, hi)
         assert [(iv.lo, iv.hi) for iv in got] == ref_isolate(p, lo, hi)
-        assert all(iv.poly == p.squarefree() for iv in got)
+        assert all(iv.poly == squarefree_part(p) for iv in got)
 
     @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
     def test_refine_hits_exact_root(self, root, k, bits, c):
@@ -526,7 +576,7 @@ class TestRemainderSequence:
         monkeypatch.setattr(polysolve, "poly_gcd", refuse)
         p = poly(-7, 0, 0, 3, 0, -2)  # square-free, negative lead
         sf = squarefree_part(p)
-        assert sf.leading == 1 and sf._chain is not None
+        assert sf[sf.degree] == 1 and sf._chain is not None
         monkeypatch.undo()
         ref = sympy.sturm(to_sympy(p))
         assert len(sf._sturm_chain()) == len(ref)
@@ -631,6 +681,29 @@ class TestFloatsRefused:
         iv = IsolatingInterval(1, "3/2", P)
         assert (type(iv.lo), type(iv.hi)) == (F, F) and iv.hi == F(3, 2)
         assert refine_root(iv, "1/1000") == refine_root(IsolatingInterval(F(1), F(3, 2), P), F(1, 1000))
+
+
+class TestNonRationalRefused:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda: Polynomial(["x"]), "coefficient 'x'", id="coefficient"),
+            pytest.param(lambda: Polynomial([1, None]), "coefficient None", id="coefficient-none"),
+            pytest.param(lambda: IsolatingInterval("1/0", 2, P), "endpoint '1/0'", id="interval"),
+            pytest.param(lambda: P.sign_at("x"), "point 'x'", id="sign_at"),
+            pytest.param(lambda: P.scale(1j), "scale factor 1j", id="scale"),
+            pytest.param(lambda: isolates(P, 1, "2/0"), "endpoint '2/0'", id="isolates"),
+            pytest.param(lambda: count_real_roots(P, "x", None), "bound 'x'", id="count"),
+            pytest.param(lambda: isolate_real_roots(P, None, [2]), "bound [2]", id="isolate"),
+            pytest.param(lambda: refine_root(IV, "x"), "width 'x'", id="refine-width"),
+        ],
+    )
+    def test_non_rational_refused(self, call, message):
+        # what Fraction() cannot read raises TrisymError, not its ValueError, ZeroDivisionError or TypeError
+        with pytest.raises(
+            TrisymError, match=f"^{re.escape(message)} is not a rational number; give an int, a Fraction or a 'p/q' string$"
+        ):
+            call()
 
 
 # -- the kernels shared with the x2 link ---------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trisym import surd
-from trisym.einstein import ricci_coefficients, solve_einstein
+from trisym.einstein import RootCoordinate, ricci_coefficients, solve_einstein
 from trisym.surd import QuadraticSurd, exact_sign, make_quadratic, roots_of_quadratic, squarefree_decompose
 
 
@@ -130,12 +130,66 @@ def test_integer_sign_matches_rational_bounds(pqd):
     if r * r == d:
         expected = exact_sign(F(p + q * r))
     else:  # p + q sqrt(d) is 0 or at least 1 / (|p| + |q| sqrt(d)) > 10^-40 away, so 10^-80 bounds decide
-        lo, hi = surd.sqrt_bounds(d, 80)
+        scale = 10**80
+        lo = F(isqrt(d * scale * scale), scale)
+        hi = lo + F(1, scale)
         expected = exact_sign(p + q * lo)
         assert expected == exact_sign(p + q * hi)
     assert surd.integer_sign(p, q, d) == expected
     if q and r * r != d:
         assert QuadraticSurd(F(p), F(q), d).sign() == expected
+
+
+def bounds_midpoint(v: QuadraticSurd, prec: int) -> F:
+    """The midpoint of p + q*lo and p + q*hi, lo and hi the multiples of 10^-prec around sqrt(d)."""
+    scale = 10**prec
+    lo = F(isqrt(v.d * scale * scale), scale)
+    hi = lo + F(1, scale)
+    ends = sorted((v.p + v.q * lo, v.p + v.q * hi))
+    return (ends[0] + ends[1]) / 2
+
+
+@given(
+    st.fractions(max_denominator=10**6),
+    st.fractions(max_denominator=10**6).filter(bool),
+    st.integers(2, 10**40).filter(lambda d: isqrt(d) ** 2 != d),
+    st.integers(0, 120),
+)
+def test_approx_is_the_bounds_midpoint(p, q, d, prec):
+    v = QuadraticSurd(p, q, d)
+    assert v.approx(prec) == bounds_midpoint(v, prec)
+    assert v.approx() == bounds_midpoint(v, 30)
+
+
+def coord_approx_reference(c, prec: int) -> F:
+    """A coordinate's rational value as it was read before ``EinsteinSolution.approx`` read it itself."""
+    if isinstance(c, RootCoordinate):
+        return c.interval.midpoint
+    return bounds_midpoint(c, prec) if isinstance(c, QuadraticSurd) else F(c)
+
+
+# standard and equal-pair-linear, equal-pair-sum, equal-pair-linear with surds, the same
+# with a surd and a rational, equal-pair-sum with surds, generic, generic with pivot solutions
+BRANCH_TRIPLES = [
+    (F(2, 9),) * 3,
+    (F(1, 4), F(1, 4), F(1, 6)),
+    (F(4, 15), F(1, 5), F(1, 5)),
+    (F(1, 5), F(1, 3), F(1, 5)),
+    (F(1, 3), F(1, 3), F(1, 5)),
+    (F(1, 4), F(1, 8), F(7, 24)),
+    (F(1, 6), F(1, 8), F(5, 24)),
+]
+
+
+@pytest.mark.parametrize("prec", [6, 40, 60])
+def test_solution_approx_reads_each_coordinate(prec):
+    branches = set()
+    for a in BRANCH_TRIPLES:
+        for s in solve_einstein(a):
+            branches.add(s.branch)
+            assert s.approx(prec) == tuple(coord_approx_reference(c, prec) for c in s.x)
+            assert s.approx() == tuple(coord_approx_reference(c, 40) for c in s.x)
+    assert branches == {"standard", "equal-pair-linear", "equal-pair-sum", "generic"}
 
 
 def test_equality_is_by_value():
