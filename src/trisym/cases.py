@@ -13,7 +13,8 @@ For pairs where both automorphisms are inner (given by diagram-node
 markings), the summand dimensions are computed from root parities: a root
 a = sum n_k a_k contributes its two real root dimensions to the block
 selected by (e_H(a), e_H1(a)) = (sum of n_k over theta-marks mod 2, same
-for tau-marks). For pairs with an outer ingredient, dimensions come from
+for tau-marks), read as XORs of the root system's per-node parity
+bitmasks. For pairs with an outer ingredient, dimensions come from
 the curated types of the fixed subalgebras k_i = h + p_i, as
 d_i = dim k_i - dim h. The identity dim h + d1 + d2 + d3 = dim g is
 enforced either way; for inner pairs, so is dim k_i = dim h + d_i for the
@@ -30,9 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 from typing import Callable, Iterator, Optional
 
-from .errors import IntegrityError, InvalidMarking, TrisymError
+from .errors import IntegrityError, InvalidMarking, TrisymError, require_int
 from .rootsys import LOW_RANK_COINCIDENCES, RootSystem, build_root_system, dimension, type_dimension
 
 # A subalgebra factor: ("T", k) is a k-dimensional torus, otherwise (family, rank).
@@ -84,25 +87,21 @@ class InvolutionMarking:
 
 
 def inner_decomposition_dims(rs: RootSystem, marking: InvolutionMarking) -> tuple[int, int, int, int]:
-    """(dim h, d1, d2, d3) from root parities of an inner involution pair."""
+    """(dim h, d1, d2, d3) from root parities of an inner involution pair.
+
+    theta's odd roots are the XOR of ``rs.parity_masks`` over ``h_marks``, tau's over ``h1_marks``;
+    each root adds 2 to its block, and h is the rest of g.
+    """
     if marking.outer is not None:
         raise InvalidMarking("marking has an outer component; parity rule does not apply")
     if not marking.h_marks or not marking.h1_marks:
         raise InvalidMarking("both mark sets must be nonempty")
-    nodes = set(range(1, rs.rank + 1))
-    bad = (marking.h_marks | marking.h1_marks) - nodes
+    bad = (marking.h_marks | marking.h1_marks) - set(range(1, rs.rank + 1))
     if bad:
         raise InvalidMarking(f"marks {sorted(bad)} outside diagram nodes 1..{rs.rank}")
-    counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-    for root in rs.positive_roots:
-        e_h = sum(root[k - 1] for k in marking.h_marks) % 2
-        e_h1 = sum(root[k - 1] for k in marking.h1_marks) % 2
-        counts[(e_h, e_h1)] += 1
-    dim_h = rs.rank + 2 * counts[(0, 0)]
-    d1, d2, d3 = 2 * counts[(0, 1)], 2 * counts[(1, 0)], 2 * counts[(1, 1)]
-    if dim_h + d1 + d2 + d3 != dimension(rs):
-        raise IntegrityError("parity blocks do not fill the algebra")
-    return dim_h, d1, d2, d3
+    theta, tau = (reduce(xor, (rs.parity_masks[k - 1] for k in marks)) for marks in (marking.h_marks, marking.h1_marks))
+    d1, d2, d3 = (2 * m.bit_count() for m in (tau & ~theta, theta & ~tau, theta & tau))
+    return dimension(rs) - d1 - d2 - d3, d1, d2, d3
 
 
 @dataclass(frozen=True)
@@ -540,14 +539,15 @@ _exceptional(
 def _resolve(selector: str, params: dict) -> tuple[Family, dict[str, int]]:
     """The family named by a type label or InP tag, with the given parameters.
 
-    `k` is an alias for A-II's l = 2k - 1, and a parameter with a single
-    admissible value (A-I's l = 1) may be left out.
+    Every given parameter must be an int. `k` is an alias for A-II's
+    l = 2k - 1, and a parameter with a single admissible value (A-I's l = 1)
+    may be left out.
     """
     key = selector.strip().replace("_", "-").upper()
     fam = next((f for f in FAMILIES.values() if key in (f.label.upper(), f.tag.upper())), None)
     if fam is None:
         raise TrisymError(f"unknown case selector {selector!r}")
-    given = {k: v for k, v in params.items() if v is not None}
+    given = {k: require_int(v, f"{fam.label}: parameter {k} =") for k, v in params.items() if v is not None}
     if fam.label == "A-II" and "k" in given:
         l = 2 * given.pop("k") - 1
         if given.setdefault("l", l) != l:
@@ -565,13 +565,14 @@ def make_case(selector: str, **params: int) -> SpaceCase:
 
 def enumerate_cases(max_rank: int) -> list[SpaceCase]:
     """Every catalog entry with ambient rank <= max_rank, each exactly once."""
-    if max_rank < 1:
+    if require_int(max_rank, "max_rank") < 1:
         raise ValueError("max_rank must be >= 1")
     return [fam.case(p) for fam in FAMILIES.values() for p in fam.points(max_rank)]
 
 
 def find_cases(selector: str, max_rank: int = 12, **params: int) -> list[SpaceCase]:
     """Catalog entries matching a label/tag, filtered by any given parameters."""
+    require_int(max_rank, "max_rank")
     fam, given = _resolve(selector, params)
     if all(n in given for n in fam.names):
         return [fam.case(given)]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable
 
-from .cases import SpaceCase, ambient_dim, enumerate_cases, find_cases, make_case
+from .cases import ambient_dim, enumerate_cases, make_case
 from .coeffs import coefficients_for_case, gamma_from_killing_ratio
 from .einstein import generic_eliminants, refine_solution, solve_case, solve_einstein, verify_solution
 from .polysolve import Polynomial, count_real_roots, squarefree_part
@@ -117,17 +117,6 @@ EXPECTED_COUNTS = {
 }
 
 
-def _the_case(label: str, **params) -> SpaceCase:
-    found = find_cases(label, max_rank=12, **params)
-    if len(found) != 1:
-        raise LookupError(f"{label} {params}: {len(found)} catalog matches")
-    return found[0]
-
-
-def _a_ii(k: int) -> SpaceCase:
-    return make_case("A-II", k=k)
-
-
 def _rational_pattern(a: Fraction) -> set[tuple[Fraction, Fraction, Fraction]]:
     big, small = 1 - 2 * a, 2 * a
     pats = {(F(1),) * 3}
@@ -150,7 +139,7 @@ def check_dimension_table() -> list[CheckResult]:
 
     def table_rows():
         for label, expected in DIM_TABLE.items():
-            _, d1, d2, d3 = _the_case(label).dims
+            _, d1, d2, d3 = make_case(label).dims
             if (d1, d2, d3) != expected:
                 raise AssertionError(f"{label}: dims {(d1, d2, d3)} != {expected}")
         for l in range(3, 26, 2):
@@ -178,7 +167,7 @@ def check_coefficients() -> list[CheckResult]:
 
     def exceptional():
         for label, (gammas, a) in GAMMA_TABLE.items():
-            data = coefficients_for_case(_the_case(label))
+            data = coefficients_for_case(make_case(label))
             if data.gammas != gammas or data.a != a:
                 raise AssertionError(f"{label}: {data.gammas}, {data.a}")
         return None
@@ -187,7 +176,7 @@ def check_coefficients() -> list[CheckResult]:
 
     def a_ii_family():
         for k in range(2, 13):
-            data = coefficients_for_case(_a_ii(k))
+            data = coefficients_for_case(make_case("A-II", k=k))
             gammas, a = a_ii_coefficients(k)
             if data.gammas != gammas or data.a != a:
                 raise AssertionError(f"A-II k={k}: {data.gammas}, {data.a}")
@@ -245,7 +234,7 @@ def check_solution_counts() -> list[CheckResult]:
 
     def a_ii_sweep():
         for k in range(2, _A_II_K_MAX + 1):
-            sols = solve_case(_a_ii(k)).solutions
+            sols = solve_case(make_case("A-II", k=k)).solutions
             if len(sols) != 2:
                 raise AssertionError(f"A-II k={k}: {len(sols)} solutions")
             u0 = a_ii_quartic(k)
@@ -257,7 +246,7 @@ def check_solution_counts() -> list[CheckResult]:
 
     def fixed_counts():
         for label, expected in EXPECTED_COUNTS.items():
-            sols = solve_case(_the_case(label)).solutions
+            sols = solve_case(make_case(label)).solutions
             if len(sols) != expected:
                 raise AssertionError(f"{label}: {len(sols)} != {expected}")
         return None
@@ -279,7 +268,7 @@ def check_solution_values() -> list[CheckResult]:
     out = []
 
     def e6_ii():
-        sols = solve_case(_the_case("E6-II")).solutions
+        sols = solve_case(make_case("E6-II")).solutions
         got = {tuple(s.x) for s in sols}
         want = {(F(1), F(3, 5), F(4, 5)), (F(1), F(5, 3), F(4, 3))}
         if got != want:
@@ -291,7 +280,7 @@ def check_solution_values() -> list[CheckResult]:
     def equal_coefficient_patterns():
         for label, a_val in (("E7-I", F(2, 9)), ("E7-III", F(5, 18)), ("E8-II", F(4, 15)),
                              ("F4-I", F(1, 9)), ("E6-I", F(1, 6))):
-            sols = solve_case(_the_case(label)).solutions
+            sols = solve_case(make_case(label)).solutions
             got = {tuple(s.x) for s in sols}
             if got != _rational_pattern(a_val):
                 raise AssertionError(f"{label}: {got}")
@@ -300,7 +289,7 @@ def check_solution_values() -> list[CheckResult]:
     out.append(_result("equal-coefficient cases match the four-metric pattern", equal_coefficient_patterns))
 
     def e8_i():
-        sols = solve_case(_the_case("E8-I")).solutions
+        sols = solve_case(make_case("E8-I")).solutions
         if len(sols) != 2:
             raise AssertionError(f"{len(sols)} solutions")
         for s in sols:
@@ -314,7 +303,7 @@ def check_solution_values() -> list[CheckResult]:
     out.append(_result("E8-I solutions are (1, q, q) with 7q^2 - 15q + 7 = 0", e8_i))
 
     def f4_ii():
-        sols = solve_case(_the_case("F4-II")).solutions
+        sols = solve_case(make_case("F4-II")).solutions
         if len(sols) != 2:
             raise AssertionError(f"{len(sols)} solutions")
         for s in sols:
@@ -331,7 +320,7 @@ def check_solution_values() -> list[CheckResult]:
     def decimals():
         tol = F(5, 10**4)
         for label, pairs in DECIMALS.items():
-            sols = solve_case(_the_case(label)).solutions
+            sols = solve_case(make_case(label)).solutions
             refined = [refine_solution(s, F(1, 10**8)) for s in sols]
             got = sorted((s.approx()[1], s.approx()[2]) for s in refined)
             want = sorted(pairs)
@@ -343,7 +332,7 @@ def check_solution_values() -> list[CheckResult]:
     out.append(_result("interval solutions match reference decimals to 5e-4", decimals))
 
     def full_flag_rank2():
-        case = _the_case("A-III", l=2, i=1, j=2)
+        case = make_case("A-III", l=2, i=1, j=2)
         data = coefficients_for_case(case)
         if data.a != (F(1, 6),) * 3:
             raise AssertionError(f"a = {data.a}")
@@ -360,7 +349,7 @@ def check_quartic_eliminants() -> list[CheckResult]:
 
     def fixed_quartics():
         for label, want in QUARTICS.items():
-            data = coefficients_for_case(_the_case(label))
+            data = coefficients_for_case(make_case(label))
             got = generic_eliminants(data.a).x3
             if not _proportional(got, want):
                 raise AssertionError(f"{label}: {got.ints}")
@@ -370,7 +359,7 @@ def check_quartic_eliminants() -> list[CheckResult]:
 
     def a_ii_quartics():
         for k in range(2, 11):
-            data = coefficients_for_case(_a_ii(k))
+            data = coefficients_for_case(make_case("A-II", k=k))
             got = generic_eliminants(data.a).x3
             want = a_ii_quartic(k)
             if not _proportional(got, squarefree_part(want)):
@@ -484,7 +473,7 @@ def check_properties(seed: int = 42) -> list[CheckResult]:
     def permutation_equivariance():
         labels = list(GAMMA_TABLE) + ["A-II"]
         for label in labels:
-            case = make_case(label, l=5) if label == "A-II" else _the_case(label)
+            case = make_case(label, l=5) if label == "A-II" else make_case(label)
             a = coefficients_for_case(case).a
             base = len(solve_einstein(a))
             for perm in permutations(range(3)):
@@ -497,7 +486,7 @@ def check_properties(seed: int = 42) -> list[CheckResult]:
 
     def everything_verifies():
         for label in list(EXPECTED_COUNTS) + ["E6-II"]:
-            cs = solve_case(_the_case(label))
+            cs = solve_case(make_case(label))
             for s in cs.solutions:
                 if not verify_solution(cs.a, s, F(1, 10**20)):
                     raise AssertionError(f"{label}: {s}")
@@ -531,7 +520,7 @@ def check_properties(seed: int = 42) -> list[CheckResult]:
     def grid_oracle():
         rng = random.Random(seed + 1)
         for label in ("E6-III", "E7-II", "E7-I", "E8-I", "F4-II"):
-            a = coefficients_for_case(_the_case(label)).a
+            a = coefficients_for_case(make_case(label)).a
             if grid_count_oracle(a) != len(solve_einstein(a)):
                 raise AssertionError(f"{label}: oracle mismatch")
         checked = 0

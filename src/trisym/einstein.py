@@ -221,9 +221,11 @@ def _ricci(a, x, i: int):
 
 
 def ricci_coefficients(a, x):
-    """(r1, r2, r3) at metric x; exact for rational or quadratic-surd input."""
-    if any(exact_sign(v) <= 0 for v in x):
-        raise ValueError("metric coordinates must be positive")
+    """(r1, r2, r3) at metric x; exact for rational or quadratic-surd input, a float refused by name."""
+    a = _validate_a(a)
+    x = tuple(c if isinstance(c, QuadraticSurd) else exact_rational(c, "metric coordinate") for c in x)
+    if len(x) != 3 or any(exact_sign(v) <= 0 for v in x):
+        raise ValueError(f"give three positive metric coordinates x = (x1, x2, x3); got {x}")
     return tuple(_ricci(a, x, i) for i in range(3))
 
 

@@ -23,3 +23,10 @@ class InconsistentData(TrisymError):
 
 class NotApplicable(TrisymError):
     """The requested computation is documented as out of scope for this case."""
+
+
+def require_int(value, what: str, error: type[TrisymError] = TrisymError) -> int:
+    """``value`` when it is an int; a bool, float, string or anything else is refused by name."""
+    if type(value) is not int:
+        raise error(f"{what} {value!r} is not an int")
+    return value

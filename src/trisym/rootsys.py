@@ -2,6 +2,8 @@
 
 Roots are integer coefficient vectors over the simple-root basis; the Cartan
 matrix supplies all pairings, so no floating-point coordinates exist anywhere.
+Each type's data is derived once (``build_root_system`` is cached): the
+positive roots, and per node the bitmask of those with an odd coefficient there.
 
 Node numbering (nonstandard for the E series; fixed by the catalog's marking
 data, do not renumber):
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidRootSystem
+from .errors import InvalidRootSystem, require_int
 
 # (dim g, h^vee) of the classical types. The dimensions hold at every rank
 # >= 0, including the non-simple D1 = T and D2 = A1 x A1; h^vee holds only
@@ -66,6 +68,7 @@ def canonicalize_type(family: str, rank: int) -> tuple[str, int]:
     """Map a (family, rank) pair to its canonical simple type, or raise."""
     if family not in FAMILIES:
         raise InvalidRootSystem(f"unknown family {family!r}; expected one of {FAMILIES}")
+    require_int(rank, f"{family} rank", InvalidRootSystem)
     if rank < 1:
         raise InvalidRootSystem(f"{family}{rank}: rank must be >= 1")
     if (family, rank) == ("D", 1):
@@ -115,33 +118,26 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _generate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """The positive roots, sorted by (height, coefficients): the simple roots closed under raising reflections.
+
+    With p_i = <beta, a_i^vee> = sum_j cartan[i][j] beta_j, s_i(beta) = beta - p_i a_i is positive for
+    positive beta != a_i (Humphreys, Introduction to Lie Algebras and Representation Theory, 10.2 Lemma B),
+    and higher exactly when p_i < 0; every positive root is reached so (the height induction of 10.3).
+    Each root carries p, and a step adds -p_i times column i of the Cartan matrix to it.
+    """
     rank = len(cartan)
-    simples = [tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)]
-    known = set(simples)
-    frontier = list(simples)
+    columns = [tuple(row[i] for row in cartan) for i in range(rank)]
+    pairings = {tuple(int(k == i) for k in range(rank)): columns[i] for i in range(rank)}
+    frontier = list(pairings.items())
     while frontier:
-        new: list[tuple[int, ...]] = []
-        for beta in frontier:
-            for i in range(rank):
-                pairing = sum(cartan[i][j] * beta[j] for j in range(rank))
-                # root string: beta + ai is a root iff p - <beta, ai^vee> >= 1,
-                # where p is the number of steps the string extends below beta
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in known:
-                        break
-                    p += 1
-                if p - pairing >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in known:
-                        known.add(t)
-                        new.append(t)
-        frontier = new
-    return sorted(known, key=lambda r: (sum(r), r))
+        beta, p = frontier.pop()
+        for i, p_i in enumerate(p):
+            if p_i < 0:
+                up = beta[:i] + (beta[i] - p_i,) + beta[i + 1 :]
+                if up not in pairings:
+                    pairings[up] = q = tuple(pk - p_i * ck for pk, ck in zip(p, columns[i]))
+                    frontier.append((up, q))
+    return sorted(pairings, key=lambda r: (sum(r), r))
 
 
 @dataclass(frozen=True)
@@ -154,6 +150,8 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
     maximal_root: tuple[int, ...]
     dual_coxeter: int
+    # per node, bit r set when positive_roots[r] has an odd coefficient there
+    parity_masks: tuple[int, ...]
 
     def __repr__(self) -> str:
         return f"RootSystem({self.family}{self.rank}, {len(self.positive_roots)} positive roots)"
@@ -164,7 +162,7 @@ def dual_coxeter_number(family: str, rank: int) -> int:
     return _facts(*canonicalize_type(family, rank))[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a bool or float rank is refused, not a cache hit
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system, canonicalizing low-rank coincidences first."""
     family, rank = canonicalize_type(family, rank)
@@ -181,6 +179,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         positive_roots=tuple(roots),
         maximal_root=maximal,
         dual_coxeter=dual_coxeter,
+        parity_masks=tuple(sum(1 << r for r, root in enumerate(roots) if root[k] & 1) for k in range(rank)),
     )
     if dimension(rs) != dim:
         raise InvalidRootSystem(f"{family}{rank}: dimension {dimension(rs)} != {dim}")

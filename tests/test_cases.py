@@ -185,6 +185,52 @@ class TestInnerDecomposition:
         assert (a[1], a[2]) == (b[2], b[1])
 
 
+def parity_walk(rs, marking):
+    """(dim h, d1, d2, d3) by summing each root's coefficients over the marks, as the package did before the masks."""
+    counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
+    for root in rs.positive_roots:
+        e_h = sum(root[k - 1] for k in marking.h_marks) % 2
+        e_h1 = sum(root[k - 1] for k in marking.h1_marks) % 2
+        counts[(e_h, e_h1)] += 1
+    return rs.rank + 2 * counts[(0, 0)], 2 * counts[(0, 1)], 2 * counts[(1, 0)], 2 * counts[(1, 1)]
+
+
+@st.composite
+def multi_node_markings(draw):
+    """A root system of type E6-E8, F4, B_l or D_l with two nonempty mark sets of any size."""
+    family, rank = draw(
+        st.sampled_from([("E", 6), ("E", 7), ("E", 8), ("F", 4)])
+        | st.tuples(st.just("B"), st.integers(2, 20))
+        | st.tuples(st.just("D"), st.integers(4, 20))
+    )
+    marks = st.frozensets(st.integers(1, rank), min_size=1, max_size=rank)
+    return build_root_system(family, rank), InvolutionMarking(draw(marks), draw(marks))
+
+
+class TestParityMasks:
+    def test_every_inner_entry_matches_the_walk(self):
+        inner = [c for c in enumerate_cases(20) if c.is_inner]
+        assert len(inner) == 1468
+        for c in inner:
+            rs = build_root_system(c.family, c.rank)
+            assert inner_decomposition_dims(rs, c.marking) == parity_walk(rs, c.marking), c.describe()
+
+    @given(multi_node_markings())
+    def test_multi_node_marks_match_the_walk(self, drawn):
+        rs, marking = drawn
+        assert inner_decomposition_dims(rs, marking) == parity_walk(rs, marking)
+
+    @given(multi_node_markings())
+    def test_xor_parity_is_sum_parity(self, drawn):
+        rs, marking = drawn
+        for marks in (marking.h_marks, marking.h1_marks):
+            xored = 0
+            for k in marks:
+                xored ^= rs.parity_masks[k - 1]
+            for r, root in enumerate(rs.positive_roots):
+                assert (xored >> r) & 1 == sum(root[k - 1] for k in marks) % 2
+
+
 class TestCaseDims:
     def test_a_ii_l5(self):
         assert case_dims(make_case("A-II", l=5)) == (9, 8, 12, 6)
@@ -285,6 +331,34 @@ class TestSelectors:
             make_case("A-III", l=5, i=3, j=4)
         with pytest.raises(TrisymError):
             make_case("A-II", l=4)
+
+    @pytest.mark.parametrize(
+        "label,params,message",
+        [
+            ("A-II", dict(l="5"), "A-II: parameter l = '5' is not an int"),
+            ("A-II", dict(l=5.0), "A-II: parameter l = 5.0 is not an int"),
+            ("A-II", dict(k=True), "A-II: parameter k = True is not an int"),
+            ("A-II", dict(k="3"), "A-II: parameter k = '3' is not an int"),
+            ("A-III", dict(l=5, i=1, j=2.0), "A-III: parameter j = 2.0 is not an int"),
+            ("B-II", dict(l=4, i=True), "B-II: parameter i = True is not an int"),
+        ],
+    )
+    def test_non_int_params_refused_by_name(self, label, params, message):
+        for select in (make_case, find_cases):
+            with pytest.raises(TrisymError, match="^" + re.escape(message) + "$"):
+                select(label, **params)
+
+    def test_non_int_filter_refused_by_name(self):
+        with pytest.raises(TrisymError, match=r"^A-III: parameter i = 1\.0 is not an int$"):
+            find_cases("A-III", max_rank=6, i=1.0)
+
+    @pytest.mark.parametrize("max_rank", [2.5, 3.0, "3", True])
+    def test_non_int_max_rank_refused_by_name(self, max_rank):
+        message = f"^max_rank {re.escape(repr(max_rank))} is not an int$"
+        with pytest.raises(TrisymError, match=message):
+            enumerate_cases(max_rank)
+        with pytest.raises(TrisymError, match=message):
+            find_cases("A-III", max_rank=max_rank, i=1)
 
     def test_find_cases_filters(self):
         found = find_cases("A-III", max_rank=6, i=1)

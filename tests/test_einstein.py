@@ -65,6 +65,32 @@ class TestRicci:
         with pytest.raises(ValueError):
             ricci_coefficients((F(1, 4),) * 3, (F(1), F(-1), F(1)))
 
+    def test_three_coordinates_required(self):
+        with pytest.raises(ValueError, match="give three positive metric coordinates"):
+            ricci_coefficients((F(1, 4),) * 3, (F(1), F(1)))
+
+    @pytest.mark.parametrize("x", [(1, 1, 1), ("1", "1", "1"), (F(1), 1, F(1))])
+    def test_int_coordinates_give_fractions(self, x):
+        rs = ricci_coefficients((F(1, 4),) * 3, x)
+        assert rs == (F(3, 8),) * 3 and all(type(r) is F for r in rs)
+
+    def test_string_coefficients_read_exactly(self):
+        assert ricci_coefficients(("1/4", "1/4", "1/6"), (F(5, 3), 1, F(4, 3))) == (F(3, 10),) * 3
+
+    @pytest.mark.parametrize(
+        "a,x,message",
+        [
+            ((F(1, 4),) * 3, (0.5, F(1), F(1)), "metric coordinate 0.5 is a float"),
+            ((F(1, 4),) * 3, (F(1), F(1), "one"), "metric coordinate 'one' is not a rational number"),
+            ((F(1, 4),) * 2, (F(1),) * 3, "give three coefficients a = (a1, a2, a3); got 2"),
+            ((0.25, F(1, 4), F(1, 4)), (F(1),) * 3, "coefficient a = 0.25 is a float"),
+            ((F(1, 4), F(1, 4), F(3, 4)), (F(1),) * 3, "coefficient a = 3/4 outside (0, 1/2]"),
+        ],
+    )
+    def test_bad_input_refused_by_name(self, a, x, message):
+        with pytest.raises(TrisymError, match="^" + re.escape(message)):
+            ricci_coefficients(a, x)
+
 
 class TestAllEqualBranch:
     def test_generic_value_has_four(self):

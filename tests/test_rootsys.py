@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from trisym import rootsys
@@ -21,7 +23,7 @@ DIMS = {
 EXCEPTIONAL_DIMS = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}
 
 
-def all_types(max_rank=12):
+def all_types(max_rank=20):
     for l in range(1, max_rank + 1):
         yield ("A", l)
     for l in range(2, max_rank + 1):
@@ -78,7 +80,7 @@ class TestInvariants:
             assert len(rs.positive_roots) == EXCEPTIONAL_COUNTS[(family, rank)]
             assert dimension(rs) == EXCEPTIONAL_DIMS[(family, rank)]
 
-    @pytest.mark.parametrize("family,rank", list(all_types(9)))
+    @pytest.mark.parametrize("family,rank", list(all_types()))
     def test_maximal_root_dominates(self, family, rank):
         rs = build_root_system(family, rank)
         m = rs.maximal_root
@@ -88,7 +90,7 @@ class TestInvariants:
         for root in rs.positive_roots:
             assert all(a >= b for a, b in zip(m, root))
 
-    @pytest.mark.parametrize("family,rank", list(all_types(9)))
+    @pytest.mark.parametrize("family,rank", list(all_types()))
     def test_roots_unique_and_positive(self, family, rank):
         rs = build_root_system(family, rank)
         assert len(set(rs.positive_roots)) == len(rs.positive_roots)
@@ -133,3 +135,58 @@ class TestCanonicalization:
         assert dual_coxeter_number("E", 8) == 30
         assert dual_coxeter_number("F", 4) == 9
         assert dual_coxeter_number("G", 2) == 4
+
+
+def string_closure(cartan):
+    """The positive roots by root strings, as the package built them before the reflection closure."""
+    rank = len(cartan)
+    simples = [tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)]
+    known = set(simples)
+    frontier = list(simples)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i in range(rank):
+                pairing = sum(cartan[i][j] * beta[j] for j in range(rank))
+                # beta + ai is a root iff p - <beta, ai^vee> >= 1, p the steps of the string below beta
+                p = 0
+                down = list(beta)
+                while True:
+                    down[i] -= 1
+                    if down[i] < 0 or tuple(down) not in known:
+                        break
+                    p += 1
+                if p - pairing >= 1:
+                    up = list(beta)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in known:
+                        known.add(t)
+                        new.append(t)
+        frontier = new
+    return sorted(known, key=lambda r: (sum(r), r))
+
+
+class TestDerivedData:
+    @pytest.mark.parametrize("family,rank", list(all_types()))
+    def test_reflection_closure_equals_root_strings(self, family, rank):
+        rs = build_root_system(family, rank)
+        assert list(rs.positive_roots) == string_closure(rs.cartan)
+
+    @pytest.mark.parametrize("family,rank", list(all_types()))
+    def test_parity_masks_read_each_coefficient(self, family, rank):
+        rs = build_root_system(family, rank)
+        assert len(rs.parity_masks) == rank
+        for k, mask in enumerate(rs.parity_masks):
+            assert mask < 1 << len(rs.positive_roots)
+            for r, root in enumerate(rs.positive_roots):
+                assert (mask >> r) & 1 == root[k] % 2
+
+    @pytest.mark.parametrize("rank", [True, 5.0, "5", None])
+    def test_non_int_rank_refused_by_name(self, rank):
+        for cached in (1, 5):  # True == 1 and 5.0 == 5 must not be answered from the cache
+            build_root_system("A", cached)
+        with pytest.raises(InvalidRootSystem, match=f"^A rank {re.escape(repr(rank))} is not an int$"):
+            build_root_system("A", rank)
+        with pytest.raises(InvalidRootSystem, match="is not an int"):
+            canonicalize_type("B", rank)
