@@ -16,7 +16,7 @@ from typing import Callable
 
 from .cases import ambient_dim, enumerate_cases, make_case
 from .coeffs import coefficients_for_case, gamma_from_killing_ratio
-from .einstein import generic_eliminants, refine_solution, solve_case, solve_einstein, verify_solution
+from .einstein import EinsteinSystem, refine_solution, solve_case, solve_einstein, verify_solution
 from .polysolve import Polynomial, count_real_roots, squarefree_part
 from .surd import QuadraticSurd
 
@@ -350,7 +350,7 @@ def check_quartic_eliminants() -> list[CheckResult]:
     def fixed_quartics():
         for label, want in QUARTICS.items():
             data = coefficients_for_case(make_case(label))
-            got = generic_eliminants(data.a).x3
+            got = EinsteinSystem(data.a).x3
             if not _proportional(got, want):
                 raise AssertionError(f"{label}: {got.ints}")
         return None
@@ -360,7 +360,7 @@ def check_quartic_eliminants() -> list[CheckResult]:
     def a_ii_quartics():
         for k in range(2, 11):
             data = coefficients_for_case(make_case("A-II", k=k))
-            got = generic_eliminants(data.a).x3
+            got = EinsteinSystem(data.a).x3
             want = a_ii_quartic(k)
             if not _proportional(got, squarefree_part(want)):
                 raise AssertionError(f"k={k}: {got.ints}")

@@ -21,23 +21,17 @@ Branches:
       x_k = 2a_i (x_i + x_j):   (a_i+a_k)(1-4a_i^2)(x_i^2 + x_j^2)
                                    = (1 - 2a_i + 8a_i^2 (a_i+a_k)) x_i x_j
   * all distinct: set x1 = 1, read G1 = L (F1-F3) and G2 = L (F2-F3) off the
-    integer rows of ``_cleared`` (L the lcm of the denominators of a), cancel
+    system's integer rows (L the lcm of the denominators of a), cancel
     their x2^2 terms to get a relation x2 * den(x3) = num(x3) with den linear,
     eliminate x2 by substituting num/den into G2 (the eliminant
     den^2 G2(num/den)), isolate the positive real roots of the squarefree
-    eliminant by Sturm bisection, and back-substitute through num/den. The
-    back-substitution loop runs on integer boxes, with no ``Fraction``
-    inside it: the x3 box stays as integer numerators over one denominator,
-    is bisected in place by ``polysolve.bisect_root``, which carves a box
-    around an exact dyadic hit, and the range of num/den over it and the x2
-    ends are integer pairs. The system is invariant under swapping x2, x3
-    together with a2, a3, so the x2 eliminant is the x3 eliminant of
-    (a1, a3, a2), read off the same rows with x2 and x3 swapped.
-    ``_difference_rows`` runs once per solve, and ``GenericEliminants`` keeps
-    it for the pivot, the residual bounds and refinement. Roots where the
-    pivot den vanishes (a single rational point) are handled by solving the
-    two univariate quadratics there exactly. Every other positive root gives
-    the real solution (1, num/den, x3): x2 = num/den solves F2 = F3, and then
+    eliminant by Sturm bisection, and back-substitute through num/den, in
+    integers (``_link_x2_interval``). The system is invariant under swapping
+    x2, x3 together with a2, a3, so the x2 eliminant is the x3 eliminant of
+    (a1, a3, a2), read off the same rows with x2 and x3 swapped. Roots where
+    the pivot den vanishes (a single rational point) are handled by solving
+    the two univariate quadratics there exactly. Every other positive root
+    gives the real solution (1, num/den, x3): x2 = num/den solves F2 = F3, and then
     den x2 - num = c2 G1 - c1 G2 with c2 = L (a2 + a3) > 0 gives F1 = F3. By
     the x2 lemma its x2 is positive, except at x3 = 1 when a2 = 1/2 (skipped).
 
@@ -69,18 +63,22 @@ L = (a_i + a_k)(1 - 4a_i^2) > 0 and -M = 1 - 2a_i + 8a_i^2 (a_i + a_k) > 0:
 its roots have product 1 and a positive sum, and x_k = 2a_i (q + 1) > 0.
 So the branch tests no sign; ``_solves_exactly`` is the one positivity check.
 
-Interval solutions are tightened by one step, ``_tighten``: one x2 link with
-the target width, which bisects x3 below it and re-links x2 inside its
-current interval through num/den. ``refine_solution`` takes it once and
+Each triple is prepared once, as an ``EinsteinSystem`` that validates a and
+reads the rows of L (F_i - F_j) (below); solve, refine and verify share it,
+and every solution of the solver carries it. Interval solutions are tightened
+by one step, ``_tighten``: one x2 link with the target width, which bisects
+x3 below it and re-links x2 inside its current interval through num/den of
+the solution's own system (a hand-built interval solution has none:
+``IntegrityError``). ``refine_solution`` takes it once and
 ``verify_solution`` once per round. x1 is kept as given, so verification
-encloses the residual at the coordinates it was handed: an interval solution
-has a rational x1 beside interval x2 and x3, and any other shape raises
-``TrisymError``.
+encloses the residual at the coordinates it was handed: an interval
+solution has a rational x1 beside interval x2 and x3, and any other shape
+raises ``TrisymError``.
 
 Verification works on the cleared form, in integers. For positive x,
 r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
 quadratic form in (x1, x2, x3), L the lcm of the denominators of a; its
-coefficients are combined once per call from F_i = P_i + a_i Q_i, whose
+coefficients are combined once per system from F_i = P_i + a_i Q_i, whose
 integer parts are read off ``_cleared`` once. A box is written as
 integer numerators [A_u, B_u] over one denominator D. Every monomial
 x_s x_t scaled by D^2 is the product of two positive numerators, so it is
@@ -95,20 +93,15 @@ The enclosure
 overestimates by an amount linear in the box width (Moore, *Interval
 Analysis*, 1966), so a verification round sizes its step from it: width w
 with bound B becomes w * tol / (4 B), and at most w / 8, and one round
-usually certifies. Exact solutions go through the same rows: with the
-coordinates written as x_u = (P_u + Q_u sqrt d) / R over one R, R^2 x_s x_t
-is the integer pair (P_s P_t + Q_s Q_t d, P_s Q_t + Q_s P_t), so
-L R^2 (F_i - F_j) = g + h sqrt d with integers g and h, and F1 = F2 = F3
-holds exactly when g = h = 0 for the pairs (1, 2) and (1, 3), since sqrt d
-is irrational. Positivity is the sign of P_u + Q_u sqrt d, decided by
-comparing P_u^2 with Q_u^2 d.
+usually certifies. Exact solutions are checked on the same rows, in
+integers with sqrt d kept symbolic (``_solves_exactly``).
 
 All certification is exact; floating point appears only in display helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -170,20 +163,24 @@ class EinsteinSolution:
 
     x: tuple[Coordinate, Coordinate, Coordinate]
     branch: str
-    _link: Optional[GenericEliminants] = None
+    system: Optional[EinsteinSystem] = field(default=None, compare=False)  # the solver's; None when hand-built
 
     @property
     def is_exact(self) -> bool:
         return all(not isinstance(c, RootCoordinate) for c in self.x)
+
+    @property
+    def _own_system(self) -> EinsteinSystem:
+        if self.system is None:  # hand-built: nothing bounds or tightens its intervals
+            raise IntegrityError("interval solution without refinement data")
+        return self.system
 
     @cached_property
     def residual_bound(self) -> Fraction:
         """max |r_i - r_j| at the midpoint of the box ``x``, exactly (0 when exact); derived on first read."""
         if self.is_exact:
             return Fraction(0)
-        if self._link is None:
-            raise IntegrityError("interval solution without refinement data")
-        _, n, d = _residual_enclosure(*self._link.cleared, [(m, m) for m in self.approx()])
+        _, n, d = _residual_enclosure(self._own_system, [(m, m) for m in self.approx()])
         return Fraction(n, d)
 
     def approx(self, prec: int = 40) -> tuple[Fraction, Fraction, Fraction]:
@@ -225,7 +222,7 @@ def ricci_coefficients(a, x):
     a = _validate_a(a)
     x = tuple(c if isinstance(c, QuadraticSurd) else exact_rational(c, "metric coordinate") for c in x)
     if len(x) != 3 or any(exact_sign(v) <= 0 for v in x):
-        raise ValueError(f"give three positive metric coordinates x = (x1, x2, x3); got {x}")
+        raise TrisymError(f"give three positive metric coordinates x = (x1, x2, x3); got {x}")
     return tuple(_ricci(a, x, i) for i in range(3))
 
 
@@ -272,11 +269,10 @@ def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return scale, tuple(tuple(p - q for p, q in zip(forms[i], forms[j])) for i, j in _PAIRS)
 
 
-def _residual_enclosure(scale: int, rows, ends) -> tuple[bool, int, int]:
-    """Enclose every r_i - r_j over a positive box in integers.
+def _residual_enclosure(system: EinsteinSystem, ends) -> tuple[bool, int, int]:
+    """Enclose every r_i - r_j of ``system`` over a positive box in integers.
 
-    ``ends`` holds the (lo, hi) endpoints of x1, x2, x3; ``scale`` and
-    ``rows`` come from ``_difference_rows``. Returns (excludes_zero, n, d):
+    ``ends`` holds the (lo, hi) endpoints of x1, x2, x3. Returns (excludes_zero, n, d):
     excludes_zero when some r_i - r_j is certifiably nonzero on the box, and
     max |r_i - r_j| <= n / d over the box, with equality on a point box.
     """
@@ -289,7 +285,7 @@ def _residual_enclosure(scale: int, rows, ends) -> tuple[bool, int, int]:
     mono_lo = [lo[s] * lo[t] for s, t in _MONOMIALS]
     mono_hi = [hi[s] * hi[t] for s, t in _MONOMIALS]
     excludes_zero, g_max = False, 0
-    for row in rows:
+    for row in system.rows:
         g_lo = g_hi = 0
         for c, m_lo, m_hi in zip(row, mono_lo, mono_hi):
             if c > 0:
@@ -301,11 +297,11 @@ def _residual_enclosure(scale: int, rows, ends) -> tuple[bool, int, int]:
         excludes_zero = excludes_zero or g_lo > 0 or g_hi < 0
         g_max = max(g_max, g_hi, -g_lo)
     # |r_i - r_j| = |F_i - F_j| / (2 x1 x2 x3) <= (g_max / (scale common^2)) / (2 lo1 lo2 lo3 / common^3)
-    return excludes_zero, g_max * common, 2 * scale * lo[0] * lo[1] * lo[2]
+    return excludes_zero, g_max * common, 2 * system.scale * lo[0] * lo[1] * lo[2]
 
 
 def _solves_exactly(rows, x) -> bool:
-    """F1 = F2 = F3 at the positive exact metric x, in integers; ``rows`` from ``_difference_rows(a)``.
+    """F1 = F2 = F3 at the positive exact metric x, in integers; ``rows`` an ``EinsteinSystem``'s.
 
     Writes x_u = (P_u + Q_u sqrt d) / R over one R > 0, with d the one
     radicand of the surd coordinates (0 when all are rational) and Q_u = 0
@@ -348,38 +344,68 @@ def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
     return vals
 
 
-def _exact_solution(rows, triple: list[Exact], branch: str) -> EinsteinSolution:
+@dataclass(frozen=True)
+class EinsteinSystem:
+    """r1 = r2 = r3 for one coefficient triple, prepared once for solve, refine and verify.
+
+    Building it validates ``a`` and reads ``scale`` = L and the ``rows`` of
+    L (F_i - F_j) (``_difference_rows``); ``odd`` is the index of the unpaired
+    coefficient (0 when all are equal, -1 when all are distinct). Only the
+    all-distinct branch reads, derived on first use, the pivot x2 = num / den
+    (``_pivot``) and the square-free eliminants in x3 and in x2.
+    """
+
+    a: tuple[Fraction, Fraction, Fraction]
+    scale: int = field(init=False)
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    odd: int = field(init=False)
+
+    def __post_init__(self):
+        a = _validate_a(self.a)
+        odd = next((k for k in range(3) if a[k - 1] == a[k - 2]), -1)  # a[k - 1], a[k - 2]: the other two
+        for name, value in zip(("a", "scale", "rows", "odd"), (a, *_difference_rows(a), odd)):
+            object.__setattr__(self, name, value)  # the fields of a frozen dataclass, set once
+
+    @cached_property
+    def num(self) -> tuple[int, ...]:
+        return _pivot(self.rows)[0]
+
+    @cached_property
+    def den(self) -> tuple[int, ...]:
+        return _pivot(self.rows)[1]
+
+    @cached_property
+    def x3(self) -> Polynomial:
+        return _eliminant(self.rows, "x3")
+
+    @cached_property
+    def x2(self) -> Polynomial:
+        return _eliminant(_swapped_rows(self.rows), "x2")  # the x3 eliminant of (a1, a3, a2)
+
+
+def _exact_solution(system: EinsteinSystem, triple: list[Exact], branch: str) -> EinsteinSolution:
     t0 = triple[0]
     x = (Fraction(1), triple[1] / t0, triple[2] / t0)
-    if not _solves_exactly(rows, x):
+    if not _solves_exactly(system.rows, x):
         raise IntegrityError(f"branch {branch} produced a non-solution {x}")
-    return EinsteinSolution(x=x, branch=branch)
+    return EinsteinSolution(x=x, branch=branch, system=system)
 
 
-def _solutions_all_equal(a: Fraction) -> list[EinsteinSolution]:
-    rows = _difference_rows((a, a, a))[1]
-    out = [_exact_solution(rows, [Fraction(1)] * 3, BRANCH_STANDARD)]
+def _solutions_all_equal(system: EinsteinSystem) -> list[EinsteinSolution]:
+    a = system.a[0]
+    out = [_exact_solution(system, [Fraction(1)] * 3, BRANCH_STANDARD)]
     if a in (QUARTER, HALF):
         return out
     big, small = 1 - 2 * a, 2 * a
     for pat in ([big, small, small], [small, big, small], [small, small, big]):
-        out.append(_exact_solution(rows, pat, BRANCH_PAIR_LINEAR))
+        out.append(_exact_solution(system, pat, BRANCH_PAIR_LINEAR))
     return out
 
 
-def _pair_odd_index(a) -> int:
-    """0-based index of the unpaired coefficient; -1 when all distinct."""
-    for k in range(3):
-        i, j = [t for t in range(3) if t != k]
-        if a[i] == a[j]:
-            return k
-    return -1
-
-
-def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
+def _solutions_equal_pair(system: EinsteinSystem) -> list[EinsteinSolution]:
+    k = system.odd
     i, j = [t for t in range(3) if t != k]
-    a_pair, a_odd = a[i], a[k]
-    rows = _difference_rows(a)[1]
+    a_pair, a_odd = system.a[i], system.a[k]
     out: list[EinsteinSolution] = []
 
     # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k (linear when a_odd = 1/2);
@@ -388,7 +414,7 @@ def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
         triple: list[Exact] = [Fraction(0)] * 3
         triple[i] = triple[j] = r
         triple[k] = Fraction(1)
-        out.append(_exact_solution(rows, triple, BRANCH_PAIR_LINEAR))
+        out.append(_exact_solution(system, triple, BRANCH_PAIR_LINEAR))
 
     # branch x_k = 2 a_pair (x_i + x_j): symmetric quadratic in q = x_i / x_j
     if a_pair != HALF:
@@ -399,33 +425,12 @@ def _solutions_equal_pair(a, k: int) -> list[EinsteinSolution]:
             triple[i] = q
             triple[j] = Fraction(1)
             triple[k] = 2 * a_pair * (q + 1)
-            out.append(_exact_solution(rows, triple, BRANCH_PAIR_SUM))
+            out.append(_exact_solution(system, triple, BRANCH_PAIR_SUM))
 
     return [s for n, s in enumerate(out) if all(s.x != t.x for t in out[:n])]  # the first of equal metrics
 
 
 # -- generic branch (all coefficients distinct) ------------------------------
-
-@dataclass(frozen=True)
-class GenericEliminants:
-    """Elimination data of the all-distinct branch at x1 = 1 for the triple ``a``.
-
-    x2 = num(x3) / den(x3) wherever the linear pivot ``den`` is nonzero.
-    ``num`` and ``den`` are ascending integer coefficients, as
-    ``_eliminate_x2`` forms them: each keeps the common scale of the rows,
-    since only their ratio matters, and reducing each one to its primitive
-    part would change it. ``x3`` and ``x2`` are the square-free eliminants
-    in x3 and in x2. ``cleared`` is ``_difference_rows(a)``, which the
-    pivot, the residual bounds and the exact checks of the solve read.
-    """
-
-    a: tuple[Fraction, Fraction, Fraction]
-    num: tuple[int, ...]
-    den: tuple[int, ...]
-    x3: Polynomial
-    x2: Polynomial
-    cleared: tuple[int, tuple[tuple[int, ...], ...]]
-
 
 # the index in _MONOMIALS of the image of each monomial under x2 <-> x3
 _SWAP_X2_X3 = (0, 2, 1, 3, 5, 4)
@@ -447,41 +452,38 @@ def _forms(rows) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(((r[0], r[4], r[2]), (r[5], r[3]), (r[1],)) for r in rows[1:])
 
 
-def _eliminate_x2(rows, name: str) -> tuple[tuple[int, ...], tuple[int, ...], Polynomial]:
-    """(num, den, eliminant in x3) for the triple whose ``_difference_rows`` are ``rows``."""
+def _pivot(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(num, den) with x2 den(x3) = num(x3) at x1 = 1, for the triple whose ``_difference_rows`` are ``rows``.
+
+    Both keep the common scale of the rows, since reducing each one to its primitive part would change their ratio.
+    """
     (A1, B1, (c1,)), (A2, B2, (c2,)) = _forms(rows)
     # cancel x2^2: c2 L (F1 - F3) - c1 L (F2 - F3) = den(x3) x2 - num(x3)
     den = tuple(c2 * u - c1 * v for u, v in zip(B1, B2))
     num = tuple(c1 * u - c2 * v for u, v in zip(A2, A1))
     if not den[1]:
         raise IntegrityError("pivot polynomial is not linear")
-    elim = resultant((Polynomial(A2), Polynomial(B2), Polynomial((c2,))), Polynomial(num), Polynomial(den))
+    return num, den
+
+
+def _eliminant(rows, name: str) -> Polynomial:
+    """The square-free part of den^2 L (F2 - F3) at x2 = num/den, a polynomial in x3."""
+    num, den = _pivot(rows)
+    A2, B2, c2 = _forms(rows)[1]
+    elim = resultant((Polynomial(A2), Polynomial(B2), Polynomial(c2)), Polynomial(num), Polynomial(den))
     if elim.is_zero:
         raise IntegrityError(f"{name} eliminant vanished identically")
-    return num, den, elim
+    return squarefree_part(elim)
 
 
-def generic_eliminants(a) -> GenericEliminants:
-    """Eliminate x2 by substitution; the x2 eliminant is the x3 one of (a1, a3, a2).
-
-    Swapping x2 with x3 and a2 with a3 exchanges F2 and F3, so it maps the
-    ideal (F1 - F3, F2 - F3) to itself.
-    """
-    cleared = _difference_rows(_validate_a(a))
-    num, den, elim3 = _eliminate_x2(cleared[1], "x3")
-    elim2 = _eliminate_x2(_swapped_rows(cleared[1]), "x2")[2]
-    return GenericEliminants(a, num, den, squarefree_part(elim3), squarefree_part(elim2), cleared)
-
-
-def _pivot_solutions_at(e: GenericEliminants, xi3: Fraction) -> list[EinsteinSolution]:
+def _pivot_solutions_at(system: EinsteinSystem, xi3: Fraction) -> list[EinsteinSolution]:
     """Exact solutions sitting at the rational pivot point x3 = xi3, if any."""
-    rows = e.cleared[1]
-    g = poly_gcd(*(Polynomial(Polynomial(part)(xi3) for part in f) for f in _forms(rows)))
+    g = poly_gcd(*(Polynomial(Polynomial(part)(xi3) for part in f) for f in _forms(system.rows)))
     if g.degree < 1:
         return []
     roots = roots_of_quadratic(g[2], g[1], g[0])  # linear when g has degree 1
     # every real root y is positive by the x2 lemma, since xi3 != 1 when a1 != a3
-    return [_exact_solution(rows, [Fraction(1), y, xi3], BRANCH_GENERIC) for y in roots]
+    return [_exact_solution(system, [Fraction(1), y, xi3], BRANCH_GENERIC) for y in roots]
 
 
 def _below(u: tuple[int, int], v: tuple[int, int]) -> bool:
@@ -490,7 +492,7 @@ def _below(u: tuple[int, int], v: tuple[int, int]) -> bool:
 
 
 def _link_x2_interval(
-    e: GenericEliminants,
+    system: EinsteinSystem,
     iv3: IsolatingInterval,
     enclosing: Optional[IsolatingInterval] = None,
     width: Optional[Fraction] = None,
@@ -530,9 +532,9 @@ def _link_x2_interval(
         e_hi = (enclosing.hi.numerator, enclosing.hi.denominator)
     x2 = None
     for _ in range(_LINK_STEPS):
-        d_lo, d_hi, d_s = eval_poly_range(e.den, A, B, M)
+        d_lo, d_hi, d_s = eval_poly_range(system.den, A, B, M)
         if d_lo > 0 or d_hi < 0:
-            n_lo, n_hi, n_s = eval_poly_range(e.num, A, B, M)
+            n_lo, n_hi, n_s = eval_poly_range(system.num, A, B, M)
             if d_hi < 0:  # num/den = (-num)/(-den), with -den positive on the box
                 n_lo, n_hi, d_lo, d_hi = -n_hi, -n_lo, -d_hi, -d_lo
             # each end of num/den divides by the end of den that makes it extreme
@@ -549,8 +551,8 @@ def _link_x2_interval(
             x2 = lo, hi
             # hi - lo <= width, as (hi_n lo_d - lo_n hi_d) / (lo_d hi_d)
             narrow = width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width.denominator <= width.numerator * lo[1] * hi[1]
-            if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and isolates_at(e.x2, *lo, *hi):
-                iv2 = IsolatingInterval(Fraction(*lo), Fraction(*hi), e.x2)
+            if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and isolates_at(system.x2, *lo, *hi):
+                iv2 = IsolatingInterval(Fraction(*lo), Fraction(*hi), system.x2)
                 return iv2, IsolatingInterval(Fraction(A, M), Fraction(B, M), p3)
         A, B, M = bisect_root(p3, s3, A, B, M, B - A, 4 * M)
     widths = {"x3": Fraction(B - A, M)}
@@ -559,31 +561,28 @@ def _link_x2_interval(
     raise _budget_exhausted("x2 back-substitution", _LINK_STEPS, widths)
 
 
-def _solutions_generic(a) -> list[EinsteinSolution]:
-    e = generic_eliminants(a)
+def _solutions_generic(system: EinsteinSystem) -> list[EinsteinSolution]:
     out: list[EinsteinSolution] = []
 
     # pivot point of the back-substitution: single rational root of den
-    xi = Fraction(-e.den[0], e.den[1])
-    remaining = e.x3
+    xi = Fraction(-system.den[0], system.den[1])
+    remaining = system.x3
     if remaining.sign_at(xi) == 0:
-        out.extend(_pivot_solutions_at(e, xi))
+        out.extend(_pivot_solutions_at(system, xi))
         remaining = deflate_endpoint_roots(remaining, xi, None)
 
     for iv3 in isolate_real_roots(remaining, 0, None):
-        if a[1] == HALF and iv3.lo < 1 < iv3.hi:
+        if system.a[1] == HALF and iv3.lo < 1 < iv3.hi:
             continue  # the point (1, 0, 1), the one root with x2 = 0 (x2 lemma)
-        iv2, iv3 = _link_x2_interval(e, iv3)
+        iv2, iv3 = _link_x2_interval(system, iv3)
         x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
-        out.append(EinsteinSolution(x=x, branch=BRANCH_GENERIC, _link=e))
+        out.append(EinsteinSolution(x=x, branch=BRANCH_GENERIC, system=system))
     return out
 
 
-def _tighten(x, e: Optional[GenericEliminants], width: Fraction):
+def _tighten(system: EinsteinSystem, x, width: Fraction):
     """``x`` with x3 refined below ``width`` and x2 re-linked inside its interval; x1 is kept as given."""
-    if e is None:
-        raise IntegrityError("interval solution without refinement data")
-    iv2, iv3 = _link_x2_interval(e, x[2].interval, x[1].interval, width)
+    iv2, iv3 = _link_x2_interval(system, x[2].interval, x[1].interval, width)
     return (x[0], RootCoordinate(iv2), RootCoordinate(iv3))
 
 
@@ -594,13 +593,10 @@ def _sort_key(sol: EinsteinSolution):
 
 def solve_einstein(a) -> list[EinsteinSolution]:
     """All positive solutions of r1 = r2 = r3 up to scale, normalized to x1 = 1."""
-    a = _validate_a(a)
-    if a[0] == a[1] == a[2]:
-        sols = _solutions_all_equal(a[0])
-    else:
-        k = _pair_odd_index(a)
-        sols = _solutions_equal_pair(a, k) if k >= 0 else _solutions_generic(a)
-    return sorted(sols, key=_sort_key)
+    system = EinsteinSystem(a)
+    equal = len(set(system.a)) == 1
+    branch = _solutions_generic if system.odd < 0 else _solutions_all_equal if equal else _solutions_equal_pair
+    return sorted(branch(system), key=_sort_key)
 
 
 def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
@@ -610,7 +606,7 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
         raise TrisymError(f"width {width} must be positive")
     if sol.is_exact:
         return sol
-    return replace(sol, x=_tighten(sol.x, sol._link, width))
+    return replace(sol, x=_tighten(sol._own_system, sol.x, width))
 
 
 def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
@@ -619,8 +615,10 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     Exact coordinates are checked by F1 = F2 = F3 in integers
     (``_solves_exactly``). A float coordinate, a coordinate or box that is
     not positive, and surds over two radicands raise ``TrisymError``.
-    Interval coordinates are tightened until the integer enclosure of every
-    r_i - r_j (module docstring) lies inside (-tol, tol), or until it
+    The rows of ``sol``'s system are read when ``a`` is its triple of
+    ``Fraction``s, else a system is built for ``a``; interval coordinates are
+    tightened through ``sol``'s own system until the integer enclosure of
+    every r_i - r_j (module docstring) lies inside (-tol, tol), or until it
     certifiably excludes zero (returns False). Each round shrinks the widest
     coordinate width w to w * min(1/8, tol / (4 B)), where B bounds the
     residual enclosure: since the enclosure overestimates linearly in w, the
@@ -632,13 +630,14 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     residual lies below ``tol`` both answers are certified, and which one
     comes back depends on the enclosure and the tightening path.
     """
-    a = _validate_a(a)
+    own = sol.system  # reused for its own triple of Fractions only: 0.25 == Fraction(1, 4), and a float is refused
+    same = own is not None and isinstance(a, tuple) and all(type(v) is Fraction for v in a) and a == own.a
+    system = own if same else EinsteinSystem(a)
     tol = exact_rational(tol, "tolerance")
     if tol <= 0:
         raise TrisymError(f"tolerance {tol} must be positive")
-    scale, rows = _difference_rows(a)
     if sol.is_exact:
-        return _solves_exactly(rows, sol.x)
+        return _solves_exactly(system.rows, sol.x)
     x1, x2, x3 = sol.x
     if isinstance(x1, (RootCoordinate, QuadraticSurd)) or not all(isinstance(c, RootCoordinate) for c in (x2, x3)):
         shown = ", ".join(type(c).__name__ for c in sol.x)
@@ -646,13 +645,13 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     x = (exact_rational(x1, "metric coordinate"), x2, x3)
     for _ in range(_VERIFY_STEPS):
         ends = [(c.interval.lo, c.interval.hi) if isinstance(c, RootCoordinate) else (c, c) for c in x]
-        excludes_zero, n, d = _residual_enclosure(scale, rows, ends)
+        excludes_zero, n, d = _residual_enclosure(system, ends)
         if excludes_zero:
             return False
         if n * tol.denominator < tol.numerator * d:  # n / d < tol
             return True
         w = max(_coordinate_widths(x).values())
-        x = _tighten(x, sol._link, w * min(Fraction(1, 8), tol / (4 * Fraction(n, d))))
+        x = _tighten(sol._own_system, x, w * min(Fraction(1, 8), tol / (4 * Fraction(n, d))))
     raise _budget_exhausted("verification", _VERIFY_STEPS, _coordinate_widths(x))
 
 

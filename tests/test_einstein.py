@@ -20,8 +20,8 @@ from trisym.einstein import (
     BRANCH_PAIR_SUM,
     BRANCH_STANDARD,
     EinsteinSolution,
+    EinsteinSystem,
     RootCoordinate,
-    generic_eliminants,
     refine_solution,
     ricci_coefficients,
     solve_case,
@@ -62,11 +62,11 @@ class TestRicci:
         assert (r1, r2, r3) == (F(3, 8), F(5, 12), F(1, 3))
 
     def test_positivity_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TrisymError, match="give three positive metric coordinates"):
             ricci_coefficients((F(1, 4),) * 3, (F(1), F(-1), F(1)))
 
     def test_three_coordinates_required(self):
-        with pytest.raises(ValueError, match="give three positive metric coordinates"):
+        with pytest.raises(TrisymError, match="give three positive metric coordinates"):
             ricci_coefficients((F(1, 4),) * 3, (F(1), F(1)))
 
     @pytest.mark.parametrize("x", [(1, 1, 1), ("1", "1", "1"), (F(1), 1, F(1))])
@@ -226,7 +226,7 @@ class TestBadInput:
 
     SOL = solve_einstein((F(1, 4), F(1, 8), F(7, 24)))[0]
 
-    ENTRIES = [solve_einstein, generic_eliminants, lambda a: verify_solution(a, TestBadInput.SOL)]
+    ENTRIES = [solve_einstein, EinsteinSystem, lambda a: verify_solution(a, TestBadInput.SOL)]
 
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize(
@@ -243,6 +243,12 @@ class TestBadInput:
         with pytest.raises(TrisymError, match=f"^give three coefficients a = \\(a1, a2, a3\\); got {len(a)}$"):
             entry(a)
 
+    def test_float_refused_where_the_solution_system_is_reused(self):
+        # the floats equal SOL's own triple by value, so a reuse test by == alone would let them through
+        assert (0.25, 0.125, F(7, 24)) == (F(1, 4), F(1, 8), F(7, 24))
+        with pytest.raises(TrisymError, match="coefficient a = 0.25 is a float"):
+            verify_solution((0.25, 0.125, F(7, 24)), TestBadInput.SOL)
+
     @pytest.mark.parametrize("width", ["x", "1/0", None])
     def test_non_rational_width(self, width):
         with pytest.raises(TrisymError, match=f"^width {re.escape(repr(width))} is not a rational number"):
@@ -253,7 +259,7 @@ class TestGenericBranch:
     def test_float_a_refused(self):
         # a float stands for a binary fraction, not the decimal it shows
         with pytest.raises(TrisymError, match="coefficient a = 0.25 is a float"):
-            generic_eliminants((0.25, F(1, 8), F(7, 24)))
+            EinsteinSystem((0.25, F(1, 8), F(7, 24)))
 
     def test_counts(self):
         assert len(solve_einstein((F(5, 18), F(2, 9), F(1, 6)))) == 2
@@ -297,7 +303,7 @@ class TestGenericBranch:
             assert refine_solution(s, "1/10000000000").x == refine_solution(s, F(1, 10**10)).x
 
     def test_eliminants_are_squarefree_quartics(self):
-        e = generic_eliminants((F(5, 18), F(2, 9), F(1, 6)))  # E7-II
+        e = EinsteinSystem((F(5, 18), F(2, 9), F(1, 6)))  # E7-II
         for elim in (e.x3, e.x2):
             assert elim.degree == 4 and elim[4] == 1
             assert squarefree_part(elim) == elim
@@ -329,7 +335,7 @@ class TestGenericBranch:
             if len(set(t)) == 3:
                 triples.append(tuple(t))
         for a in triples:
-            e = generic_eliminants(a)
+            e = EinsteinSystem(a)
             assert e.x3 == oracle(a, x2, x3), a
             assert e.x2 == oracle(a, x3, x2), a
 
@@ -544,6 +550,26 @@ class TestResidualBound:
             assert moved.residual_bound < s.residual_bound
 
 
+class TestHandBuiltInterval:
+    """An interval solution built by hand has no system to bound or tighten it with."""
+
+    A = (F(1, 4), F(1, 8), F(7, 24))
+
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda s: s.residual_bound,
+            lambda s: refine_solution(s, F(1, 10**30)),
+            lambda s: verify_solution(TestHandBuiltInterval.A, s),
+        ],
+        ids=["residual_bound", "refine_solution", "verify_solution"],
+    )
+    def test_refused_by_name(self, use):
+        for s in solve_einstein(self.A):
+            with pytest.raises(IntegrityError, match="^interval solution without refinement data$"):
+                use(EinsteinSolution(x=s.x, branch=BRANCH_GENERIC))
+
+
 class TestVerifyRounds:
     """Each tightening is sized from the residual enclosure, so one is enough."""
 
@@ -619,7 +645,7 @@ class TestResidualKernel:
         st.lists(st.tuples(unit_fraction, unit_fraction, unit_fraction), min_size=1, max_size=3),
     )
     def test_bound_holds_over_the_box(self, a, ends, interior):
-        excludes_zero, n, d = einstein._residual_enclosure(*einstein._difference_rows(a), ends)
+        excludes_zero, n, d = einstein._residual_enclosure(EinsteinSystem(a), ends)
         points = list(product(*ends))
         points += [tuple(lo + t * (hi - lo) for (lo, hi), t in zip(ends, ts)) for ts in [(F(1, 2),) * 3, *interior]]
         diffs = [ricci_differences(a, x) for x in points]
@@ -629,7 +655,7 @@ class TestResidualKernel:
 
     @given(st.tuples(kernel_a, kernel_a, kernel_a), st.tuples(positive_x, positive_x, positive_x))
     def test_point_box_is_exact(self, a, x):
-        _, n, d = einstein._residual_enclosure(*einstein._difference_rows(a), [(v, v) for v in x])
+        _, n, d = einstein._residual_enclosure(EinsteinSystem(a), [(v, v) for v in x])
         assert F(n, d) == max(abs(v) for v in ricci_differences(a, x))
 
 
@@ -719,7 +745,7 @@ class TestExactCheck:
 
     @given(exact_triples().filter(lambda a: len(set(a)) < 3), st.data())
     def test_perturbed_odd_coefficient_fails(self, a, data):
-        k = einstein._pair_odd_index(a)
+        k = EinsteinSystem(a).odd
         k = data.draw(st.integers(0, 2)) if k < 0 else k
         perturbed = tuple(v - F(1, 10**12) if t == k else v for t, v in enumerate(a))
         for x in exact_solutions(a):
@@ -827,19 +853,21 @@ class TestDifferenceRows:
         "a", [(F(1, 4), F(1, 8), F(7, 24)), (F(1, 6), F(1, 8), F(5, 24)), (F(4, 15), F(1, 5), F(1, 5)), (F(2, 9),) * 3]
     )
     def test_computed_once_per_solve(self, a, monkeypatch):
-        calls = []
-        rows = einstein._difference_rows
+        # the rows and the validation of a, once per triple: refinement and the
+        # CLI's verification of each refined solution read the solver's system
+        calls = {"_difference_rows": [], "_validate_a": []}
+        for name, seen in calls.items():
 
-        def counted(b):
-            calls.append(b)
-            return rows(b)
+            def counted(b, f=getattr(einstein, name), seen=seen):
+                seen.append(b)
+                return f(b)
 
-        monkeypatch.setattr(einstein, "_difference_rows", counted)
+            monkeypatch.setattr(einstein, name, counted)
         sols = solve_einstein(a)
-        assert sols and len(calls) == 1
+        assert sols and [len(seen) for seen in calls.values()] == [1, 1]
         for s in sols:
-            refine_solution(s, F(1, 10**30))
-        assert len(calls) == 1
+            assert verify_solution(a, refine_solution(s, F(1, 10**30)), F(1, 10**30))
+        assert [len(seen) for seen in calls.values()] == [1, 1]
 
 
 def reference_link(e, iv3, enclosing=None, width=None):
@@ -869,7 +897,7 @@ class TestLink:
 
     @pytest.mark.parametrize("a", [A, (F(5, 18), F(2, 9), F(1, 6)), *EDGE_TRIPLES[:6]])
     def test_same_intervals_as_refine_root(self, a):
-        e = generic_eliminants(a)
+        e = EinsteinSystem(a)
         for iv3 in isolate_real_roots(e.x3, 0, None):
             if a[1] == HALF and iv3.lo < 1 < iv3.hi:
                 continue
@@ -884,7 +912,7 @@ class TestLink:
     @pytest.mark.parametrize("k", [1, 2])
     def test_exact_dyadic_hit(self, k):
         # a hand-built x3 box whose polynomial x - c has its root at the first midpoint
-        e = generic_eliminants(self.A)
+        e = EinsteinSystem(self.A)
         for s in solve_einstein(self.A):
             c = refine_solution(s, F(1, 2**40)).x[2].interval.lo
             box = IsolatingInterval(c - F(1, 2**k), c + F(1, 2**k), Polynomial((-c, 1)))
@@ -892,7 +920,7 @@ class TestLink:
             assert link_ends(e, box) == reference_link(e, box)
 
     def test_no_fractions_in_its_loop(self, fractions_made):
-        e = generic_eliminants(self.A)
+        e = EinsteinSystem(self.A)
         widths = (None, F(1, 10**10), F(1, 10**300))
         for iv3 in isolate_real_roots(e.x3, 0, None):
             iv2 = einstein._link_x2_interval(e, iv3)[0]
@@ -901,7 +929,7 @@ class TestLink:
             assert counts == [4] * 3  # the returned endpoints
 
     def test_ends_that_do_not_straddle_the_root(self):
-        e = generic_eliminants(self.A)
+        e = EinsteinSystem(self.A)
         iv3 = solve_einstein(self.A)[0].x[2].interval
         beside = IsolatingInterval(iv3.hi, iv3.hi + iv3.width, iv3.poly)
         assert iv3.poly.sign_at(beside.lo) == iv3.poly.sign_at(beside.hi) != 0
@@ -928,7 +956,7 @@ class TestBudgets:
         # hand-built: the x2 interval of one solution as the enclosure for the
         # x3 interval of the other, so num/den over the x3 box misses it
         s, other = (refine_solution(t, F(1, 10**10)) for t in solve_einstein(self.A))
-        e = generic_eliminants(self.A)
+        e = EinsteinSystem(self.A)
         iv3, enclosing = s.x[2].interval, other.x[1].interval
         num_range, den_range = (fraction_range(p, iv3.lo, iv3.hi) for p in (e.num, e.den))
         assert den_range[0] > 0 or den_range[1] < 0
