@@ -351,8 +351,8 @@ class EinsteinSystem:
     Building it validates ``a`` and reads ``scale`` = L and the ``rows`` of
     L (F_i - F_j) (``_difference_rows``); ``odd`` is the index of the unpaired
     coefficient (0 when all are equal, -1 when all are distinct). Only the
-    all-distinct branch reads, derived on first use, the pivot x2 = num / den
-    (``_pivot``) and the square-free eliminants in x3 and in x2.
+    all-distinct branch reads, derived on first use, the ``pivot`` (num, den)
+    with x2 = num / den (``_pivot``) and the square-free eliminants in x3 and in x2.
     """
 
     a: tuple[Fraction, Fraction, Fraction]
@@ -367,20 +367,17 @@ class EinsteinSystem:
             object.__setattr__(self, name, value)  # the fields of a frozen dataclass, set once
 
     @cached_property
-    def num(self) -> tuple[int, ...]:
-        return _pivot(self.rows)[0]
-
-    @cached_property
-    def den(self) -> tuple[int, ...]:
-        return _pivot(self.rows)[1]
+    def pivot(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return _pivot(self.rows)
 
     @cached_property
     def x3(self) -> Polynomial:
-        return _eliminant(self.rows, "x3")
+        return _eliminant(self.rows, self.pivot, "x3")
 
     @cached_property
     def x2(self) -> Polynomial:
-        return _eliminant(_swapped_rows(self.rows), "x2")  # the x3 eliminant of (a1, a3, a2)
+        rows = _swapped_rows(self.rows)  # x2 is the x3 eliminant of (a1, a3, a2)
+        return _eliminant(rows, _pivot(rows), "x2")
 
 
 def _exact_solution(system: EinsteinSystem, triple: list[Exact], branch: str) -> EinsteinSolution:
@@ -466,9 +463,9 @@ def _pivot(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return num, den
 
 
-def _eliminant(rows, name: str) -> Polynomial:
-    """The square-free part of den^2 L (F2 - F3) at x2 = num/den, a polynomial in x3."""
-    num, den = _pivot(rows)
+def _eliminant(rows, pivot, name: str) -> Polynomial:
+    """The square-free part of den^2 L (F2 - F3) at x2 = num/den, a polynomial in x3, for (num, den) = ``pivot``."""
+    num, den = pivot
     A2, B2, c2 = _forms(rows)[1]
     elim = resultant((Polynomial(A2), Polynomial(B2), Polynomial(c2)), Polynomial(num), Polynomial(den))
     if elim.is_zero:
@@ -530,11 +527,12 @@ def _link_x2_interval(
     if enclosing is not None:
         e_lo = (enclosing.lo.numerator, enclosing.lo.denominator)
         e_hi = (enclosing.hi.numerator, enclosing.hi.denominator)
+    num, den = system.pivot
     x2 = None
     for _ in range(_LINK_STEPS):
-        d_lo, d_hi, d_s = eval_poly_range(system.den, A, B, M)
+        d_lo, d_hi, d_s = eval_poly_range(den, A, B, M)
         if d_lo > 0 or d_hi < 0:
-            n_lo, n_hi, n_s = eval_poly_range(system.num, A, B, M)
+            n_lo, n_hi, n_s = eval_poly_range(num, A, B, M)
             if d_hi < 0:  # num/den = (-num)/(-den), with -den positive on the box
                 n_lo, n_hi, d_lo, d_hi = -n_hi, -n_lo, -d_hi, -d_lo
             # each end of num/den divides by the end of den that makes it extreme
@@ -565,7 +563,8 @@ def _solutions_generic(system: EinsteinSystem) -> list[EinsteinSolution]:
     out: list[EinsteinSolution] = []
 
     # pivot point of the back-substitution: single rational root of den
-    xi = Fraction(-system.den[0], system.den[1])
+    den = system.pivot[1]
+    xi = Fraction(-den[0], den[1])
     remaining = system.x3
     if remaining.sign_at(xi) == 0:
         out.extend(_pivot_solutions_at(system, xi))

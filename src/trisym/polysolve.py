@@ -9,7 +9,8 @@ coefficients (gcd 1, sign kept) and ``content`` one positive ``Fraction``,
 from which the ``Fraction`` coefficients are derived. No ``Fraction``
 arithmetic on polynomials is left; every routine reads ``ints``. The sign of
 p at n/d (d > 0) is that of the homogenised integer sum
-c_k n^k + c_{k-1} n^(k-1) d + ... + c_0 d^k, by Horner's rule. Exact
+c_k n^k + c_{k-1} n^(k-1) d + ... + c_0 d^k, by Horner's rule, and at the
+dyadic points of a bisection with the powers of two as shifts (below). Exact
 division is integer long division: by Gauss's lemma an exact quotient of
 primitive integer polynomials is a primitive integer polynomial (Knuth,
 TAOCP vol. 2, 4.6.1).
@@ -43,12 +44,15 @@ exact root gets a box of its own from `_carve`. `isolate_real_roots` stacks
 boxes with the variation counts at their ends, so the chain is evaluated
 once per midpoint. `root_box` writes an isolating interval as a box and
 checks its end signs, and `bisect_root` halves it in place, carving on a
-hit; `refine_root` is the two, and so is the solver's back-substitution
-loop. Elimination is by substitution: where one equation is linear in y,
-den * y = num, `resultant` puts y = num/den into the other and clears the
-denominator, in integers over one common denominator of the contents.
-Rationals become integer numerators over one denominator by
-`integer_numerators`, the one place that step is written.
+hit. Its points lie over m 2^j for the entry denominator m, so it scales the
+coefficients by powers of m once per call and applies the powers of two as
+shifts: the same points, signs and boxes as the homogenised sum, with one big
+multiplication per Horner step. `refine_root` is the two, and so is the
+solver's back-substitution loop. Elimination is by substitution: where one
+equation is linear in y, den * y = num, `resultant` puts y = num/den into
+the other and clears the denominator, in integers over one common
+denominator of the contents. Rationals become integer numerators over one
+denominator by `integer_numerators`, the one place that step is written.
 
 Conventions:
   * coefficients are in ascending order, no trailing zeros;
@@ -494,18 +498,24 @@ def bisect_root(p: Polynomial, s_lo: int, a: int, b: int, m: int, wn: int, wd: i
 
     ``s_lo`` is the sign of p at a/m, and p has the other sign at b/m. Halving
     maps (a, b, m) to (2a, a + b, 2m) or (a + b, 2b, 2m), so the ends are the
-    dyadic points a ``Fraction`` bisection would visit. When a midpoint is
-    itself a root, found exactly, the box around it is carved by ``_carve``
-    from the box that midpoint halves. Returns the final (a, b, m); p keeps
-    the sign ``s_lo`` at its lower end.
+    dyadic points a ``Fraction`` bisection would visit. The k-th midpoint is
+    mid / (m0 2^k) for the entry m0, where p has the sign of the sum of the
+    e_i mid^i 2^(k (deg - i)), e_i = c_i m0^(deg - i): the e_i are formed once
+    per call and the powers of two are shifts, one big multiplication per
+    Horner step. When a midpoint is itself a root, found exactly, the box
+    around it is carved by ``_carve`` from the box that midpoint halves.
+    Returns the final (a, b, m); p keeps the sign ``s_lo`` at its lower end.
     """
-    ints = p.ints
+    lead, *rest = [c * m ** j for j, c in enumerate(reversed(p.ints))]  # e_deg, e_(deg-1), ..., e_0
+    k = 0
     while (b - a) * wd > wn * m:
-        mid = a + b
-        s_mid = _horner_sign(ints, mid, 2 * m)
-        if s_mid == 0:
+        mid, k = a + b, k + 1
+        acc = lead
+        for j, e in enumerate(rest, 1):
+            acc = acc * mid + (e << j * k)
+        if not acc:
             return _carve(p, a, b, m, wn, wd)
-        if s_mid == s_lo:
+        if (acc > 0) == (s_lo > 0):
             a, b = mid, 2 * b
         else:
             a, b = 2 * a, mid

@@ -307,7 +307,8 @@ class TestGenericBranch:
         for elim in (e.x3, e.x2):
             assert elim.degree == 4 and elim[4] == 1
             assert squarefree_part(elim) == elim
-        assert len(e.den) == 2 and e.den[1] != 0  # den is linear
+        den = e.pivot[1]
+        assert len(den) == 2 and den[1] != 0  # den is linear
 
     def test_eliminants_match_sympy_resultants(self):
         # an independent exact oracle: the monic square-free part of sympy's
@@ -869,11 +870,27 @@ class TestDifferenceRows:
             assert verify_solution(a, refine_solution(s, F(1, 10**30)), F(1, 10**30))
         assert [len(seen) for seen in calls.values()] == [1, 1]
 
+    def test_pivot_once_per_row_set(self, monkeypatch):
+        # one (num, den) for the rows, read by the x3 eliminant and the link, and one for the swapped rows of x2
+        seen = []
+
+        def counted(rows, f=einstein._pivot):
+            seen.append(rows)
+            return f(rows)
+
+        monkeypatch.setattr(einstein, "_pivot", counted)
+        a = (F(1, 7), F(2, 9), F(3, 11))
+        sols = solve_einstein(a)  # reads the pivot point, the x3 eliminant and, per root, the link and the x2 eliminant
+        for s in sols:
+            assert verify_solution(a, refine_solution(s, F(1, 10**30)), F(1, 10**30))
+        rows = sols[0].system.rows
+        assert len(sols) == 2 and seen == [rows, einstein._swapped_rows(rows)]
+
 
 def reference_link(e, iv3, enclosing=None, width=None):
     """The x2 link in Fractions: num/den over the x3 box, then ``refine_root(iv3, iv3.width / 4)``."""
     for _ in range(einstein._LINK_STEPS):
-        (n_lo, n_hi), (d_lo, d_hi) = (fraction_range(p, iv3.lo, iv3.hi) for p in (e.num, e.den))
+        (n_lo, n_hi), (d_lo, d_hi) = (fraction_range(p, iv3.lo, iv3.hi) for p in e.pivot)
         if d_lo > 0 or d_hi < 0:
             quotients = [n / d for n in (n_lo, n_hi) for d in (d_lo, d_hi)]
             lo, hi = min(quotients), max(quotients)
@@ -958,7 +975,7 @@ class TestBudgets:
         s, other = (refine_solution(t, F(1, 10**10)) for t in solve_einstein(self.A))
         e = EinsteinSystem(self.A)
         iv3, enclosing = s.x[2].interval, other.x[1].interval
-        num_range, den_range = (fraction_range(p, iv3.lo, iv3.hi) for p in (e.num, e.den))
+        num_range, den_range = (fraction_range(p, iv3.lo, iv3.hi) for p in e.pivot)
         assert den_range[0] > 0 or den_range[1] < 0
         quotients = [n / d for n in num_range for d in den_range]
         assert max(quotients) < enclosing.lo or enclosing.hi < min(quotients)

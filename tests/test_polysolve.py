@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction as F
-from math import gcd, isqrt, prod
+from math import ceil, floor, gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given
@@ -717,6 +717,38 @@ finite_endpoints = st.one_of(
 )
 
 
+def _big_quartic(rng, bits):
+    """(u x - v)(s x - t)(w x^2 - c) with factors of about bits / 3 bits: a quartic with coefficients of about ``bits`` bits."""
+    third = bits // 3
+
+    def size():
+        return rng.getrandbits(third) | 1 << third
+
+    u, s, w = size(), size(), size()
+    return sym(sp(-rng.randrange(u, 3 * u), u) * sp(-rng.randrange(s // 5, s), s) * sp(-rng.randrange(w, 4 * w), 0, w))
+
+
+def _deep_boxes(p):
+    """(p, a, b, m, sign at a/m) for boxes over m = 3 * 7 * 11 * 2^j isolating each real root of ``p``."""
+    out = []
+    for iv in isolate_real_roots(p):
+        for j in (0, 9):
+            m = 3 * 7 * 11 * 2**j
+            iv = refine_root(iv, F(1, 4 * m))
+            a, b = floor(iv.lo * m), ceil(iv.hi * m)
+            if isolates_at(p, a, m, b, m):
+                out.append((p, a, b, m, p.sign_at(F(a, m))))
+    return out
+
+
+def _assert_fraction_bisection(p, box, got, width):
+    """``got`` = bisect_root on ``box`` is the Fraction bisection to ``width``, over the entry denominator times 2^k."""
+    a, b, m = box
+    k = got[2] // m
+    assert got[2] == m * k and k & (k - 1) == 0
+    assert (F(got[0], got[2]), F(got[1], got[2])) == ref_refine(p, F(a, m), F(b, m), width)
+
+
 class TestSharedKernels:
     @given(st.one_of(integer_polys, repeated_root_polys, sparse_polys()), st.data())
     def test_isolates_is_its_definition(self, p, data):
@@ -743,6 +775,37 @@ class TestSharedKernels:
             assert (F(a, m), F(b, m)) == ref_refine(iv.poly, iv.lo, iv.hi, width)
             assert iv.poly.sign_at(F(a, m)) == s_lo
 
+    @pytest.mark.parametrize("bits", [60, 150, 300])
+    def test_bisect_root_gives_the_fraction_bisection_at_depth(self, bits):
+        # eliminant-sized quartics, entry boxes over 3 * 7 * 11 * 2^j, widths down to 2^-1100,
+        # and the x2 link's quartering, (wn, wd) = (b - a, 4m)
+        boxes = _deep_boxes(_big_quartic(random.Random(bits), bits))
+        assert len(boxes) >= 4
+        for n, (p, a, b, m, s_lo) in enumerate(boxes):
+            for e in (1, 7, 60, 300) + ((1100,) if n == 0 else ()):
+                got = bisect_root(p, s_lo, a, b, m, 1, 2**e)
+                _assert_fraction_bisection(p, (a, b, m), got, F(1, 2**e))
+            box = a, b, m
+            for _ in range(3):
+                got = bisect_root(p, s_lo, *box, box[1] - box[0], 4 * box[2])
+                _assert_fraction_bisection(p, box, got, F(box[1] - box[0], 4 * box[2]))
+                box = got
+
+    @pytest.mark.parametrize("depth", [50, 173])
+    def test_bisect_root_carves_an_exact_hit_at_depth(self, depth):
+        # the root a/m + t / (m 2^depth), t odd, is first met as the midpoint of halving ``depth``
+        rng = random.Random(depth)
+        m = 3 * 7 * 11 * 2**5
+        a = rng.randrange(m, 2 * m)
+        t = rng.getrandbits(depth) | 1
+        num, den = a * 2**depth + t, m * 2**depth  # the root, in the entry box [a/m, (a + 1)/m]
+        p = sym(sp(-num, den) * sp(-rng.getrandbits(90) - 2**90, 0, 2**90 + 1) * sp(-(2**200 + 1), 2**199))
+        assert p.degree == 4 and isolates_at(p, a, m, a + 1, m) and F(num, den) < 2
+        for e in (depth + 20, 2 * depth + 20, 1100):  # past depth: the entry width is about 2^-13
+            got = bisect_root(p, p.sign_at(F(a, m)), a, a + 1, m, 1, 2**e)
+            _assert_fraction_bisection(p, (a, a + 1, m), got, F(1, 2**e))
+            assert F(got[0] + got[1], 2 * got[2]) == F(num, den)  # carved around the root
+
     @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
     def test_bisect_root_stops_at_an_exact_hit(self, root, k, bits, c):
         p = sym(sp(-root, 1) * (sp(1) if c is None else sp(-c, 0, 1)))
@@ -763,6 +826,23 @@ class TestSharedKernels:
         iv = isolate_real_roots(poly(-2, 0, 1), 1, 2)[0]
         shallow, deep = (fractions_made(lambda: refine_root(iv, w)) for w in (F(1, 10**10), F(1, 10**300)))
         assert deep == shallow <= 2  # the returned endpoints
+
+    def test_refine_root_makes_no_horner_evaluation_in_its_loop(self, monkeypatch):
+        # bisection signs come from the dyadic kernel; a full homogenised Horner is made only by root_box's end checks
+        calls = []
+
+        def counted(ints, n, d, f=polysolve._horner_sign):
+            calls.append(d)
+            return f(ints, n, d)
+
+        monkeypatch.setattr(polysolve, "_horner_sign", counted)
+        iv = IsolatingInterval(F(1), F(2), poly(-2, 0, 1))
+        counts = []
+        for w in (F(1, 10**10), F(1, 10**300)):
+            calls.clear()
+            refine_root(iv, w)
+            counts.append(len(calls))
+        assert counts == [2, 2]
 
     def test_isolate_builds_no_fractions_in_its_loop(self, fractions_made):
         close = sym(sp(F(-1, 3), 1) * sp(F(-1, 3) - F(1, 10**40), 1) * sp(-5, 1))
