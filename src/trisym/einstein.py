@@ -16,10 +16,13 @@ Branches:
     (t,t,t), ((1-2a)t, 2at, 2at) and its two coordinate rotations.
   * exactly one equal pair a_i = a_j: the difference r_i - r_j factors as
     (x_j - x_i)(x_k - 2 a_i (x_i + x_j)) = 0, and each factor reduces the
-    remaining equation to a quadratic solved in exact surds:
+    remaining equation to a quadratic, solved in integers (scaled by L, L^3):
       x_i = x_j:                (1-2a_k) x_i^2 - x_i x_k + (a_i+a_k) x_k^2 = 0
       x_k = 2a_i (x_i + x_j):   (a_i+a_k)(1-4a_i^2)(x_i^2 + x_j^2)
                                    = (1 - 2a_i + 8a_i^2 (a_i+a_k)) x_i x_j
+    Each metric is built in integer coordinates (P_u + Q_u sqrt d) / R over
+    its quadratic's radicand d and normalized to x1 = 1 by the conjugate of
+    x1, with one ``Fraction`` per output number; so are the all-equal metrics.
   * all distinct: set x1 = 1, read G1 = L (F1-F3) and G2 = L (F2-F3) off the
     system's integer rows (L the lcm of the denominators of a), cancel
     their x2^2 terms to get a relation x2 * den(x3) = num(x3) with den linear,
@@ -58,8 +61,8 @@ solves the system whenever a2 = 1/2.
 The equal-pair lemma: every real root of the two equal-pair quadratics is
 positive. For a_k < 1/2 the roots r of (1 - 2a_k) r^2 - r + (a_i + a_k) have
 positive product and sum; at a_k = 1/2 the one root is a_i + 1/2. The sum
-branch runs only for a_i < 1/2, where L q^2 + M q + L has
-L = (a_i + a_k)(1 - 4a_i^2) > 0 and -M = 1 - 2a_i + 8a_i^2 (a_i + a_k) > 0:
+branch runs only for a_i < 1/2, where E q^2 + M q + E has
+E = (a_i + a_k)(1 - 4a_i^2) > 0 and -M = 1 - 2a_i + 8a_i^2 (a_i + a_k) > 0:
 its roots have product 1 and a positive sum, and x_k = 2a_i (q + 1) > 0.
 So the branch tests no sign; ``_solves_exactly`` is the one positivity check.
 
@@ -89,8 +92,7 @@ residual is certifiably nonzero; otherwise
 |r_i - r_j| <= max|G| D / (2 L A1 A2 A3), a bound that is exact on a point
 box: ``residual_bound`` is that bound at a solution's midpoint, derived on
 first read, so a solve or refinement that never reads it never computes it.
-The enclosure
-overestimates by an amount linear in the box width (Moore, *Interval
+The enclosure overestimates by an amount linear in the box width (Moore, *Interval
 Analysis*, 1966), so a verification round sizes its step from it: width w
 with bound B becomes w * tol / (4 B), and at most w / 8, and one round
 usually certifies. Exact solutions are checked on the same rows, in
@@ -125,7 +127,7 @@ from .polysolve import (
     root_box,
     squarefree_part,
 )
-from .surd import Exact, QuadraticSurd, exact_sign, integer_sign, roots_of_quadratic
+from .surd import QuadraticSurd, exact_sign, integer_roots_of_quadratic, integer_sign
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -380,49 +382,47 @@ class EinsteinSystem:
         return _eliminant(rows, _pivot(rows), "x2")
 
 
-def _exact_solution(system: EinsteinSystem, triple: list[Exact], branch: str) -> EinsteinSolution:
-    t0 = triple[0]
-    x = (Fraction(1), triple[1] / t0, triple[2] / t0)
+def _exact_solution(system: EinsteinSystem, d: int, triple, branch: str) -> EinsteinSolution:
+    """The metric x_u = (P_u + Q_u sqrt d) / R of the integer pairs (P_u, Q_u) in ``triple``, normalized to x1 = 1."""
+    p1, q1 = triple[0]
+    x, n = [Fraction(1)], p1 * p1 - q1 * q1 * d  # x_u / x1 = (P_u + Q_u sqrt d)(P_1 - Q_1 sqrt d) / n
+    for p, q in triple[1:]:
+        u, v = p * p1 - q * q1 * d, q * p1 - p * q1
+        x.append(QuadraticSurd(Fraction(u, n), Fraction(v, n), d) if v else Fraction(u, n))
     if not _solves_exactly(system.rows, x):
-        raise IntegrityError(f"branch {branch} produced a non-solution {x}")
-    return EinsteinSolution(x=x, branch=branch, system=system)
+        raise IntegrityError(f"branch {branch} produced a non-solution {tuple(x)}")
+    return EinsteinSolution(x=tuple(x), branch=branch, system=system)
 
 
 def _solutions_all_equal(system: EinsteinSystem) -> list[EinsteinSolution]:
-    a = system.a[0]
-    out = [_exact_solution(system, [Fraction(1)] * 3, BRANCH_STANDARD)]
-    if a in (QUARTER, HALF):
-        return out
-    big, small = 1 - 2 * a, 2 * a
-    for pat in ([big, small, small], [small, big, small], [small, small, big]):
-        out.append(_exact_solution(system, pat, BRANCH_PAIR_LINEAR))
-    return out
+    out = [_exact_solution(system, 0, [(1, 0)] * 3, BRANCH_STANDARD)]
+    n, m = system.a[0].numerator, system.a[0].denominator
+    big, small = (m - 2 * n, 0), (2 * n, 0)  # 1 - 2a and 2a over m, for a = n / m
+    rotations = [] if system.a[0] in (QUARTER, HALF) else [[big, small, small], [small, big, small], [small, small, big]]
+    return out + [_exact_solution(system, 0, pat, BRANCH_PAIR_LINEAR) for pat in rotations]
 
 
 def _solutions_equal_pair(system: EinsteinSystem) -> list[EinsteinSolution]:
-    k = system.odd
+    k, scale = system.odd, system.scale
     i, j = [t for t in range(3) if t != k]
-    a_pair, a_odd = system.a[i], system.a[k]
+    n_pair, n_odd = (system.a[t].numerator * (scale // system.a[t].denominator) for t in (i, k))  # a_t = n_t / scale
     out: list[EinsteinSolution] = []
 
-    # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k (linear when a_odd = 1/2);
-    # the roots of both branches are positive by the equal-pair lemma (module docstring)
-    for r in roots_of_quadratic(1 - 2 * a_odd, Fraction(-1), a_pair + a_odd):
-        triple: list[Exact] = [Fraction(0)] * 3
-        triple[i] = triple[j] = r
-        triple[k] = Fraction(1)
-        out.append(_exact_solution(system, triple, BRANCH_PAIR_LINEAR))
+    # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k (linear when a_odd = 1/2),
+    # scaled by L = scale; the roots of both branches are positive by the equal-pair lemma (module docstring)
+    d, roots = integer_roots_of_quadratic(scale - 2 * n_odd, -scale, n_pair + n_odd, scale)
+    for p, q, r in roots:
+        out.append(_exact_solution(system, d, [(r, 0) if t == k else (p, q) for t in range(3)], BRANCH_PAIR_LINEAR))
 
-    # branch x_k = 2 a_pair (x_i + x_j): symmetric quadratic in q = x_i / x_j
-    if a_pair != HALF:
-        lead2 = (a_pair + a_odd) * (1 - 4 * a_pair * a_pair)
-        mid2 = -(1 - 2 * a_pair + 8 * a_pair * a_pair * (a_pair + a_odd))
-        for q in roots_of_quadratic(lead2, mid2, lead2):
-            triple = [Fraction(0)] * 3
-            triple[i] = q
-            triple[j] = Fraction(1)
-            triple[k] = 2 * a_pair * (q + 1)
-            out.append(_exact_solution(system, triple, BRANCH_PAIR_SUM))
+    # branch x_k = 2 a_pair (x_i + x_j): symmetric quadratic in q = x_i / x_j = (P + Q sqrt d) / R, scaled by L^3;
+    # at x_j = 1, x_k = 2 a_pair (q + 1) = 2 n_pair (P + R + Q sqrt d) / (L R)
+    if 2 * n_pair != scale:
+        lead = (n_pair + n_odd) * (scale * scale - 4 * n_pair * n_pair)
+        mid = -(scale**3 - 2 * n_pair * scale * scale + 8 * n_pair * n_pair * (n_pair + n_odd))
+        d, roots = integer_roots_of_quadratic(lead, mid, lead, scale**3)
+        for p, q, r in roots:
+            parts = {i: (scale * p, scale * q), j: (scale * r, 0), k: (2 * n_pair * (p + r), 2 * n_pair * q)}
+            out.append(_exact_solution(system, d, [parts[t] for t in range(3)], BRANCH_PAIR_SUM))
 
     return [s for n, s in enumerate(out) if all(s.x != t.x for t in out[:n])]  # the first of equal metrics
 
@@ -478,9 +478,11 @@ def _pivot_solutions_at(system: EinsteinSystem, xi3: Fraction) -> list[EinsteinS
     g = poly_gcd(*(Polynomial(Polynomial(part)(xi3) for part in f) for f in _forms(system.rows)))
     if g.degree < 1:
         return []
-    roots = roots_of_quadratic(g[2], g[1], g[0])  # linear when g has degree 1
+    (c0, c1, c2), m = integer_numerators(g[t] for t in range(3))  # linear when g has degree 1
+    d, roots = integer_roots_of_quadratic(c2, c1, c0, m)
     # every real root y is positive by the x2 lemma, since xi3 != 1 when a1 != a3
-    return [_exact_solution(system, [Fraction(1), y, xi3], BRANCH_GENERIC) for y in roots]
+    num, den = xi3.numerator, xi3.denominator
+    return [_exact_solution(system, d, [(r * den, 0), (p * den, q * den), (r * num, 0)], BRANCH_GENERIC) for p, q, r in roots]
 
 
 def _below(u: tuple[int, int], v: tuple[int, int]) -> bool:

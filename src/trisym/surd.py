@@ -6,22 +6,24 @@ rational value is a `Fraction`. Equality and hashing are by value: the same
 p, the same sign of q and the same q^2*d, so no correctness depends on d
 being square-free.
 
-A radicand is reduced to its square-free part once, where it enters, by
-`make_quadratic`; `roots_of_quadratic` reduces one radicand for both roots.
-Arithmetic combines a surd with rationals and with surds over the same d,
-and keeps that d, so a quadratic's values share its reduced radicand and no
-operation factors it again. Signs and comparisons are decided exactly, by
-one rule on (p, q, d), `integer_sign`, which `einstein`'s exact check also
-applies to integer coordinates; so these numbers can flow through the same
-code paths as rationals.
+One integer kernel, `integer_roots_of_quadratic`, solves every quadratic: it
+returns the roots as integers (P, Q, R), the values (P + Q*sqrt(d)) / R, and
+reduces the one radicand d of both roots to its square-free part once, as
+`make_quadratic` reduces a radicand where it enters; `roots_of_quadratic` is
+the kernel on `Fraction` coefficients. Field arithmetic keeps the d of its
+operands, so no operation factors a radicand again. Signs are decided exactly
+by one rule on (p, q, d), `integer_sign`, which `einstein`'s exact check also
+applies to integer coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
+
+from .polysolve import integer_numerators
 
 Exact = Union[Fraction, "QuadraticSurd"]
 
@@ -198,27 +200,35 @@ def exact_sign(v: Exact) -> int:
     return (v > 0) - (v < 0)
 
 
-def roots_of_quadratic(a: Fraction, b: Fraction, c: Fraction) -> list[Exact]:
-    """Real roots of a*x^2 + b*x + c in ascending order, exactly.
+def integer_roots_of_quadratic(a: int, b: int, c: int, scale: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """(d, roots): the real roots of a*r^2 + b*r + c in ascending order, each as integers
+    (P, Q, R) with R > 0 for (P + Q*sqrt(d)) / R; Q = 0 and d = 0 when they are rational.
+    a == 0 falls back to the linear equation.
 
-    Degenerates gracefully: a == 0 falls back to the linear equation.
+    The integers are ``scale`` times a rational quadratic, whose discriminant D / scale^2,
+    D = b^2 - 4ac, is num/den in lowest terms with g = gcd(D, scale^2). The radicand reduced
+    is num*den = s^2 d, as for that rational quadratic, and sqrt(D) = g s sqrt(d) / scale.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if a < 0:
+        a, b, c = -a, -b, -c
     if a == 0:
         if b == 0:
             raise ValueError("constant equation")
-        return [-c / b]
+        return 0, [(-c, 0, b) if b > 0 else (c, 0, -b)]
     disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    if disc == 0:
-        return [-b / (2 * a)]
-    # sqrt(disc) = sqrt(num*den)/den for disc = num/den in lowest terms
-    num, den = disc.numerator, disc.denominator
-    radicand = num * den
-    base = -b / (2 * a)
-    spread = Fraction(1, den) / (2 * a)
-    r2 = make_quadratic(base, spread, radicand)
-    r1 = 2 * base - r2  # the conjugate, over the radicand reduced once
-    # r2 - r1 = 2 * spread * sqrt(radicand) has the sign of a
-    return [r1, r2] if a > 0 else [r2, r1]
+    if disc <= 0:
+        return 0, [(-b, 0, 2 * a)] if disc == 0 else []
+    g = gcd(disc, scale * scale)
+    s, d = squarefree_decompose((disc // g) * (scale * scale // g))
+    p, q, r = -b * scale, g * s, 2 * a * scale
+    return (0, [(p - q, 0, r), (p + q, 0, r)]) if d == 1 else (d, [(p, -q, r), (p, q, r)])
+
+
+def roots_of_quadratic(a: Fraction, b: Fraction, c: Fraction) -> list[Exact]:
+    """Real roots of a*x^2 + b*x + c in ascending order, exactly (``integer_roots_of_quadratic``).
+
+    Degenerates gracefully: a == 0 falls back to the linear equation.
+    """
+    (a, b, c), scale = integer_numerators(Fraction(v) for v in (a, b, c))
+    d, roots = integer_roots_of_quadratic(a, b, c, scale)
+    return [QuadraticSurd(Fraction(p, r), Fraction(q, r), d) if q else Fraction(p, r) for p, q, r in roots]

@@ -1,7 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction as F
 import hashlib
-from math import isqrt
+import json
 from itertools import combinations, permutations, product
 import random
 import re
@@ -38,9 +38,11 @@ from trisym.polysolve import (
     refine_root,
     squarefree_part,
 )
+from trisym.serialize import encode_solution
 from trisym.surd import QuadraticSurd, exact_sign, make_quadratic, roots_of_quadratic
 
 from test_intervals import fraction_range
+from test_surd import _square_part_only, roots_reference
 
 rational_a = st.fractions(min_value=F(1, 10), max_value=F(9, 20), max_denominator=24)
 
@@ -694,12 +696,6 @@ def exact_triples(draw):
     return (a1, a2, a3)
 
 
-def _square_part_only(n: int) -> tuple[int, int]:
-    """``squarefree_decompose`` without trial division: (1, n) unless n is a perfect square."""
-    r = isqrt(n)
-    return (r, 1) if r * r == n else (1, n)
-
-
 def exact_solutions(a):
     """The exact solutions of ``a``, over unreduced radicands.
 
@@ -820,6 +816,145 @@ class TestExactCheck:
             a, sol = (F(1, 3), F(1, 3), F(1, 5)), EinsteinSolution(x=x, branch=BRANCH_PAIR_LINEAR)
         with pytest.raises(TrisymError, match=message):
             verify_solution(a, sol)
+
+
+# the small band of the sweep-pair benchmark: p/q in (0, 1/2] for q in 8..10
+SMALL_BAND = sorted({F(p, q) for q in range(8, 11) for p in range(1, q // 2 + 1)})
+
+
+def exact_branch_reference(a) -> list[EinsteinSolution]:
+    """The all-equal or equal-pair solutions of ``a`` as built in ``QuadraticSurd`` field
+    arithmetic before the integer branches: roots by ``roots_reference``, x1 = 1 by division."""
+    system = EinsteinSystem(a)
+
+    def solution(triple, branch):
+        t0 = triple[0]
+        return EinsteinSolution(x=(F(1), triple[1] / t0, triple[2] / t0), branch=branch, system=system)
+
+    if len(set(system.a)) == 1:
+        a = system.a[0]
+        out = [solution([F(1)] * 3, BRANCH_STANDARD)]
+        if a in (F(1, 4), HALF):
+            return out
+        big, small = 1 - 2 * a, 2 * a
+        return out + [solution(pat, BRANCH_PAIR_LINEAR) for pat in ([big, small, small], [small, big, small], [small, small, big])]
+    k = system.odd
+    i, j = [t for t in range(3) if t != k]
+    a_pair, a_odd = system.a[i], system.a[k]
+    out = []
+    for r in roots_reference(1 - 2 * a_odd, F(-1), a_pair + a_odd):
+        triple = [F(0)] * 3
+        triple[i] = triple[j] = r
+        triple[k] = F(1)
+        out.append(solution(triple, BRANCH_PAIR_LINEAR))
+    if a_pair != HALF:
+        lead = (a_pair + a_odd) * (1 - 4 * a_pair * a_pair)
+        for q in roots_reference(lead, -(1 - 2 * a_pair + 8 * a_pair * a_pair * (a_pair + a_odd)), lead):
+            triple = [F(0)] * 3
+            triple[i], triple[j], triple[k] = q, F(1), 2 * a_pair * (q + 1)
+            out.append(solution(triple, BRANCH_PAIR_SUM))
+    return [s for n, s in enumerate(out) if all(s.x != t.x for t in out[:n])]
+
+
+def encoded(sols) -> list[str]:
+    return [json.dumps(encode_solution(s), sort_keys=True) for s in sols]
+
+
+def recorded_radicands(solve, triples) -> list[list[int]]:
+    """The arguments ``solve`` hands ``surd.squarefree_decompose``, per triple, answered by ``_square_part_only``."""
+    calls = []
+    with mock.patch.object(surd, "squarefree_decompose", lambda n: calls[-1].append(n) or _square_part_only(n)):
+        for a in triples:
+            calls.append([])
+            solve(a)
+    return calls
+
+
+def small_band_triples():
+    """Every small-band pair with the odd coefficient at each position, and every all-equal triple."""
+    pairs = [(p, o) for p in SMALL_BAND for o in SMALL_BAND if p != o]
+    return [tuple(o if t == k else p for t in range(3)) for p, o in pairs for k in range(3)] + [(v,) * 3 for v in SMALL_BAND]
+
+
+def adversarial_triples(seed: int, n: int):
+    """``n`` equal-pair triples with denominators log-uniform in 10^4..10^6, the odd one at a random position."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        pair, odd = (F(rng.randint(1, q // 2), q) for q in (int(10 ** rng.uniform(4, 6)) for _ in range(2)))
+        if pair != odd:
+            k = rng.randrange(3)
+            out.append(tuple(odd if t == k else pair for t in range(3)))
+    return out
+
+
+class TestIntegerExactBranches:
+    """The all-equal and equal-pair branches, built in integers, against ``exact_branch_reference``."""
+
+    def assert_same(self, a):
+        system = EinsteinSystem(a)
+        branch = einstein._solutions_all_equal if len(set(system.a)) == 1 else einstein._solutions_equal_pair
+        got, expected = branch(system), exact_branch_reference(a)
+        assert [(s.x, s.branch) for s in got] == [(s.x, s.branch) for s in expected]
+        assert encoded(got) == encoded(expected)
+        assert encoded(solve_einstein(a)) == encoded(sorted(expected, key=einstein._sort_key))
+
+    def test_small_band(self):
+        for a in small_band_triples():
+            self.assert_same(a)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_first_of_equal_metrics_is_kept(self, k):
+        # a_pair + a_odd = (1 - 2 a_pair) / (2 (1 - 8 a_pair^2)) puts the sum branch's double root q = 1
+        # on the linear metric x_k = 4 a_pair x_i; the linear label is kept
+        a = tuple(F(41, 170) if t == k else F(1, 5) for t in range(3))
+        self.assert_same(a)
+        system = EinsteinSystem(a)
+        assert [s.branch for s in einstein._solutions_equal_pair(system)] == [BRANCH_PAIR_LINEAR] * 2
+
+    @given(TestEqualPairPositivity.pair_a, st.one_of(TestEqualPairPositivity.pair_a, st.just(HALF)), st.integers(0, 2))
+    @example(F(87400, 470533), F(4567, 18408), 2)
+    def test_large_denominators(self, a_pair, a_odd, k):
+        with mock.patch.object(surd, "squarefree_decompose", _square_part_only):
+            self.assert_same(tuple(a_odd if t == k else a_pair for t in range(3)))
+            self.assert_same((a_pair,) * 3)
+
+    @pytest.mark.parametrize("triples", [small_band_triples, lambda: adversarial_triples(24, 400)], ids=["small-band", "adversarial"])
+    def test_same_radicands_call_for_call(self, triples):
+        # the sweep-pair benchmark's timeouts fall inside squarefree_decompose: the same
+        # arguments in the same order keep its failure set
+        triples = triples()
+        got = recorded_radicands(solve_einstein, triples)
+        assert got == recorded_radicands(exact_branch_reference, triples)
+        assert sum(map(len, got)) >= len(triples)
+
+    def test_no_field_arithmetic(self, monkeypatch):
+        triples = small_band_triples() + [(F(4, 15), F(1, 5), F(1, 5)), (F(1, 9), F(5, 18), F(5, 18))]
+
+        def refuse(*args):
+            raise AssertionError("QuadraticSurd field arithmetic in an exact branch")
+
+        for name in ("inverse", "__truediv__", "__rtruediv__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(QuadraticSurd, name, refuse)
+        surds = {s.branch for a in triples for s in solve_einstein(a) if any(isinstance(c, QuadraticSurd) for c in s.x)}
+        assert surds == {BRANCH_PAIR_LINEAR, BRANCH_PAIR_SUM}
+
+    def test_four_metrics_where_the_float_grid_finds_three(self):
+        # two sum-branch metrics lie near the linear one at (1, 1, 0.744); the radicands hang trial division
+        sympy = pytest.importorskip("sympy")
+        a_pair, a_odd = F(87400, 470533), F(4567, 18408)
+        a = (a_pair, a_pair, a_odd)
+        with mock.patch.object(surd, "squarefree_decompose", _square_part_only):
+            sols = solve_einstein(a)
+        assert [s.branch for s in sols] == [BRANCH_PAIR_LINEAR] * 2 + [BRANCH_PAIR_SUM] * 2
+        assert all(s.is_exact and solves_exactly(a, s.x) for s in sols)
+        assert len({s.x for s in sols}) == 4
+        r = sympy.Symbol("r")
+        ap, ao = sympy.Rational(a_pair.numerator, a_pair.denominator), sympy.Rational(a_odd.numerator, a_odd.denominator)
+        lead = (ap + ao) * (1 - 4 * ap**2)
+        linear = sympy.Poly((1 - 2 * ao) * r**2 - r + ap + ao, r)
+        total = sympy.Poly(lead * r**2 - (1 - 2 * ap + 8 * ap**2 * (ap + ao)) * r + lead, r)
+        assert [p.count_roots() for p in (linear, total)] == [2, 2]
 
 
 class TestIntervalSolutionAsGiven:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trisym import surd
@@ -236,3 +236,86 @@ def test_field_arithmetic_never_reduces(decompose_calls):
         r1, r2, r3 = ricci_coefficients(a, s.x)
         assert r1 == r2 == r3
     assert len(sols) == 2 and decompose_calls == []
+
+
+def _square_part_only(n: int) -> tuple[int, int]:
+    """``squarefree_decompose`` without trial division: (1, n) unless n is a perfect square."""
+    r = isqrt(n)
+    return (r, 1) if r * r == n else (1, n)
+
+
+def roots_reference(a, b, c):
+    """``roots_of_quadratic`` as written in ``Fraction`` arithmetic before the integer kernel."""
+    a, b, c = F(a), F(b), F(c)
+    if a == 0:
+        if b == 0:
+            raise ValueError("constant equation")
+        return [-c / b]
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    if disc == 0:
+        return [-b / (2 * a)]
+    num, den = disc.numerator, disc.denominator
+    base = -b / (2 * a)
+    spread = F(1, den) / (2 * a)
+    r2 = make_quadratic(base, spread, num * den)
+    r1 = 2 * base - r2
+    return [r1, r2] if a > 0 else [r2, r1]
+
+
+def shape(v):
+    """A root as its exact representation: the type and every stored number."""
+    return ("surd", v.p, v.q, v.d) if isinstance(v, QuadraticSurd) else (type(v).__name__, v)
+
+
+@st.composite
+def quadratics(draw):
+    """(a, b, c) with denominators up to 10^6: any, with a negative lead, a zero or a
+    perfect-square discriminant (from two rational roots), or linear."""
+    coeff = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+    kind = draw(st.sampled_from(["any", "negative", "double", "square", "linear"]))
+    a = draw(coeff.filter(bool))
+    if kind == "negative":
+        a = -abs(a)
+    if kind in ("double", "square"):
+        r1 = draw(coeff)
+        r2 = r1 if kind == "double" else draw(coeff)
+        return a, -a * (r1 + r2), a * r1 * r2
+    b, c = draw(coeff), draw(coeff)
+    if kind == "linear":
+        return F(0), b or F(1), c
+    return a, b, c
+
+
+@given(quadratics())
+@example((F(7), F(-15), F(7)))
+@example((F(-7), F(15), F(-7)))  # negative lead
+@example((F(1), F(-2), F(1)))  # zero discriminant
+@example((F(15), F(-34), F(15)))  # perfect-square discriminant
+@example((F(-6), F(-1, 2), F(1, 2)))
+@example((F(0), F(-3, 5), F(2, 7)))  # linear
+@example((F(2, 5), F(-1), F(47, 90)))  # the linear branch of (2/9, 2/9, 3/10)
+def test_roots_match_the_fraction_reference(abc):
+    def run(solve):
+        radicands = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(surd, "squarefree_decompose", lambda n: radicands.append(n) or _square_part_only(n))
+            roots = solve(*abc)
+        return roots, [shape(r) for r in roots], radicands
+
+    got, expected = run(roots_of_quadratic), run(roots_reference)
+    assert got[0] == expected[0]
+    assert got[1:] == expected[1:]  # the same representation, and the same radicands reduced, call for call
+
+
+def test_integer_kernel_hands_over_the_lowest_terms_radicand(decompose_calls):
+    # 7 r^2 - 15 r + 7 scaled by 6: discriminant 29 * 36 over 36, so the radicand is 29
+    d, roots = surd.integer_roots_of_quadratic(42, -90, 42, 6)
+    assert decompose_calls == [29] and d == 29
+    assert roots == [(540, -36, 504), (540, 36, 504)]  # (15 -/+ sqrt 29) / 14
+    assert surd.integer_roots_of_quadratic(-1, 2, -1, 1) == (0, [(2, 0, 2)])
+    assert surd.integer_roots_of_quadratic(0, -2, 3, 5) == (0, [(3, 0, 2)])
+    assert surd.integer_roots_of_quadratic(1, 0, 1, 1) == (0, [])
+    with pytest.raises(ValueError, match="constant equation"):
+        surd.integer_roots_of_quadratic(0, 0, 1, 1)
