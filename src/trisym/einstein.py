@@ -20,9 +20,10 @@ Branches:
       x_i = x_j:                (1-2a_k) x_i^2 - x_i x_k + (a_i+a_k) x_k^2 = 0
       x_k = 2a_i (x_i + x_j):   (a_i+a_k)(1-4a_i^2)(x_i^2 + x_j^2)
                                    = (1 - 2a_i + 8a_i^2 (a_i+a_k)) x_i x_j
-    Each metric is built in integer coordinates (P_u + Q_u sqrt d) / R over
-    its quadratic's radicand d and normalized to x1 = 1 by the conjugate of
-    x1, with one ``Fraction`` per output number; so are the all-equal metrics.
+    These, the all-equal metrics and those at the pivot point below stay
+    integers (P_u + Q_u sqrt d) / R over their quadratic's radicand d: each is
+    normalized to x1 = 1, certified once, deduplicated and ordered in integers
+    (``_exact_solutions``), and only then is one ``Fraction`` built per number.
   * all distinct: set x1 = 1, read G1 = L (F1-F3) and G2 = L (F2-F3) off the
     system's integer rows (L the lcm of the denominators of a), cancel
     their x2^2 terms to get a relation x2 * den(x3) = num(x3) with den linear,
@@ -64,39 +65,35 @@ positive product and sum; at a_k = 1/2 the one root is a_i + 1/2. The sum
 branch runs only for a_i < 1/2, where E q^2 + M q + E has
 E = (a_i + a_k)(1 - 4a_i^2) > 0 and -M = 1 - 2a_i + 8a_i^2 (a_i + a_k) > 0:
 its roots have product 1 and a positive sum, and x_k = 2a_i (q + 1) > 0.
-So the branch tests no sign; ``_solves_exactly`` is the one positivity check.
+So the branch tests no sign; ``_solves_in_integers`` is the one positivity check.
 
 Each triple is prepared once, as an ``EinsteinSystem`` that validates a and
 reads the rows of L (F_i - F_j) (below); solve, refine and verify share it,
-and every solution of the solver carries it. Interval solutions are tightened
-by one step, ``_tighten``: one x2 link with the target width, which bisects
-x3 below it and re-links x2 inside its current interval through num/den of
-the solution's own system (a hand-built interval solution has none:
-``IntegrityError``). ``refine_solution`` takes it once and
-``verify_solution`` once per round. x1 is kept as given, so verification
-encloses the residual at the coordinates it was handed: an interval
-solution has a rational x1 beside interval x2 and x3, and any other shape
-raises ``TrisymError``.
+and every solution of the solver carries it. ``_tighten`` takes an interval
+solution one step: one x2 link with the target width, which bisects x3 below
+it and re-links x2 inside its interval through num/den of the solution's own
+system (a hand-built one has none: ``IntegrityError``); ``refine_solution``
+takes it once and ``verify_solution`` once per round. Verification keeps x1
+as given: an interval solution has a rational x1 beside interval x2 and x3,
+and any other shape raises ``TrisymError``.
 
 Verification works on the cleared form, in integers. For positive x,
 r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
-quadratic form in (x1, x2, x3), L the lcm of the denominators of a; its
-coefficients are combined once per system from F_i = P_i + a_i Q_i, whose
-integer parts are read off ``_cleared`` once. A box is written as
-integer numerators [A_u, B_u] over one denominator D. Every monomial
-x_s x_t scaled by D^2 is the product of two positive numerators, so it is
-monotone in them, and G = L D^2 (F_i - F_j) over the box lies between the
-sums taking the lower corner for positive coefficients and the upper one
-for negative coefficients, and the other way round. If G excludes 0 the
-residual is certifiably nonzero; otherwise
-|r_i - r_j| <= max|G| D / (2 L A1 A2 A3), a bound that is exact on a point
-box: ``residual_bound`` is that bound at a solution's midpoint, derived on
-first read, so a solve or refinement that never reads it never computes it.
-The enclosure overestimates by an amount linear in the box width (Moore, *Interval
+quadratic form in (x1, x2, x3), its coefficients combined once per system
+from F_i = P_i + a_i Q_i, whose integer parts are read off ``_cleared`` once.
+A box is written as integer numerators [A_u, B_u] over one denominator D.
+Every monomial x_s x_t scaled by D^2 is monotone in the numerators, so
+G = L D^2 (F_i - F_j) over the box lies between the sums taking, for each
+coefficient, the corner that makes its term least, and greatest. If G
+excludes 0 the residual is certifiably nonzero; otherwise
+|r_i - r_j| <= max|G| D / (2 L A1 A2 A3), exact on a point box:
+``residual_bound`` is that bound at a solution's midpoint, derived on first
+read. The enclosure overestimates linearly in the box width (Moore, *Interval
 Analysis*, 1966), so a verification round sizes its step from it: width w
 with bound B becomes w * tol / (4 B), and at most w / 8, and one round
-usually certifies. Exact solutions are checked on the same rows, in
-integers with sqrt d kept symbolic (``_solves_exactly``).
+usually certifies. An exact solution is checked on the same rows, in
+integers with sqrt d kept symbolic: once when the solver builds it, and once
+per ``verify_solution`` (``_solves_exactly``).
 
 All certification is exact; floating point appears only in display helpers.
 """
@@ -107,6 +104,8 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import ClassVar, Optional, Union
 
 from .cases import SpaceCase
@@ -127,10 +126,9 @@ from .polysolve import (
     root_box,
     squarefree_part,
 )
-from .surd import QuadraticSurd, exact_sign, integer_roots_of_quadratic, integer_sign
+from .surd import QuadraticSurd, exact_sign, integer_roots_of_quadratic, integer_sign, sqrt_midpoint
 
 HALF = Fraction(1, 2)
-QUARTER = Fraction(1, 4)
 
 BRANCH_STANDARD = "standard"
 BRANCH_PAIR_LINEAR = "equal-pair-linear"
@@ -260,15 +258,16 @@ _AFFINE_PARTS = tuple(
     )
     for i in range(3)
 )
+# per pair (i, j) of _PAIRS, the coefficients of P_i, Q_i, P_j and Q_j at each monomial
+_ROW_PARTS = tuple((i, j, tuple(zip(*_AFFINE_PARTS[i], *_AFFINE_PARTS[j]))) for i, j in _PAIRS)
 
 
 def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(L, rows): L the lcm of the denominators of the rational triple ``a``, and for
     each of ``_PAIRS`` the integer coefficients of L (F_i - F_j) = L (P_i - P_j) +
     n_i Q_i - n_j Q_j over ``_MONOMIALS``, where n_i = L a_i."""
-    nums, scale = integer_numerators(a)
-    forms = [tuple(scale * p + n * q for p, q in zip(free, slope)) for (free, slope), n in zip(_AFFINE_PARTS, nums)]
-    return scale, tuple(tuple(p - q for p, q in zip(forms[i], forms[j])) for i, j in _PAIRS)
+    n, scale = integer_numerators(a)
+    return scale, tuple(tuple(scale * (p - q) + n[i] * u - n[j] * v for p, u, q, v in parts) for i, j, parts in _ROW_PARTS)
 
 
 def _residual_enclosure(system: EinsteinSystem, ends) -> tuple[bool, int, int]:
@@ -282,39 +281,36 @@ def _residual_enclosure(system: EinsteinSystem, ends) -> tuple[bool, int, int]:
     lo, hi = nums[0::2], nums[1::2]
     if min(lo) <= 0:
         raise TrisymError("metric coordinates must be positive")
-    # G = scale * common^2 * (F_i - F_j) is a sum of coefficient times monomial,
-    # each monomial increasing in the numerators
+    # G = scale * common^2 * (F_i - F_j) is a sum of coefficient times monomial, each increasing in the numerators
     mono_lo = [lo[s] * lo[t] for s, t in _MONOMIALS]
     mono_hi = [hi[s] * hi[t] for s, t in _MONOMIALS]
     excludes_zero, g_max = False, 0
-    for row in system.rows:
-        g_lo = g_hi = 0
-        for c, m_lo, m_hi in zip(row, mono_lo, mono_hi):
-            if c > 0:
-                g_lo += c * m_lo
-                g_hi += c * m_hi
-            elif c < 0:
-                g_lo += c * m_hi
-                g_hi += c * m_lo
+    for row in system.rows:  # each term at the end of its monomial that makes it least, and greatest
+        g_lo = sum(c * (m_lo if c > 0 else m_hi) for c, m_lo, m_hi in zip(row, mono_lo, mono_hi))
+        g_hi = sum(c * (m_hi if c > 0 else m_lo) for c, m_lo, m_hi in zip(row, mono_lo, mono_hi))
         excludes_zero = excludes_zero or g_lo > 0 or g_hi < 0
         g_max = max(g_max, g_hi, -g_lo)
     # |r_i - r_j| = |F_i - F_j| / (2 x1 x2 x3) <= (g_max / (scale common^2)) / (2 lo1 lo2 lo3 / common^3)
     return excludes_zero, g_max * common, 2 * system.scale * lo[0] * lo[1] * lo[2]
 
 
-def _solves_exactly(rows, x) -> bool:
-    """F1 = F2 = F3 at the positive exact metric x, in integers; ``rows`` an ``EinsteinSystem``'s.
+def _solves_in_integers(rows, d: int, P, Q) -> bool:
+    """F1 = F2 = F3 at the positive metric x_u = (P_u + Q_u sqrt d) / R, integers P_u, Q_u, any R > 0, ``rows`` a system's.
 
-    Writes x_u = (P_u + Q_u sqrt d) / R over one R > 0, with d the one
-    radicand of the surd coordinates (0 when all are rational) and Q_u = 0
-    for a rational coordinate. R^2 x_s x_t is then
-    (P_s P_t + Q_s Q_t d) + (P_s Q_t + Q_s P_t) sqrt d, so the rows of the
-    pairs (0, 1) and (0, 2) of ``rows`` give
-    L R^2 (F_i - F_j) = g + h sqrt d with integers g and h. As sqrt d is
-    irrational (every ``QuadraticSurd`` is), F_i = F_j exactly when
-    g = h = 0. Each x_u > 0 is decided by ``integer_sign``; no field product
-    is taken.
+    d is the one radicand (0 when every Q_u is). R^2 x_s x_t is (P_s P_t + Q_s Q_t d) + (P_s Q_t + Q_s P_t) sqrt d, so
+    the rows of the pairs (0, 1) and (0, 2) give L R^2 (F_i - F_j) = g + h sqrt d with integers g and h. As sqrt d is
+    irrational (every ``QuadraticSurd`` is), F_i = F_j exactly when g = h = 0. Each x_u > 0 is decided by
+    ``integer_sign``; no field product is taken. The solver's exact metrics and ``_solves_exactly`` both end here.
     """
+    if min(map(integer_sign, P, Q, (d, d, d))) <= 0:
+        raise TrisymError("metric coordinates must be positive")
+    rational = [P[s] * P[t] + Q[s] * Q[t] * d for s, t in _MONOMIALS]
+    irrational = [P[s] * Q[t] + Q[s] * P[t] for s, t in _MONOMIALS] if d else []  # h sqrt 0 is 0
+    return not any(sum(map(mul, row, part)) for row in rows[:2] for part in (rational, irrational))
+
+
+def _solves_exactly(rows, x) -> bool:
+    """``_solves_in_integers`` at the exact metric x: ``Fraction``s and ``QuadraticSurd``s over one radicand."""
     d, parts = 0, []
     for c in x:
         if isinstance(c, QuadraticSurd):
@@ -325,15 +321,7 @@ def _solves_exactly(rows, x) -> bool:
         else:
             parts += (exact_rational(c, "metric coordinate"), 0)
     nums, _ = integer_numerators(parts)
-    P, Q = nums[0::2], nums[1::2]
-    if any(integer_sign(p, q, d) <= 0 for p, q in zip(P, Q)):
-        raise TrisymError("metric coordinates must be positive")
-    rational = [P[s] * P[t] + Q[s] * Q[t] * d for s, t in _MONOMIALS]
-    irrational = [P[s] * Q[t] + Q[s] * P[t] for s, t in _MONOMIALS]
-    return all(
-        sum(c * m for c, m in zip(row, rational)) == 0 == sum(c * m for c, m in zip(row, irrational))
-        for row in rows[:2]  # the pairs (0, 1) and (0, 2) of _PAIRS
-    )
+    return _solves_in_integers(rows, d, nums[0::2], nums[1::2])
 
 
 def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
@@ -341,7 +329,7 @@ def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
     if len(vals) != 3:
         raise TrisymError(f"give three coefficients a = (a1, a2, a3); got {len(vals)}")
     for v in vals:
-        if not (0 < v <= HALF):
+        if not 0 < v.numerator * 2 <= v.denominator:  # 0 < v <= 1/2
             raise TrisymError(f"coefficient a = {v} outside (0, 1/2]")
     return vals
 
@@ -364,7 +352,7 @@ class EinsteinSystem:
 
     def __post_init__(self):
         a = _validate_a(self.a)
-        odd = next((k for k in range(3) if a[k - 1] == a[k - 2]), -1)  # a[k - 1], a[k - 2]: the other two
+        odd = 0 if a[1] == a[2] else 1 if a[0] == a[2] else 2 if a[0] == a[1] else -1  # k whose other two are equal
         for name, value in zip(("a", "scale", "rows", "odd"), (a, *_difference_rows(a), odd)):
             object.__setattr__(self, name, value)  # the fields of a frozen dataclass, set once
 
@@ -382,37 +370,52 @@ class EinsteinSystem:
         return _eliminant(rows, _pivot(rows), "x2")
 
 
-def _exact_solution(system: EinsteinSystem, d: int, triple, branch: str) -> EinsteinSolution:
-    """The metric x_u = (P_u + Q_u sqrt d) / R of the integer pairs (P_u, Q_u) in ``triple``, normalized to x1 = 1."""
-    p1, q1 = triple[0]
-    x, n = [Fraction(1)], p1 * p1 - q1 * q1 * d  # x_u / x1 = (P_u + Q_u sqrt d)(P_1 - Q_1 sqrt d) / n
-    for p, q in triple[1:]:
-        u, v = p * p1 - q * q1 * d, q * p1 - p * q1
-        x.append(QuadraticSurd(Fraction(u, n), Fraction(v, n), d) if v else Fraction(u, n))
-    if not _solves_exactly(system.rows, x):
-        raise IntegrityError(f"branch {branch} produced a non-solution {tuple(x)}")
-    return EinsteinSolution(x=tuple(x), branch=branch, system=system)
+def _exact_solutions(system: EinsteinSystem, metrics) -> list:
+    """(approx, solution) for each (branch, d, triple) of ``metrics`` whose metric no equal one precedes.
+
+    The metric x_u = (P_u + Q_u sqrt d) / R of the integer pairs (P_u, Q_u) in ``triple`` is normalized to x1 = 1 by
+    the conjugate of x1, as x_u = (U_u + V_u sqrt d) / U_1 with U_1 > 0 = V_1, and certified once. Metrics are equal
+    as ``QuadraticSurd.__eq__`` compares (p, the sign of q, and q^2 d), here by cross-multiplication; approx is x2 and
+    x3 at ``approx(40)`` (``_ordered``). Only a kept metric's numbers are built, one ``Fraction`` each.
+    """
+    out, kept = [], []
+    for branch, d, triple in metrics:
+        p1, q1 = triple[0]
+        # x_u / x1 = (P_u + Q_u sqrt d)(P_1 - Q_1 sqrt d) / (P_1^2 - Q_1^2 d), over their content with the sign of the norm
+        U, V = [p * p1 - q * q1 * d for p, q in triple], [q * p1 - p * q1 for p, q in triple]
+        g = gcd(*U, *V) if U[0] > 0 else -gcd(*U, *V)
+        U, V = [u // g for u in U], [v // g for v in V]
+        if not _solves_in_integers(system.rows, d, U, V):
+            raise IntegrityError(f"branch {branch} produced a non-solution (U + V sqrt {d}) / {U[0]}, U = {U}, V = {V}")
+        n = U[0]
+        if not any(
+            all(U[t] * k == W[t] * n and V[t] * Z[t] >= 0 and (V[t] * k) ** 2 * d == (Z[t] * n) ** 2 * e for t in (1, 2))
+            for e, W, Z, k in kept
+        ):
+            kept.append((d, U, V, n))
+            s, m = sqrt_midpoint(d, 40) if d else (0, 1)
+            approx = ((U[1] * m + V[1] * s, n * m), (U[2] * m + V[2] * s, n * m))
+            x = tuple(QuadraticSurd(Fraction(u, n), Fraction(v, n), d) if v else Fraction(u, n) for u, v in zip(U, V))
+            out.append((approx, EinsteinSolution(x=x, branch=branch, system=system)))
+    return out
 
 
-def _solutions_all_equal(system: EinsteinSystem) -> list[EinsteinSolution]:
-    out = [_exact_solution(system, 0, [(1, 0)] * 3, BRANCH_STANDARD)]
+def _solutions_all_equal(system: EinsteinSystem) -> list:
     n, m = system.a[0].numerator, system.a[0].denominator
     big, small = (m - 2 * n, 0), (2 * n, 0)  # 1 - 2a and 2a over m, for a = n / m
-    rotations = [] if system.a[0] in (QUARTER, HALF) else [[big, small, small], [small, big, small], [small, small, big]]
-    return out + [_exact_solution(system, 0, pat, BRANCH_PAIR_LINEAR) for pat in rotations]
+    rotations = [] if m in (2 * n, 4 * n) else [[big, small, small], [small, big, small], [small, small, big]]
+    return _exact_solutions(system, [(BRANCH_STANDARD, 0, [(1, 0)] * 3)] + [(BRANCH_PAIR_LINEAR, 0, r) for r in rotations])
 
 
-def _solutions_equal_pair(system: EinsteinSystem) -> list[EinsteinSolution]:
+def _solutions_equal_pair(system: EinsteinSystem) -> list:
     k, scale = system.odd, system.scale
     i, j = [t for t in range(3) if t != k]
     n_pair, n_odd = (system.a[t].numerator * (scale // system.a[t].denominator) for t in (i, k))  # a_t = n_t / scale
-    out: list[EinsteinSolution] = []
 
     # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k (linear when a_odd = 1/2),
     # scaled by L = scale; the roots of both branches are positive by the equal-pair lemma (module docstring)
     d, roots = integer_roots_of_quadratic(scale - 2 * n_odd, -scale, n_pair + n_odd, scale)
-    for p, q, r in roots:
-        out.append(_exact_solution(system, d, [(r, 0) if t == k else (p, q) for t in range(3)], BRANCH_PAIR_LINEAR))
+    metrics = [(BRANCH_PAIR_LINEAR, d, [(r, 0) if t == k else (p, q) for t in range(3)]) for p, q, r in roots]
 
     # branch x_k = 2 a_pair (x_i + x_j): symmetric quadratic in q = x_i / x_j = (P + Q sqrt d) / R, scaled by L^3;
     # at x_j = 1, x_k = 2 a_pair (q + 1) = 2 n_pair (P + R + Q sqrt d) / (L R)
@@ -422,9 +425,9 @@ def _solutions_equal_pair(system: EinsteinSystem) -> list[EinsteinSolution]:
         d, roots = integer_roots_of_quadratic(lead, mid, lead, scale**3)
         for p, q, r in roots:
             parts = {i: (scale * p, scale * q), j: (scale * r, 0), k: (2 * n_pair * (p + r), 2 * n_pair * q)}
-            out.append(_exact_solution(system, d, [parts[t] for t in range(3)], BRANCH_PAIR_SUM))
+            metrics.append((BRANCH_PAIR_SUM, d, [parts[t] for t in range(3)]))
 
-    return [s for n, s in enumerate(out) if all(s.x != t.x for t in out[:n])]  # the first of equal metrics
+    return _exact_solutions(system, metrics)  # the first of equal metrics
 
 
 # -- generic branch (all coefficients distinct) ------------------------------
@@ -473,8 +476,8 @@ def _eliminant(rows, pivot, name: str) -> Polynomial:
     return squarefree_part(elim)
 
 
-def _pivot_solutions_at(system: EinsteinSystem, xi3: Fraction) -> list[EinsteinSolution]:
-    """Exact solutions sitting at the rational pivot point x3 = xi3, if any."""
+def _pivot_solutions_at(system: EinsteinSystem, xi3: Fraction) -> list:
+    """Exact solutions sitting at the rational pivot point x3 = xi3, if any, as ``_exact_solutions`` gives them."""
     g = poly_gcd(*(Polynomial(Polynomial(part)(xi3) for part in f) for f in _forms(system.rows)))
     if g.degree < 1:
         return []
@@ -482,7 +485,8 @@ def _pivot_solutions_at(system: EinsteinSystem, xi3: Fraction) -> list[EinsteinS
     d, roots = integer_roots_of_quadratic(c2, c1, c0, m)
     # every real root y is positive by the x2 lemma, since xi3 != 1 when a1 != a3
     num, den = xi3.numerator, xi3.denominator
-    return [_exact_solution(system, d, [(r * den, 0), (p * den, q * den), (r * num, 0)], BRANCH_GENERIC) for p, q, r in roots]
+    metrics = [(BRANCH_GENERIC, d, [(r * den, 0), (p * den, q * den), (r * num, 0)]) for p, q, r in roots]
+    return _exact_solutions(system, metrics)
 
 
 def _below(u: tuple[int, int], v: tuple[int, int]) -> bool:
@@ -498,29 +502,25 @@ def _link_x2_interval(
 ) -> tuple[IsolatingInterval, IsolatingInterval]:
     """Refine x3 until it is positive and num/den certifies one positive root of the x2 eliminant.
 
-    The x2 enclosure is clipped to ``enclosing`` when that is given. With
-    ``width``, x3 is first bisected below ``width`` inside its own box, and
-    the x2 enclosure must be at most ``width`` wide as well. Returns
-    (x2 interval, refined x3 interval).
-    No sign test is needed: x2 is positive by the x2 lemma (module docstring),
-    and a nonpositive x2 would fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
+    Returns (x2 interval, refined x3 interval). The x2 enclosure is clipped to
+    ``enclosing`` when that is given. With ``width``, x3 is first bisected below
+    ``width`` inside its own box, and the x2 enclosure must be at most ``width``
+    wide as well. No sign test is needed: x2 is positive by the x2 lemma, and a
+    nonpositive x2 would fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
 
     For intervals the solver made, the clip never binds: ``enclosing`` is
     num/den over an x3 box containing ``iv3``, and the range of num/den is
-    inclusion isotone. It guards hand-built solutions, whose x2 may lie
-    elsewhere; an empty clip raises at once, since by that isotonicity no
-    smaller x3 box can reopen it.
+    inclusion isotone. It guards hand-built solutions; an empty clip raises at
+    once, since by that isotonicity no smaller x3 box can reopen it.
 
-    The loop runs in integers. The x3 box stays as numerators [A, B] over
-    one denominator M: ``root_box`` checks its ends once, before the first
-    bisection, and each iteration that fails halves the box twice with
-    ``bisect_root``, the kernel of ``refine_root``, which also carves the box
-    around an exact dyadic hit, so it visits the boxes
-    ``refine_root(iv3, iv3.width / 4)`` would return. The range of num/den
-    over the box is exact (``eval_poly_range``); its ends, the clip and the
-    width are compared as pairs (numerator, positive denominator), and the
-    x2 eliminant's Sturm chain is evaluated at them by ``isolates_at``.
-    ``Fraction``s are built only for the returned intervals and for errors.
+    The loop runs in integers, on the x3 box as numerators [A, B] over one
+    denominator M. ``root_box`` checks its ends once, and each iteration that
+    fails halves the box twice with ``bisect_root`` (which carves the box around
+    an exact dyadic hit), visiting the boxes ``refine_root(iv3, iv3.width / 4)``
+    would return. The exact range of num/den (``eval_poly_range``), the clip and
+    the width are compared as pairs (numerator, positive denominator), at which
+    ``isolates_at`` evaluates the x2 eliminant's Sturm chain. ``Fraction``s are
+    built only for the returned intervals and for errors.
     """
     p3 = iv3.poly
     A, B, M, s3 = root_box(iv3)
@@ -561,8 +561,8 @@ def _link_x2_interval(
     raise _budget_exhausted("x2 back-substitution", _LINK_STEPS, widths)
 
 
-def _solutions_generic(system: EinsteinSystem) -> list[EinsteinSolution]:
-    out: list[EinsteinSolution] = []
+def _solutions_generic(system: EinsteinSystem) -> list:
+    out = []
 
     # pivot point of the back-substitution: single rational root of den
     den = system.pivot[1]
@@ -577,7 +577,8 @@ def _solutions_generic(system: EinsteinSystem) -> list[EinsteinSolution]:
             continue  # the point (1, 0, 1), the one root with x2 = 0 (x2 lemma)
         iv2, iv3 = _link_x2_interval(system, iv3)
         x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
-        out.append(EinsteinSolution(x=x, branch=BRANCH_GENERIC, system=system))
+        approx = tuple((m.numerator, m.denominator) for m in (iv2.midpoint, iv3.midpoint))
+        out.append((approx, EinsteinSolution(x=x, branch=BRANCH_GENERIC, system=system)))
     return out
 
 
@@ -587,17 +588,19 @@ def _tighten(system: EinsteinSystem, x, width: Fraction):
     return (x[0], RootCoordinate(iv2), RootCoordinate(iv3))
 
 
-def _sort_key(sol: EinsteinSolution):
-    ax = sol.approx(40)
-    return (_BRANCH_ORDER[sol.branch], ax[1], ax[2])
+def _ordered(found) -> list[EinsteinSolution]:
+    """A branch's (approx, solution) pairs by branch, then x2 and x3 at approx(40), over one common denominator."""
+    m = lcm(*(den for approx, _ in found for _, den in approx))
+    keys = [(_BRANCH_ORDER[s.branch], n2 * (m // d2), n3 * (m // d3)) for ((n2, d2), (n3, d3)), s in found]
+    return [found[t][1] for t in sorted(range(len(found)), key=keys.__getitem__)]
 
 
 def solve_einstein(a) -> list[EinsteinSolution]:
     """All positive solutions of r1 = r2 = r3 up to scale, normalized to x1 = 1."""
     system = EinsteinSystem(a)
-    equal = len(set(system.a)) == 1
+    equal = system.a[0] == system.a[1] == system.a[2]
     branch = _solutions_generic if system.odd < 0 else _solutions_all_equal if equal else _solutions_equal_pair
-    return sorted(branch(system), key=_sort_key)
+    return _ordered(branch(system))
 
 
 def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
@@ -613,7 +616,7 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
 def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     """Certified check that ``sol`` solves the Einstein system to tolerance.
 
-    Exact coordinates are checked by F1 = F2 = F3 in integers
+    Exact coordinates are checked by F1 = F2 = F3 in integers, every time
     (``_solves_exactly``). A float coordinate, a coordinate or box that is
     not positive, and surds over two radicands raise ``TrisymError``.
     The rows of ``sol``'s system are read when ``a`` is its triple of
@@ -621,10 +624,9 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     tightened through ``sol``'s own system until the integer enclosure of
     every r_i - r_j (module docstring) lies inside (-tol, tol), or until it
     certifiably excludes zero (returns False). Each round shrinks the widest
-    coordinate width w to w * min(1/8, tol / (4 B)), where B bounds the
-    residual enclosure: since the enclosure overestimates linearly in w, the
-    first round usually certifies, and no round shrinks by less than 8.
-    ``_VERIFY_STEPS`` bounds the rounds. ``tol`` must be positive.
+    width w to w * min(1/8, tol / (4 B)), B the enclosure's bound, so the
+    first round usually certifies. ``_VERIFY_STEPS`` bounds the rounds, and
+    ``tol`` must be positive.
 
     True means every residual is below ``tol`` on a box around the solution,
     False that one residual is nonzero. On a non-solution whose true
@@ -632,7 +634,7 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     comes back depends on the enclosure and the tightening path.
     """
     own = sol.system  # reused for its own triple of Fractions only: 0.25 == Fraction(1, 4), and a float is refused
-    same = own is not None and isinstance(a, tuple) and all(type(v) is Fraction for v in a) and a == own.a
+    same = own is not None and isinstance(a, tuple) and set(map(type, a)) == {Fraction} and a == own.a
     system = own if same else EinsteinSystem(a)
     tol = exact_rational(tol, "tolerance")
     if tol <= 0:
@@ -672,9 +674,7 @@ def solve_case(case: SpaceCase) -> CaseSolutions:
     (the diagonal ansatz does not exhaust their invariant metrics there).
     """
     if case.isomorphic_summands:
-        raise NotApplicable(
-            f"{case.describe()}: isotropy summands are isomorphic; the diagonal solver does not apply"
-        )
+        raise NotApplicable(f"{case.describe()}: isotropy summands are isomorphic; the diagonal solver does not apply")
     data = coefficients_for_case(case)
     sols = solve_einstein(data.a)
     return CaseSolutions(case=case, a=data.a, solutions=tuple(sols))

@@ -68,6 +68,11 @@ def integer_sign(p, q, d: int) -> int:
     return sp if n > 0 else sq if n < 0 else 0
 
 
+def sqrt_midpoint(d: int, prec: int) -> tuple[int, int]:
+    """(s, m): s / m is the midpoint of the two multiples of 10**-prec around sqrt(d), for an integer d >= 0."""
+    return 2 * isqrt(d * 10 ** (2 * prec)) + 1, 2 * 10**prec
+
+
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Irrational element p + q*sqrt(d) of a real quadratic field."""
@@ -91,8 +96,8 @@ class QuadraticSurd:
         return integer_sign(self.p, self.q, self.d)
 
     def approx(self, prec: int = 30) -> Fraction:
-        """p + q*s, s the midpoint of the two multiples of 10**-prec around sqrt(d)."""
-        return self.p + self.q * Fraction(2 * isqrt(self.d * 10 ** (2 * prec)) + 1, 2 * 10**prec)
+        """p + q*s, s the midpoint of the two multiples of 10**-prec around sqrt(d) (``sqrt_midpoint``)."""
+        return self.p + self.q * Fraction(*sqrt_midpoint(self.d, prec))
 
     def __float__(self) -> float:
         return float(self.approx(25))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from trisym import cli, einstein, surd
 from trisym.cases import make_case
+from trisym.checks import grid_count_oracle
 from trisym.coeffs import coefficients_for_case
 from trisym.einstein import (
     BRANCH_GENERIC,
@@ -860,6 +861,17 @@ def encoded(sols) -> list[str]:
     return [json.dumps(encode_solution(s), sort_keys=True) for s in sols]
 
 
+def reference_order(sol):
+    """The solver's output order: by branch, then by x2 and x3 at 40 digits (``QuadraticSurd.approx(40)``,
+    the midpoint of an interval, a rational as it is)."""
+    order = (BRANCH_STANDARD, BRANCH_PAIR_LINEAR, BRANCH_PAIR_SUM, BRANCH_GENERIC)
+    approx = [
+        c.interval.midpoint if isinstance(c, RootCoordinate) else c.approx(40) if isinstance(c, QuadraticSurd) else c
+        for c in sol.x[1:]
+    ]
+    return (order.index(sol.branch), *approx)
+
+
 def recorded_radicands(solve, triples) -> list[list[int]]:
     """The arguments ``solve`` hands ``surd.squarefree_decompose``, per triple, answered by ``_square_part_only``."""
     calls = []
@@ -894,10 +906,13 @@ class TestIntegerExactBranches:
     def assert_same(self, a):
         system = EinsteinSystem(a)
         branch = einstein._solutions_all_equal if len(set(system.a)) == 1 else einstein._solutions_equal_pair
-        got, expected = branch(system), exact_branch_reference(a)
+        keyed, expected = branch(system), exact_branch_reference(a)
+        got = [s for _, s in keyed]
         assert [(s.x, s.branch) for s in got] == [(s.x, s.branch) for s in expected]
         assert encoded(got) == encoded(expected)
-        assert encoded(solve_einstein(a)) == encoded(sorted(expected, key=einstein._sort_key))
+        # the integer sort keys are the rationals approx(40) gives for x2 and x3
+        assert [tuple(F(n, d) for n, d in approx) for approx, _ in keyed] == [s.approx(40)[1:] for s in expected]
+        assert encoded(solve_einstein(a)) == encoded(sorted(expected, key=reference_order))
 
     def test_small_band(self):
         for a in small_band_triples():
@@ -910,10 +925,14 @@ class TestIntegerExactBranches:
         a = tuple(F(41, 170) if t == k else F(1, 5) for t in range(3))
         self.assert_same(a)
         system = EinsteinSystem(a)
-        assert [s.branch for s in einstein._solutions_equal_pair(system)] == [BRANCH_PAIR_LINEAR] * 2
+        assert [s.branch for _, s in einstein._solutions_equal_pair(system)] == [BRANCH_PAIR_LINEAR] * 2
 
     @given(TestEqualPairPositivity.pair_a, st.one_of(TestEqualPairPositivity.pair_a, st.just(HALF)), st.integers(0, 2))
     @example(F(87400, 470533), F(4567, 18408), 2)
+    # denominators near 10^12: 40-digit keys of metrics within 0.03 of each other, and of a_odd = 1/2
+    @example(F(87400 * 10**6 + 1, 470533 * 10**6), F(4567 * 10**8 + 3, 18408 * 10**8), 0)
+    @example(F(123456789011, 999999999989), F(271828182845, 1000000000039), 1)
+    @example(F(314159265358, 999999999937), HALF, 2)
     def test_large_denominators(self, a_pair, a_odd, k):
         with mock.patch.object(surd, "squarefree_decompose", _square_part_only):
             self.assert_same(tuple(a_odd if t == k else a_pair for t in range(3)))
@@ -939,8 +958,9 @@ class TestIntegerExactBranches:
         surds = {s.branch for a in triples for s in solve_einstein(a) if any(isinstance(c, QuadraticSurd) for c in s.x)}
         assert surds == {BRANCH_PAIR_LINEAR, BRANCH_PAIR_SUM}
 
-    def test_four_metrics_where_the_float_grid_finds_three(self):
-        # two sum-branch metrics lie near the linear one at (1, 1, 0.744); the radicands hang trial division
+    def test_four_metrics_and_the_grid_oracle_finds_four(self):
+        # two sum-branch metrics lie near the linear one at (1, 1, 0.744), within about one cell of the float
+        # grid; polished from its cell centres alone, the grid oracle found 3. The radicands hang trial division
         sympy = pytest.importorskip("sympy")
         a_pair, a_odd = F(87400, 470533), F(4567, 18408)
         a = (a_pair, a_pair, a_odd)
@@ -955,6 +975,56 @@ class TestIntegerExactBranches:
         linear = sympy.Poly((1 - 2 * ao) * r**2 - r + ap + ao, r)
         total = sympy.Poly(lead * r**2 - (1 - 2 * ap + 8 * ap**2 * (ap + ao)) * r + lead, r)
         assert [p.count_roots() for p in (linear, total)] == [2, 2]
+        assert grid_count_oracle(a) == 4
+
+
+class TestCertifiedOnce:
+    """An exact metric is certified once when the solver builds it, in integers, and once per ``verify_solution``."""
+
+    # (a, metrics built, exact solutions): two, four and one dropped equal-pair metrics, all-equal, and a generic
+    # triple with two exact metrics at its pivot point beside two interval ones
+    TRIPLES = [
+        pytest.param((F(2, 9), F(2, 9), F(3, 10)), 2, 2, id="pair-two"),
+        pytest.param((F(1, 5), F(2, 9), F(1, 5)), 4, 4, id="pair-four"),
+        pytest.param((F(41, 170), F(1, 5), F(1, 5)), 3, 2, id="pair-one-dropped"),
+        pytest.param((F(2, 9),) * 3, 4, 4, id="all-equal"),
+        pytest.param((F(1, 5), F(1, 6), F(2, 15)), 2, 2, id="pivot-point"),
+    ]
+
+    @staticmethod
+    def counted(monkeypatch, name) -> list:
+        seen = []
+
+        def wrapper(*args, f=getattr(einstein, name)):
+            seen.append(args)
+            return f(*args)
+
+        monkeypatch.setattr(einstein, name, wrapper)
+        return seen
+
+    @pytest.mark.parametrize("a, built, exact", TRIPLES)
+    def test_once_at_construction_and_once_per_verify(self, a, built, exact, monkeypatch):
+        checked, integer = self.counted(monkeypatch, "_solves_exactly"), self.counted(monkeypatch, "_solves_in_integers")
+        sols = [s for s in solve_einstein(a) if s.is_exact]
+        assert (len(checked), len(integer), len(sols)) == (0, built, exact)
+        for s in sols:
+            del checked[:], integer[:]
+            assert verify_solution(a, s) is True
+            assert (len(checked), len(integer)) == (1, 1)
+
+    @pytest.mark.parametrize("a, _built, _exact", TRIPLES)
+    def test_a_moved_coordinate_fails_verification(self, a, _built, _exact):
+        delta = F(1, 10**30)
+        for s in (s for s in solve_einstein(a) if s.is_exact):
+            for u, c in enumerate(s.x):
+                moved = QuadraticSurd(c.p + delta, c.q, c.d) if isinstance(c, QuadraticSurd) else c + delta
+                x = tuple(moved if t == u else v for t, v in enumerate(s.x))
+                assert verify_solution(a, replace(s, x=x)) is False
+
+    def test_pivot_point_metrics_sort_beside_interval_ones(self):
+        sols = solve_einstein((F(1, 5), F(1, 6), F(2, 15)))
+        assert [s.is_exact for s in sols] == [False, True, False, True]
+        assert sols == sorted(sols, key=reference_order)
 
 
 class TestIntervalSolutionAsGiven:

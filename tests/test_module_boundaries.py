@@ -1,4 +1,5 @@
-"""No trisym module uses another trisym module's private names, and no private function is dead.
+"""No trisym module uses another trisym module's private names, no private function is dead, and
+``einstein.py`` stays within its line gate.
 
 A private name starts with one underscore (dunders such as ``__version__``
 are not private). The check reads the source with ``ast``: it rejects
@@ -131,3 +132,11 @@ def test_dead_private_function_is_caught():
         "@_register('x')\ndef _registered():\n    pass\n"
     )
     assert unreferenced_private_functions({"m": source}) == ["m._dead (line 4)", "m._method (line 8)"]
+
+
+# the solver module's size gate: the same behaviour and speed from no more code
+EINSTEIN_MAX_LINES = 680
+
+
+def test_einstein_within_its_line_gate():
+    assert len((SRC / "einstein.py").read_text().splitlines()) <= EINSTEIN_MAX_LINES
