@@ -167,7 +167,6 @@ def _cmd_solve(args) -> int:
     if tol <= 0:
         raise _UsageError("--tol must be positive")
     width = Fraction(1, 10 ** (digits + 3))
-    warnings: list[str] = []
     if args.a:
         case_inputs = [repr(args.case)] if args.case else []
         case_inputs += [f"--{k}" for k in ("l", "i", "j", "k") if getattr(args, k) is not None]
@@ -209,7 +208,7 @@ def _cmd_solve(args) -> int:
     if label is not None:
         payload["case"] = encode_case(label)
     if args.format == "json":
-        sys.stdout.write(to_json(envelope("solve", payload, warnings)))
+        sys.stdout.write(to_json(envelope("solve", payload)))
         return EXIT_OK
     head = f"a = ({', '.join(str(v) for v in a)})"
     if label is not None:

@@ -180,7 +180,7 @@ class EinsteinSolution:
         """max |r_i - r_j| at the midpoint of the box ``x``, exactly (0 when exact); derived on first read."""
         if self.is_exact:
             return Fraction(0)
-        _, n, d = _residual_enclosure(self._own_system, [(m, m) for m in self.approx()])
+        _, n, d = _residual_enclosure(self._own_system, [(A + B, A + B, 2 * D) for A, B, D in map(_box, self.x)])
         return Fraction(n, d)
 
     def approx(self, prec: int = 40) -> tuple[Fraction, Fraction, Fraction]:
@@ -208,6 +208,14 @@ def _format_widths(widths: dict[str, Fraction]) -> str:
 
 def _coordinate_widths(x) -> dict[str, Fraction]:
     return {f"x{i + 1}": c.interval.width for i, c in enumerate(x) if isinstance(c, RootCoordinate)}
+
+
+def _box(c) -> tuple[int, int, int]:
+    """Coordinate ``c`` as an integer box (A, B, D), A <= B over D > 0: an interval's own, or a rational's point box."""
+    if isinstance(c, RootCoordinate):
+        return c.interval.a, c.interval.b, c.interval.m
+    c = exact_rational(c, "metric coordinate")
+    return c.numerator, c.numerator, c.denominator
 
 
 def _ricci(a, x, i: int):
@@ -270,15 +278,15 @@ def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return scale, tuple(tuple(scale * (p - q) + n[i] * u - n[j] * v for p, u, q, v in parts) for i, j, parts in _ROW_PARTS)
 
 
-def _residual_enclosure(system: EinsteinSystem, ends) -> tuple[bool, int, int]:
+def _residual_enclosure(system: EinsteinSystem, boxes) -> tuple[bool, int, int]:
     """Enclose every r_i - r_j of ``system`` over a positive box in integers.
 
-    ``ends`` holds the (lo, hi) endpoints of x1, x2, x3. Returns (excludes_zero, n, d):
+    ``boxes`` holds x1, x2, x3 as integer boxes (A, B, D) (``_box``). Returns (excludes_zero, n, d):
     excludes_zero when some r_i - r_j is certifiably nonzero on the box, and
     max |r_i - r_j| <= n / d over the box, with equality on a point box.
     """
-    nums, common = integer_numerators(v for pair in ends for v in pair)
-    lo, hi = nums[0::2], nums[1::2]
+    common = lcm(*(D for _, _, D in boxes))
+    lo, hi = ([box[u] * (common // box[2]) for box in boxes] for u in (0, 1))
     if min(lo) <= 0:
         raise TrisymError("metric coordinates must be positive")
     # G = scale * common^2 * (F_i - F_j) is a sum of coefficient times monomial, each increasing in the numerators
@@ -513,22 +521,20 @@ def _link_x2_interval(
     inclusion isotone. It guards hand-built solutions; an empty clip raises at
     once, since by that isotonicity no smaller x3 box can reopen it.
 
-    The loop runs in integers, on the x3 box as numerators [A, B] over one
-    denominator M. ``root_box`` checks its ends once, and each iteration that
-    fails halves the box twice with ``bisect_root`` (which carves the box around
-    an exact dyadic hit), visiting the boxes ``refine_root(iv3, iv3.width / 4)``
-    would return. The exact range of num/den (``eval_poly_range``), the clip and
-    the width are compared as pairs (numerator, positive denominator), at which
-    ``isolates_at`` evaluates the x2 eliminant's Sturm chain. ``Fraction``s are
-    built only for the returned intervals and for errors.
+    The loop runs in integers, on the box of ``iv3``, [A, B] over M: ``root_box``
+    checks its ends once, and each iteration that fails halves it twice with
+    ``bisect_root`` (which carves around an exact dyadic hit), visiting the boxes
+    ``refine_root(iv3, iv3.width / 4)`` would return. The exact range of num/den
+    (``eval_poly_range``), the clip and the width are compared as pairs (numerator,
+    positive denominator), at which ``isolates_at`` evaluates the x2 eliminant's
+    Sturm chain. Both intervals are returned as boxes; only errors build ``Fraction``s.
     """
     p3 = iv3.poly
     A, B, M, s3 = root_box(iv3)
     if width is not None:
         A, B, M = bisect_root(p3, s3, A, B, M, width.numerator, width.denominator)
     if enclosing is not None:
-        e_lo = (enclosing.lo.numerator, enclosing.lo.denominator)
-        e_hi = (enclosing.hi.numerator, enclosing.hi.denominator)
+        e_lo, e_hi = (enclosing.a, enclosing.m), (enclosing.b, enclosing.m)
     num, den = system.pivot
     x2 = None
     for _ in range(_LINK_STEPS):
@@ -552,8 +558,8 @@ def _link_x2_interval(
             # hi - lo <= width, as (hi_n lo_d - lo_n hi_d) / (lo_d hi_d)
             narrow = width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width.denominator <= width.numerator * lo[1] * hi[1]
             if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and isolates_at(system.x2, *lo, *hi):
-                iv2 = IsolatingInterval(Fraction(*lo), Fraction(*hi), system.x2)
-                return iv2, IsolatingInterval(Fraction(A, M), Fraction(B, M), p3)
+                iv2 = IsolatingInterval(lo[0] * hi[1], hi[0] * lo[1], lo[1] * hi[1], system.x2)
+                return iv2, IsolatingInterval(A, B, M, p3)
         A, B, M = bisect_root(p3, s3, A, B, M, B - A, 4 * M)
     widths = {"x3": Fraction(B - A, M)}
     if x2 is not None:
@@ -562,22 +568,18 @@ def _link_x2_interval(
 
 
 def _solutions_generic(system: EinsteinSystem) -> list:
-    out = []
-
-    # pivot point of the back-substitution: single rational root of den
     den = system.pivot[1]
-    xi = Fraction(-den[0], den[1])
-    remaining = system.x3
+    xi = Fraction(-den[0], den[1])  # the pivot point of the back-substitution, the one rational root of den
+    out, remaining = [], system.x3
     if remaining.sign_at(xi) == 0:
-        out.extend(_pivot_solutions_at(system, xi))
-        remaining = deflate_endpoint_roots(remaining, xi, None)
+        out, remaining = _pivot_solutions_at(system, xi), deflate_endpoint_roots(remaining, xi, None)
 
     for iv3 in isolate_real_roots(remaining, 0, None):
-        if system.a[1] == HALF and iv3.lo < 1 < iv3.hi:
+        if system.a[1] == HALF and iv3.a < iv3.m < iv3.b:
             continue  # the point (1, 0, 1), the one root with x2 = 0 (x2 lemma)
         iv2, iv3 = _link_x2_interval(system, iv3)
         x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
-        approx = tuple((m.numerator, m.denominator) for m in (iv2.midpoint, iv3.midpoint))
+        approx = tuple((iv.a + iv.b, 2 * iv.m) for iv in (iv2, iv3))  # the midpoints
         out.append((approx, EinsteinSolution(x=x, branch=BRANCH_GENERIC, system=system)))
     return out
 
@@ -641,14 +643,12 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
         raise TrisymError(f"tolerance {tol} must be positive")
     if sol.is_exact:
         return _solves_exactly(system.rows, sol.x)
-    x1, x2, x3 = sol.x
-    if isinstance(x1, (RootCoordinate, QuadraticSurd)) or not all(isinstance(c, RootCoordinate) for c in (x2, x3)):
-        shown = ", ".join(type(c).__name__ for c in sol.x)
+    x = sol.x  # x1 is read as a rational by ``_box``, which refuses a float
+    if isinstance(x[0], (RootCoordinate, QuadraticSurd)) or not all(isinstance(c, RootCoordinate) for c in x[1:]):
+        shown = ", ".join(type(c).__name__ for c in x)
         raise TrisymError(f"an interval solution has a rational x1 and interval x2 and x3; got {shown}")
-    x = (exact_rational(x1, "metric coordinate"), x2, x3)
     for _ in range(_VERIFY_STEPS):
-        ends = [(c.interval.lo, c.interval.hi) if isinstance(c, RootCoordinate) else (c, c) for c in x]
-        excludes_zero, n, d = _residual_enclosure(system, ends)
+        excludes_zero, n, d = _residual_enclosure(system, [_box(c) for c in x])
         if excludes_zero:
             return False
         if n * tol.denominator < tol.numerator * d:  # n / d < tol

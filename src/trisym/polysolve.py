@@ -39,12 +39,13 @@ isolating interval. `isolates_at` is the same test at integer pairs
 
 Isolation and refinement bisect one kind of box, integer numerators a < b
 over one denominator m, halved to (2a, a + b, 2m) or (a + b, 2b, 2m): the
-dyadic points a ``Fraction`` bisection would visit. A midpoint that is an
-exact root gets a box of its own from `_carve`. `isolate_real_roots` stacks
-boxes with the variation counts at their ends, so the chain is evaluated
-once per midpoint. `root_box` writes an isolating interval as a box and
-checks its end signs, and `bisect_root` halves it in place, carving on a
-hit. Its points lie over m 2^j for the entry denominator m, so it scales the
+dyadic points a ``Fraction`` bisection would visit. An `IsolatingInterval`
+is such a box, reduced, so no ``Fraction`` is made between isolation and
+output. A midpoint that is an exact root gets a box of its own from `_carve`.
+`isolate_real_roots` stacks boxes with the variation counts at their ends, so
+the chain is evaluated once per midpoint. `root_box` checks the end signs of
+an interval's box, and `bisect_root` halves it in place, carving on a hit.
+Its points lie over m 2^j for the entry denominator m, so it scales the
 coefficients by powers of m once per call and applies the powers of two as
 shifts: the same points, signs and boxes as the homogenised sum, with one big
 multiplication per Horner step. `refine_root` is the two, and so is the
@@ -413,26 +414,46 @@ def isolates_at(p: Polynomial, lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> bo
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Open rational interval certified to contain exactly one root of ``poly``."""
+    """Open interval (a/m, b/m) certified to contain exactly one root of ``poly``, kept as the box the kernels bisect.
 
-    lo: Fraction
-    hi: Fraction
+    Integers a < b over m > 0, reduced on construction so that equal fields mean equal values; the ``Fraction``s
+    ``lo``, ``hi``, ``width`` and ``midpoint`` are derived on read, and ``of`` builds an interval from rational ends.
+    """
+
+    a: int
+    b: int
+    m: int
     poly: Polynomial
 
     def __post_init__(self):
-        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
-            object.__setattr__(self, "lo", exact_rational(self.lo, "endpoint"))
-            object.__setattr__(self, "hi", exact_rational(self.hi, "endpoint"))
-        if not self.lo < self.hi:
-            raise ValueError("interval endpoints out of order")
+        if not (self.m > 0 and self.a < self.b):
+            raise ValueError("an interval box needs numerators a < b over m > 0")
+        g = _int_gcd(self.a, self.b, self.m)
+        if g > 1:
+            for name in ("a", "b", "m"):
+                object.__setattr__(self, name, getattr(self, name) // g)
+
+    @classmethod
+    def of(cls, lo: RatLike, hi: RatLike, poly: Polynomial) -> "IsolatingInterval":
+        """The interval (lo, hi) of ``poly``, for rational ends; a float is refused."""
+        (a, b), m = integer_numerators((exact_rational(lo, "endpoint"), exact_rational(hi, "endpoint")))
+        return cls(a, b, m, poly)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.m)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.m)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.b - self.a, self.m)
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.a + self.b, 2 * self.m)
 
 
 def _carve(p: Polynomial, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int]:
@@ -449,42 +470,38 @@ def _carve(p: Polynomial, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int
 
 
 def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional[RatLike] = None) -> list[IsolatingInterval]:
-    """Pairwise-disjoint certified intervals, one per distinct root in (lo, hi)."""
+    """Pairwise-disjoint certified intervals, one per distinct root in (lo, hi), in ascending order."""
     sf, a, b, m, v_a, v_b = _end_box(p, lo, hi)
     # neither end is a root (``_end_box``), nor is any end pushed below, and
-    # each box (a, b, m) carries the variation counts at its ends
+    # each box (a, b, m) carries the variation counts at its ends; the lower
+    # half is pushed last, so boxes leave the stack from left to right
     chain = sf._sturm_chain()
     out: list[IsolatingInterval] = []
     stack = [(a, b, m, v_a, v_b)]
     while stack:
         a, b, m, v_a, v_b = stack.pop()
         if v_a - v_b == 1:
-            out.append(IsolatingInterval(Fraction(a, m), Fraction(b, m), sf))
+            out.append(IsolatingInterval(a, b, m, sf))
         elif v_a - v_b > 1:
             signs = [_horner_sign(q, a + b, 2 * m) for q in chain]
             if signs[0] == 0:
                 # the box's own width never binds: every carved box is at most half as wide
                 lo_n, hi_n, k = _carve(sf, a, b, m, b - a, m)
-                out.append(IsolatingInterval(Fraction(lo_n, k), Fraction(hi_n, k), sf))
-                r = k // m
-                stack.append((a * r, lo_n, k, v_a, _variations_at(chain, lo_n, k)))
-                stack.append((hi_n, b * r, k, _variations_at(chain, hi_n, k), v_b))
+                v_lo, v_hi, r = _variations_at(chain, lo_n, k), _variations_at(chain, hi_n, k), k // m
+                stack += [(hi_n, b * r, k, v_hi, v_b), (lo_n, hi_n, k, v_lo, v_hi), (a * r, lo_n, k, v_a, v_lo)]
             else:
                 v_mid = _variations(signs)
-                stack.append((2 * a, a + b, 2 * m, v_a, v_mid))
-                stack.append((a + b, 2 * b, 2 * m, v_mid, v_b))
-    out.sort(key=lambda iv: iv.lo)
+                stack += [(a + b, 2 * b, 2 * m, v_mid, v_b), (2 * a, a + b, 2 * m, v_a, v_mid)]
     return out
 
 
 def root_box(iv: IsolatingInterval) -> tuple[int, int, int, int]:
-    """(a, b, m, s): the ends of ``iv`` as integer numerators a < b over one m > 0, and the sign at a/m.
+    """(a, b, m, s): the box of ``iv``, integer numerators a < b over one m > 0, and the sign at a/m.
 
     Raises ``IntegrityError`` unless ``iv.poly`` has nonzero, opposite signs
     at the two ends.
     """
-    ints = iv.poly.ints
-    (a, b), m = integer_numerators((iv.lo, iv.hi))
+    ints, a, b, m = iv.poly.ints, iv.a, iv.b, iv.m
     s_lo, s_hi = _horner_sign(ints, a, m), _horner_sign(ints, b, m)
     if s_lo == 0 or s_hi == 0:
         raise IntegrityError("isolating interval endpoints must not be roots")
@@ -533,8 +550,7 @@ def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
     if width <= 0:
         raise ValueError("width must be positive")
     a, b, m, s_lo = root_box(iv)
-    a, b, m = bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator)
-    return IsolatingInterval(Fraction(a, m), Fraction(b, m), iv.poly)
+    return IsolatingInterval(*bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator), iv.poly)
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

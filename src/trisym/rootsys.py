@@ -171,7 +171,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     roots = _generate_positive_roots(cartan)
     maximal = max(roots, key=sum)
     if not all(all(m >= r for m, r in zip(maximal, root)) for root in roots):
-        raise InvalidRootSystem(f"{family}{rank}: generated maximal root is not dominant")
+        raise InvalidRootSystem(f"{family}{rank}: generated maximal root is not coefficient-wise >= every positive root")
     rs = RootSystem(
         family=family,
         rank=rank,

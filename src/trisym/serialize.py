@@ -16,15 +16,15 @@ from typing import Any
 from .cases import SpaceCase
 from .coeffs import IsotropyData
 from .einstein import EinsteinSolution, RootCoordinate
-from .polysolve import Polynomial
+from .polysolve import Polynomial, exact_rational
 from .surd import QuadraticSurd
 
 SCHEMA_VERSION = "1.0"
 
 
 def encode_fraction(v: Fraction) -> str:
-    """The "p/q" form of ``v``; ``Decimal`` writes the digits, since ``str`` refuses ints past 4,300 digits."""
-    v = Fraction(v)
+    """The "p/q" form of the rational ``v`` (a float refused by name); ``Decimal`` writes ints past ``str``'s 4,300 digits."""
+    v = exact_rational(v, "value")
     return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
 
 
@@ -47,7 +47,7 @@ def encode_coordinate(c) -> dict[str, Any]:
             "q": encode_fraction(c.q),
             "d": c.d,
         }
-    return {"type": "rational", "value": encode_fraction(Fraction(c))}
+    return {"type": "rational", "value": encode_fraction(c)}
 
 
 def encode_solution(sol: EinsteinSolution) -> dict[str, Any]:

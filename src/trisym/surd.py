@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isqrt
 from typing import Union
 
@@ -73,6 +74,7 @@ def sqrt_midpoint(d: int, prec: int) -> tuple[int, int]:
     return 2 * isqrt(d * 10 ** (2 * prec)) + 1, 2 * 10**prec
 
 
+@total_ordering
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Irrational element p + q*sqrt(d) of a real quadratic field."""
@@ -179,24 +181,9 @@ class QuadraticSurd:
         # p + q*sqrt(d) is determined by p, the sign of q and q*q*d
         return self.p, self.q > 0, self.q * self.q * self.d
 
-    def _cmp_sign(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, Fraction):
-            return (diff > 0) - (diff < 0)
-        return diff.sign()
-
-    def __lt__(self, other):
-        s = self._cmp_sign(other)
-        return s < 0
-
-    def __le__(self, other):
-        return self._cmp_sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp_sign(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp_sign(other) >= 0
+    def __lt__(self, other) -> bool:
+        # the one order rule, the sign of the exact difference; ``total_ordering`` derives <=, > and >=
+        return exact_sign(self - other) < 0
 
 
 def exact_sign(v: Exact) -> int:

@@ -26,6 +26,8 @@ def workloads():
         ("catalog-solve", "E7-II"),
         ("sweep-generic", ((F(1, 4), F(1, 3), F(1, 5)), 50)),
         ("sweep-pair", ((F(1, 8), F(1, 8), F(3, 10)), 10)),
+        # a2 = 1/2: the x3 eliminant has a root isolated around 1, the point (1, 0, 1) the solver skips
+        ("sweep-generic", ((F(1, 4), F(1, 2), F(1, 1000)), 300)),
     ],
 )
 def test_one_op_passes_its_check(workloads, name, args):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from trisym import cli
+from trisym import cli, einstein, polysolve, surd
 from trisym.cases import enumerate_cases
 
 
@@ -180,6 +180,23 @@ class TestSolve:
             runs += 1
         assert runs == 617
         assert digest.hexdigest() == self.CATALOG_DIGEST
+
+    def test_catalog_pass_keeps_intervals_as_boxes(self, capsys, fractions_made, monkeypatch):
+        # an isolating interval is the integer box the kernels bisect, so no Fraction is built for a box
+        # between isolation and output: 86,183 Fractions and 7,690 integer_numerators calls when each
+        # interval held two Fractions, about 49,000 and 2,572 with the boxes
+        calls, numerators = [], polysolve.integer_numerators
+        for module in (polysolve, einstein, surd):
+            monkeypatch.setattr(module, "integer_numerators", lambda v: calls.append(1) or numerators(v))
+
+        def catalog_pass():
+            for case in enumerate_cases(12):
+                argv = ["solve", case.type_label, *(t for k, v in case.params for t in (f"--{k}", str(v))), "--format", "json"]
+                assert cli.main(argv) == 0, argv
+            capsys.readouterr()
+
+        assert fractions_made(catalog_pass) <= 56_000
+        assert len(calls) <= 2_600
 
     @pytest.mark.parametrize("extra", [("E7-II",), ("--l", "3"), ("--k", "2"), ("--max-rank", "3")])
     def test_a_excludes_a_case(self, extra):

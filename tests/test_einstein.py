@@ -640,6 +640,11 @@ def ricci_differences(a, x):
     return [r[i] - r[j] for i, j in ((0, 1), (0, 2), (1, 2))]
 
 
+def as_boxes(ends):
+    """Rational (lo, hi) ends as the integer boxes (A, B, D) that ``_residual_enclosure`` reads."""
+    return [(*nums, d) for nums, d in map(integer_numerators, ends)]
+
+
 class TestResidualKernel:
     """The integer enclosure of every r_i - r_j holds the exact differences over its box."""
 
@@ -649,7 +654,7 @@ class TestResidualKernel:
         st.lists(st.tuples(unit_fraction, unit_fraction, unit_fraction), min_size=1, max_size=3),
     )
     def test_bound_holds_over_the_box(self, a, ends, interior):
-        excludes_zero, n, d = einstein._residual_enclosure(EinsteinSystem(a), ends)
+        excludes_zero, n, d = einstein._residual_enclosure(EinsteinSystem(a), as_boxes(ends))
         points = list(product(*ends))
         points += [tuple(lo + t * (hi - lo) for (lo, hi), t in zip(ends, ts)) for ts in [(F(1, 2),) * 3, *interior]]
         diffs = [ricci_differences(a, x) for x in points]
@@ -659,7 +664,7 @@ class TestResidualKernel:
 
     @given(st.tuples(kernel_a, kernel_a, kernel_a), st.tuples(positive_x, positive_x, positive_x))
     def test_point_box_is_exact(self, a, x):
-        _, n, d = einstein._residual_enclosure(EinsteinSystem(a), [(v, v) for v in x])
+        _, n, d = einstein._residual_enclosure(EinsteinSystem(a), as_boxes((v, v) for v in x))
         assert F(n, d) == max(abs(v) for v in ricci_differences(a, x))
 
 
@@ -802,7 +807,7 @@ class TestExactCheck:
                 id="interval-x2-rational",
             ),
             pytest.param(
-                lambda x: (*x[:2], RootCoordinate(replace(x[2].interval, lo=F(0)))),
+                lambda x: (*x[:2], RootCoordinate(replace(x[2].interval, a=0))),
                 "metric coordinates must be positive",
                 id="interval-x3-box-from-zero",
             ),
@@ -1137,7 +1142,7 @@ class TestLink:
         e = EinsteinSystem(self.A)
         for s in solve_einstein(self.A):
             c = refine_solution(s, F(1, 2**40)).x[2].interval.lo
-            box = IsolatingInterval(c - F(1, 2**k), c + F(1, 2**k), Polynomial((-c, 1)))
+            box = IsolatingInterval.of(c - F(1, 2**k), c + F(1, 2**k), Polynomial((-c, 1)))
             assert box.poly.sign_at(box.midpoint) == 0
             assert link_ends(e, box) == reference_link(e, box)
 
@@ -1148,12 +1153,20 @@ class TestLink:
             iv2 = einstein._link_x2_interval(e, iv3)[0]
             # from one iteration on the solver's box to hundreds of halvings below 10^-300
             counts = [fractions_made(lambda: einstein._link_x2_interval(e, iv3, iv2, w)) for w in widths]
-            assert counts == [4] * 3  # the returned endpoints
+            assert counts == [0] * 3
+
+    def test_clip_to_a_narrower_enclosing_interval(self):
+        # a hand-built x2 interval well inside num/den over the x3 box: the clip binds, and the link returns it
+        e = EinsteinSystem(self.A)
+        for iv3 in isolate_real_roots(e.x3, 0, None):
+            iv2 = einstein._link_x2_interval(e, iv3)[0]
+            narrow = refine_root(iv2, iv2.width / 2**20)
+            assert einstein._link_x2_interval(e, iv3, narrow)[0] == narrow
 
     def test_ends_that_do_not_straddle_the_root(self):
         e = EinsteinSystem(self.A)
         iv3 = solve_einstein(self.A)[0].x[2].interval
-        beside = IsolatingInterval(iv3.hi, iv3.hi + iv3.width, iv3.poly)
+        beside = IsolatingInterval.of(iv3.hi, iv3.hi + iv3.width, iv3.poly)
         assert iv3.poly.sign_at(beside.lo) == iv3.poly.sign_at(beside.hi) != 0
         with pytest.raises(IntegrityError, match="^isolating interval endpoints must straddle the root$"):
             einstein._link_x2_interval(e, beside)

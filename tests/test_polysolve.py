@@ -458,7 +458,7 @@ class TestIntegerKernel:
         p = sym(sp(-root, 1) * (sp(1) if c is None else sp(-c, 0, 1)))
         d = F(1, 2**k)
         assume(count_real_roots(p, root - d, root + d) == 1 and p(root - d) != 0 and p(root + d) != 0)
-        iv = IsolatingInterval(root - d, root + d, p)
+        iv = IsolatingInterval.of(root - d, root + d, p)
         width = F(1, 2**bits)
         got = refine_root(iv, width)
         assert (got.lo, got.hi) == ref_refine(p, iv.lo, iv.hi, width)
@@ -652,7 +652,7 @@ class TestRepresentation:
 # -- floats are refused at every public entry point ------------------------------
 
 P = poly(-2, 0, 1)
-IV = IsolatingInterval(F(1), F(2), P)
+IV = IsolatingInterval.of(F(1), F(2), P)
 
 
 class TestFloatsRefused:
@@ -661,8 +661,9 @@ class TestFloatsRefused:
         "call, message",
         [
             pytest.param(lambda: Polynomial([0.1, 1]), "coefficient 0.1", id="coefficient"),
-            pytest.param(lambda: IsolatingInterval(1.0, 2.0, P), "endpoint 1.0", id="interval"),
-            pytest.param(lambda: IsolatingInterval(F(1), 2.0, P), "endpoint 2.0", id="interval-hi"),
+            pytest.param(lambda: IsolatingInterval.of(1.0, 2.0, P), "endpoint 1.0", id="interval"),
+            pytest.param(lambda: IsolatingInterval.of(F(1), 2.0, P), "endpoint 2.0", id="interval-hi"),
+            pytest.param(lambda: IsolatingInterval.of(1.0, 2, P), "endpoint 1.0", id="interval-lo"),
             pytest.param(lambda: P.sign_at(0.5), "point 0.5", id="sign_at"),
             pytest.param(lambda: P.scale(0.5), "scale factor 0.5", id="scale"),
             pytest.param(lambda: isolates(P, 1.0, 2), "endpoint 1.0", id="isolates"),
@@ -678,10 +679,25 @@ class TestFloatsRefused:
             call()
 
     def test_interval_ends_become_fractions(self):
-        iv = IsolatingInterval(1, "3/2", P)
+        iv = IsolatingInterval.of(1, "3/2", P)
         assert (type(iv.lo), type(iv.hi)) == (F, F) and iv.hi == F(3, 2)
-        assert refine_root(iv, "1/1000") == refine_root(IsolatingInterval(F(1), F(3, 2), P), F(1, 1000))
+        assert refine_root(iv, "1/1000") == refine_root(IsolatingInterval.of(F(1), F(3, 2), P), F(1, 1000))
 
+
+class TestIntervalBox:
+    """An isolating interval is its reduced integer box; the rational ends are derived on read."""
+
+    def test_reduced_on_construction(self):
+        assert IsolatingInterval.of(F(1, 2), F(1), P) == IsolatingInterval(2, 4, 4, P)
+        assert hash(IsolatingInterval.of(F(1, 2), F(1), P)) == hash(IsolatingInterval(2, 4, 4, P))
+        iv = IsolatingInterval(6, 9, 12, P)
+        assert (iv.a, iv.b, iv.m) == (2, 3, 4) and iv != IsolatingInterval(2, 3, 4, poly(-3, 0, 5))
+        assert (iv.lo, iv.hi, iv.width, iv.midpoint) == (F(1, 2), F(3, 4), F(1, 4), F(5, 8))
+
+    @pytest.mark.parametrize("box", [(2, 2, 3), (3, 2, 3), (1, 2, 0), (-2, -1, -3)])
+    def test_box_needs_ordered_ends_over_a_positive_denominator(self, box):
+        with pytest.raises(ValueError, match="^an interval box needs numerators a < b over m > 0$"):
+            IsolatingInterval(*box, P)
 
 class TestNonRationalRefused:
     @pytest.mark.parametrize(
@@ -689,7 +705,7 @@ class TestNonRationalRefused:
         [
             pytest.param(lambda: Polynomial(["x"]), "coefficient 'x'", id="coefficient"),
             pytest.param(lambda: Polynomial([1, None]), "coefficient None", id="coefficient-none"),
-            pytest.param(lambda: IsolatingInterval("1/0", 2, P), "endpoint '1/0'", id="interval"),
+            pytest.param(lambda: IsolatingInterval.of("1/0", 2, P), "endpoint '1/0'", id="interval"),
             pytest.param(lambda: P.sign_at("x"), "point 'x'", id="sign_at"),
             pytest.param(lambda: P.scale(1j), "scale factor 1j", id="scale"),
             pytest.param(lambda: isolates(P, 1, "2/0"), "endpoint '2/0'", id="isolates"),
@@ -811,7 +827,7 @@ class TestSharedKernels:
         p = sym(sp(-root, 1) * (sp(1) if c is None else sp(-c, 0, 1)))
         d = F(1, 2**k)
         assume(isolates(p, root - d, root + d))
-        iv = IsolatingInterval(root - d, root + d, p)
+        iv = IsolatingInterval.of(root - d, root + d, p)
         a, b, m, s_lo = root_box(iv)
         width = F(1, 2**bits)
         got = bisect_root(p, s_lo, a, b, m, width.numerator, width.denominator)
@@ -825,7 +841,7 @@ class TestSharedKernels:
     def test_refine_root_builds_no_fractions_in_its_loop(self, fractions_made):
         iv = isolate_real_roots(poly(-2, 0, 1), 1, 2)[0]
         shallow, deep = (fractions_made(lambda: refine_root(iv, w)) for w in (F(1, 10**10), F(1, 10**300)))
-        assert deep == shallow <= 2  # the returned endpoints
+        assert deep == shallow == 0  # the returned interval is the box the kernel bisected
 
     def test_refine_root_makes_no_horner_evaluation_in_its_loop(self, monkeypatch):
         # bisection signs come from the dyadic kernel; a full homogenised Horner is made only by root_box's end checks
@@ -836,7 +852,7 @@ class TestSharedKernels:
             return f(ints, n, d)
 
         monkeypatch.setattr(polysolve, "_horner_sign", counted)
-        iv = IsolatingInterval(F(1), F(2), poly(-2, 0, 1))
+        iv = IsolatingInterval.of(F(1), F(2), poly(-2, 0, 1))
         counts = []
         for w in (F(1, 10**10), F(1, 10**300)):
             calls.clear()
@@ -851,13 +867,13 @@ class TestSharedKernels:
         for p in (close, apart):
             p._sturm_chain()  # the chain is built once per polynomial, outside the loop
             counts.append(fractions_made(lambda: isolate_real_roots(p)))
-        assert counts[0] == counts[1] <= 6 + 3  # the returned endpoints, and the Cauchy bound
+        assert counts[0] == counts[1] <= 3  # the Cauchy bound; the returned intervals are boxes
 
     @pytest.mark.parametrize(
         "iv, message",
         [
-            (IsolatingInterval(F(1), F(2), poly(-1, 0, 1)), "must not be roots"),
-            (IsolatingInterval(F(2), F(3), poly(-2, 0, 1)), "must straddle the root"),
+            (IsolatingInterval.of(F(1), F(2), poly(-1, 0, 1)), "must not be roots"),
+            (IsolatingInterval.of(F(2), F(3), poly(-2, 0, 1)), "must straddle the root"),
         ],
     )
     def test_root_box_checks_the_ends(self, iv, message):

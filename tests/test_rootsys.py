@@ -109,6 +109,14 @@ class TestInvariants:
             build_root_system.cache_clear()
 
 
+    def test_maximal_root_checked_against_every_root(self, monkeypatch):
+        # the highest generated root, (2, 0), is not coefficient-wise at least (0, 1)
+        monkeypatch.setattr(rootsys, "_generate_positive_roots", lambda cartan: [(1, 0), (0, 1), (2, 0)])
+        message = "^A2: generated maximal root is not coefficient-wise >= every positive root$"
+        with pytest.raises(InvalidRootSystem, match=message):
+            build_root_system.__wrapped__("A", 2)
+
+
 class TestCanonicalization:
     def test_low_rank_coincidences(self):
         assert canonicalize_type("B", 1) == ("A", 1)

@@ -2,9 +2,12 @@ import json
 from decimal import Decimal
 from fractions import Fraction as F
 
+import pytest
+
 from trisym.cases import make_case
 from trisym.coeffs import coefficients_for_case
 from trisym.einstein import refine_solution, solve_case, solve_einstein
+from trisym.errors import TrisymError
 from trisym.serialize import (
     SCHEMA_VERSION,
     encode_case,
@@ -23,6 +26,15 @@ def test_fraction_encoding():
     assert encode_fraction(F(3, 7)) == "3/7"
     assert encode_fraction(F(2)) == "2/1"
     assert encode_fraction(F(-5, 10)) == "-1/2"
+
+
+def test_fraction_encoding_reads_rationals_only(fractions_made):
+    v = F(3, 7)
+    assert fractions_made(lambda: encode_fraction(v)) == 0  # a Fraction passes through
+    assert (encode_fraction(2), encode_fraction("6/4")) == ("2/1", "3/2")
+    # a float is a binary fraction: 0.1 would be written 3602879701896397/36028797018963968
+    with pytest.raises(TrisymError, match=r"^value 0\.1 is a float; give an int, a Fraction or a 'p/q' string$"):
+        encode_fraction(0.1)
 
 
 def test_fraction_encoding_past_the_int_to_str_limit():

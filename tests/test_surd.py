@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 from math import isqrt
 
@@ -38,6 +39,19 @@ def test_signs_and_order():
     assert exact_sign(r) == 1 and exact_sign(-s) == -1
     assert r < 1 < s
     assert r < s
+
+
+def test_one_order_rule():
+    # <=, > and >= derive from < (the sign of the exact difference) and ==
+    r = make_quadratic(F(15, 14), F(-1, 14), 29)  # about 0.687
+    s = make_quadratic(F(15, 14), F(1, 14), 29)  # about 1.456
+    assert (r <= s, r > s, r >= s, s > r, s >= r) == (True, False, False, True, True)
+    assert (r <= r, r >= r, r > r, r < r) == (True, True, False, False)
+    assert (F(1) <= s, F(1) >= s, 2 > s, s >= 1, s <= F(3, 2)) == (True, False, True, True, True)
+    for other in (make_quadratic(F(1), F(1), 2), 1.5):  # another radicand, and a float
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(r, other)
 
 
 def test_rational_quadratic_roots():
