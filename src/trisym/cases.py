@@ -41,6 +41,9 @@ from .rootsys import LOW_RANK_COINCIDENCES, RootSystem, build_root_system, dimen
 # A subalgebra factor: ("T", k) is a k-dimensional torus, otherwise (family, rank).
 Factor = tuple[str, int]
 
+# kind -> (kappa, shift) of each classical model: d_i = kappa s_j s_k, and shift enters coeffs.sizes_gammas
+CLASSICAL_MODELS = {"su": (2, 0), "sp": (4, 1), "so": (1, -2)}
+
 
 def factor_dim(f: Factor) -> int:
     fam, r = f
@@ -181,7 +184,7 @@ def case_dims(case: SpaceCase) -> tuple[int, int, int, int]:
                 raise IntegrityError(f"{case.describe()}: dim k{idx} = {k} != dim h + d{idx} = {dim_h + d}")
     if case.sizes is not None:
         kind, (s1, s2, s3) = case.sizes
-        kappa = {"su": 2, "sp": 4, "so": 1}[kind]
+        kappa = CLASSICAL_MODELS[kind][0]
         expect = (kappa * s2 * s3, kappa * s1 * s3, kappa * s1 * s2)
         if (d1, d2, d3) != expect:
             raise IntegrityError(f"{case.describe()}: sizes model dims {expect} != {(d1, d2, d3)}")

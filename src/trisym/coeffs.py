@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cases import Factor, SpaceCase
+from .cases import CLASSICAL_MODELS, Factor, SpaceCase
 from .errors import InconsistentData, TrisymError
 from .rootsys import dual_coxeter_number
 
@@ -40,15 +40,16 @@ class IsotropyData:
     a: Triple = field(init=False)
 
     def __post_init__(self):
-        A_vals = {Fraction(d) * (1 - g) / 2 for d, g in zip(self.dims, self.gammas)}
-        if len(A_vals) != 1:
+        a = tuple((1 - g) / 2 for g in self.gammas)
+        A = self.dims[0] * a[0]
+        if any(d * v != A for d, v in zip(self.dims[1:], a[1:])):
             raise InconsistentData(f"gammas {self.gammas} inconsistent with dims {self.dims}")
         for i, g in enumerate(self.gammas):
             if not (0 <= g < 1):
                 raise InconsistentData(f"gamma_{i + 1} = {g} outside [0, 1)")
         object.__setattr__(self, "casimirs", tuple(g / 2 for g in self.gammas))
-        object.__setattr__(self, "A", A_vals.pop())
-        object.__setattr__(self, "a", tuple((1 - g) / 2 for g in self.gammas))
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "a", a)
 
     @property
     def boundary(self) -> bool:
@@ -78,39 +79,26 @@ def derive_gammas(dims: tuple[int, int, int], anchor_index: int, anchor_gamma: F
         raise InconsistentData(f"anchor gamma {anchor_gamma} outside the admissible range")
     if min(dims) <= 0:
         raise ValueError("dims must be positive")
-    A = Fraction(dims[anchor_index - 1]) * (1 - anchor_gamma) / 2
-    gammas = []
-    for i, d in enumerate(dims):
-        if i == anchor_index - 1:
-            gammas.append(anchor_gamma)
-            continue
-        g = 1 - 2 * A / d
+    A = dims[anchor_index - 1] * (1 - anchor_gamma) / 2
+    gammas = tuple(anchor_gamma if i == anchor_index - 1 else 1 - 2 * A / d for i, d in enumerate(dims))
+    for i, g in enumerate(gammas):
         if not 0 < g < 1:
-            raise InconsistentData(
-                f"derived gamma_{i + 1} = {g} outside range (wrong anchor or dims?)"
-            )
-        gammas.append(g)
-    return IsotropyData(tuple(dims), tuple(gammas))
-
-
-_SIZES_GAMMA_SHIFT = {"su": 0, "sp": 1, "so": -2}
+            raise InconsistentData(f"derived gamma_{i + 1} = {g} outside range (wrong anchor or dims?)")
+    return IsotropyData(tuple(dims), gammas)
 
 
 def sizes_gammas(kind: str, sizes: tuple[int, int, int]) -> Triple:
     """Killing ratios of the classical models G(s1+s2+s3)/G(s1)xG(s2)xG(s3).
 
-    gamma_i = g(s_j + s_k) / g(s1+s2+s3) with g(s) = s, s+1, s-2 for the
-    unitary, symplectic and orthogonal families; the orthogonal form is the
-    standard trace-form ratio and stays valid for s_j + s_k as small as 2
-    (where it degenerates to zero for a torus).
+    gamma_i = g(s_j + s_k) / g(s1+s2+s3) with g(s) = s + shift, the shift of
+    ``CLASSICAL_MODELS`` (s, s+1, s-2 for the unitary, symplectic and
+    orthogonal families), that is gamma_i = (n - s_i) / n for
+    n = s1 + s2 + s3 + shift. The orthogonal form is the standard trace-form
+    ratio and stays valid for s_j + s_k as small as 2 (where it degenerates
+    to zero for a torus).
     """
-    shift = _SIZES_GAMMA_SHIFT[kind]
-    n = sum(sizes) + shift
-    out = []
-    for i in range(3):
-        j, k = {0: (1, 2), 1: (0, 2), 2: (0, 1)}[i]
-        out.append(Fraction(sizes[j] + sizes[k] + shift, n))
-    return tuple(out)
+    n = sum(sizes) + CLASSICAL_MODELS[kind][1]
+    return tuple(Fraction(n - s, n) for s in sizes)
 
 
 def coefficients_for_case(case: SpaceCase) -> IsotropyData:

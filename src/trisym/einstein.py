@@ -71,11 +71,10 @@ Each triple is prepared once, as an ``EinsteinSystem`` that validates a and
 reads the rows of L (F_i - F_j) (below); solve, refine and verify share it,
 and every solution of the solver carries it. ``_tighten`` takes an interval
 solution one step: one x2 link with the target width, which bisects x3 below
-it and re-links x2 inside its interval through num/den of the solution's own
-system (a hand-built one has none: ``IntegrityError``); ``refine_solution``
-takes it once and ``verify_solution`` once per round. Verification keeps x1
-as given: an interval solution has a rational x1 beside interval x2 and x3,
-and any other shape raises ``TrisymError``.
+it and re-links x2 inside its interval, on its own polynomial, through num/den
+of the solution's own system (a hand-built one has none: ``IntegrityError``);
+``refine_solution`` takes it once and ``verify_solution`` once per round. Both
+refuse any shape but a rational x1, kept as given, beside interval x2 and x3.
 
 Verification works on the cleared form, in integers. For positive x,
 r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
@@ -180,7 +179,7 @@ class EinsteinSolution:
         """max |r_i - r_j| at the midpoint of the box ``x``, exactly (0 when exact); derived on first read."""
         if self.is_exact:
             return Fraction(0)
-        _, n, d = _residual_enclosure(self._own_system, [(A + B, A + B, 2 * D) for A, B, D in map(_box, self.x)])
+        _, n, d = _residual_enclosure(self._own_system, [(A + B, A + B, 2 * D) for A, B, D in _interval_boxes(self.x)])
         return Fraction(n, d)
 
     def approx(self, prec: int = 40) -> tuple[Fraction, Fraction, Fraction]:
@@ -198,8 +197,7 @@ class EinsteinSolution:
 
 def _budget_exhausted(stage: str, budget: int, widths: dict[str, Fraction]) -> IntegrityError:
     """The error for a certification loop that ran out of steps, with its last interval widths."""
-    shown = _format_widths(widths)
-    return IntegrityError(f"{stage}: not certified within its budget of {budget} steps; last widths: {shown}")
+    return IntegrityError(f"{stage}: not certified within its budget of {budget} steps; last widths: {_format_widths(widths)}")
 
 
 def _format_widths(widths: dict[str, Fraction]) -> str:
@@ -210,12 +208,16 @@ def _coordinate_widths(x) -> dict[str, Fraction]:
     return {f"x{i + 1}": c.interval.width for i, c in enumerate(x) if isinstance(c, RootCoordinate)}
 
 
-def _box(c) -> tuple[int, int, int]:
-    """Coordinate ``c`` as an integer box (A, B, D), A <= B over D > 0: an interval's own, or a rational's point box."""
-    if isinstance(c, RootCoordinate):
-        return c.interval.a, c.interval.b, c.interval.m
-    c = exact_rational(c, "metric coordinate")
-    return c.numerator, c.numerator, c.denominator
+def _interval_boxes(x) -> list[tuple[int, int, int]]:
+    """Rational x1 and interval x2, x3 as integer boxes (A, B, D), 0 < A <= B over D > 0; else ``TrisymError``."""
+    if isinstance(x[0], (RootCoordinate, QuadraticSurd)) or not all(isinstance(c, RootCoordinate) for c in x[1:]):
+        shown = ", ".join(type(c).__name__ for c in x)
+        raise TrisymError(f"an interval solution has a rational x1 and interval x2 and x3; got {shown}")
+    x1 = exact_rational(x[0], "metric coordinate")
+    boxes = [(x1.numerator, x1.numerator, x1.denominator)] + [(c.interval.a, c.interval.b, c.interval.m) for c in x[1:]]
+    if min(A for A, _, _ in boxes) <= 0:
+        raise TrisymError("metric coordinates must be positive")
+    return boxes
 
 
 def _ricci(a, x, i: int):
@@ -281,14 +283,12 @@ def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def _residual_enclosure(system: EinsteinSystem, boxes) -> tuple[bool, int, int]:
     """Enclose every r_i - r_j of ``system`` over a positive box in integers.
 
-    ``boxes`` holds x1, x2, x3 as integer boxes (A, B, D) (``_box``). Returns (excludes_zero, n, d):
+    ``boxes`` holds x1, x2, x3 as integer boxes (A, B, D) (``_interval_boxes``). Returns (excludes_zero, n, d):
     excludes_zero when some r_i - r_j is certifiably nonzero on the box, and
     max |r_i - r_j| <= n / d over the box, with equality on a point box.
     """
     common = lcm(*(D for _, _, D in boxes))
     lo, hi = ([box[u] * (common // box[2]) for box in boxes] for u in (0, 1))
-    if min(lo) <= 0:
-        raise TrisymError("metric coordinates must be positive")
     # G = scale * common^2 * (F_i - F_j) is a sum of coefficient times monomial, each increasing in the numerators
     mono_lo = [lo[s] * lo[t] for s, t in _MONOMIALS]
     mono_hi = [hi[s] * hi[t] for s, t in _MONOMIALS]
@@ -508,13 +508,15 @@ def _link_x2_interval(
     enclosing: Optional[IsolatingInterval] = None,
     width: Optional[Fraction] = None,
 ) -> tuple[IsolatingInterval, IsolatingInterval]:
-    """Refine x3 until it is positive and num/den certifies one positive root of the x2 eliminant.
+    """Refine x3 until it is positive and num/den certifies one positive root of the x2 polynomial.
 
-    Returns (x2 interval, refined x3 interval). The x2 enclosure is clipped to
-    ``enclosing`` when that is given. With ``width``, x3 is first bisected below
-    ``width`` inside its own box, and the x2 enclosure must be at most ``width``
-    wide as well. No sign test is needed: x2 is positive by the x2 lemma, and a
-    nonpositive x2 would fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
+    Returns (x2 interval, refined x3 interval). The x2 polynomial is the x2
+    eliminant, or ``enclosing.poly`` when ``enclosing`` is given: a given x2
+    interval is certified on its own polynomial, and its box clips the x2
+    enclosure. With ``width``, x3 is first bisected below ``width`` inside its
+    own box, and the x2 enclosure must be at most ``width`` wide as well. No
+    sign test is needed: x2 is positive by the x2 lemma, and a nonpositive x2
+    would fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
 
     For intervals the solver made, the clip never binds: ``enclosing`` is
     num/den over an x3 box containing ``iv3``, and the range of num/den is
@@ -526,15 +528,14 @@ def _link_x2_interval(
     ``bisect_root`` (which carves around an exact dyadic hit), visiting the boxes
     ``refine_root(iv3, iv3.width / 4)`` would return. The exact range of num/den
     (``eval_poly_range``), the clip and the width are compared as pairs (numerator,
-    positive denominator), at which ``isolates_at`` evaluates the x2 eliminant's
+    positive denominator), at which ``isolates_at`` evaluates the x2 polynomial's
     Sturm chain. Both intervals are returned as boxes; only errors build ``Fraction``s.
     """
     p3 = iv3.poly
     A, B, M, s3 = root_box(iv3)
     if width is not None:
         A, B, M = bisect_root(p3, s3, A, B, M, width.numerator, width.denominator)
-    if enclosing is not None:
-        e_lo, e_hi = (enclosing.a, enclosing.m), (enclosing.b, enclosing.m)
+    p2 = system.x2 if enclosing is None else enclosing.poly
     num, den = system.pivot
     x2 = None
     for _ in range(_LINK_STEPS):
@@ -547,6 +548,7 @@ def _link_x2_interval(
             lo = (n_lo * d_s, (d_hi if n_lo >= 0 else d_lo) * n_s)
             hi = (n_hi * d_s, d_lo * n_s)
             if enclosing is not None:
+                e_lo, e_hi = (enclosing.a, enclosing.m), (enclosing.b, enclosing.m)
                 clip_lo = e_lo if _below(lo, e_lo) else lo
                 clip_hi = e_hi if _below(e_hi, hi) else hi
                 if not _below(clip_lo, clip_hi):
@@ -557,8 +559,8 @@ def _link_x2_interval(
             x2 = lo, hi
             # hi - lo <= width, as (hi_n lo_d - lo_n hi_d) / (lo_d hi_d)
             narrow = width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width.denominator <= width.numerator * lo[1] * hi[1]
-            if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and isolates_at(system.x2, *lo, *hi):
-                iv2 = IsolatingInterval(lo[0] * hi[1], hi[0] * lo[1], lo[1] * hi[1], system.x2)
+            if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and isolates_at(p2, *lo, *hi):
+                iv2 = IsolatingInterval(lo[0] * hi[1], hi[0] * lo[1], lo[1] * hi[1], p2)
                 return iv2, IsolatingInterval(A, B, M, p3)
         A, B, M = bisect_root(p3, s3, A, B, M, B - A, 4 * M)
     widths = {"x3": Fraction(B - A, M)}
@@ -612,6 +614,7 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
         raise TrisymError(f"width {width} must be positive")
     if sol.is_exact:
         return sol
+    _interval_boxes(sol.x)  # refuses what verify_solution refuses
     return replace(sol, x=_tighten(sol._own_system, sol.x, width))
 
 
@@ -643,12 +646,9 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
         raise TrisymError(f"tolerance {tol} must be positive")
     if sol.is_exact:
         return _solves_exactly(system.rows, sol.x)
-    x = sol.x  # x1 is read as a rational by ``_box``, which refuses a float
-    if isinstance(x[0], (RootCoordinate, QuadraticSurd)) or not all(isinstance(c, RootCoordinate) for c in x[1:]):
-        shown = ", ".join(type(c).__name__ for c in x)
-        raise TrisymError(f"an interval solution has a rational x1 and interval x2 and x3; got {shown}")
+    x = sol.x
     for _ in range(_VERIFY_STEPS):
-        excludes_zero, n, d = _residual_enclosure(system, [_box(c) for c in x])
+        excludes_zero, n, d = _residual_enclosure(system, _interval_boxes(x))
         if excludes_zero:
             return False
         if n * tol.denominator < tol.numerator * d:  # n / d < tol

@@ -51,7 +51,7 @@ class TestDerivation:
     def test_out_of_range_rejected(self):
         with pytest.raises(InconsistentData):
             derive_gammas((14, 28, 12), 1, F(3, 2))
-        with pytest.raises(InconsistentData):
+        with pytest.raises(InconsistentData, match=r"^derived gamma_2 = -97/2 outside range"):
             # the derived gamma for the tiny block falls out of range
             derive_gammas((100, 2, 2), 1, F(1, 100))
 
@@ -129,10 +129,19 @@ class TestInvariants:
                 assert case.type_label == "A-I" or case.isomorphic_summands
 
     def test_isotropy_data_validation(self):
-        with pytest.raises(InconsistentData):
+        with pytest.raises(InconsistentData, match="inconsistent with dims"):
             IsotropyData(dims=(2, 2, 2), gammas=(F(1, 2), F(1, 2), F(1, 3)))
-        with pytest.raises(InconsistentData):
+        with pytest.raises(InconsistentData, match=r"^gamma_1 = 1 outside \[0, 1\)$"):
             IsotropyData(dims=(2, 2, 2), gammas=(F(1), F(1), F(1)))
+        # consistency is checked first: gamma_1 = 1 is also out of range
+        with pytest.raises(InconsistentData, match="inconsistent with dims"):
+            IsotropyData(dims=(2, 2, 2), gammas=(F(1), F(1), F(1, 2)))
+
+    def test_coefficient_layer_fraction_count(self, fractions_made):
+        # A = d_i (1 - gamma_i) / 2 derived once per entry; 14,304 when every block recomputed it
+        cases = [c for c in enumerate_cases(12) if not c.isomorphic_summands]
+        assert len(cases) == 588
+        assert fractions_made(lambda: [coefficients_for_case(c) for c in cases]) <= 9500
 
     def test_isotropy_data_derives_coefficients(self):
         data = IsotropyData(dims=(2, 4, 4), gammas=(F(0), F(1, 2), F(1, 2)))

@@ -5,6 +5,7 @@ import json
 from itertools import combinations, permutations, product
 import random
 import re
+import time
 from unittest import mock
 
 import pytest
@@ -822,6 +823,9 @@ class TestExactCheck:
             a, sol = (F(1, 3), F(1, 3), F(1, 5)), EinsteinSolution(x=x, branch=BRANCH_PAIR_LINEAR)
         with pytest.raises(TrisymError, match=message):
             verify_solution(a, sol)
+        if callable(x):  # refine_solution refuses the same interval solutions, by the same message
+            with pytest.raises(TrisymError, match=message):
+                refine_solution(sol, F(1, 10**10))
 
 
 # the small band of the sweep-pair benchmark: p/q in (0, 1/2] for q in 8..10
@@ -1170,6 +1174,43 @@ class TestLink:
         assert iv3.poly.sign_at(beside.lo) == iv3.poly.sign_at(beside.hi) != 0
         with pytest.raises(IntegrityError, match="^isolating interval endpoints must straddle the root$"):
             einstein._link_x2_interval(e, beside)
+
+
+class TestX2OnItsOwnPolynomial:
+    """A given x2 interval is certified on its own polynomial, not on the x2 eliminant of the system."""
+
+    A = (F(1, 7), F(2, 9), F(3, 11))
+
+    @pytest.mark.parametrize("root", ["seven", "midpoint"])
+    @pytest.mark.parametrize(
+        "use",
+        [lambda a, s: verify_solution(a, s), lambda a, s: refine_solution(s, F(1, 10**30))],
+        ids=["verify_solution", "refine_solution"],
+    )
+    def test_tampered_polynomial_is_refused(self, root, use):
+        s = solve_einstein(self.A)[0]
+        iv = s.x[1].interval
+        # x - 7 has no root in the interval; 2m x - (a + b) has its one root at the midpoint, away from x2
+        poly = Polynomial((-7, 1)) if root == "seven" else Polynomial((-(iv.a + iv.b), 2 * iv.m))
+        assert isolates(poly, iv.lo, iv.hi) == (root == "midpoint")
+        tampered = replace(s, x=(s.x[0], RootCoordinate(replace(iv, poly=poly)), s.x[2]))
+        start = time.perf_counter()
+        with pytest.raises(IntegrityError, match="^x2 back-substitution: "):
+            use(self.A, tampered)
+        assert time.perf_counter() - start < 1
+
+    def test_refined_interval_keeps_its_polynomial(self):
+        # (x - 7) times the eliminant has the same one root in the interval; refinement keeps that polynomial
+        for s in solve_einstein(self.A):
+            iv = s.x[1].interval
+            c = (0, *iv.poly.ints)
+            poly = Polynomial(tuple(c[t] - 7 * (c[t + 1] if t + 1 < len(c) else 0) for t in range(len(c))))
+            assert poly.degree == iv.poly.degree + 1 and isolates(poly, iv.lo, iv.hi)
+            given = replace(s, x=(s.x[0], RootCoordinate(replace(iv, poly=poly)), s.x[2]))
+            refined = refine_solution(given, F(1, 10**30))
+            assert refined.x[1].interval.poly == poly
+            assert refined.x[1].interval == replace(refine_solution(s, F(1, 10**30)).x[1].interval, poly=poly)
+            assert verify_solution(self.A, given) is True
 
 
 class TestBudgets:

@@ -1,5 +1,5 @@
-"""No trisym module uses another trisym module's private names, no private function is dead, and
-``einstein.py`` stays within its line gate.
+"""No trisym module uses another trisym module's private names, no private function or
+module-level name is dead, and ``einstein.py`` stays within its line gate.
 
 A private name starts with one underscore (dunders such as ``__version__``
 are not private). The check reads the source with ``ast``: it rejects
@@ -7,7 +7,9 @@ are not private). The check reads the source with ``ast``: it rejects
 ``x._name`` where ``x`` is a trisym module bound by an import, across
 modules; a module may use its own private names. A private function or
 method must be referenced somewhere under ``src/trisym`` outside its own
-body, unless a decorator call such as ``@_family(...)`` registers it.
+body, unless a decorator call such as ``@_family(...)`` registers it, and a
+private name bound by a module-level assignment must be read outside that
+assignment.
 """
 
 import ast
@@ -98,30 +100,43 @@ def test_own_and_public_names_pass():
     assert private_uses("from .polysolve import _horner_sign\n", "polysolve") == []
 
 
-def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
-    """Each private function or method in ``sources`` (module -> source) that nothing else references."""
+def _private_definitions(tree: ast.Module):
+    """Each private function or method of ``tree``, and each private name a module-level assignment binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(node.name):
+            if not any(isinstance(d, ast.Call) for d in node.decorator_list):  # registered by a decorator call
+                yield node.name, node
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and _is_private(name.id):
+                    yield name.id, node
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Each private function, method or module-level name in ``sources`` (module -> source) that nothing else reads."""
     defs, refs = [], []
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(node.name):
-                if not any(isinstance(d, ast.Call) for d in node.decorator_list):  # registered by a decorator call
-                    defs.append((module, node))
-            elif isinstance(node, ast.Name):
+        tree = ast.parse(source)
+        defs += [(module, name, node) for name, node in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 refs.append((module, node.id, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.append((module, node.attr, node.lineno))
     return [
-        f"{module}.{node.name} (line {node.lineno})"
-        for module, node in defs
+        f"{module}.{name} (line {node.lineno})"
+        for module, name, node in defs
         if not any(
-            name == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
-            for where, name, line in refs
+            ref == name and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, ref, line in refs
         )
     ]
 
 
 def test_no_dead_private_functions():
-    assert unreferenced_private_functions({m: (SRC / f"{m}.py").read_text() for m in MODULES}) == []
+    assert unreferenced_private_names({m: (SRC / f"{m}.py").read_text() for m in MODULES}) == []
 
 
 def test_dead_private_function_is_caught():
@@ -131,7 +146,24 @@ def test_dead_private_function_is_caught():
         "class C:\n    def _method(self):\n        return _used()\n\n"
         "@_register('x')\ndef _registered():\n    pass\n"
     )
-    assert unreferenced_private_functions({"m": source}) == ["m._dead (line 4)", "m._method (line 8)"]
+    assert unreferenced_private_names({"m": source}) == ["m._dead (line 4)", "m._method (line 8)"]
+
+
+def test_dead_private_name_is_caught():
+    source = (
+        "_USED = 1\n"
+        "_DEAD = 2\n"
+        "_SELF = (_SELF, 3)\n"  # only its own assignment reads it
+        "_TYPED: int = 4\n"
+        "_PAIR, _LEFT = _USED, 5\n"
+        "__version__ = '1'\n"
+        "def f():\n    _local = 6\n    return _PAIR + _local\n"
+    )
+    assert unreferenced_private_names({"m": source}) == [
+        "m._DEAD (line 2)", "m._SELF (line 3)", "m._TYPED (line 4)", "m._LEFT (line 5)"
+    ]
+    # a table read from another module is live
+    assert unreferenced_private_names({"m": "_TABLE = {}\n", "n": "from .m import _TABLE\n_TABLE[1]\n"}) == []
 
 
 # the solver module's size gate: the same behaviour and speed from no more code
