@@ -1,9 +1,12 @@
-"""Verification suites behind `trisym verify` and the acceptance tests.
+"""The one table of checks behind `trisym verify` and the acceptance tests.
 
-Each check returns a CheckResult; golden data lives here so the CLI and the
-test suite run exactly the same assertions. The numeric oracles deliberately
-use independent methods (floating-point grids and eigenvalue root finders)
-from the exact certification path they cross-check.
+``CHECKS`` lists every check once, in order, with the acceptance criterion it
+belongs to; ``SCOPES`` names the criteria each `trisym verify` scope runs, and
+the acceptance tests select their criterion's entries from the same table. The
+golden data lives here too, so the CLI and the test suite run exactly the same
+assertions. The numeric oracles deliberately use independent methods
+(floating-point grids and eigenvalue root finders) from the exact
+certification path they cross-check.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cases import ambient_dim, enumerate_cases, make_case
 from .coeffs import coefficients_for_case, gamma_from_killing_ratio
@@ -35,12 +38,46 @@ class CheckResult:
         return f"{status}  {self.name}{tail}"
 
 
-def _result(name: str, fn: Callable[[], str | None]) -> CheckResult:
-    try:
-        detail = fn()
-    except Exception as exc:  # surfaced, not masked: a crash is a failure
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
-    return CheckResult(name, True, detail or "")
+class Check(NamedTuple):
+    """One entry of ``CHECKS``: its acceptance criterion, its name, and the check, which takes the seed.
+
+    A check raises on failure and may return a detail string on success.
+    """
+
+    criterion: int
+    name: str
+    check: Callable[[int], str | None]
+
+    def run(self, seed: int) -> CheckResult:
+        try:
+            detail = self.check(seed)
+        except Exception as exc:  # surfaced, not masked: a crash is a failure
+            return CheckResult(self.name, False, f"{type(exc).__name__}: {exc}")
+        return CheckResult(self.name, True, detail or "")
+
+
+# every check, in the order `trisym verify` prints them; filled by @_check
+CHECKS: list[Check] = []
+
+# the acceptance criteria each `trisym verify` scope runs, in the order argparse lists the scopes
+SCOPES = {"tables": (1, 2), "solutions": (3, 4, 5), "properties": (6,), "all": (1, 2, 3, 4, 5, 6)}
+
+
+def _check(criterion: int, name: str):
+    """Register the decorated function in ``CHECKS`` as the check ``name`` of acceptance criterion ``criterion``."""
+
+    def register(check):
+        CHECKS.append(Check(criterion, name, check))
+        return check
+
+    return register
+
+
+def run_checks(scope: str, seed: int = 42) -> list[CheckResult]:
+    """Run the checks of ``scope``'s criteria (``SCOPES``), in table order."""
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}")
+    return [entry.run(seed) for entry in CHECKS if entry.criterion in SCOPES[scope]]
 
 
 # -- golden data -------------------------------------------------------------
@@ -131,246 +168,206 @@ def _proportional(p: Polynomial, q: Polynomial) -> bool:
     return not p.is_zero and p.ints in (q.ints, tuple(-v for v in q.ints))
 
 
-# -- table checks ------------------------------------------------------------
+# -- criterion 1: dimension table --------------------------------------------
 
 
-def check_dimension_table() -> list[CheckResult]:
-    out = []
-
-    def table_rows():
-        for label, expected in DIM_TABLE.items():
-            _, d1, d2, d3 = make_case(label).dims
-            if (d1, d2, d3) != expected:
-                raise AssertionError(f"{label}: dims {(d1, d2, d3)} != {expected}")
-        for l in range(3, 26, 2):
-            _, d1, d2, d3 = make_case("A-II", l=l).dims
-            if (d1, d2, d3) != a_ii_dims(l):
-                raise AssertionError(f"A-II l={l}: dims {(d1, d2, d3)} != {a_ii_dims(l)}")
-        return None
-
-    out.append(_result("dimension table rows (exceptional + A-II closed forms)", table_rows))
-
-    def dim_sums():
-        count = 0
-        for case in enumerate_cases(12):  # construction runs the case_dims gate
-            if sum(case.dims) != ambient_dim(case):
-                raise AssertionError(f"{case.describe()}: dims {case.dims} do not fill the algebra")
-            count += 1
-        return f"{count} cases checked"
-
-    out.append(_result("dim h + d1 + d2 + d3 = dim g on the catalog to rank 12", dim_sums))
-    return out
+@_check(1, "dimension table rows (exceptional + A-II closed forms)")
+def _dimension_rows(_seed):
+    for label, expected in DIM_TABLE.items():
+        _, d1, d2, d3 = make_case(label).dims
+        if (d1, d2, d3) != expected:
+            raise AssertionError(f"{label}: dims {(d1, d2, d3)} != {expected}")
+    for l in range(3, 26, 2):
+        _, d1, d2, d3 = make_case("A-II", l=l).dims
+        if (d1, d2, d3) != a_ii_dims(l):
+            raise AssertionError(f"A-II l={l}: dims {(d1, d2, d3)} != {a_ii_dims(l)}")
 
 
-def check_coefficients() -> list[CheckResult]:
-    out = []
-
-    def exceptional():
-        for label, (gammas, a) in GAMMA_TABLE.items():
-            data = coefficients_for_case(make_case(label))
-            if data.gammas != gammas or data.a != a:
-                raise AssertionError(f"{label}: {data.gammas}, {data.a}")
-        return None
-
-    out.append(_result("exceptional-case gamma and a values", exceptional))
-
-    def a_ii_family():
-        for k in range(2, 13):
-            data = coefficients_for_case(make_case("A-II", k=k))
-            gammas, a = a_ii_coefficients(k)
-            if data.gammas != gammas or data.a != a:
-                raise AssertionError(f"A-II k={k}: {data.gammas}, {data.a}")
-        return None
-
-    out.append(_result("A-II coefficient family in k", a_ii_family))
-
-    def anchors_as_ratios():
-        pairs = [
-            (("D", 6), ("E", 7), 1, F(5, 9)),
-            (("D", 8), ("E", 8), 1, F(7, 15)),
-            (("A", 7), ("E", 7), 1, F(4, 9)),
-            (("E", 7), ("E", 8), 1, F(3, 5)),
-            (("B", 4), ("F", 4), 1, F(7, 9)),
-            (("C", 3), ("F", 4), 1, F(4, 9)),
-            (("F", 4), ("E", 6), 1, F(3, 4)),
-            (("C", 4), ("E", 6), 1, F(5, 12)),
-            (("A", 5), ("E", 6), 1, F(1, 2)),
-            (("D", 5), ("E", 6), 1, F(2, 3)),
-            (("E", 6), ("E", 7), 1, F(2, 3)),
-        ]
-        for sub, amb, idx, want in pairs:
-            got = gamma_from_killing_ratio(sub, amb, idx)
-            if got != want:
-                raise AssertionError(f"{sub} in {amb}: {got} != {want}")
-        for k in range(2, 8):
-            if gamma_from_killing_ratio(("C", k), ("A", 2 * k - 1)) != F(k + 1, 2 * k):
-                raise AssertionError(f"C{k} in A{2 * k - 1}")
-        return None
-
-    out.append(_result("anchor gammas equal dual-Coxeter ratios", anchors_as_ratios))
-
-    def identity_everywhere():
-        count = 0
-        for case in enumerate_cases(12):
-            data = coefficients_for_case(case)
-            d = data.dims
-            vals = {d[i] * (1 - data.gammas[i]) for i in range(3)}
-            if len(vals) != 1:
-                raise AssertionError(f"{case.describe()}: d(1-gamma) not constant")
-            if data.boundary and not (case.isomorphic_summands or case.type_label == "A-I"):
-                raise AssertionError(f"{case.describe()}: unexpected boundary coefficient")
-            count += 1
-        return f"{count} cases checked"
-
-    out.append(_result("d_i (1 - gamma_i) constant across blocks, catalog to rank 12", identity_everywhere))
-    return out
+@_check(1, "dim h + d1 + d2 + d3 = dim g on the catalog to rank 12")
+def _dimension_sums(_seed):
+    count = 0
+    for case in enumerate_cases(12):  # construction runs the case_dims gate
+        if sum(case.dims) != ambient_dim(case):
+            raise AssertionError(f"{case.describe()}: dims {case.dims} do not fill the algebra")
+        count += 1
+    return f"{count} cases checked"
 
 
-# -- solution checks ---------------------------------------------------------
+# -- criterion 2: coefficients -----------------------------------------------
 
 
-def check_solution_counts() -> list[CheckResult]:
-    out = []
-
-    def a_ii_sweep():
-        for k in range(2, _A_II_K_MAX + 1):
-            sols = solve_case(make_case("A-II", k=k)).solutions
-            if len(sols) != 2:
-                raise AssertionError(f"A-II k={k}: {len(sols)} solutions")
-            u0 = a_ii_quartic(k)
-            if count_real_roots(u0, 0, None) != 2:
-                raise AssertionError(f"A-II k={k}: Sturm count on (0, inf) != 2")
-        return f"k = 2..{_A_II_K_MAX}"
-
-    out.append(_result("A-II family: two metrics, quartic has two positive roots", a_ii_sweep))
-
-    def fixed_counts():
-        for label, expected in EXPECTED_COUNTS.items():
-            sols = solve_case(make_case(label)).solutions
-            if len(sols) != expected:
-                raise AssertionError(f"{label}: {len(sols)} != {expected}")
-        return None
-
-    out.append(_result("exceptional-case solution counts", fixed_counts))
-
-    def synthetic():
-        for a in ((F(1, 4),) * 3, (F(1, 2),) * 3):
-            sols = solve_einstein(a)
-            if len(sols) != 1 or sols[0].x != (F(1), F(1), F(1)):
-                raise AssertionError(f"a = {a}: {sols}")
-        return None
-
-    out.append(_result("a = (1/4,1/4,1/4) and (1/2,1/2,1/2) give only the standard metric", synthetic))
-    return out
+@_check(2, "exceptional-case gamma and a values")
+def _exceptional_coefficients(_seed):
+    for label, (gammas, a) in GAMMA_TABLE.items():
+        data = coefficients_for_case(make_case(label))
+        if data.gammas != gammas or data.a != a:
+            raise AssertionError(f"{label}: {data.gammas}, {data.a}")
 
 
-def check_solution_values() -> list[CheckResult]:
-    out = []
+@_check(2, "A-II coefficient family in k")
+def _a_ii_coefficient_family(_seed):
+    for k in range(2, 13):
+        data = coefficients_for_case(make_case("A-II", k=k))
+        gammas, a = a_ii_coefficients(k)
+        if data.gammas != gammas or data.a != a:
+            raise AssertionError(f"A-II k={k}: {data.gammas}, {data.a}")
 
-    def e6_ii():
-        sols = solve_case(make_case("E6-II")).solutions
-        got = {tuple(s.x) for s in sols}
-        want = {(F(1), F(3, 5), F(4, 5)), (F(1), F(5, 3), F(4, 3))}
+
+@_check(2, "anchor gammas equal dual-Coxeter ratios")
+def _anchors_as_ratios(_seed):
+    pairs = [
+        (("D", 6), ("E", 7), 1, F(5, 9)),
+        (("D", 8), ("E", 8), 1, F(7, 15)),
+        (("A", 7), ("E", 7), 1, F(4, 9)),
+        (("E", 7), ("E", 8), 1, F(3, 5)),
+        (("B", 4), ("F", 4), 1, F(7, 9)),
+        (("C", 3), ("F", 4), 1, F(4, 9)),
+        (("F", 4), ("E", 6), 1, F(3, 4)),
+        (("C", 4), ("E", 6), 1, F(5, 12)),
+        (("A", 5), ("E", 6), 1, F(1, 2)),
+        (("D", 5), ("E", 6), 1, F(2, 3)),
+        (("E", 6), ("E", 7), 1, F(2, 3)),
+    ]
+    for sub, amb, idx, want in pairs:
+        got = gamma_from_killing_ratio(sub, amb, idx)
         if got != want:
-            raise AssertionError(f"{got}")
-        return None
+            raise AssertionError(f"{sub} in {amb}: {got} != {want}")
+    for k in range(2, 8):
+        if gamma_from_killing_ratio(("C", k), ("A", 2 * k - 1)) != F(k + 1, 2 * k):
+            raise AssertionError(f"C{k} in A{2 * k - 1}")
 
-    out.append(_result("E6-II closed-form solutions (1, 3/5, 4/5) and (1, 5/3, 4/3)", e6_ii))
 
-    def equal_coefficient_patterns():
-        for label, a_val in (("E7-I", F(2, 9)), ("E7-III", F(5, 18)), ("E8-II", F(4, 15)),
-                             ("F4-I", F(1, 9)), ("E6-I", F(1, 6))):
-            sols = solve_case(make_case(label)).solutions
-            got = {tuple(s.x) for s in sols}
-            if got != _rational_pattern(a_val):
-                raise AssertionError(f"{label}: {got}")
-        return None
-
-    out.append(_result("equal-coefficient cases match the four-metric pattern", equal_coefficient_patterns))
-
-    def e8_i():
-        sols = solve_case(make_case("E8-I")).solutions
-        if len(sols) != 2:
-            raise AssertionError(f"{len(sols)} solutions")
-        for s in sols:
-            x2, x3 = s.x[1], s.x[2]
-            if x2 != x3 or not isinstance(x2, QuadraticSurd) or x2.d != 29:
-                raise AssertionError(f"{s.x}")
-            if 7 * x2 * x2 - 15 * x2 + 7 != 0:
-                raise AssertionError("root is not a zero of 7x^2 - 15x + 7")
-        return None
-
-    out.append(_result("E8-I solutions are (1, q, q) with 7q^2 - 15q + 7 = 0", e8_i))
-
-    def f4_ii():
-        sols = solve_case(make_case("F4-II")).solutions
-        if len(sols) != 2:
-            raise AssertionError(f"{len(sols)} solutions")
-        for s in sols:
-            x2, x3 = s.x[1], s.x[2]
-            if x2 + x3 != F(9, 5):
-                raise AssertionError("x2 + x3 != 9/5 (sum branch relation)")
-            val = 196 * x2 * x2 - 499 * x2 * x3 + 196 * x3 * x3
-            if val != 0:
-                raise AssertionError("solution does not satisfy 196 q^2 - 499 q + 196 = 0")
-        return None
-
-    out.append(_result("F4-II solutions satisfy the 196/499 quadratic on x2/x3", f4_ii))
-
-    def decimals():
-        tol = F(5, 10**4)
-        for label, pairs in DECIMALS.items():
-            sols = solve_case(make_case(label)).solutions
-            refined = [refine_solution(s, F(1, 10**8)) for s in sols]
-            got = sorted((s.approx()[1], s.approx()[2]) for s in refined)
-            want = sorted(pairs)
-            for (g2, g3), (w2, w3) in zip(got, want):
-                if abs(g2 - w2) > tol or abs(g3 - w3) > tol:
-                    raise AssertionError(f"{label}: ({float(g2)}, {float(g3)}) vs ({w2}, {w3})")
-        return None
-
-    out.append(_result("interval solutions match reference decimals to 5e-4", decimals))
-
-    def full_flag_rank2():
-        case = make_case("A-III", l=2, i=1, j=2)
+@_check(2, "d_i (1 - gamma_i) constant across blocks, catalog to rank 12")
+def _identity_everywhere(_seed):
+    count = 0
+    for case in enumerate_cases(12):
         data = coefficients_for_case(case)
-        if data.a != (F(1, 6),) * 3:
-            raise AssertionError(f"a = {data.a}")
-        if len(solve_case(case).solutions) != 4:
-            raise AssertionError("expected four metrics")
-        return None
-
-    out.append(_result("A-III l=2 (full flag of rank 2): a = 1/6 and four metrics", full_flag_rank2))
-    return out
-
-
-def check_quartic_eliminants() -> list[CheckResult]:
-    out = []
-
-    def fixed_quartics():
-        for label, want in QUARTICS.items():
-            data = coefficients_for_case(make_case(label))
-            got = EinsteinSystem(data.a).x3
-            if not _proportional(got, want):
-                raise AssertionError(f"{label}: {got.ints}")
-        return None
-
-    out.append(_result("E6-III and E7-II eliminants match the reference quartics", fixed_quartics))
-
-    def a_ii_quartics():
-        for k in range(2, 11):
-            data = coefficients_for_case(make_case("A-II", k=k))
-            got = EinsteinSystem(data.a).x3
-            want = a_ii_quartic(k)
-            if not _proportional(got, squarefree_part(want)):
-                raise AssertionError(f"k={k}: {got.ints}")
-        return f"k = 2..10"
-
-    out.append(_result("A-II eliminant matches the symbolic quartic", a_ii_quartics))
-    return out
+        d = data.dims
+        if len({d[i] * (1 - data.gammas[i]) for i in range(3)}) != 1:
+            raise AssertionError(f"{case.describe()}: d(1-gamma) not constant")
+        if data.boundary and not (case.isomorphic_summands or case.type_label == "A-I"):
+            raise AssertionError(f"{case.describe()}: unexpected boundary coefficient")
+        count += 1
+    return f"{count} cases checked"
 
 
-# -- property checks ---------------------------------------------------------
+# -- criterion 3: solution counts --------------------------------------------
+
+
+@_check(3, "A-II family: two metrics, quartic has two positive roots")
+def _a_ii_sweep(_seed):
+    for k in range(2, _A_II_K_MAX + 1):
+        sols = solve_case(make_case("A-II", k=k)).solutions
+        if len(sols) != 2:
+            raise AssertionError(f"A-II k={k}: {len(sols)} solutions")
+        if count_real_roots(a_ii_quartic(k), 0, None) != 2:
+            raise AssertionError(f"A-II k={k}: Sturm count on (0, inf) != 2")
+    return f"k = 2..{_A_II_K_MAX}"
+
+
+@_check(3, "exceptional-case solution counts")
+def _fixed_counts(_seed):
+    for label, expected in EXPECTED_COUNTS.items():
+        sols = solve_case(make_case(label)).solutions
+        if len(sols) != expected:
+            raise AssertionError(f"{label}: {len(sols)} != {expected}")
+
+
+@_check(3, "a = (1/4,1/4,1/4) and (1/2,1/2,1/2) give only the standard metric")
+def _standard_only(_seed):
+    for a in ((F(1, 4),) * 3, (F(1, 2),) * 3):
+        sols = solve_einstein(a)
+        if len(sols) != 1 or sols[0].x != (F(1), F(1), F(1)):
+            raise AssertionError(f"a = {a}: {sols}")
+
+
+# -- criterion 4: solution values --------------------------------------------
+
+
+@_check(4, "E6-II closed-form solutions (1, 3/5, 4/5) and (1, 5/3, 4/3)")
+def _e6_ii_values(_seed):
+    got = {tuple(s.x) for s in solve_case(make_case("E6-II")).solutions}
+    if got != {(F(1), F(3, 5), F(4, 5)), (F(1), F(5, 3), F(4, 3))}:
+        raise AssertionError(f"{got}")
+
+
+@_check(4, "equal-coefficient cases match the four-metric pattern")
+def _equal_coefficient_patterns(_seed):
+    for label, (_, a) in GAMMA_TABLE.items():
+        if a[0] == a[1] == a[2]:
+            got = {tuple(s.x) for s in solve_case(make_case(label)).solutions}
+            if got != _rational_pattern(a[0]):
+                raise AssertionError(f"{label}: {got}")
+
+
+@_check(4, "E8-I solutions are (1, q, q) with 7q^2 - 15q + 7 = 0")
+def _e8_i_values(_seed):
+    sols = solve_case(make_case("E8-I")).solutions
+    if len(sols) != EXPECTED_COUNTS["E8-I"]:
+        raise AssertionError(f"{len(sols)} solutions")
+    for s in sols:
+        x2, x3 = s.x[1], s.x[2]
+        if x2 != x3 or not isinstance(x2, QuadraticSurd) or x2.d != 29:
+            raise AssertionError(f"{s.x}")
+        if 7 * x2 * x2 - 15 * x2 + 7 != 0:
+            raise AssertionError("root is not a zero of 7x^2 - 15x + 7")
+
+
+@_check(4, "F4-II solutions satisfy the 196/499 quadratic on x2/x3")
+def _f4_ii_values(_seed):
+    sols = solve_case(make_case("F4-II")).solutions
+    if len(sols) != EXPECTED_COUNTS["F4-II"]:
+        raise AssertionError(f"{len(sols)} solutions")
+    for s in sols:
+        x2, x3 = s.x[1], s.x[2]
+        if x2 + x3 != F(9, 5):
+            raise AssertionError("x2 + x3 != 9/5 (sum branch relation)")
+        if 196 * x2 * x2 - 499 * x2 * x3 + 196 * x3 * x3 != 0:
+            raise AssertionError("solution does not satisfy 196 q^2 - 499 q + 196 = 0")
+
+
+@_check(4, "interval solutions match reference decimals to 5e-4")
+def _reference_decimals(_seed):
+    tol = F(5, 10**4)
+    for label, pairs in DECIMALS.items():
+        refined = [refine_solution(s, F(1, 10**8)) for s in solve_case(make_case(label)).solutions]
+        got = sorted((s.approx()[1], s.approx()[2]) for s in refined)
+        for (g2, g3), (w2, w3) in zip(got, sorted(pairs), strict=True):  # a missing or extra solution fails
+            if abs(g2 - w2) > tol or abs(g3 - w3) > tol:
+                raise AssertionError(f"{label}: ({float(g2)}, {float(g3)}) vs ({w2}, {w3})")
+
+
+@_check(4, "A-III l=2 (full flag of rank 2): a = 1/6 and four metrics")
+def _full_flag_rank2(_seed):
+    case = make_case("A-III", l=2, i=1, j=2)
+    data = coefficients_for_case(case)
+    if data.a != (F(1, 6),) * 3:
+        raise AssertionError(f"a = {data.a}")
+    if len(solve_case(case).solutions) != 4:
+        raise AssertionError("expected four metrics")
+
+
+# -- criterion 5: eliminant quartics -----------------------------------------
+
+
+@_check(5, "E6-III and E7-II eliminants match the reference quartics")
+def _fixed_quartics(_seed):
+    for label, want in QUARTICS.items():
+        got = EinsteinSystem(coefficients_for_case(make_case(label)).a).x3
+        if not _proportional(got, want):
+            raise AssertionError(f"{label}: {got.ints}")
+
+
+@_check(5, "A-II eliminant matches the symbolic quartic")
+def _a_ii_quartics(_seed):
+    for k in range(2, 11):
+        got = EinsteinSystem(coefficients_for_case(make_case("A-II", k=k)).a).x3
+        if not _proportional(got, squarefree_part(a_ii_quartic(k))):
+            raise AssertionError(f"k={k}: {got.ints}")
+    return "k = 2..10"
+
+
+# -- criterion 6: properties against independent oracles ---------------------
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -459,98 +456,66 @@ def grid_count_oracle(a) -> int:
     return len(found)
 
 
-def check_properties(seed: int = 42) -> list[CheckResult]:
-    out = []
-
-    def standard_iff_equal():
-        rng = random.Random(seed)
-        for _ in range(120):
-            a = _random_a_triple(rng)
-            sols = solve_einstein(a)
-            has_standard = any(s.x == (F(1), F(1), F(1)) for s in sols)
-            if has_standard != (a[0] == a[1] == a[2]):
-                raise AssertionError(f"a = {a}")
-        return None
-
-    out.append(_result("(1,1,1) is a solution iff a1 = a2 = a3", standard_iff_equal))
-
-    def permutation_equivariance():
-        labels = list(GAMMA_TABLE) + ["A-II"]
-        for label in labels:
-            case = make_case(label, l=5) if label == "A-II" else make_case(label)
-            a = coefficients_for_case(case).a
-            base = len(solve_einstein(a))
-            for perm in permutations(range(3)):
-                pa = tuple(a[p] for p in perm)
-                if len(solve_einstein(pa)) != base:
-                    raise AssertionError(f"{label} perm {perm}: count changed")
-        return None
-
-    out.append(_result("solution count invariant under coefficient permutations", permutation_equivariance))
-
-    def everything_verifies():
-        for label in list(EXPECTED_COUNTS) + ["E6-II"]:
-            cs = solve_case(make_case(label))
-            for s in cs.solutions:
-                if not verify_solution(cs.a, s, F(1, 10**20)):
-                    raise AssertionError(f"{label}: {s}")
-        return None
-
-    out.append(_result("every reported solution verifies at tol 1e-20", everything_verifies))
-
-    def sturm_vs_numeric():
-        import numpy as np
-
-        rng = random.Random(seed)
-        disagreements = 0
-        for _ in range(100):
-            deg = rng.randint(1, 6)
-            coeffs = [rng.randint(-50, 50) for _ in range(deg + 1)]
-            if coeffs[-1] == 0:
-                coeffs[-1] = 1
-            p = Polynomial(coeffs)
-            sf = squarefree_part(p)
-            exact = count_real_roots(p, None, None)
-            roots = np.roots(list(reversed([float(c) for c in sf.coeffs])))
-            numeric = sum(1 for r in roots if abs(r.imag) < 1e-7)
-            if exact != numeric:
-                disagreements += 1
-        if disagreements:
-            raise AssertionError(f"{disagreements} disagreements")
-        return "100 random polynomials"
-
-    out.append(_result("Sturm root counts agree with a numeric eigenvalue oracle", sturm_vs_numeric))
-
-    def grid_oracle():
-        rng = random.Random(seed + 1)
-        for label in ("E6-III", "E7-II", "E7-I", "E8-I", "F4-II"):
-            a = coefficients_for_case(make_case(label)).a
-            if grid_count_oracle(a) != len(solve_einstein(a)):
-                raise AssertionError(f"{label}: oracle mismatch")
-        checked = 0
-        while checked < 200:
-            a = _random_a_triple(rng)
-            found, expected = len(solve_einstein(a)), grid_count_oracle(a)
-            if expected != found:
-                raise AssertionError(f"a = {a}: oracle {expected} != {found}")
-            checked += 1
-        return "200 random triples + named cases"
-
-    out.append(_result("brute-force grid oracle agrees on solution counts", grid_oracle))
-    return out
+@_check(6, "(1,1,1) is a solution iff a1 = a2 = a3")
+def _standard_iff_equal(seed):
+    rng = random.Random(seed)
+    for _ in range(120):
+        a = _random_a_triple(rng)
+        has_standard = any(s.x == (F(1), F(1), F(1)) for s in solve_einstein(a))
+        if has_standard != (a[0] == a[1] == a[2]):
+            raise AssertionError(f"a = {a}")
 
 
-def run_checks(scope: str, seed: int = 42) -> list[CheckResult]:
-    suites = {
-        "tables": lambda: check_dimension_table() + check_coefficients(),
-        "solutions": lambda: check_solution_counts() + check_solution_values() + check_quartic_eliminants(),
-        "properties": lambda: check_properties(seed),
-    }
-    if scope == "all":
-        out = []
-        for key in ("tables", "solutions", "properties"):
-            out.extend(suites[key]())
-        return out
-    if scope not in suites:
-        raise ValueError(f"unknown scope {scope!r}")
-    return suites[scope]()
+@_check(6, "solution count invariant under coefficient permutations")
+def _permutation_equivariance(_seed):
+    for label in [*GAMMA_TABLE, "A-II"]:
+        case = make_case(label, l=5) if label == "A-II" else make_case(label)
+        a = coefficients_for_case(case).a
+        base = len(solve_einstein(a))
+        for perm in permutations(range(3)):
+            if len(solve_einstein(tuple(a[p] for p in perm))) != base:
+                raise AssertionError(f"{label} perm {perm}: count changed")
+
+
+@_check(6, "every reported solution verifies at tol 1e-20")
+def _everything_verifies(_seed):
+    for label in EXPECTED_COUNTS:
+        cs = solve_case(make_case(label))
+        for s in cs.solutions:
+            if not verify_solution(cs.a, s, F(1, 10**20)):
+                raise AssertionError(f"{label}: {s}")
+
+
+@_check(6, "Sturm root counts agree with a numeric eigenvalue oracle")
+def _sturm_vs_numeric(seed):
+    import numpy as np
+
+    rng = random.Random(seed)
+    disagreements = 0
+    for _ in range(100):
+        deg = rng.randint(1, 6)
+        coeffs = [rng.randint(-50, 50) for _ in range(deg + 1)]
+        if coeffs[-1] == 0:
+            coeffs[-1] = 1
+        p = Polynomial(coeffs)
+        roots = np.roots(list(reversed([float(c) for c in squarefree_part(p).coeffs])))
+        if count_real_roots(p, None, None) != sum(1 for r in roots if abs(r.imag) < 1e-7):
+            disagreements += 1
+    if disagreements:
+        raise AssertionError(f"{disagreements} disagreements")
+    return "100 random polynomials"
+
+
+@_check(6, "brute-force grid oracle agrees on solution counts")
+def _grid_oracle(seed):
+    rng = random.Random(seed + 1)
+    for label in ("E6-III", "E7-II", "E7-I", "E8-I", "F4-II"):
+        a = coefficients_for_case(make_case(label)).a
+        if grid_count_oracle(a) != len(solve_einstein(a)):
+            raise AssertionError(f"{label}: oracle mismatch")
+    for _ in range(200):
+        a = _random_a_triple(rng)
+        found, expected = len(solve_einstein(a)), grid_count_oracle(a)
+        if expected != found:
+            raise AssertionError(f"a = {a}: oracle {expected} != {found}")
+    return "200 random triples + named cases"

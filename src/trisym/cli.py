@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cases import enumerate_cases, find_cases
 from .coeffs import coefficients_for_case
-from .checks import run_checks
+from .checks import SCOPES, run_checks
 from .einstein import refine_solution, solve_case, solve_einstein, verify_solution
 from .errors import IntegrityError, NotApplicable, TrisymError
 from .serialize import (
@@ -265,7 +265,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_solve)
 
     vp = sub.add_parser("verify", help="run the verification suites")
-    vp.add_argument("scope", choices=("tables", "solutions", "properties", "all"))
+    vp.add_argument("scope", choices=tuple(SCOPES))
     vp.add_argument("--seed", type=int, default=42)
     vp.add_argument("--format", choices=("json", "text"), default="text")
     vp.set_defaults(fn=_cmd_verify)

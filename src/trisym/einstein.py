@@ -502,12 +502,8 @@ def _below(u: tuple[int, int], v: tuple[int, int]) -> bool:
     return u[0] * v[1] < v[0] * u[1]
 
 
-def _link_x2_interval(
-    system: EinsteinSystem,
-    iv3: IsolatingInterval,
-    enclosing: Optional[IsolatingInterval] = None,
-    width: Optional[Fraction] = None,
-) -> tuple[IsolatingInterval, IsolatingInterval]:
+def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing: Optional[IsolatingInterval] = None,
+                      width: Optional[Fraction] = None) -> tuple[IsolatingInterval, IsolatingInterval]:
     """Refine x3 until it is positive and num/den certifies one positive root of the x2 polynomial.
 
     Returns (x2 interval, refined x3 interval). The x2 polynomial is the x2
@@ -619,24 +615,23 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
 
 
 def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
-    """Certified check that ``sol`` solves the Einstein system to tolerance.
+    """Certified check that ``sol`` solves the Einstein system to tolerance ``tol`` > 0.
 
     Exact coordinates are checked by F1 = F2 = F3 in integers, every time
-    (``_solves_exactly``). A float coordinate, a coordinate or box that is
-    not positive, and surds over two radicands raise ``TrisymError``.
-    The rows of ``sol``'s system are read when ``a`` is its triple of
-    ``Fraction``s, else a system is built for ``a``; interval coordinates are
-    tightened through ``sol``'s own system until the integer enclosure of
-    every r_i - r_j (module docstring) lies inside (-tol, tol), or until it
-    certifiably excludes zero (returns False). Each round shrinks the widest
-    width w to w * min(1/8, tol / (4 B)), B the enclosure's bound, so the
-    first round usually certifies. ``_VERIFY_STEPS`` bounds the rounds, and
-    ``tol`` must be positive.
+    (``_solves_exactly``); a float coordinate, a coordinate or box that is not
+    positive, and surds over two radicands raise ``TrisymError``. Interval
+    coordinates are tightened through ``sol``'s own system (its rows read when
+    ``a`` is its triple of ``Fraction``s, else a system is built for ``a``)
+    until the integer enclosure of every r_i - r_j (module docstring) lies
+    inside (-tol, tol), or certifiably excludes zero (False). A round shrinks
+    the widest width w to w * min(1/8, tol / (4 B)), B the enclosure's bound,
+    so the first usually certifies; ``_VERIFY_STEPS`` bounds the rounds.
+    Before True, each given x2 and x3 box must isolate a root of its own
+    ``poly`` (``isolates_at``), else ``IntegrityError`` names the coordinate.
 
     True means every residual is below ``tol`` on a box around the solution,
-    False that one residual is nonzero. On a non-solution whose true
-    residual lies below ``tol`` both answers are certified, and which one
-    comes back depends on the enclosure and the tightening path.
+    False that one residual is nonzero; on a non-solution whose true residual
+    lies below ``tol`` either may come back, both certified.
     """
     own = sol.system  # reused for its own triple of Fractions only: 0.25 == Fraction(1, 4), and a float is refused
     same = own is not None and isinstance(a, tuple) and set(map(type, a)) == {Fraction} and a == own.a
@@ -652,6 +647,9 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
         if excludes_zero:
             return False
         if n * tol.denominator < tol.numerator * d:  # n / d < tol
+            for name, iv in (("x2", sol.x[1].interval), ("x3", sol.x[2].interval)):
+                if not isolates_at(iv.poly, iv.a, iv.m, iv.b, iv.m):
+                    raise IntegrityError(f"{name}: the given interval isolates no root of its polynomial")
             return True
         w = max(_coordinate_widths(x).values())
         x = _tighten(sol._own_system, x, w * min(Fraction(1, 8), tol / (4 * Fraction(n, d))))

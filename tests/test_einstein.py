@@ -1199,6 +1199,16 @@ class TestX2OnItsOwnPolynomial:
             use(self.A, tampered)
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("u", [1, 2], ids=["x2", "x3"])
+    def test_tampered_polynomial_on_a_narrow_box_is_refused(self, u):
+        # refined to 10^-40 the first round certifies, so no tightening reads the polynomial
+        s = refine_solution(solve_einstein(self.A)[0], F(1, 10**40))
+        assert verify_solution(self.A, s) is True
+        x = list(s.x)
+        x[u] = RootCoordinate(replace(x[u].interval, poly=Polynomial((-7, 1))))
+        with pytest.raises(IntegrityError, match=f"^x{u + 1}: the given interval isolates no root of its polynomial$"):
+            verify_solution(self.A, replace(s, x=tuple(x)))
+
     def test_refined_interval_keeps_its_polynomial(self):
         # (x - 7) times the eliminant has the same one root in the interval; refinement keeps that polynomial
         for s in solve_einstein(self.A):
