@@ -88,11 +88,11 @@ excludes 0 the residual is certifiably nonzero; otherwise
 |r_i - r_j| <= max|G| D / (2 L A1 A2 A3), exact on a point box:
 ``residual_bound`` is that bound at a solution's midpoint, derived on first
 read. The enclosure overestimates linearly in the box width (Moore, *Interval
-Analysis*, 1966), so a verification round sizes its step from it: width w
-with bound B becomes w * tol / (4 B), and at most w / 8, and one round
-usually certifies. An exact solution is checked on the same rows, in
-integers with sqrt d kept symbolic: once when the solver builds it, and once
-per ``verify_solution`` (``_solves_exactly``).
+Analysis*, 1966), so a verification round sizes its step from it, in
+integers: the widest width w with bound B becomes w min(1/8, tol / (4 B)), one
+unreduced integer pair, and one round usually certifies. An exact solution is
+checked on the same rows, in integers with sqrt d kept symbolic: once when the
+solver builds it, and once per ``verify_solution`` (``_solves_exactly``).
 
 All certification is exact; floating point appears only in display helpers.
 """
@@ -117,11 +117,11 @@ from .polysolve import (
     bisect_root,
     deflate_endpoint_roots,
     exact_rational,
+    int_mul,
     integer_numerators,
     isolate_real_roots,
     isolates_at,
     poly_gcd,
-    resultant,
     root_box,
     squarefree_part,
 )
@@ -475,10 +475,12 @@ def _pivot(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _eliminant(rows, pivot, name: str) -> Polynomial:
-    """The square-free part of den^2 L (F2 - F3) at x2 = num/den, a polynomial in x3, for (num, den) = ``pivot``."""
+    """The square-free part of den^2 L (F2 - F3) at x2 = num/den, a polynomial in x3, for (num, den) = ``pivot``:
+    den^2 A + den num B + c num^2 for L (F2 - F3) = A + B x2 + c x2^2 (``_forms``), on the integer tuples."""
     num, den = pivot
-    A2, B2, c2 = _forms(rows)[1]
-    elim = resultant((Polynomial(A2), Polynomial(B2), Polynomial(c2)), Polynomial(num), Polynomial(den))
+    A, B, (c,) = _forms(rows)[1]
+    parts = zip(int_mul(int_mul(den, den), A), int_mul(int_mul(den, num), B), int_mul(num, num))
+    elim = Polynomial([u + v + c * w for u, v, w in parts])
     if elim.is_zero:
         raise IntegrityError(f"{name} eliminant vanished identically")
     return squarefree_part(elim)
@@ -503,14 +505,14 @@ def _below(u: tuple[int, int], v: tuple[int, int]) -> bool:
 
 
 def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing: Optional[IsolatingInterval] = None,
-                      width: Optional[Fraction] = None) -> tuple[IsolatingInterval, IsolatingInterval]:
+                      width: Optional[tuple[int, int]] = None) -> tuple[IsolatingInterval, IsolatingInterval]:
     """Refine x3 until it is positive and num/den certifies one positive root of the x2 polynomial.
 
     Returns (x2 interval, refined x3 interval). The x2 polynomial is the x2
     eliminant, or ``enclosing.poly`` when ``enclosing`` is given: a given x2
     interval is certified on its own polynomial, and its box clips the x2
-    enclosure. With ``width``, x3 is first bisected below ``width`` inside its
-    own box, and the x2 enclosure must be at most ``width`` wide as well. No
+    enclosure. With ``width`` = (wn, wd), x3 is first bisected below wn / wd
+    inside its own box, and the x2 enclosure must be at most that wide. No
     sign test is needed: x2 is positive by the x2 lemma, and a nonpositive x2
     would fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
 
@@ -519,18 +521,16 @@ def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing:
     inclusion isotone. It guards hand-built solutions; an empty clip raises at
     once, since by that isotonicity no smaller x3 box can reopen it.
 
-    The loop runs in integers, on the box of ``iv3``, [A, B] over M: ``root_box``
-    checks its ends once, and each iteration that fails halves it twice with
-    ``bisect_root`` (which carves around an exact dyadic hit), visiting the boxes
-    ``refine_root(iv3, iv3.width / 4)`` would return. The exact range of num/den
-    (``eval_poly_range``), the clip and the width are compared as pairs (numerator,
-    positive denominator), at which ``isolates_at`` evaluates the x2 polynomial's
-    Sturm chain. Both intervals are returned as boxes; only errors build ``Fraction``s.
+    The loop runs in integers, on the box of ``iv3``, [A, B] over M: ``root_box`` checks its ends once, and each
+    iteration that fails halves it twice with ``bisect_root`` (which carves around an exact dyadic hit), visiting
+    the boxes ``refine_root(iv3, iv3.width / 4)`` would return. The exact range of num/den (``eval_poly_range``),
+    the clip and the width are compared as pairs (numerator, positive denominator), at which ``isolates_at``
+    evaluates the x2 polynomial's Sturm chain. Both intervals are returned as boxes; only errors build ``Fraction``s.
     """
     p3 = iv3.poly
     A, B, M, s3 = root_box(iv3)
     if width is not None:
-        A, B, M = bisect_root(p3, s3, A, B, M, width.numerator, width.denominator)
+        A, B, M = bisect_root(p3, s3, A, B, M, *width)
     p2 = system.x2 if enclosing is None else enclosing.poly
     num, den = system.pivot
     x2 = None
@@ -554,7 +554,7 @@ def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing:
                 lo, hi = clip_lo, clip_hi
             x2 = lo, hi
             # hi - lo <= width, as (hi_n lo_d - lo_n hi_d) / (lo_d hi_d)
-            narrow = width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width.denominator <= width.numerator * lo[1] * hi[1]
+            narrow = width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width[1] <= width[0] * lo[1] * hi[1]
             if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and isolates_at(p2, *lo, *hi):
                 iv2 = IsolatingInterval(lo[0] * hi[1], hi[0] * lo[1], lo[1] * hi[1], p2)
                 return iv2, IsolatingInterval(A, B, M, p3)
@@ -582,8 +582,8 @@ def _solutions_generic(system: EinsteinSystem) -> list:
     return out
 
 
-def _tighten(system: EinsteinSystem, x, width: Fraction):
-    """``x`` with x3 refined below ``width`` and x2 re-linked inside its interval; x1 is kept as given."""
+def _tighten(system: EinsteinSystem, x, width: tuple[int, int]):
+    """``x`` with x3 refined below wn / wd, ``width`` = (wn, wd), and x2 re-linked in its interval; x1 kept as given."""
     iv2, iv3 = _link_x2_interval(system, x[2].interval, x[1].interval, width)
     return (x[0], RootCoordinate(iv2), RootCoordinate(iv3))
 
@@ -611,7 +611,7 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
     if sol.is_exact:
         return sol
     _interval_boxes(sol.x)  # refuses what verify_solution refuses
-    return replace(sol, x=_tighten(sol._own_system, sol.x, width))
+    return replace(sol, x=_tighten(sol._own_system, sol.x, (width.numerator, width.denominator)))
 
 
 def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
@@ -624,8 +624,8 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     ``a`` is its triple of ``Fraction``s, else a system is built for ``a``)
     until the integer enclosure of every r_i - r_j (module docstring) lies
     inside (-tol, tol), or certifiably excludes zero (False). A round shrinks
-    the widest width w to w * min(1/8, tol / (4 B)), B the enclosure's bound,
-    so the first usually certifies; ``_VERIFY_STEPS`` bounds the rounds.
+    the widest width w to w min(1/8, tol / (4 B)), B the enclosure's bound, an
+    integer pair, so the first usually certifies; ``_VERIFY_STEPS`` bounds them.
     Before True, each given x2 and x3 box must isolate a root of its own
     ``poly`` (``isolates_at``), else ``IntegrityError`` names the coordinate.
 
@@ -641,18 +641,19 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
         raise TrisymError(f"tolerance {tol} must be positive")
     if sol.is_exact:
         return _solves_exactly(system.rows, sol.x)
-    x = sol.x
+    x, tn, td = sol.x, tol.numerator, tol.denominator
     for _ in range(_VERIFY_STEPS):
-        excludes_zero, n, d = _residual_enclosure(system, _interval_boxes(x))
+        excludes_zero, n, d = _residual_enclosure(system, boxes := _interval_boxes(x))
         if excludes_zero:
             return False
-        if n * tol.denominator < tol.numerator * d:  # n / d < tol
+        if n * td < tn * d:  # n / d < tol
             for name, iv in (("x2", sol.x[1].interval), ("x3", sol.x[2].interval)):
                 if not isolates_at(iv.poly, iv.a, iv.m, iv.b, iv.m):
                     raise IntegrityError(f"{name}: the given interval isolates no root of its polynomial")
             return True
-        w = max(_coordinate_widths(x).values())
-        x = _tighten(sol._own_system, x, w * min(Fraction(1, 8), tol / (4 * Fraction(n, d))))
+        (A2, B2, D2), (A3, B3, D3) = boxes[1:]  # the widest width w = wn / wd, then w min(1/8, tol d / (4 n))
+        wn, wd = (B2 - A2, D2) if (B2 - A2) * D3 >= (B3 - A3) * D2 else (B3 - A3, D3)
+        x = _tighten(sol._own_system, x, (wn, 8 * wd) if 2 * tn * d >= n * td else (wn * tn * d, wd * td * 4 * n))
     raise _budget_exhausted("verification", _VERIFY_STEPS, _coordinate_widths(x))
 
 

@@ -45,15 +45,17 @@ output. A midpoint that is an exact root gets a box of its own from `_carve`.
 `isolate_real_roots` stacks boxes with the variation counts at their ends, so
 the chain is evaluated once per midpoint. `root_box` checks the end signs of
 an interval's box, and `bisect_root` halves it in place, carving on a hit.
-Its points lie over m 2^j for the entry denominator m, so it scales the
+Halving keeps b - a fixed over m 2^j for the entry denominator m, so it
+computes its halving count once and carries only the lower end; it scales the
 coefficients by powers of m once per call and applies the powers of two as
 shifts: the same points, signs and boxes as the homogenised sum, with one big
 multiplication per Horner step. `refine_root` is the two, and so is the
 solver's back-substitution loop. Elimination is by substitution: where one
 equation is linear in y, den * y = num, `resultant` puts y = num/den into
 the other and clears the denominator, in integers over one common
-denominator of the contents. Rationals become integer numerators over one
-denominator by `integer_numerators`, the one place that step is written.
+denominator of the contents, with `int_mul` the integer polynomial product.
+Rationals become integer numerators over one denominator by
+`integer_numerators`, the one place that step is written.
 
 Conventions:
   * coefficients are in ascending order, no trailing zeros;
@@ -514,30 +516,33 @@ def bisect_root(p: Polynomial, s_lo: int, a: int, b: int, m: int, wn: int, wd: i
     """Halve the box [a/m, b/m] around the root of ``p`` in it until (b - a) / m <= wn / wd.
 
     ``s_lo`` is the sign of p at a/m, and p has the other sign at b/m. Halving
-    maps (a, b, m) to (2a, a + b, 2m) or (a + b, 2b, 2m), so the ends are the
-    dyadic points a ``Fraction`` bisection would visit. The k-th midpoint is
-    mid / (m0 2^k) for the entry m0, where p has the sign of the sum of the
-    e_i mid^i 2^(k (deg - i)), e_i = c_i m0^(deg - i): the e_i are formed once
+    maps (a, b, m) to (2a, a + b, 2m) or (a + b, 2b, 2m), the dyadic points a
+    ``Fraction`` bisection would visit, and keeps the numerator width
+    delta = b - a over m 2^k. So the halving count K, the least k with
+    delta wd <= wn m 2^k, is computed once (from bit lengths and one check),
+    and only the lower numerator is carried. The k-th midpoint is
+    (2a + delta) / (m 2^k), where p has the sign of the sum of the
+    e_i mid^i 2^(k (deg - i)), e_i = c_i m^(deg - i): the e_i are formed once
     per call and the powers of two are shifts, one big multiplication per
     Horner step. When a midpoint is itself a root, found exactly, the box
     around it is carved by ``_carve`` from the box that midpoint halves.
-    Returns the final (a, b, m); p keeps the sign ``s_lo`` at its lower end.
+    Returns (a, a + delta, m 2^K); p keeps the sign ``s_lo`` at its lower end.
     """
+    delta = b - a
+    over, under = delta * wd, wn * m
+    K = max(0, over.bit_length() - under.bit_length())  # over / under < 2^(K + 1), and > 2^(K - 1) if K > 0
+    if under << K < over:
+        K += 1
     lead, *rest = [c * m ** j for j, c in enumerate(reversed(p.ints))]  # e_deg, e_(deg-1), ..., e_0
-    k = 0
-    while (b - a) * wd > wn * m:
-        mid, k = a + b, k + 1
+    for k in range(1, K + 1):
+        mid = 2 * a + delta
         acc = lead
         for j, e in enumerate(rest, 1):
             acc = acc * mid + (e << j * k)
         if not acc:
-            return _carve(p, a, b, m, wn, wd)
-        if (acc > 0) == (s_lo > 0):
-            a, b = mid, 2 * b
-        else:
-            a, b = 2 * a, mid
-        m *= 2
-    return a, b, m
+            return _carve(p, a, a + delta, m << (k - 1), wn, wd)
+        a = mid if (acc > 0) == (s_lo > 0) else 2 * a
+    return a, a + delta, m << K
 
 
 def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
@@ -553,7 +558,7 @@ def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
     return IsolatingInterval(*bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator), iv.poly)
 
 
-def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two polynomials given by ascending integer coefficients."""
     if not a or not b:
         return []
@@ -582,6 +587,6 @@ def resultant(p: Sequence[Polynomial], num: Polynomial, den: Polynomial) -> Poly
     *ps, n, d = [[k * v for v in q.ints] for k, q in zip(scales, polys)]
     acc, dpow = ps[-1], [1]
     for c in reversed(ps[:-1]):
-        dpow = _int_mul(dpow, d)
-        acc = [u + v for u, v in zip_longest(_int_mul(acc, n), _int_mul(c, dpow), fillvalue=0)]
+        dpow = int_mul(dpow, d)
+        acc = [u + v for u, v in zip_longest(int_mul(acc, n), int_mul(c, dpow), fillvalue=0)]
     return Polynomial(acc).scale(Fraction(1, common ** len(ps)))

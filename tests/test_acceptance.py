@@ -8,7 +8,6 @@ through the CLI.
 
 import time
 from dataclasses import replace
-from fractions import Fraction as F
 
 import pytest
 
@@ -16,8 +15,6 @@ from trisym import checks
 from trisym.cases import case_dims, make_case
 from trisym.checks import CHECKS, SCOPES, CheckResult
 from trisym.cli import main
-from trisym.coeffs import coefficients_for_case
-from trisym.einstein import solve_case
 
 
 def _report(criterion: str, results: list[CheckResult], elapsed: float | None = None):
@@ -66,22 +63,10 @@ def test_criterion_6_property_suite():
 
 
 def test_criterion_7_classical_cross_check():
-    case = make_case("A-III", l=2, i=1, j=2)
-    results = []
-    data = coefficients_for_case(case)
-    results.append(
-        CheckResult(
-            "rank-2 full flag manifold has a = (1/6, 1/6, 1/6)",
-            data.a == (F(1, 6),) * 3,
-            str(data.a),
-        )
-    )
-    sols = solve_case(case).solutions
-    results.append(
-        CheckResult("rank-2 full flag manifold has exactly four metrics", len(sols) == 4, str(len(sols)))
-    )
-    dims = case_dims(case)
-    results.append(CheckResult("dims (2, 2, 2)", dims == (2, 2, 2, 2), str(dims)))
+    # a = 1/6 and the four metrics of the rank-2 full flag are facts of its criterion-4 check; the dims are this one's
+    (flag,) = [e for e in CHECKS if e.name == "A-III l=2 (full flag of rank 2): a = 1/6 and four metrics"]
+    dims = case_dims(make_case("A-III", l=2, i=1, j=2))
+    results = [flag.run(seed=42), CheckResult("dims (2, 2, 2, 2)", dims == (2, 2, 2, 2), str(dims))]
     _report("7 (classical cross-check)", results)
 
 

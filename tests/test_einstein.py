@@ -38,6 +38,7 @@ from trisym.polysolve import (
     isolate_real_roots,
     isolates,
     refine_root,
+    resultant,
     squarefree_part,
 )
 from trisym.serialize import encode_solution
@@ -339,10 +340,31 @@ class TestGenericBranch:
                 t[rng.randrange(3)] = rng.choice(edges)
             if len(set(t)) == 3:
                 triples.append(tuple(t))
+        triples += [t for r in (F(1, 3), F(7, 1000)) for t in permutations((F(1, 2), F(1, 10**6), r))]
+        triples.append((F(1, 5), F(1, 6), F(2, 15)))  # a1 + a2 + a3 = 1/2: the x3 eliminant vanishes at the pivot point
         for a in triples:
             e = EinsteinSystem(a)
             assert e.x3 == oracle(a, x2, x3), a
             assert e.x2 == oracle(a, x3, x2), a
+
+    def test_eliminants_are_the_resultant_of_their_forms(self):
+        # the substitution den^2 A + den num B + c num^2 against the general routine on the same integer forms
+        rng = random.Random(31)
+        edges = (F(1, 2), F(1, 4), F(1, 10**6), F(499999, 10**6))
+        triples = set()
+        while len(triples) < 200:
+            q = rng.randint(10, 10 ** rng.randint(1, 6))
+            t = [F(rng.randint(1, q // 2), q) for _ in range(3)]
+            if rng.random() < 0.3:
+                t[rng.randrange(3)] = rng.choice(edges)
+            if len(set(t)) == 3:
+                triples.add(tuple(t))
+        for a in sorted(triples):
+            e = EinsteinSystem(a)
+            for rows, got in ((e.rows, e.x3), (einstein._swapped_rows(e.rows), e.x2)):
+                num, den = einstein._pivot(rows)
+                A, B, c = (Polynomial(part) for part in einstein._forms(rows)[1])
+                assert got == squarefree_part(resultant((A, B, c), Polynomial(num), Polynomial(den))), a
 
     def test_counts_match_sympy_resultant(self):
         # the x2 lemma: every positive root x3 of the resultant in x2 of
@@ -598,6 +620,26 @@ class TestVerifyRounds:
         for s in sols:
             tightenings.clear()
             assert verify_solution(result.a, s, F(1, 10**20))
+            assert len(tightenings) == 1
+
+    @pytest.mark.parametrize(
+        "label, params",
+        [
+            ("A-III", dict(l=12, i=1, j=3)),
+            ("B-I", dict(l=12, i=3, j=2)),
+            ("C-I", dict(l=12, i=1, j=3)),
+            ("D-II", dict(l=12, i=2)),
+        ],
+    )
+    def test_rounds_build_no_fractions(self, label, params, tightenings, fractions_made):
+        # refined to 10^-13, as `solve` refines, a rank-12 interval solution takes one round at the default tol
+        # 10^-20: the widest width, the enclosure bound and the step are integer pairs, so no Fraction is built
+        result = solve_case(make_case(label, **params))
+        sols = [refine_solution(s, F(1, 10**13)) for s in result.solutions if not s.is_exact]
+        assert len(sols) >= 2
+        for s in sols:
+            tightenings.clear()
+            assert fractions_made(lambda: verify_solution(result.a, s)) == 0
             assert len(tightenings) == 1
 
     @pytest.mark.parametrize(
@@ -1117,7 +1159,8 @@ def reference_link(e, iv3, enclosing=None, width=None):
 
 
 def link_ends(e, iv3, enclosing=None, width=None):
-    iv2, iv3 = einstein._link_x2_interval(e, iv3, enclosing, width)
+    pair = None if width is None else (width.numerator, width.denominator)  # the link takes a width as two ints
+    iv2, iv3 = einstein._link_x2_interval(e, iv3, enclosing, pair)
     return (iv2.lo, iv2.hi), (iv3.lo, iv3.hi)
 
 
@@ -1152,7 +1195,7 @@ class TestLink:
 
     def test_no_fractions_in_its_loop(self, fractions_made):
         e = EinsteinSystem(self.A)
-        widths = (None, F(1, 10**10), F(1, 10**300))
+        widths = (None, (1, 10**10), (1, 10**300))
         for iv3 in isolate_real_roots(e.x3, 0, None):
             iv2 = einstein._link_x2_interval(e, iv3)[0]
             # from one iteration on the solver's box to hundreds of halvings below 10^-300

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import ceil, floor, gcd, isqrt, prod
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from trisym import polysolve
@@ -781,6 +781,9 @@ class TestSharedKernels:
             isolates(poly(-2, 0, 1), F(2), F(1))
 
     @given(repeated_root_polys, st.integers(1, 60))
+    @example(poly(1, -15, 50), 1)  # boxes 13/80 wide for the width 1/2: already met, no halving
+    @example(poly(-1, -1, 1), 3)  # boxes 2 wide for 1/8: the K = 4th halving meets the width exactly
+    @example(poly(F(-3, 2), 2, 2), 1)  # boxes 2 wide for 1/2, roots 1/2 and -3/2 at the midpoints of the K = 2nd halving
     def test_bisect_root_gives_the_fraction_bisection(self, p, bits):
         width = F(1, 2**bits)
         for iv in isolate_real_roots(p):
