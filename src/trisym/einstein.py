@@ -70,11 +70,11 @@ So the branch tests no sign; ``_solves_in_integers`` is the one positivity check
 Each triple is prepared once, as an ``EinsteinSystem`` that validates a and
 reads the rows of L (F_i - F_j) (below); solve, refine and verify share it,
 and every solution of the solver carries it. ``_tighten`` takes an interval
-solution one step: one x2 link with the target width, which bisects x3 below
-it and re-links x2 inside its interval, on its own polynomial, through num/den
-of the solution's own system (a hand-built one has none: ``IntegrityError``);
-``refine_solution`` takes it once and ``verify_solution`` once per round. Both
-refuse any shape but a rational x1, kept as given, beside interval x2 and x3.
+solution one step, one x2 link through the solution's own system (a hand-built
+one has none: ``IntegrityError``): ``refine_solution`` takes it once and
+``verify_solution`` once per round. The solver's intervals are ``certified``,
+so each later link decides its x2 box by two end signs inside the given one
+(``polysolve.isolates_inside``), and ``verify_solution`` re-checks none of them.
 
 Verification works on the cleared form, in integers. For positive x,
 r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
@@ -121,9 +121,11 @@ from .polysolve import (
     integer_numerators,
     isolate_real_roots,
     isolates_at,
+    isolates_inside,
     poly_gcd,
     root_box,
     squarefree_part,
+    with_certificate,
 )
 from .surd import QuadraticSurd, exact_sign, integer_roots_of_quadratic, integer_sign, sqrt_midpoint
 
@@ -508,24 +510,22 @@ def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing:
                       width: Optional[tuple[int, int]] = None) -> tuple[IsolatingInterval, IsolatingInterval]:
     """Refine x3 until it is positive and num/den certifies one positive root of the x2 polynomial.
 
-    Returns (x2 interval, refined x3 interval). The x2 polynomial is the x2
-    eliminant, or ``enclosing.poly`` when ``enclosing`` is given: a given x2
-    interval is certified on its own polynomial, and its box clips the x2
-    enclosure. With ``width`` = (wn, wd), x3 is first bisected below wn / wd
-    inside its own box, and the x2 enclosure must be at most that wide. No
-    sign test is needed: x2 is positive by the x2 lemma, and a nonpositive x2
-    would fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
+    Returns (x2 interval, refined x3 interval). The x2 polynomial is the x2 eliminant, or ``enclosing.poly`` when
+    ``enclosing`` is given: a given x2 interval is certified on its own polynomial, and its box clips the x2
+    enclosure. With ``width`` = (wn, wd), x3 is first bisected below wn / wd inside its own box, and the x2 enclosure
+    must be at most that wide. No sign test is needed: x2 is positive by the x2 lemma, and a nonpositive x2 would
+    fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
 
-    For intervals the solver made, the clip never binds: ``enclosing`` is
-    num/den over an x3 box containing ``iv3``, and the range of num/den is
-    inclusion isotone. It guards hand-built solutions; an empty clip raises at
-    once, since by that isotonicity no smaller x3 box can reopen it.
+    For intervals the solver made, the clip never binds: ``enclosing`` is num/den over an x3 box containing ``iv3``,
+    and the range of num/den is inclusion isotone. It guards hand-built solutions; an empty clip raises at once,
+    since by that isotonicity no smaller x3 box can reopen it.
 
     The loop runs in integers, on the box of ``iv3``, [A, B] over M: ``root_box`` checks its ends once, and each
     iteration that fails halves it twice with ``bisect_root`` (which carves around an exact dyadic hit), visiting
     the boxes ``refine_root(iv3, iv3.width / 4)`` would return. The exact range of num/den (``eval_poly_range``),
-    the clip and the width are compared as pairs (numerator, positive denominator), at which ``isolates_at``
-    evaluates the x2 polynomial's Sturm chain. Both intervals are returned as boxes; only errors build ``Fraction``s.
+    the clip and the width are pairs (numerator, positive denominator). The first link tests the range by the x2
+    polynomial's Sturm chain (``isolates_at``), a later one by ``isolates_inside``: two end signs when ``enclosing``
+    is certified. The x2 box is returned certified, the x3 box when ``iv3`` is; only errors build ``Fraction``s.
     """
     p3 = iv3.poly
     A, B, M, s3 = root_box(iv3)
@@ -555,9 +555,10 @@ def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing:
             x2 = lo, hi
             # hi - lo <= width, as (hi_n lo_d - lo_n hi_d) / (lo_d hi_d)
             narrow = width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width[1] <= width[0] * lo[1] * hi[1]
-            if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and isolates_at(p2, *lo, *hi):
-                iv2 = IsolatingInterval(lo[0] * hi[1], hi[0] * lo[1], lo[1] * hi[1], p2)
-                return iv2, IsolatingInterval(A, B, M, p3)
+            if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and (
+                    isolates_at(p2, *lo, *hi) if enclosing is None else isolates_inside(enclosing, *lo, *hi)):
+                iv2 = with_certificate(IsolatingInterval(lo[0] * hi[1], hi[0] * lo[1], lo[1] * hi[1], p2))
+                return iv2, with_certificate(IsolatingInterval(A, B, M, p3), iv3.certified)
         A, B, M = bisect_root(p3, s3, A, B, M, B - A, 4 * M)
     widths = {"x3": Fraction(B - A, M)}
     if x2 is not None:
@@ -623,11 +624,11 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
     coordinates are tightened through ``sol``'s own system (its rows read when
     ``a`` is its triple of ``Fraction``s, else a system is built for ``a``)
     until the integer enclosure of every r_i - r_j (module docstring) lies
-    inside (-tol, tol), or certifiably excludes zero (False). A round shrinks
-    the widest width w to w min(1/8, tol / (4 B)), B the enclosure's bound, an
-    integer pair, so the first usually certifies; ``_VERIFY_STEPS`` bounds them.
-    Before True, each given x2 and x3 box must isolate a root of its own
-    ``poly`` (``isolates_at``), else ``IntegrityError`` names the coordinate.
+    inside (-tol, tol), or certifiably excludes zero (False), in rounds sized
+    as the module docstring says and bounded by ``_VERIFY_STEPS``. Before
+    True, each given x2 and x3 box that is not ``certified`` (a solver's box
+    is) must isolate a root of its own ``poly`` (``isolates_at``), else
+    ``IntegrityError`` names the coordinate.
 
     True means every residual is below ``tol`` on a box around the solution,
     False that one residual is nonzero; on a non-solution whose true residual
@@ -648,7 +649,7 @@ def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
             return False
         if n * td < tn * d:  # n / d < tol
             for name, iv in (("x2", sol.x[1].interval), ("x3", sol.x[2].interval)):
-                if not isolates_at(iv.poly, iv.a, iv.m, iv.b, iv.m):
+                if not iv.certified and not isolates_at(iv.poly, iv.a, iv.m, iv.b, iv.m):
                     raise IntegrityError(f"{name}: the given interval isolates no root of its polynomial")
             return True
         (A2, B2, D2), (A3, B3, D3) = boxes[1:]  # the widest width w = wn / wd, then w min(1/8, tol d / (4 n))

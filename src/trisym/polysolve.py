@@ -35,7 +35,14 @@ and counts only when the chain's head, the square-free part, has opposite
 signs at the two ends: the head vanishes exactly at the roots, and a
 square-free polynomial changes sign across its one simple root in an
 isolating interval. `isolates_at` is the same test at integer pairs
-(numerator, positive denominator).
+(numerator, positive denominator). An interval carries that proof in its
+``certified`` flag, which only the code that proved it sets, through
+`with_certificate`: `isolate_real_roots`, `refine_root` of a certified
+interval, and the solver's back-substitution. A copy, a changed polynomial or
+a hand-built box is uncertified. Inside a certified box the test needs no
+chain: `isolates_inside` decides a sub-box [lo, hi] by the square-free part's
+signs at its two ends, since the box holds exactly one root and the part
+changes sign across it and nowhere else.
 
 Isolation and refinement bisect one kind of box, integer numerators a < b
 over one denominator m, halved to (2a, a + b, 2m) or (a + b, 2b, 2m): the
@@ -66,7 +73,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _int_gcd, lcm as _int_lcm
@@ -416,16 +423,20 @@ def isolates_at(p: Polynomial, lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> bo
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Open interval (a/m, b/m) certified to contain exactly one root of ``poly``, kept as the box the kernels bisect.
+    """Open interval (a/m, b/m) that contains exactly one root of ``poly``, kept as the box the kernels bisect.
 
     Integers a < b over m > 0, reduced on construction so that equal fields mean equal values; the ``Fraction``s
     ``lo``, ``hi``, ``width`` and ``midpoint`` are derived on read, and ``of`` builds an interval from rational ends.
+    ``certified`` is the proof that the box isolates the root: set only by the kernels that proved it
+    (``with_certificate``), so construction, ``of`` and ``dataclasses.replace`` give an uncertified interval. It
+    takes no part in equality, hashing or output.
     """
 
     a: int
     b: int
     m: int
     poly: Polynomial
+    certified: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.m > 0 and self.a < self.b):
@@ -458,6 +469,28 @@ class IsolatingInterval:
         return Fraction(self.a + self.b, 2 * self.m)
 
 
+def with_certificate(iv: IsolatingInterval, proven: bool = True) -> IsolatingInterval:
+    """``iv``, an interval its caller has just built, marked ``certified`` when ``proven``: for the kernels only."""
+    object.__setattr__(iv, "certified", proven)
+    return iv
+
+
+def isolates_inside(iv: IsolatingInterval, lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> bool:
+    """``isolates_at(iv.poly, lo_n, lo_d, hi_n, hi_d)``, by two end signs when ``iv`` is certified and holds [lo, hi].
+
+    A certified ``iv`` has exactly one root of ``poly`` in its box and none at its ends, so for [lo, hi] inside the
+    closed box a sign change of the square-free part between lo and hi puts that root inside; without one, the part,
+    which changes sign across each of its simple roots, has none in (lo, hi) or one at an end. Otherwise the full
+    Sturm test runs.
+    """
+    if not (iv.certified and iv.a * lo_d <= lo_n * iv.m and hi_n * iv.m <= iv.b * hi_d):
+        return isolates_at(iv.poly, lo_n, lo_d, hi_n, hi_d)
+    if not lo_n * hi_d < hi_n * lo_d:
+        raise ValueError("degenerate interval: need lo < hi")
+    head = squarefree_part(iv.poly).ints
+    return _horner_sign(head, lo_n, lo_d) * _horner_sign(head, hi_n, hi_d) < 0
+
+
 def _carve(p: Polynomial, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int]:
     """(lo, hi, k): an isolating box [lo/k, hi/k] of ``p`` around its exact root (a + b) / (2m).
 
@@ -483,7 +516,7 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
     while stack:
         a, b, m, v_a, v_b = stack.pop()
         if v_a - v_b == 1:
-            out.append(IsolatingInterval(a, b, m, sf))
+            out.append(with_certificate(IsolatingInterval(a, b, m, sf)))
         elif v_a - v_b > 1:
             signs = [_horner_sign(q, a + b, 2 * m) for q in chain]
             if signs[0] == 0:
@@ -549,13 +582,15 @@ def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
     """Deterministic bisection down to the requested width; output nests in input.
 
     The box goes through ``root_box`` and ``bisect_root`` in integers, which
-    carves a certified box around an exact hit.
+    carves a box around an exact hit. The result is certified when ``iv`` is:
+    each half kept has opposite end signs inside the one-root box.
     """
     width = exact_rational(width, "width")
     if width <= 0:
         raise ValueError("width must be positive")
     a, b, m, s_lo = root_box(iv)
-    return IsolatingInterval(*bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator), iv.poly)
+    box = bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator)
+    return with_certificate(IsolatingInterval(*box, iv.poly), iv.certified)
 
 
 def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

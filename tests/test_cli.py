@@ -198,6 +198,19 @@ class TestSolve:
         assert fractions_made(catalog_pass) <= 56_000
         assert len(calls) <= 2_600
 
+    def test_catalog_pass_certifies_each_box_once(self, capsys, monkeypatch):
+        # a solver interval carries its proof, so refinement re-links x2 by two end signs inside it and
+        # verify_solution re-checks none: 4,815 Sturm isolation checks when every link and every verify
+        # ran one, 1,403 with the certificate: 1,391 in the links that first isolate a solution's x2, 12 in carves
+        calls, isolates_at = [], polysolve.isolates_at
+        for module in (polysolve, einstein):
+            monkeypatch.setattr(module, "isolates_at", lambda *args: calls.append(1) or isolates_at(*args))
+        for case in enumerate_cases(12):
+            argv = ["solve", case.type_label, *(t for k, v in case.params for t in (f"--{k}", str(v))), "--format", "json"]
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        assert 0 < len(calls) <= 1_500
+
     @pytest.mark.parametrize("extra", [("E7-II",), ("--l", "3"), ("--k", "2"), ("--max-rank", "3")])
     def test_a_excludes_a_case(self, extra):
         res = run_cli("solve", *extra, "--a", "1/3", "1/4", "1/5")

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 import hashlib
@@ -34,9 +35,12 @@ from trisym.errors import IntegrityError, NotApplicable, TrisymError
 from trisym.polysolve import (
     IsolatingInterval,
     Polynomial,
+    int_mul,
     integer_numerators,
     isolate_real_roots,
     isolates,
+    isolates_at,
+    isolates_inside,
     refine_root,
     resultant,
     squarefree_part,
@@ -1210,6 +1214,19 @@ class TestLink:
             narrow = refine_root(iv2, iv2.width / 2**20)
             assert einstein._link_x2_interval(e, iv3, narrow)[0] == narrow
 
+    def test_both_outputs_certified(self):
+        # the link proves its x2 box; the x3 box keeps the certificate of the box it was given
+        e = EinsteinSystem(self.A)
+        for iv3 in isolate_real_roots(e.x3, 0, None):
+            iv2, out3 = einstein._link_x2_interval(e, iv3)
+            assert iv3.certified and iv2.certified and out3.certified
+            for width in (None, (1, 10**50)):
+                refined = einstein._link_x2_interval(e, iv3, iv2, width)
+                assert all(iv.certified for iv in refined)
+                bare2, bare3 = einstein._link_x2_interval(e, replace(iv3), replace(iv2), width)
+                assert bare2.certified and not bare3.certified
+                assert (bare2, bare3) == refined
+
     def test_ends_that_do_not_straddle_the_root(self):
         e = EinsteinSystem(self.A)
         iv3 = solve_einstein(self.A)[0].x[2].interval
@@ -1252,6 +1269,19 @@ class TestX2OnItsOwnPolynomial:
         with pytest.raises(IntegrityError, match=f"^x{u + 1}: the given interval isolates no root of its polynomial$"):
             verify_solution(self.A, replace(s, x=tuple(x)))
 
+    @pytest.mark.parametrize("u", [1, 2], ids=["x2", "x3"])
+    def test_swapped_box_is_refused(self, u):
+        # a solver box moved through replace, beside its root, carries no certificate, so verify_solution tests it
+        s = refine_solution(solve_einstein(self.A)[0], F(1, 10**40))
+        iv = s.x[u].interval
+        close = refine_root(iv, iv.width / 2**40)
+        beside = replace(iv, a=close.b * iv.m, b=close.b * iv.m + (iv.b - iv.a) * close.m, m=close.m * iv.m)
+        assert iv.certified and not beside.certified and not isolates(iv.poly, beside.lo, beside.hi)
+        x = list(s.x)
+        x[u] = RootCoordinate(beside)
+        with pytest.raises(IntegrityError, match=f"^x{u + 1}: the given interval isolates no root of its polynomial$"):
+            verify_solution(self.A, replace(s, x=tuple(x)))
+
     def test_refined_interval_keeps_its_polynomial(self):
         # (x - 7) times the eliminant has the same one root in the interval; refinement keeps that polynomial
         for s in solve_einstein(self.A):
@@ -1264,6 +1294,52 @@ class TestX2OnItsOwnPolynomial:
             assert refined.x[1].interval.poly == poly
             assert refined.x[1].interval == replace(refine_solution(s, F(1, 10**30)).x[1].interval, poly=poly)
             assert verify_solution(self.A, given) is True
+
+    def test_refined_interval_on_a_squared_polynomial(self):
+        # the eliminant squared has the root twice and no sign change there; a second refinement decides the x2 box
+        # inside the certified first one by the signs of the square-free part, as the Sturm test does
+        for s in solve_einstein(self.A):
+            iv = s.x[1].interval
+            sq = Polynomial(int_mul(iv.poly.ints, iv.poly.ints))
+            given = replace(s, x=(s.x[0], RootCoordinate(replace(iv, poly=sq)), s.x[2]))
+            once = refine_solution(given, F(1, 10**30))
+            assert once.x[1].interval.poly == sq and once.x[1].interval.certified
+            twice = refine_solution(once, F(1, 10**60)).x[1].interval
+            assert twice.poly == sq and twice == replace(refine_solution(s, F(1, 10**60)).x[1].interval, poly=sq)
+
+
+class TestTwoSignDecision:
+    """Inside a certified interval, ``isolates_inside`` decides by two end signs exactly as the Sturm test does."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_sturm_test_on_sub_boxes(self, seed):
+        rng = random.Random(seed)
+        while True:
+            q = rng.randint(10, 10 ** rng.randint(1, 4))
+            a = tuple(F(rng.randint(1, q // 2), q) for _ in range(3))
+            if len(set(a)) == 3:
+                break
+        e = EinsteinSystem(a)
+        r = F(rng.randint(1, 99), rng.randint(1, 99))  # a rational root, so that sub-box ends can sit on a root
+        with_r = Polynomial(int_mul(e.x3.ints, (-r.numerator, r.denominator)))
+        decided = Counter()  # by (decision, an end at the rational root)
+        for p in (e.x3, e.x2, with_r):
+            for iv in isolate_real_roots(p, 0, None):
+                assert iv.certified
+                # the box's ends, ends of refinements around the root, the root when rational, and points between;
+                # every pair of them is a sub-box, so some touch the ends of the enclosing box
+                points = {iv.lo, iv.hi} | ({r} if p is with_r and iv.lo < r < iv.hi else set())
+                for k in (4, 30, 120):
+                    close = refine_root(iv, iv.width / 2**k)
+                    points |= {close.lo, close.hi}
+                points |= {iv.lo + iv.width * F(rng.randint(1, 999), 1000) for _ in range(15)}
+                pairs = list(combinations(sorted(points), 2))
+                assert len(pairs) >= 200
+                for lo, hi in pairs:
+                    got = isolates_inside(iv, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+                    assert got is isolates_at(iv.poly, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+                    decided[got, p is with_r and r in (lo, hi)] += 1
+        assert decided[True, False] >= 100 and decided[False, False] >= 100 and decided[False, True] >= 20
 
 
 class TestBudgets:

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 from math import ceil, floor, gcd, isqrt, prod
 
@@ -19,6 +20,7 @@ from trisym.polysolve import (
     isolate_real_roots,
     isolates,
     isolates_at,
+    isolates_inside,
     poly_gcd,
     refine_root,
     resultant,
@@ -698,6 +700,62 @@ class TestIntervalBox:
     def test_box_needs_ordered_ends_over_a_positive_denominator(self, box):
         with pytest.raises(ValueError, match="^an interval box needs numerators a < b over m > 0$"):
             IsolatingInterval(*box, P)
+
+
+class TestCertificate:
+    """Only the kernels that prove a box isolates its root mark it ``certified``; the mark is not part of its value."""
+
+    def test_isolation_certifies(self):
+        # (2x - 1)(4x - 1)(x - 5) on (0, 8): bisection meets the root 1/2 as the midpoint of (0, 1) and carves around it
+        ivs = isolate_real_roots(sym(sp(-1, 2) * sp(-1, 4) * sp(-5, 1)), 0, 8)
+        assert [iv.lo < F(1, 2) < iv.hi for iv in ivs] == [False, True, False]
+        assert ivs[1].midpoint == F(1, 2)
+        assert all(iv.certified for iv in ivs)
+        assert all(iv.certified for iv in isolate_real_roots(poly(-2, 0, 1)))
+
+    def test_refinement_keeps_the_certificate_it_is_given(self):
+        iv = isolate_real_roots(poly(-2, 0, 1), 1, 2)[0]
+        assert refine_root(iv, F(1, 10**30)).certified
+        assert not refine_root(IsolatingInterval(iv.a, iv.b, iv.m, iv.poly), F(1, 10**30)).certified
+
+    def test_carve_around_an_exact_dyadic_hit_is_certified(self):
+        # 2x - 1 on (0, 1): the first midpoint is the root, so refinement carves a box around it
+        iv = isolate_real_roots(poly(-1, 2), 0, 1)[0]
+        assert (iv.a, iv.b, iv.m) == (0, 1, 1) and iv.certified
+        carved = refine_root(iv, F(1, 8))
+        assert carved.lo < F(1, 2) < carved.hi and carved.midpoint == F(1, 2) and carved.certified
+
+    def test_copies_and_hand_built_boxes_are_uncertified(self):
+        iv = isolate_real_roots(poly(-2, 0, 1), 1, 2)[0]
+        assert iv.certified
+        for other in (
+            replace(iv),
+            replace(iv, poly=poly(-7, 1)),
+            IsolatingInterval.of(iv.lo, iv.hi, iv.poly),
+            IsolatingInterval(iv.a, iv.b, iv.m, iv.poly),
+        ):
+            assert not other.certified
+        with pytest.raises(TypeError):
+            IsolatingInterval(iv.a, iv.b, iv.m, iv.poly, True)
+
+    def test_certificate_is_not_part_of_the_value(self):
+        iv = isolate_real_roots(poly(-2, 0, 1), 1, 2)[0]
+        bare = replace(iv)
+        assert iv.certified and not bare.certified
+        assert iv == bare and hash(iv) == hash(bare) and repr(iv) == repr(bare)
+
+    def test_two_signs_only_inside_the_certified_box(self):
+        # (x - 1)(x - 2)(x - 3): inside the certified box around 2 the end signs decide; (0, 4) reaches past it,
+        # holds three roots and has opposite end signs, so it gets the Sturm test
+        p = sym(sp(-1, 1) * sp(-2, 1) * sp(-3, 1))
+        iv = next(iv for iv in isolate_real_roots(p) if iv.lo < 2 < iv.hi)
+        assert iv.certified and p.sign_at(0) * p.sign_at(4) < 0
+        assert isolates_inside(iv, 0, 1, 4, 1) is isolates_at(p, 0, 1, 4, 1) is False
+        assert isolates_inside(iv, iv.a, iv.m, iv.b, iv.m) is True
+        assert isolates_inside(iv, 2, 1, iv.b, iv.m) is False  # an end at the root
+        with pytest.raises(ValueError, match="need lo < hi"):
+            isolates_inside(iv, iv.b, iv.m, iv.a, iv.m)
+
 
 class TestNonRationalRefused:
     @pytest.mark.parametrize(
