@@ -10,6 +10,7 @@ from pathlib import Path
 
 from trisym.cases import enumerate_cases
 from trisym.coeffs import coefficients_for_case
+from trisym.errors import TrisymError
 from trisym.serialize import encode_case, envelope, to_json
 
 
@@ -19,7 +20,10 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
 
-    cases = enumerate_cases(args.max_rank)
+    try:
+        cases = enumerate_cases(args.max_rank)
+    except TrisymError as exc:
+        ap.error(str(exc))  # argparse's usage exit, code 2
     payload = {
         "max_rank": args.max_rank,
         "cases": [encode_case(c, coefficients_for_case(c)) for c in cases],

@@ -566,16 +566,26 @@ def make_case(selector: str, **params: int) -> SpaceCase:
     return fam.case(given)
 
 
+# the ambient-rank bound `find_cases` searches when none is given
+SELECTOR_MAX_RANK = 12
+
+
+def _max_rank(value) -> int:
+    """``value`` as a catalog bound on the ambient rank: an int of at least 1."""
+    if require_int(value, "max_rank") < 1:
+        raise TrisymError(f"max_rank must be >= 1, not {value}")
+    return value
+
+
 def enumerate_cases(max_rank: int) -> list[SpaceCase]:
     """Every catalog entry with ambient rank <= max_rank, each exactly once."""
-    if require_int(max_rank, "max_rank") < 1:
-        raise ValueError("max_rank must be >= 1")
+    max_rank = _max_rank(max_rank)
     return [fam.case(p) for fam in FAMILIES.values() for p in fam.points(max_rank)]
 
 
-def find_cases(selector: str, max_rank: int = 12, **params: int) -> list[SpaceCase]:
+def find_cases(selector: str, max_rank: int = SELECTOR_MAX_RANK, **params: int) -> list[SpaceCase]:
     """Catalog entries matching a label/tag, filtered by any given parameters."""
-    require_int(max_rank, "max_rank")
+    max_rank = _max_rank(max_rank)
     fam, given = _resolve(selector, params)
     if all(n in given for n in fam.names):
         return [fam.case(given)]

@@ -3,7 +3,10 @@
 Subcommands: list (catalog), dims (coefficient data for one case), solve
 (Einstein metrics for a case or a raw coefficient triple), verify (the
 check suites). Exit codes: 0 success, 1 usage error, 2 verification
-failure, 3 internal integrity error.
+failure, 3 internal integrity error. Every refusal is a TrisymError, from
+the library or from the CLI's own rules, and main alone reports it:
+"usage error: <reason>" with exit 1, or for an IntegrityError
+"integrity error: <reason>" with exit 3.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import functools
 import sys
 from fractions import Fraction
 
-from .cases import enumerate_cases, find_cases
+from .cases import SELECTOR_MAX_RANK, enumerate_cases, find_cases
 from .coeffs import coefficients_for_case
 from .checks import SCOPES, run_checks
 from .einstein import refine_solution, solve_case, solve_einstein, verify_solution
 from .errors import IntegrityError, NotApplicable, TrisymError
+from .polysolve import exact_rational
 from .serialize import (
     encode_case,
     encode_fraction,
@@ -33,24 +37,10 @@ EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_INTEGRITY = 3
 
-# search bound of case selectors when --max-rank is not given
-_SELECTOR_MAX_RANK = 12
-
-
-class _UsageError(Exception):
-    pass
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 on usage problems, not argparse's 2
-        raise _UsageError(message)
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"not a rational number: {text!r} ({exc})")
+        raise TrisymError(message)
 
 
 def _decimal_str(value: Fraction, digits: int) -> str:
@@ -67,16 +57,13 @@ def _decimal_str(value: Fraction, digits: int) -> str:
 
 def _resolve_case(args):
     params = {k: getattr(args, k, None) for k in ("l", "i", "j", "k")}
-    max_rank = _SELECTOR_MAX_RANK if args.max_rank is None else args.max_rank
-    try:
-        matches = find_cases(args.case, max_rank=max_rank, **params)
-    except TrisymError as exc:
-        raise _UsageError(str(exc))
+    max_rank = SELECTOR_MAX_RANK if args.max_rank is None else args.max_rank
+    matches = find_cases(args.case, max_rank=max_rank, **params)
     if not matches:
-        raise _UsageError(f"no catalog entry matches {args.case!r} with {params}")
+        raise TrisymError(f"no catalog entry matches {args.case!r} with {params}")
     if len(matches) > 1:
         opts = ", ".join(m.describe() for m in matches[:8])
-        raise _UsageError(
+        raise TrisymError(
             f"ambiguous selector {args.case!r}: matches {len(matches)} entries ({opts}, ...); "
             "pass --l/--i/--j (or --k for A-II)"
         )
@@ -89,13 +76,11 @@ def _add_case_args(p):
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="A-II alias: l = 2k - 1")
     p.add_argument(
-        "--max-rank", type=int, default=None, help=f"search bound for parameter-free selectors (default {_SELECTOR_MAX_RANK})"
+        "--max-rank", type=int, default=None, help=f"search bound for parameter-free selectors (default {SELECTOR_MAX_RANK})"
     )
 
 
 def _cmd_list(args) -> int:
-    if args.max_rank < 1:
-        raise _UsageError("--max-rank must be >= 1")
     cases = enumerate_cases(args.max_rank)
     if args.format == "json":
         payload = {"max_rank": args.max_rank, "cases": [encode_case(c) for c in cases]}
@@ -162,10 +147,10 @@ def _solution_rows(solutions, digits: int):
 def _cmd_solve(args) -> int:
     digits = args.digits
     if digits < 1 or digits > 50:
-        raise _UsageError("--digits must be in 1..50")
-    tol = _fraction(args.tol)
+        raise TrisymError("--digits must be in 1..50")
+    tol = exact_rational(args.tol, "--tol")
     if tol <= 0:
-        raise _UsageError("--tol must be positive")
+        raise TrisymError("--tol must be positive")
     width = Fraction(1, 10 ** (digits + 3))
     if args.a:
         case_inputs = [repr(args.case)] if args.case else []
@@ -173,18 +158,12 @@ def _cmd_solve(args) -> int:
         if args.max_rank is not None:
             case_inputs.append("--max-rank")
         if case_inputs:
-            raise _UsageError(f"--a solves a raw triple; it cannot be combined with {', '.join(case_inputs)}")
-        a = tuple(_fraction(t) for t in args.a)
-        try:
-            sols = solve_einstein(a)
-        except IntegrityError:
-            raise  # a certification failure, not a bad triple: exit 3
-        except TrisymError as exc:
-            raise _UsageError(str(exc))
-        label = None
+            raise TrisymError(f"--a solves a raw triple; it cannot be combined with {', '.join(case_inputs)}")
+        a = tuple(exact_rational(t, "--a") for t in args.a)
+        sols, label = solve_einstein(a), None
     else:
         if not args.case:
-            raise _UsageError("pass a case selector or --a p/q p/q p/q")
+            raise TrisymError("pass a case selector or --a p/q p/q p/q")
         case = _resolve_case(args)
         try:
             result = solve_case(case)
@@ -273,18 +252,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (IntegrityError,) as exc:
+    except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
     except TrisymError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -59,8 +59,17 @@ class TestEnumeration:
         assert len(keys) == len(set(keys))
 
     def test_max_rank_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TrisymError, match="^max_rank must be >= 1, not 0$"):
             enumerate_cases(0)
+
+    @pytest.mark.parametrize("selector,max_rank", [("A-III", 0), ("E7-II", -1)])
+    def test_find_cases_applies_the_same_bound(self, selector, max_rank):
+        with pytest.raises(TrisymError) as want:
+            enumerate_cases(max_rank)
+        with pytest.raises(TrisymError) as got:
+            find_cases(selector, max_rank=max_rank)
+        assert type(got.value) is type(want.value) is TrisymError
+        assert str(got.value) == str(want.value) == f"max_rank must be >= 1, not {max_rank}"
 
 
 # entries per family, recorded before the families were declared in one place

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from trisym import cli, einstein, polysolve, surd
+from trisym import cases, cli, einstein, polysolve, surd
 from trisym.cases import enumerate_cases
+from trisym.errors import IntegrityError
 
 
 def run_cli(*args):
@@ -154,7 +155,12 @@ class TestSolve:
         assert res.returncode == 1
 
     @pytest.mark.parametrize(
-        "tol,message", [("0", "--tol must be positive"), ("-1/2", "--tol must be positive"), ("abc", "not a rational number")]
+        "tol,message",
+        [
+            ("0", "--tol must be positive"),
+            ("-1/2", "--tol must be positive"),
+            pytest.param("abc", "--tol 'abc' is not a rational number", id="abc-not a rational number"),
+        ],
     )
     @pytest.mark.parametrize("selector", [("--a", "1/7", "2/9", "3/11"), ("E7-II",)])
     def test_bad_tolerance_rejected_before_solving(self, tol, message, selector, monkeypatch, capsys):
@@ -255,7 +261,14 @@ class TestParser:
         assert built == []
 
     def test_in_process_sequence_matches_fresh_processes(self, capsys):
-        argvs = ["solve --a x 1/3 1/5", "solve E6-II --format json", "list --max-rank 0", "solve E7-II --digits 4"]
+        argvs = [
+            "solve --a x 1/3 1/5",
+            "solve E6-II --format json",
+            "list --max-rank 0",
+            "dims A-III --max-rank 0",
+            "solve --a 1/2 3/4 1/4",
+            "solve E7-II --digits 4",
+        ]
         for argv in argvs:
             code = cli.main(argv.split())
             out, err = capsys.readouterr()
@@ -264,6 +277,23 @@ class TestParser:
 
 
 class TestUsage:
+    """Every refusal, the library's or the CLI's own, is a TrisymError that main alone reports."""
+
+    @pytest.mark.parametrize(
+        "argv", [["dims", "A-III", "--max-rank", "0"], ["solve", "A-III", "--l", "2", "--i", "1", "--j", "2", "--max-rank", "0"]]
+    )
+    def test_selector_bound_is_the_catalog_rule(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "usage error: max_rank must be >= 1, not 0\n"
+
+    def test_integrity_failure_while_selecting_exits_3(self, monkeypatch, capsys):
+        def broken(case):
+            raise IntegrityError(f"{case.describe()}: bookkeeping does not close")
+
+        monkeypatch.setattr(cases, "case_dims", broken)
+        assert cli.main(["dims", "E7-II"]) == 3
+        assert capsys.readouterr().err == "integrity error: E7-II: bookkeeping does not close\n"
+
     def test_unknown_command(self):
         res = run_cli("frobnicate")
         assert res.returncode == 1

@@ -31,6 +31,13 @@ def test_build_catalog_writes_file(tmp_path):
     assert json.loads(out.read_text())["payload"]["max_rank"] == 2
 
 
+def test_build_catalog_refuses_a_bad_bound_as_usage():
+    res = run_script("build_catalog.py", "--max-rank", "0")
+    assert res.returncode == 2  # argparse's usage exit
+    assert "error: max_rank must be >= 1, not 0" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
 def test_reproduce_results_runs():
     res = run_script("reproduce_results.py", "--digits", "4")
     assert res.returncode == 0
