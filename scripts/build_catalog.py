@@ -8,7 +8,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from trisym.cases import enumerate_cases
+from trisym.cases import LIST_MAX_RANK, enumerate_cases
 from trisym.coeffs import coefficients_for_case
 from trisym.errors import TrisymError
 from trisym.serialize import encode_case, envelope, to_json
@@ -16,7 +16,7 @@ from trisym.serialize import encode_case, envelope, to_json
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-rank", type=int, default=8)
+    ap.add_argument("--max-rank", type=int, default=LIST_MAX_RANK)
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
 

@@ -568,6 +568,8 @@ def make_case(selector: str, **params: int) -> SpaceCase:
 
 # the ambient-rank bound `find_cases` searches when none is given
 SELECTOR_MAX_RANK = 12
+# the ambient-rank bound of `trisym list` and `scripts/build_catalog.py` when none is given
+LIST_MAX_RANK = 8
 
 
 def _max_rank(value) -> int:

@@ -16,10 +16,10 @@ import functools
 import sys
 from fractions import Fraction
 
-from .cases import SELECTOR_MAX_RANK, enumerate_cases, find_cases
+from .cases import LIST_MAX_RANK, SELECTOR_MAX_RANK, enumerate_cases, find_cases
 from .coeffs import coefficients_for_case
-from .checks import SCOPES, run_checks
-from .einstein import refine_solution, solve_case, solve_einstein, verify_solution
+from .checks import CHECK_SEED, SCOPES, run_checks
+from .einstein import CERTIFICATION_TOL, refine_solution, solve_case, solve_einstein, verify_solution
 from .errors import IntegrityError, NotApplicable, TrisymError
 from .polysolve import exact_rational
 from .serialize import (
@@ -224,7 +224,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     lp = sub.add_parser("list", parents=[], help="enumerate the catalog")
-    lp.add_argument("--max-rank", type=int, default=8)
+    lp.add_argument("--max-rank", type=int, default=LIST_MAX_RANK)
     lp.add_argument("--format", choices=("json", "table", "csv"), default="table")
     lp.set_defaults(fn=_cmd_list)
 
@@ -239,13 +239,13 @@ def _build_parser() -> _Parser:
     _add_case_args(sp)
     sp.add_argument("--a", nargs=3, metavar="p/q", default=None, help="solve a raw coefficient triple")
     sp.add_argument("--digits", type=int, default=6, help="display precision")
-    sp.add_argument("--tol", default="1/100000000000000000000", help="certification tolerance (rational)")
+    sp.add_argument("--tol", default=CERTIFICATION_TOL, help="certification tolerance (rational)")
     sp.add_argument("--format", choices=("json", "text"), default="text")
     sp.set_defaults(fn=_cmd_solve)
 
     vp = sub.add_parser("verify", help="run the verification suites")
     vp.add_argument("scope", choices=tuple(SCOPES))
-    vp.add_argument("--seed", type=int, default=42)
+    vp.add_argument("--seed", type=int, default=CHECK_SEED)
     vp.add_argument("--format", choices=("json", "text"), default="text")
     vp.set_defaults(fn=_cmd_verify)
     return p

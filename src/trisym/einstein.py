@@ -32,7 +32,7 @@ Branches:
     eliminant by Sturm bisection, and back-substitute through num/den, in
     integers (``_link_x2_interval``). The system is invariant under swapping
     x2, x3 together with a2, a3, so the x2 eliminant is the x3 eliminant of
-    (a1, a3, a2), read off the same rows with x2 and x3 swapped. Roots where
+    (a1, a3, a2), on the rows of the numerators (n1, n3, n2). Roots where
     the pivot den vanishes (a single rational point) are handled by solving
     the two univariate quadratics there exactly. Every other positive root
     gives the real solution (1, num/den, x3): x2 = num/den solves F2 = F3, and then
@@ -78,8 +78,8 @@ so each later link decides its x2 box by two end signs inside the given one
 
 Verification works on the cleared form, in integers. For positive x,
 r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
-quadratic form in (x1, x2, x3), its coefficients combined once per system
-from F_i = P_i + a_i Q_i, whose integer parts are read off ``_cleared`` once.
+quadratic form in (x1, x2, x3), written once per system as the difference of
+L F_i = L x_j x_k + n_i (x_i^2 - x_j^2 - x_k^2), n_i = L a_i (``_scaled_form``).
 A box is written as integer numerators [A_u, B_u] over one denominator D.
 Every monomial x_s x_t scaled by D^2 is monotone in the numerators, so
 G = L D^2 (F_i - F_j) over the box lies between the sums taking, for each
@@ -104,7 +104,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import ClassVar, Optional, Union
 
 from .cases import SpaceCase
@@ -140,6 +140,8 @@ _BRANCH_ORDER = {BRANCH_STANDARD: 0, BRANCH_PAIR_LINEAR: 1, BRANCH_PAIR_SUM: 2, 
 # iteration budgets of the certification loops (each step refines an interval)
 _LINK_STEPS = 400
 _VERIFY_STEPS = 200
+# the default tolerance of ``verify_solution``, and of `trisym solve --tol`
+CERTIFICATION_TOL = Fraction(1, 10**20)
 
 
 @dataclass(frozen=True)
@@ -238,48 +240,26 @@ def ricci_coefficients(a, x):
     return tuple(_ricci(a, x, i) for i in range(3))
 
 
-def _cleared(a, x, i: int):
-    """F_i = 2 x1 x2 x3 r_i = x_j x_k + a_i (x_i^2 - x_j^2 - x_k^2); any ring values, no division."""
-    j, k = [t for t in range(3) if t != i]
-    return x[j] * x[k] + a[i] * (x[i] * x[i] - x[j] * x[j] - x[k] * x[k])
-
-
 # the monomials x_s x_t of a quadratic form in (x1, x2, x3), and the pairs (i, j) of r_i - r_j
 _MONOMIALS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _form_coefficients(f) -> tuple[int, ...]:
-    """Coefficients over ``_MONOMIALS`` of the quadratic form ``f``, by polarization.
-
-    x_s^2 has coefficient f(e_s), and x_s x_t has f(e_s + e_t) - f(e_s) - f(e_t).
-    """
-
-    def at(*indices):  # f at the sum of the unit vectors e_s, s in indices
-        return f(tuple(indices.count(u) for u in range(3)))
-
-    sq = [at(s) for s in range(3)]
-    return tuple(sq[s] if s == t else at(s, t) - sq[s] - sq[t] for s, t in _MONOMIALS)
+def _scaled_form(scale: int, n, i: int) -> tuple[int, ...]:
+    """L F_i = L x_j x_k + n_i (x_i^2 - x_j^2 - x_k^2) over ``_MONOMIALS``, for n_i = L a_i; x_j x_k is the (3 + i)th."""
+    return tuple(n[i] if t == i else -n[i] for t in range(3)) + tuple(scale if t == i else 0 for t in range(3))
 
 
-# F_i = P_i + a_i Q_i: the integer coefficients of P_i and Q_i over _MONOMIALS, read off _cleared
-_AFFINE_PARTS = tuple(
-    (
-        _form_coefficients(lambda x: _cleared((0, 0, 0), x, i)),
-        _form_coefficients(lambda x: _cleared((1, 1, 1), x, i) - _cleared((0, 0, 0), x, i)),
-    )
-    for i in range(3)
-)
-# per pair (i, j) of _PAIRS, the coefficients of P_i, Q_i, P_j and Q_j at each monomial
-_ROW_PARTS = tuple((i, j, tuple(zip(*_AFFINE_PARTS[i], *_AFFINE_PARTS[j]))) for i, j in _PAIRS)
+def _rows(scale: int, n) -> tuple[tuple[int, ...], ...]:
+    """The integer coefficients of L (F_i - F_j) over ``_MONOMIALS``, for each (i, j) of ``_PAIRS``."""
+    forms = [_scaled_form(scale, n, i) for i in range(3)]
+    return tuple(tuple(map(sub, forms[i], forms[j])) for i, j in _PAIRS)
 
 
-def _difference_rows(a) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(L, rows): L the lcm of the denominators of the rational triple ``a``, and for
-    each of ``_PAIRS`` the integer coefficients of L (F_i - F_j) = L (P_i - P_j) +
-    n_i Q_i - n_j Q_j over ``_MONOMIALS``, where n_i = L a_i."""
+def _difference_rows(a) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(L, n, rows): L the lcm of the denominators of the rational triple ``a``, n_i = L a_i, and ``_rows(L, n)``."""
     n, scale = integer_numerators(a)
-    return scale, tuple(tuple(scale * (p - q) + n[i] * u - n[j] * v for p, u, q, v in parts) for i, j, parts in _ROW_PARTS)
+    return scale, tuple(n), _rows(scale, n)
 
 
 def _residual_enclosure(system: EinsteinSystem, boxes) -> tuple[bool, int, int]:
@@ -348,22 +328,24 @@ def _validate_a(a) -> tuple[Fraction, Fraction, Fraction]:
 class EinsteinSystem:
     """r1 = r2 = r3 for one coefficient triple, prepared once for solve, refine and verify.
 
-    Building it validates ``a`` and reads ``scale`` = L and the ``rows`` of
-    L (F_i - F_j) (``_difference_rows``); ``odd`` is the index of the unpaired
-    coefficient (0 when all are equal, -1 when all are distinct). Only the
-    all-distinct branch reads, derived on first use, the ``pivot`` (num, den)
-    with x2 = num / den (``_pivot``) and the square-free eliminants in x3 and in x2.
+    Building it validates ``a`` and reads ``scale`` = L, the ``numerators``
+    n_i = L a_i and the ``rows`` of L (F_i - F_j) (``_difference_rows``); ``odd``
+    is the index of the unpaired coefficient (0 when all are equal, -1 when all
+    are distinct). Only the all-distinct branch reads, derived on first use, the
+    ``pivot`` (num, den) with x2 = num / den (``_pivot``) and the square-free
+    eliminants in x3 and in x2.
     """
 
     a: tuple[Fraction, Fraction, Fraction]
     scale: int = field(init=False)
+    numerators: tuple[int, int, int] = field(init=False)
     rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     odd: int = field(init=False)
 
     def __post_init__(self):
         a = _validate_a(self.a)
         odd = 0 if a[1] == a[2] else 1 if a[0] == a[2] else 2 if a[0] == a[1] else -1  # k whose other two are equal
-        for name, value in zip(("a", "scale", "rows", "odd"), (a, *_difference_rows(a), odd)):
+        for name, value in zip(("a", "scale", "numerators", "rows", "odd"), (a, *_difference_rows(a), odd)):
             object.__setattr__(self, name, value)  # the fields of a frozen dataclass, set once
 
     @cached_property
@@ -376,7 +358,8 @@ class EinsteinSystem:
 
     @cached_property
     def x2(self) -> Polynomial:
-        rows = _swapped_rows(self.rows)  # x2 is the x3 eliminant of (a1, a3, a2)
+        n1, n2, n3 = self.numerators  # x2 is the x3 eliminant of (a1, a3, a2)
+        rows = _rows(self.scale, (n1, n3, n2))
         return _eliminant(rows, _pivot(rows), "x2")
 
 
@@ -411,7 +394,7 @@ def _exact_solutions(system: EinsteinSystem, metrics) -> list:
 
 
 def _solutions_all_equal(system: EinsteinSystem) -> list:
-    n, m = system.a[0].numerator, system.a[0].denominator
+    n, m = system.numerators[0], system.scale
     big, small = (m - 2 * n, 0), (2 * n, 0)  # 1 - 2a and 2a over m, for a = n / m
     rotations = [] if m in (2 * n, 4 * n) else [[big, small, small], [small, big, small], [small, small, big]]
     return _exact_solutions(system, [(BRANCH_STANDARD, 0, [(1, 0)] * 3)] + [(BRANCH_PAIR_LINEAR, 0, r) for r in rotations])
@@ -420,7 +403,7 @@ def _solutions_all_equal(system: EinsteinSystem) -> list:
 def _solutions_equal_pair(system: EinsteinSystem) -> list:
     k, scale = system.odd, system.scale
     i, j = [t for t in range(3) if t != k]
-    n_pair, n_odd = (system.a[t].numerator * (scale // system.a[t].denominator) for t in (i, k))  # a_t = n_t / scale
+    n_pair, n_odd = system.numerators[i], system.numerators[k]  # a_t = n_t / scale
 
     # branch x_i = x_j: (1 - 2 a_odd) r^2 - r + (a_pair + a_odd) = 0, r = x_i / x_k (linear when a_odd = 1/2),
     # scaled by L = scale; the roots of both branches are positive by the equal-pair lemma (module docstring)
@@ -441,20 +424,6 @@ def _solutions_equal_pair(system: EinsteinSystem) -> list:
 
 
 # -- generic branch (all coefficients distinct) ------------------------------
-
-# the index in _MONOMIALS of the image of each monomial under x2 <-> x3
-_SWAP_X2_X3 = (0, 2, 1, 3, 5, 4)
-
-
-def _swapped_rows(rows):
-    """The rows of ``_difference_rows((a1, a3, a2))`` from those of a.
-
-    With x2, x3 swapped and a2, a3 swapped, F1 stays and F2, F3 trade places,
-    so the pairs (1, 2), (1, 3), (2, 3) become (1, 3), (1, 2) and minus (2, 3).
-    """
-    r12, r13, r23 = (tuple(r[i] for i in _SWAP_X2_X3) for r in rows)
-    return r13, r12, tuple(-c for c in r23)
-
 
 def _forms(rows) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """L (F1 - F3) and L (F2 - F3) at x1 = 1 as the integer (A, B, (c,)) of A(x3) + B(x3) x2 + c x2^2."""
@@ -615,7 +584,7 @@ def refine_solution(sol: EinsteinSolution, width) -> EinsteinSolution:
     return replace(sol, x=_tighten(sol._own_system, sol.x, (width.numerator, width.denominator)))
 
 
-def verify_solution(a, sol: EinsteinSolution, tol=Fraction(1, 10**20)) -> bool:
+def verify_solution(a, sol: EinsteinSolution, tol=CERTIFICATION_TOL) -> bool:
     """Certified check that ``sol`` solves the Einstein system to tolerance ``tol`` > 0.
 
     Exact coordinates are checked by F1 = F2 = F3 in integers, every time

@@ -10,6 +10,7 @@ import time
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -154,12 +155,11 @@ class TestPositiveConstant:
             assert all(c.interval.lo > 0 for c in s.x[1:])
             s = refine_solution(s, tol)
             assert verify_solution(a, s, tol)
-            # r_1 = F_1 / (2 x1 x2 x3), and q F_1 = q P_1 + p Q_1 for a_1 = p / q has integer
-            # coefficients; over a box with numerators over one denominator D, q D^2 F_1 is
+            # r_1 = F_1 / (2 x1 x2 x3), and q F_1 = q x2 x3 + p (x1^2 - x2^2 - x3^2) for a_1 = p / q has
+            # integer coefficients; over a box with numerators over one denominator D, q D^2 F_1 is
             # at least the sum taking each monomial at its lower corner when its coefficient
             # is positive and at its upper corner otherwise; so that sum > 0 gives r_1 > 0
-            free, slope = einstein._AFFINE_PARTS[0]
-            coeffs = [a[0].denominator * u + a[0].numerator * v for u, v in zip(free, slope)]
+            coeffs = einstein._scaled_form(a[0].denominator, (a[0].numerator, 0, 0), 0)
             nums, _ = integer_numerators([s.x[0], s.x[0]] + [e for c in s.x[1:] for e in (c.interval.lo, c.interval.hi)])
             lo, hi = nums[0::2], nums[1::2]
             corner = [lo if c > 0 else hi for c in coeffs]
@@ -322,7 +322,6 @@ class TestGenericBranch:
     def test_eliminants_match_sympy_resultants(self):
         # an independent exact oracle: the monic square-free part of sympy's
         # resultant of F1 - F3 and F2 - F3 (x1 = 1) in x2, and in x3
-        sympy = pytest.importorskip("sympy")
         x2, x3 = sympy.symbols("x2 x3")
 
         def oracle(a, eliminate, keep):
@@ -365,7 +364,7 @@ class TestGenericBranch:
                 triples.add(tuple(t))
         for a in sorted(triples):
             e = EinsteinSystem(a)
-            for rows, got in ((e.rows, e.x3), (einstein._swapped_rows(e.rows), e.x2)):
+            for rows, got in ((e.rows, e.x3), (EinsteinSystem((a[0], a[2], a[1])).rows, e.x2)):
                 num, den = einstein._pivot(rows)
                 A, B, c = (Polynomial(part) for part in einstein._forms(rows)[1])
                 assert got == squarefree_part(resultant((A, B, c), Polynomial(num), Polynomial(den))), a
@@ -374,7 +373,6 @@ class TestGenericBranch:
         # the x2 lemma: every positive root x3 of the resultant in x2 of
         # F1 - F3 and F2 - F3 (x1 = 1) is one positive solution, except
         # x3 = 1 when a2 = 1/2, the point (1, 0, 1); sympy is the exact oracle
-        sympy = pytest.importorskip("sympy")
         x2, x3 = sympy.symbols("x2 x3")
         rng = random.Random(12)
 
@@ -715,10 +713,10 @@ class TestResidualKernel:
         assert F(n, d) == max(abs(v) for v in ricci_differences(a, x))
 
 
-def cleared_reference(a, x) -> bool:
-    """F1 = F2 = F3 by ``_cleared`` in ``QuadraticSurd`` arithmetic: the field definition."""
-    f1, f2, f3 = (einstein._cleared(a, x, i) for i in range(3))
-    return f1 == f2 == f3
+def field_reference(a, x) -> bool:
+    """r1 = r2 = r3 by ``_ricci`` in ``QuadraticSurd`` arithmetic: the field definition."""
+    r1, r2, r3 = (einstein._ricci(a, x, i) for i in range(3))
+    return r1 == r2 == r3
 
 
 HALF = F(1, 2)
@@ -761,7 +759,7 @@ def exact_solutions(a):
 
 
 def solves_exactly(a, x):
-    return einstein._solves_exactly(einstein._difference_rows(a)[1], x)
+    return einstein._solves_exactly(einstein._difference_rows(a)[2], x)
 
 
 class TestExactCheck:
@@ -773,7 +771,7 @@ class TestExactCheck:
         assume(sols)
         for x in sols:
             assert solves_exactly(a, x) is True
-            assert cleared_reference(a, x)
+            assert field_reference(a, x)
 
     @given(exact_triples(), st.data())
     def test_perturbed_coordinate_fails(self, a, data):
@@ -791,7 +789,7 @@ class TestExactCheck:
         # (1, 11/10, 1) for a = 5/21, so compare with all of them after normalizing
         assume(all(y[1] / y[0] != z[1] or y[2] / y[0] != z[2] for z in sols))
         assert solves_exactly(a, tuple(y)) is False
-        assert cleared_reference(a, tuple(y)) is False
+        assert field_reference(a, tuple(y)) is False
 
     @given(exact_triples().filter(lambda a: len(set(a)) < 3), st.data())
     def test_perturbed_odd_coefficient_fails(self, a, data):
@@ -800,7 +798,7 @@ class TestExactCheck:
         perturbed = tuple(v - F(1, 10**12) if t == k else v for t, v in enumerate(a))
         for x in exact_solutions(a):
             assert solves_exactly(perturbed, x) is False
-            assert cleared_reference(perturbed, x) is False
+            assert field_reference(perturbed, x) is False
 
     @given(exact_a.filter(lambda v: v not in (F(1, 4), HALF)), st.data())
     def test_rational_part_alone_does_not_certify(self, a, data):
@@ -809,7 +807,7 @@ class TestExactCheck:
         u, v = data.draw(st.permutations(exact_solutions((a,) * 3)))[:2]
         x = tuple(make_quadratic(s, t, 2) for s, t in zip(u, v))
         assert solves_exactly((a,) * 3, x) is False
-        assert cleared_reference((a,) * 3, x) is False
+        assert field_reference((a,) * 3, x) is False
 
     def test_no_field_arithmetic(self, monkeypatch):
         cases = [(a, solve_einstein(a)) for a in [(F(4, 15), F(1, 5), F(1, 5)), (F(2, 9),) * 3, (F(1, 4), F(1, 4), F(1, 6))]]
@@ -1016,7 +1014,6 @@ class TestIntegerExactBranches:
     def test_four_metrics_and_the_grid_oracle_finds_four(self):
         # two sum-branch metrics lie near the linear one at (1, 1, 0.744), within about one cell of the float
         # grid; polished from its cell centres alone, the grid oracle found 3. The radicands hang trial division
-        sympy = pytest.importorskip("sympy")
         a_pair, a_odd = F(87400, 470533), F(4567, 18408)
         a = (a_pair, a_pair, a_odd)
         with mock.patch.object(surd, "squarefree_decompose", _square_part_only):
@@ -1106,9 +1103,22 @@ class TestIntervalSolutionAsGiven:
 
 
 class TestDifferenceRows:
-    @given(st.tuples(kernel_a, kernel_a, kernel_a))
-    def test_swapped_rows_are_those_of_the_swapped_triple(self, a):
-        assert einstein._swapped_rows(einstein._difference_rows(a)[1]) == einstein._difference_rows((a[0], a[2], a[1]))[1]
+    @given(st.tuples(kernel_a, kernel_a, kernel_a).filter(lambda a: len(set(a)) == 3))
+    def test_x2_eliminant_is_the_x3_eliminant_of_the_swapped_triple(self, a):
+        assert EinsteinSystem(a).x2 == EinsteinSystem((a[0], a[2], a[1])).x3
+
+    @given(st.tuples(kernel_a, kernel_a, kernel_a), st.tuples(positive_x, positive_x, positive_x))
+    def test_each_row_is_its_ricci_difference(self, a, x):
+        # row (i, j) at x is L (F_i - F_j) = 2 L x1 x2 x3 (r_i - r_j), for a and, on the numerators the x2
+        # eliminant reads, for (a1, a3, a2)
+        e = EinsteinSystem(a)
+        n1, n2, n3 = e.numerators
+        assert e.rows == einstein._rows(e.scale, e.numerators)
+        for b, rows in ((a, e.rows), ((a[0], a[2], a[1]), einstein._rows(e.scale, (n1, n3, n2)))):
+            r = [einstein._ricci(b, x, i) for i in range(3)]
+            for row, (i, j) in zip(rows, einstein._PAIRS):
+                value = sum(c * x[s] * x[t] for c, (s, t) in zip(row, einstein._MONOMIALS))
+                assert value == 2 * e.scale * x[0] * x[1] * x[2] * (r[i] - r[j])
 
     @pytest.mark.parametrize(
         "a", [(F(1, 4), F(1, 8), F(7, 24)), (F(1, 6), F(1, 8), F(5, 24)), (F(4, 15), F(1, 5), F(1, 5)), (F(2, 9),) * 3]
@@ -1144,7 +1154,7 @@ class TestDifferenceRows:
         for s in sols:
             assert verify_solution(a, refine_solution(s, F(1, 10**30)), F(1, 10**30))
         rows = sols[0].system.rows
-        assert len(sols) == 2 and seen == [rows, einstein._swapped_rows(rows)]
+        assert len(sols) == 2 and seen == [rows, EinsteinSystem((a[0], a[2], a[1])).rows]
 
 
 def reference_link(e, iv3, enclosing=None, width=None):

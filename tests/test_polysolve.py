@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from math import ceil, floor, gcd, isqrt, prod
 
 import pytest
+import sympy
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -29,7 +30,6 @@ from trisym.polysolve import (
     sturm_sequence,
 )
 
-sympy = pytest.importorskip("sympy")
 
 # the independent reference: sympy polynomials over QQ, the field of fractions
 X = sympy.Symbol("x")
