@@ -24,20 +24,19 @@ Branches:
     integers (P_u + Q_u sqrt d) / R over their quadratic's radicand d: each is
     normalized to x1 = 1, certified once, deduplicated and ordered in integers
     (``_exact_solutions``), and only then is one ``Fraction`` built per number.
-  * all distinct: set x1 = 1, read G1 = L (F1-F3) and G2 = L (F2-F3) off the
-    system's integer rows (L the lcm of the denominators of a), cancel
-    their x2^2 terms to get a relation x2 * den(x3) = num(x3) with den linear,
-    eliminate x2 by substituting num/den into G2 (the eliminant
-    den^2 G2(num/den)), isolate the positive real roots of the squarefree
-    eliminant by Sturm bisection, and back-substitute through num/den, in
-    integers (``_link_x2_interval``). The system is invariant under swapping
-    x2, x3 together with a2, a3, so the x2 eliminant is the x3 eliminant of
-    (a1, a3, a2), on the rows of the numerators (n1, n3, n2). Roots where
-    the pivot den vanishes (a single rational point) are handled by solving
-    the two univariate quadratics there exactly. Every other positive root
-    gives the real solution (1, num/den, x3): x2 = num/den solves F2 = F3, and then
-    den x2 - num = c2 G1 - c1 G2 with c2 = L (a2 + a3) > 0 gives F1 = F3. By
-    the x2 lemma its x2 is positive, except at x3 = 1 when a2 = 1/2 (skipped).
+  * all distinct: set x1 = 1, read G1 = L (F1-F3) and G2 = L (F2-F3) off the system's integer rows (L the lcm of
+    the denominators of a), cancel their x2^2 terms to get a relation x2 * den(x3) = num(x3) with den linear,
+    eliminate x2 by substituting num/den into G2 (the eliminant den^2 G2(num/den)), isolate the positive real roots
+    of the squarefree eliminant by Sturm bisection, and back-substitute through num/den, in integers
+    (``_link_x2_interval``). The system is invariant under swapping x2, x3 together with a2, a3, so the x2 eliminant
+    is the x3 eliminant of (a1, a3, a2), on the rows of the numerators (n1, n3, n2). A positive root x3 with
+    den(x3) != 0 gives the real solution (1, num/den, x3): x2 = num/den solves F2 = F3, and then
+    den x2 - num = c2 G1 - c1 G2 with c2 = L (a2 + a3) > 0 gives F1 = F3. By the x2 lemma its x2 is positive,
+    except at x3 = 1 when a2 = 1/2 (skipped). At the pivot point, the root xi of den = (-L (n1 + n2), L (n2 + n3)),
+    so xi = (a1 + a2)/(a2 + a3), num(xi) is a nonzero multiple of (a1 + a2)(a1 - a3)(2 (a1 + a2 + a3) - 1): the
+    eliminant, c2 num(xi)^2 at xi, vanishes there exactly when a1 + a2 + a3 = 1/2, and then c2 G1 - c1 G2 vanishes
+    identically at xi, so the solutions there are the roots of one integer quadratic, d1^2 G2(xi, x2) for
+    d1 = L (n2 + n3) (``_pivot_solutions``), and xi is divided out of the eliminant.
 
 Every positive solution has a positive Einstein constant, because a_i <= 1/2:
 let x_i be the largest coordinate; then x_i^2 - x_j^2 - x_k^2 >= -min(x_j, x_k)^2,
@@ -115,14 +114,12 @@ from .polysolve import (
     IsolatingInterval,
     Polynomial,
     bisect_root,
-    deflate_endpoint_roots,
     exact_rational,
     int_mul,
     integer_numerators,
     isolate_real_roots,
     isolates_at,
     isolates_inside,
-    poly_gcd,
     root_box,
     squarefree_part,
     with_certificate,
@@ -425,10 +422,10 @@ def _solutions_equal_pair(system: EinsteinSystem) -> list:
 
 # -- generic branch (all coefficients distinct) ------------------------------
 
-def _forms(rows) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """L (F1 - F3) and L (F2 - F3) at x1 = 1 as the integer (A, B, (c,)) of A(x3) + B(x3) x2 + c x2^2."""
+def _forms(rows) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """L (F1 - F3) and L (F2 - F3) at x1 = 1 as the integer (A, B, c) of A(x3) + B(x3) x2 + c x2^2."""
     # rows (0, 2) and (1, 2) of _difference_rows; over _MONOMIALS, A is x1^2, x1 x3, x3^2; B x1 x2, x2 x3; c x2^2
-    return tuple(((r[0], r[4], r[2]), (r[5], r[3]), (r[1],)) for r in rows[1:])
+    return tuple(((r[0], r[4], r[2]), (r[5], r[3]), r[1]) for r in rows[1:])
 
 
 def _pivot(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -436,7 +433,7 @@ def _pivot(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Both keep the common scale of the rows, since reducing each one to its primitive part would change their ratio.
     """
-    (A1, B1, (c1,)), (A2, B2, (c2,)) = _forms(rows)
+    (A1, B1, c1), (A2, B2, c2) = _forms(rows)
     # cancel x2^2: c2 L (F1 - F3) - c1 L (F2 - F3) = den(x3) x2 - num(x3)
     den = tuple(c2 * u - c1 * v for u, v in zip(B1, B2))
     num = tuple(c1 * u - c2 * v for u, v in zip(A2, A1))
@@ -449,7 +446,7 @@ def _eliminant(rows, pivot, name: str) -> Polynomial:
     """The square-free part of den^2 L (F2 - F3) at x2 = num/den, a polynomial in x3, for (num, den) = ``pivot``:
     den^2 A + den num B + c num^2 for L (F2 - F3) = A + B x2 + c x2^2 (``_forms``), on the integer tuples."""
     num, den = pivot
-    A, B, (c,) = _forms(rows)[1]
+    A, B, c = _forms(rows)[1]
     parts = zip(int_mul(int_mul(den, den), A), int_mul(int_mul(den, num), B), int_mul(num, num))
     elim = Polynomial([u + v + c * w for u, v, w in parts])
     if elim.is_zero:
@@ -457,16 +454,17 @@ def _eliminant(rows, pivot, name: str) -> Polynomial:
     return squarefree_part(elim)
 
 
-def _pivot_solutions_at(system: EinsteinSystem, xi3: Fraction) -> list:
-    """Exact solutions sitting at the rational pivot point x3 = xi3, if any, as ``_exact_solutions`` gives them."""
-    g = poly_gcd(*(Polynomial(Polynomial(part)(xi3) for part in f) for f in _forms(system.rows)))
-    if g.degree < 1:
-        return []
-    (c0, c1, c2), m = integer_numerators(g[t] for t in range(3))  # linear when g has degree 1
-    d, roots = integer_roots_of_quadratic(c2, c1, c0, m)
-    # every real root y is positive by the x2 lemma, since xi3 != 1 when a1 != a3
-    num, den = xi3.numerator, xi3.denominator
-    metrics = [(BRANCH_GENERIC, d, [(r * den, 0), (p * den, q * den), (r * num, 0)]) for p, q, r in roots]
+def _pivot_solutions(system: EinsteinSystem) -> list:
+    """The exact solutions at the pivot point x3 = xi = -d0 / d1 of den = (d0, d1), as ``_exact_solutions`` gives them.
+
+    On a1 + a2 + a3 = 1/2, c2 G1 - c1 G2 = den x2 - num vanishes identically at xi (module docstring), so they are the
+    roots x2 of d1^2 G2(xi, x2); each real one is positive by the x2 lemma, since xi != 1 when a1 != a3.
+    """
+    d0, d1 = system.pivot[1]  # d1 = L (n2 + n3) > 0
+    (A0, A1, A2), (B0, B1), c = _forms(system.rows)[1]
+    lead = c * d1 * d1  # also the scale: the radicand is read off the monic quadratic
+    d, roots = integer_roots_of_quadratic(lead, (B0 * d1 - B1 * d0) * d1, A0 * d1 * d1 - A1 * d0 * d1 + A2 * d0 * d0, lead)
+    metrics = [(BRANCH_GENERIC, d, [(r * d1, 0), (p * d1, q * d1), (-r * d0, 0)]) for p, q, r in roots]
     return _exact_solutions(system, metrics)
 
 
@@ -536,11 +534,9 @@ def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing:
 
 
 def _solutions_generic(system: EinsteinSystem) -> list:
-    den = system.pivot[1]
-    xi = Fraction(-den[0], den[1])  # the pivot point of the back-substitution, the one rational root of den
     out, remaining = [], system.x3
-    if remaining.sign_at(xi) == 0:
-        out, remaining = _pivot_solutions_at(system, xi), deflate_endpoint_roots(remaining, xi, None)
+    if 2 * sum(system.numerators) == system.scale:  # a1 + a2 + a3 = 1/2: the x3 eliminant vanishes at the pivot point
+        out, remaining = _pivot_solutions(system), remaining.exact_div(Polynomial(system.pivot[1]))
 
     for iv3 in isolate_real_roots(remaining, 0, None):
         if system.a[1] == HALF and iv3.a < iv3.m < iv3.b:

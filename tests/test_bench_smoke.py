@@ -28,12 +28,15 @@ def workloads():
         ("sweep-pair", ((F(1, 8), F(1, 8), F(3, 10)), 10)),
         # a2 = 1/2: the x3 eliminant has a root isolated around 1, the point (1, 0, 1) the solver skips
         ("sweep-generic", ((F(1, 4), F(1, 2), F(1, 1000)), 300)),
+        # a1 + a2 + a3 = 1/2: two exact metrics at the pivot point of the generic branch, beside two intervals
+        pytest.param("catalog-solve", "A-III --l 5 --i 1 --j 3", id="catalog-solve-A-III-l5-i1-j3"),
     ],
 )
 def test_one_op_passes_its_check(workloads, name, args):
     workload = workloads.WORKLOADS[name]
     if name == "catalog-solve":
-        op = workload._op(args, ())
+        label, *flags = args.split()
+        op = workload._op(label, [(k.removeprefix("--"), v) for k, v in zip(flags[::2], flags[1::2])])
     else:
         op = workloads.Op(workloads._triple_label(*args), args)
     out = workload.run(op)

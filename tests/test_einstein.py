@@ -366,13 +366,16 @@ class TestGenericBranch:
             e = EinsteinSystem(a)
             for rows, got in ((e.rows, e.x3), (EinsteinSystem((a[0], a[2], a[1])).rows, e.x2)):
                 num, den = einstein._pivot(rows)
-                A, B, c = (Polynomial(part) for part in einstein._forms(rows)[1])
-                assert got == squarefree_part(resultant((A, B, c), Polynomial(num), Polynomial(den))), a
+                A, B, c = einstein._forms(rows)[1]
+                forms = (Polynomial(A), Polynomial(B), Polynomial((c,)))
+                assert got == squarefree_part(resultant(forms, Polynomial(num), Polynomial(den))), a
 
     def test_counts_match_sympy_resultant(self):
         # the x2 lemma: every positive root x3 of the resultant in x2 of
         # F1 - F3 and F2 - F3 (x1 = 1) is one positive solution, except
-        # x3 = 1 when a2 = 1/2, the point (1, 0, 1); sympy is the exact oracle
+        # x3 = 1 when a2 = 1/2, the point (1, 0, 1), and except the pivot
+        # point xi = (a1 + a2)/(a2 + a3), where the solutions are the common
+        # positive roots x2 of F1 - F3 and F2 - F3; sympy is the exact oracle
         x2, x3 = sympy.symbols("x2 x3")
         rng = random.Random(12)
 
@@ -388,7 +391,13 @@ class TestGenericBranch:
                     t[pos] = edge
                     triples.append(tuple(t))
         triples += [(rand(), F(1, 2), rand()) for _ in range(20)]
+        while len(triples) < 100:  # a1 + a2 + a3 = 1/2 over one even q: when distinct, the pivot point is a root
+            q = 2 * rng.randint(5, 10 ** rng.randint(1, 6) // 2)
+            n1 = rng.randint(1, q // 2 - 2)
+            n2 = rng.randint(1, q // 2 - 1 - n1)
+            triples.append((F(n1, q), F(n2, q), F(q // 2 - n1 - n2, q)))
         checked = {True: 0, False: 0}  # by a2 == 1/2
+        locus = 0
         for a in triples:
             if len(set(a)) < 3:
                 continue
@@ -396,14 +405,17 @@ class TestGenericBranch:
             f1 = x2 * x3 + a1 * (1 - x2**2 - x3**2)
             f2 = x3 + a2 * (x2**2 - 1 - x3**2)
             f3 = x2 + a3 * (x3**2 - 1 - x2**2)
-            res = sympy.Poly(sympy.resultant(f1 - f3, f2 - f3, x2), x3, domain=sympy.QQ)
-            if res.eval((a1 + a2) / (a2 + a3)) == 0:
-                continue  # a root at the pivot may lift to a complex x2
-            positive = sum(1 for r in res.sqf_part().real_roots() if r > 0)
+            res = sympy.Poly(sympy.resultant(f1 - f3, f2 - f3, x2), x3, domain=sympy.QQ).sqf_part()
+            xi = (a1 + a2) / (a2 + a3)
+            positive = sum(1 for r in res.real_roots() if r > 0 and r != xi)
+            if res.eval(xi) == 0:
+                common = sympy.Poly(sympy.gcd((f1 - f3).subs(x3, xi), (f2 - f3).subs(x3, xi)), x2, domain=sympy.QQ)
+                positive += sum(1 for r in common.sqf_part().real_roots() if r > 0)
+                locus += 1
             half = a[1] == F(1, 2)
             assert len(solve_einstein(a)) == positive - half, a
             checked[half] += 1
-        assert checked[True] >= 20 and checked[False] >= 20
+        assert checked[True] >= 20 and checked[False] >= 20 and locus >= 20
 
     def test_a_validation(self):
         with pytest.raises(TrisymError):
@@ -1139,6 +1151,16 @@ class TestDifferenceRows:
         for s in sols:
             assert verify_solution(a, refine_solution(s, F(1, 10**30)), F(1, 10**30))
         assert [len(seen) for seen in calls.values()] == [1, 1]
+
+    @given(st.one_of(st.tuples(admissible_a, admissible_a, admissible_a), exact_triples()).filter(lambda a: len(set(a)) == 3))
+    @example((F(1, 5), F(1, 6), F(2, 15)))
+    def test_pivot_point_in_closed_form(self, a):
+        # den = (-L (n1 + n2), L (n2 + n3)), so xi = (a1 + a2)/(a2 + a3), a root of the x3 eliminant exactly when
+        # a1 + a2 + a3 = 1/2
+        e = EinsteinSystem(a)
+        n1, n2, n3 = e.numerators
+        assert e.pivot[1] == (-e.scale * (n1 + n2), e.scale * (n2 + n3))
+        assert (e.x3.sign_at((a[0] + a[1]) / (a[1] + a[2])) == 0) == (sum(a) == HALF)
 
     def test_pivot_once_per_row_set(self, monkeypatch):
         # one (num, den) for the rows, read by the x3 eliminant and the link, and one for the swapped rows of x2
