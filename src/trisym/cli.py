@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -263,5 +264,19 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> int:
+    """``main`` as the ``trisym`` command runs it: a reader that closes stdout early ends it with exit 1, quietly.
+
+    Python flushes stdout once more at exit, so the rest of stdout goes to ``os.devnull``, where that cannot fail.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -70,10 +70,12 @@ Each triple is prepared once, as an ``EinsteinSystem`` that validates a and
 reads the rows of L (F_i - F_j) (below); solve, refine and verify share it,
 and every solution of the solver carries it. ``_tighten`` takes an interval
 solution one step, one x2 link through the solution's own system (a hand-built
-one has none: ``IntegrityError``): ``refine_solution`` takes it once and
-``verify_solution`` once per round. The solver's intervals are ``certified``,
-so each later link decides its x2 box by two end signs inside the given one
-(``polysolve.isolates_inside``), and ``verify_solution`` re-checks none of them.
+one has none: ``IntegrityError``): ``refine_solution`` takes it once, x3 and x2
+below the width, and ``verify_solution`` once per round, x3 alone sized. The
+solver's intervals are ``certified``, so each later link decides its x2 box by
+two end signs inside the given one (``polysolve.isolates_inside``), with no
+Sturm chain (the solver drops its eliminants'), and ``verify_solution``
+re-checks none of them.
 
 Verification works on the cleared form, in integers. For positive x,
 r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
@@ -88,8 +90,9 @@ excludes 0 the residual is certifiably nonzero; otherwise
 ``residual_bound`` is that bound at a solution's midpoint, derived on first
 read. The enclosure overestimates linearly in the box width (Moore, *Interval
 Analysis*, 1966), so a verification round sizes its step from it, in
-integers: the widest width w with bound B becomes w min(1/8, tol / (4 B)), one
-unreduced integer pair, and one round usually certifies. An exact solution is
+integers: the x3 width w with bound B becomes w min(1/8, tol / (4 B)), one
+unreduced integer pair. x2 = num/den over that x3 box shrinks with it, so one
+round and one link iteration usually certify. An exact solution is
 checked on the same rows, in integers with sqrt d kept symbolic: once when the
 solver builds it, and once per ``verify_solution`` (``_solves_exactly``).
 
@@ -113,7 +116,7 @@ from .intervals import eval_poly_range
 from .polysolve import (
     IsolatingInterval,
     Polynomial,
-    bisect_root,
+    RootBisection,
     exact_rational,
     int_mul,
     integer_numerators,
@@ -205,10 +208,6 @@ def _format_widths(widths: dict[str, Fraction]) -> str:
     return ", ".join(f"{name} {Decimal(w.numerator) / Decimal(w.denominator):.3e}" for name, w in widths.items())
 
 
-def _coordinate_widths(x) -> dict[str, Fraction]:
-    return {f"x{i + 1}": c.interval.width for i, c in enumerate(x) if isinstance(c, RootCoordinate)}
-
-
 def _interval_boxes(x) -> list[tuple[int, int, int]]:
     """Rational x1 and interval x2, x3 as integer boxes (A, B, D), 0 < A <= B over D > 0; else ``TrisymError``."""
     if isinstance(x[0], (RootCoordinate, QuadraticSurd)) or not all(isinstance(c, RootCoordinate) for c in x[1:]):
@@ -273,8 +272,9 @@ def _residual_enclosure(system: EinsteinSystem, boxes) -> tuple[bool, int, int]:
     mono_hi = [hi[s] * hi[t] for s, t in _MONOMIALS]
     excludes_zero, g_max = False, 0
     for row in system.rows:  # each term at the end of its monomial that makes it least, and greatest
-        g_lo = sum(c * (m_lo if c > 0 else m_hi) for c, m_lo, m_hi in zip(row, mono_lo, mono_hi))
-        g_hi = sum(c * (m_hi if c > 0 else m_lo) for c, m_lo, m_hi in zip(row, mono_lo, mono_hi))
+        g_lo = g_hi = 0
+        for c, u, v in zip(row, mono_lo, mono_hi):
+            g_lo, g_hi = (g_lo + c * u, g_hi + c * v) if c > 0 else (g_lo + c * v, g_hi + c * u)
         excludes_zero = excludes_zero or g_lo > 0 or g_hi < 0
         g_max = max(g_max, g_hi, -g_lo)
     # |r_i - r_j| = |F_i - F_j| / (2 x1 x2 x3) <= (g_max / (scale common^2)) / (2 lo1 lo2 lo3 / common^3)
@@ -474,30 +474,30 @@ def _below(u: tuple[int, int], v: tuple[int, int]) -> bool:
 
 
 def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing: Optional[IsolatingInterval] = None,
-                      width: Optional[tuple[int, int]] = None) -> tuple[IsolatingInterval, IsolatingInterval]:
+                      width: Optional[tuple[int, int]] = None,
+                      narrow: bool = True) -> tuple[IsolatingInterval, IsolatingInterval]:
     """Refine x3 until it is positive and num/den certifies one positive root of the x2 polynomial.
 
     Returns (x2 interval, refined x3 interval). The x2 polynomial is the x2 eliminant, or ``enclosing.poly`` when
     ``enclosing`` is given: a given x2 interval is certified on its own polynomial, and its box clips the x2
-    enclosure. With ``width`` = (wn, wd), x3 is first bisected below wn / wd inside its own box, and the x2 enclosure
-    must be at most that wide. No sign test is needed: x2 is positive by the x2 lemma, and a nonpositive x2 would
-    fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
+    enclosure. With ``width`` = (wn, wd), x3 is first bisected below wn / wd inside its own box, and when ``narrow``
+    the x2 enclosure must be at most that wide. No sign test is needed: x2 is positive by the x2 lemma, and a
+    nonpositive x2 would fail ``0 < lo`` until ``_LINK_STEPS`` ran out.
 
     For intervals the solver made, the clip never binds: ``enclosing`` is num/den over an x3 box containing ``iv3``,
     and the range of num/den is inclusion isotone. It guards hand-built solutions; an empty clip raises at once,
     since by that isotonicity no smaller x3 box can reopen it.
 
-    The loop runs in integers, on the box of ``iv3``, [A, B] over M: ``root_box`` checks its ends once, and each
-    iteration that fails halves it twice with ``bisect_root`` (which carves around an exact dyadic hit), visiting
-    the boxes ``refine_root(iv3, iv3.width / 4)`` would return. The exact range of num/den (``eval_poly_range``),
-    the clip and the width are pairs (numerator, positive denominator). The first link tests the range by the x2
-    polynomial's Sturm chain (``isolates_at``), a later one by ``isolates_inside``: two end signs when ``enclosing``
-    is certified. The x2 box is returned certified, the x3 box when ``iv3`` is; only errors build ``Fraction``s.
+    The loop runs in integers on the box of ``iv3``, [A, B] over M, in one ``RootBisection`` (``root_box`` checks its
+    ends once): each failed iteration halves it twice more, carving around an exact dyadic hit, through the boxes
+    ``refine_root(iv3, iv3.width / 4)`` would return. The exact range of num/den (``eval_poly_range``), the clip and
+    the width are pairs (numerator, positive denominator). The first link tests the range by the x2 polynomial's
+    Sturm chain (``isolates_at``), a later one by ``isolates_inside``: two end signs when ``enclosing`` is certified.
+    The x2 box is returned certified, the x3 box when ``iv3`` is; only errors build ``Fraction``s.
     """
-    p3 = iv3.poly
-    A, B, M, s3 = root_box(iv3)
-    if width is not None:
-        A, B, M = bisect_root(p3, s3, A, B, M, *width)
+    p3, (A, B, M, s3) = iv3.poly, root_box(iv3)
+    bisection = RootBisection(p3, s3, A, B, M)
+    A, B, M = bisection.box if width is None else bisection.to_width(*width)
     p2 = system.x2 if enclosing is None else enclosing.poly
     num, den = system.pivot
     x2 = None
@@ -521,16 +521,14 @@ def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing:
                 lo, hi = clip_lo, clip_hi
             x2 = lo, hi
             # hi - lo <= width, as (hi_n lo_d - lo_n hi_d) / (lo_d hi_d)
-            narrow = width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width[1] <= width[0] * lo[1] * hi[1]
-            if 0 < A and 0 < lo[0] and _below(lo, hi) and narrow and (
+            fits = not narrow or width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width[1] <= width[0] * lo[1] * hi[1]
+            if 0 < A and 0 < lo[0] and _below(lo, hi) and fits and (
                     isolates_at(p2, *lo, *hi) if enclosing is None else isolates_inside(enclosing, *lo, *hi)):
                 iv2 = with_certificate(IsolatingInterval(lo[0] * hi[1], hi[0] * lo[1], lo[1] * hi[1], p2))
                 return iv2, with_certificate(IsolatingInterval(A, B, M, p3), iv3.certified)
-        A, B, M = bisect_root(p3, s3, A, B, M, B - A, 4 * M)
-    widths = {"x3": Fraction(B - A, M)}
-    if x2 is not None:
-        widths["x2 enclosure"] = Fraction(*x2[1]) - Fraction(*x2[0])
-    raise _budget_exhausted("x2 back-substitution", _LINK_STEPS, widths)
+        A, B, M = bisection.halve(2, B - A, 4 * M)
+    x2_width = {} if x2 is None else {"x2 enclosure": Fraction(*x2[1]) - Fraction(*x2[0])}
+    raise _budget_exhausted("x2 back-substitution", _LINK_STEPS, {"x3": Fraction(B - A, M), **x2_width})
 
 
 def _solutions_generic(system: EinsteinSystem) -> list:
@@ -538,19 +536,23 @@ def _solutions_generic(system: EinsteinSystem) -> list:
     if 2 * sum(system.numerators) == system.scale:  # a1 + a2 + a3 = 1/2: the x3 eliminant vanishes at the pivot point
         out, remaining = _pivot_solutions(system), remaining.exact_div(Polynomial(system.pivot[1]))
 
+    polys = [system.x3]
     for iv3 in isolate_real_roots(remaining, 0, None):
         if system.a[1] == HALF and iv3.a < iv3.m < iv3.b:
             continue  # the point (1, 0, 1), the one root with x2 = 0 (x2 lemma)
         iv2, iv3 = _link_x2_interval(system, iv3)
+        polys += (iv2.poly, iv3.poly)
         x = (Fraction(1), RootCoordinate(iv2), RootCoordinate(iv3))
         approx = tuple((iv.a + iv.b, 2 * iv.m) for iv in (iv2, iv3))  # the midpoints
         out.append((approx, EinsteinSolution(x=x, branch=BRANCH_GENERIC, system=system)))
+    for p in polys:  # kept solutions carry no Sturm chain; a carve or an uncertified box builds one again
+        p.drop_sturm_chain()
     return out
 
 
-def _tighten(system: EinsteinSystem, x, width: tuple[int, int]):
-    """``x`` with x3 refined below wn / wd, ``width`` = (wn, wd), and x2 re-linked in its interval; x1 kept as given."""
-    iv2, iv3 = _link_x2_interval(system, x[2].interval, x[1].interval, width)
+def _tighten(system: EinsteinSystem, x, width: tuple[int, int], narrow: bool = True):
+    """``x`` with x3 refined below ``width`` = (wn, wd) and x2 re-linked in its interval, as narrow when ``narrow``."""
+    iv2, iv3 = _link_x2_interval(system, x[2].interval, x[1].interval, width, narrow)
     return (x[0], RootCoordinate(iv2), RootCoordinate(iv3))
 
 
@@ -617,10 +619,9 @@ def verify_solution(a, sol: EinsteinSolution, tol=CERTIFICATION_TOL) -> bool:
                 if not iv.certified and not isolates_at(iv.poly, iv.a, iv.m, iv.b, iv.m):
                     raise IntegrityError(f"{name}: the given interval isolates no root of its polynomial")
             return True
-        (A2, B2, D2), (A3, B3, D3) = boxes[1:]  # the widest width w = wn / wd, then w min(1/8, tol d / (4 n))
-        wn, wd = (B2 - A2, D2) if (B2 - A2) * D3 >= (B3 - A3) * D2 else (B3 - A3, D3)
-        x = _tighten(sol._own_system, x, (wn, 8 * wd) if 2 * tn * d >= n * td else (wn * tn * d, wd * td * 4 * n))
-    raise _budget_exhausted("verification", _VERIFY_STEPS, _coordinate_widths(x))
+        wn, wd = boxes[2][1] - boxes[2][0], boxes[2][2]  # the x3 width w = wn / wd, then w min(1/8, tol d / (4 n))
+        x = _tighten(sol._own_system, x, (wn, 8 * wd) if 2 * tn * d >= n * td else (wn * tn * d, wd * td * 4 * n), False)
+    raise _budget_exhausted("verification", _VERIFY_STEPS, {f"x{u + 1}": x[u].interval.width for u in (1, 2)})
 
 
 @dataclass(frozen=True)
@@ -641,5 +642,4 @@ def solve_case(case: SpaceCase) -> CaseSolutions:
     if case.isomorphic_summands:
         raise NotApplicable(f"{case.describe()}: isotropy summands are isomorphic; the diagonal solver does not apply")
     data = coefficients_for_case(case)
-    sols = solve_einstein(data.a)
-    return CaseSolutions(case=case, a=data.a, solutions=tuple(sols))
+    return CaseSolutions(case=case, a=data.a, solutions=tuple(solve_einstein(data.a)))

@@ -24,7 +24,10 @@ cancels on its own), so -sign(b)^s prem(A, B) is a positive multiple of
 `squarefree_part`, the one square-free entry, runs the sequence of (p, p')
 once and keeps the part on p: when the sequence ends in a constant it is
 also the Sturm chain of the part, which keeps it, so each eliminant's
-sequence is computed once. `sturm_sequence` returns that chain, each element
+sequence is computed once. A chain is kept until `drop_sturm_chain`, which a
+caller that keeps a polynomial past its counts and isolations calls, and
+`_sturm_chain` builds a dropped one again on demand (for a carve, or a box
+with no certificate). `sturm_sequence` returns that chain, each element
 a positive multiple of the textbook one; a Sturm count reads only signs, so
 its counts are the textbook ones. Counting and isolation start from one box,
 `_end_box`, which puts -/+ the Cauchy bound, never a root, for an infinite end.
@@ -51,15 +54,18 @@ is such a box, reduced, so no ``Fraction`` is made between isolation and
 output. A midpoint that is an exact root gets a box of its own from `_carve`.
 `isolate_real_roots` stacks boxes with the variation counts at their ends, so
 the chain is evaluated once per midpoint. `root_box` checks the end signs of
-an interval's box, and `bisect_root` halves it in place, carving on a hit.
+an interval's box, and a `RootBisection` halves it in place, carving on a hit.
 Halving keeps b - a fixed over m 2^j for the entry denominator m, so it
-computes its halving count once and carries only the lower end; it scales the
-coefficients by powers of m once per call and applies the powers of two as
-shifts: the same points, signs and boxes as the homogenised sum, with one big
-multiplication per Horner step. `refine_root` is the two, and so is the
-solver's back-substitution loop. Elimination is by substitution: where one
-equation is linear in y, den * y = num, `resultant` puts y = num/den into
-the other and clears the denominator, in integers over one common
+carries only the lower end; it scales the coefficients by powers of m once
+per entry box and applies the powers of two as shifts: the same points, signs
+and boxes as the homogenised sum, with one big multiplication per Horner step.
+It is resumable: halved to a width (`to_width`, the halving count computed
+once) or by a given count (`halve`), it goes on from where it stopped.
+`refine_root` is `root_box` and one `bisect_root` (a bisection to a width),
+and the solver's back-substitution loop is `root_box` and one `RootBisection`
+that it halves twice per failed iteration. Elimination is by substitution:
+where one equation is linear in y, den * y = num, `resultant` puts y = num/den
+into the other and clears the denominator, in integers over one common
 denominator of the contents, with `int_mul` the integer polynomial product.
 Rationals become integer numerators over one denominator by
 `integer_numerators`, the one place that step is written.
@@ -235,6 +241,11 @@ class Polynomial:
             ints = sf.ints
             sf._chain = _remainder_sequence(ints, _derivative_ints(ints)) if len(ints) > 1 else (ints,)
         return sf._chain
+
+    def drop_sturm_chain(self) -> None:
+        """Forget the Sturm chain kept on the square-free part, if any; ``_sturm_chain`` builds it again on demand."""
+        if self._sf is not None:
+            self._sf._chain = None
 
 
 def _primitive(c: Sequence[int]) -> tuple[int, ...]:
@@ -545,37 +556,64 @@ def root_box(iv: IsolatingInterval) -> tuple[int, int, int, int]:
     return a, b, m, s_lo
 
 
-def bisect_root(p: Polynomial, s_lo: int, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int]:
-    """Halve the box [a/m, b/m] around the root of ``p`` in it until (b - a) / m <= wn / wd.
+class RootBisection:
+    """A root box [a/m, b/m] of ``p`` with ``s_lo`` the sign at a/m, halved on demand and resumed where it stopped.
 
-    ``s_lo`` is the sign of p at a/m, and p has the other sign at b/m. Halving
-    maps (a, b, m) to (2a, a + b, 2m) or (a + b, 2b, 2m), the dyadic points a
-    ``Fraction`` bisection would visit, and keeps the numerator width
-    delta = b - a over m 2^k. So the halving count K, the least k with
-    delta wd <= wn m 2^k, is computed once (from bit lengths and one check),
-    and only the lower numerator is carried. The k-th midpoint is
+    Halving maps (a, b, m) to (2a, a + b, 2m) or (a + b, 2b, 2m), the dyadic
+    points a ``Fraction`` bisection would visit, and keeps the numerator width
+    delta = b - a over m 2^k for the entry denominator m and the k halvings
+    made. So only the lower numerator is carried. The k-th midpoint is
     (2a + delta) / (m 2^k), where p has the sign of the sum of the
     e_i mid^i 2^(k (deg - i)), e_i = c_i m^(deg - i): the e_i are formed once
-    per call and the powers of two are shifts, one big multiplication per
-    Horner step. When a midpoint is itself a root, found exactly, the box
-    around it is carved by ``_carve`` from the box that midpoint halves.
-    Returns (a, a + delta, m 2^K); p keeps the sign ``s_lo`` at its lower end.
+    per entry box and the powers of two are shifts, one big multiplication
+    per Horner step. When a midpoint is itself a root, found exactly, the box
+    around it is carved by ``_carve`` from the box that midpoint halves, and
+    the carved box is the next entry box. p keeps the sign ``s_lo`` at the
+    lower end of every box.
     """
-    delta = b - a
-    over, under = delta * wd, wn * m
-    K = max(0, over.bit_length() - under.bit_length())  # over / under < 2^(K + 1), and > 2^(K - 1) if K > 0
-    if under << K < over:
-        K += 1
-    lead, *rest = [c * m ** j for j, c in enumerate(reversed(p.ints))]  # e_deg, e_(deg-1), ..., e_0
-    for k in range(1, K + 1):
-        mid = 2 * a + delta
-        acc = lead
-        for j, e in enumerate(rest, 1):
-            acc = acc * mid + (e << j * k)
-        if not acc:
-            return _carve(p, a, a + delta, m << (k - 1), wn, wd)
-        a = mid if (acc > 0) == (s_lo > 0) else 2 * a
-    return a, a + delta, m << K
+
+    __slots__ = ("poly", "s_lo", "a", "delta", "m", "k", "_e")
+
+    def __init__(self, p: Polynomial, s_lo: int, a: int, b: int, m: int):
+        self.poly, self.s_lo = p, s_lo
+        self._enter(a, b, m)
+
+    def _enter(self, a: int, b: int, m: int) -> tuple[int, int, int]:
+        self.a, self.delta, self.m, self.k = a, b - a, m, 0
+        self._e = [c * m**j for j, c in enumerate(reversed(self.poly.ints))]  # e_deg, e_(deg-1), ..., e_0
+        return a, b, m
+
+    @property
+    def box(self) -> tuple[int, int, int]:
+        return self.a, self.a + self.delta, self.m << self.k
+
+    def halve(self, count: int, wn: int, wd: int) -> tuple[int, int, int]:
+        """The box after ``count`` more halvings, or the box carved to width wn / wd around an exact hit."""
+        lead, *rest = self._e
+        a, delta, k = self.a, self.delta, self.k
+        for k in range(k + 1, k + count + 1):
+            mid = 2 * a + delta
+            acc = lead
+            for j, e in enumerate(rest, 1):
+                acc = acc * mid + (e << j * k)
+            if not acc:
+                return self._enter(*_carve(self.poly, a, a + delta, self.m << (k - 1), wn, wd))
+            a = mid if (acc > 0) == (self.s_lo > 0) else 2 * a
+        self.a, self.k = a, k
+        return self.box
+
+    def to_width(self, wn: int, wd: int) -> tuple[int, int, int]:
+        """Halve K times, the least K with delta wd <= wn d 2^K for the box's denominator d (bit lengths, one check)."""
+        over, under = self.delta * wd, wn * (self.m << self.k)
+        K = max(0, over.bit_length() - under.bit_length())  # over / under < 2^(K + 1), and > 2^(K - 1) if K > 0
+        if under << K < over:
+            K += 1
+        return self.halve(K, wn, wd)
+
+
+def bisect_root(p: Polynomial, s_lo: int, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int]:
+    """The root box [a/m, b/m] of ``p``, with the sign ``s_lo`` at a/m, bisected to width wn / wd (``RootBisection``)."""
+    return RootBisection(p, s_lo, a, b, m).to_width(wn, wd)
 
 
 def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .cases import SpaceCase
@@ -22,23 +23,40 @@ from .surd import QuadraticSurd
 SCHEMA_VERSION = "1.0"
 
 
+def _digits(n: int) -> str:
+    """``str(n)``; ``Decimal`` writes an int past the interpreter's int-to-str digit limit (4,300 by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def _ratio(n: int, d: int) -> str:
+    """The "p/q" form of n / d for integers with d > 0, reduced by one gcd."""
+    g = gcd(n, d)
+    return f"{_digits(n // g)}/{_digits(d // g)}"
+
+
 def encode_fraction(v: Fraction) -> str:
-    """The "p/q" form of the rational ``v`` (a float refused by name); ``Decimal`` writes ints past ``str``'s 4,300 digits."""
+    """The "p/q" form of the rational ``v``; a float is refused by name."""
     v = exact_rational(v, "value")
-    return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+    return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
 
 
 def encode_polynomial(p: Polynomial) -> list[str]:
-    return [encode_fraction(c) for c in p.coeffs]
+    """The coefficients of ``p`` = content * ints, each written from the integers c n over d for content n / d."""
+    n, d = p.content.numerator, p.content.denominator
+    return [_ratio(c * n, d) for c in p.ints]
 
 
 def encode_coordinate(c) -> dict[str, Any]:
     if isinstance(c, RootCoordinate):
+        iv = c.interval
         return {
             "type": "interval",
-            "lo": encode_fraction(c.interval.lo),
-            "hi": encode_fraction(c.interval.hi),
-            "poly": encode_polynomial(c.interval.poly),
+            "lo": _ratio(iv.a, iv.m),
+            "hi": _ratio(iv.b, iv.m),
+            "poly": encode_polynomial(iv.poly),
         }
     if isinstance(c, QuadraticSurd):
         return {

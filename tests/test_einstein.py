@@ -1194,9 +1194,9 @@ def reference_link(e, iv3, enclosing=None, width=None):
     raise AssertionError("reference link ran out of steps")
 
 
-def link_ends(e, iv3, enclosing=None, width=None):
+def link_ends(e, iv3, enclosing=None, width=None, narrow=True):
     pair = None if width is None else (width.numerator, width.denominator)  # the link takes a width as two ints
-    iv2, iv3 = einstein._link_x2_interval(e, iv3, enclosing, pair)
+    iv2, iv3 = einstein._link_x2_interval(e, iv3, enclosing, pair, narrow)
     return (iv2.lo, iv2.hi), (iv3.lo, iv3.hi)
 
 
@@ -1218,6 +1218,21 @@ class TestLink:
                 assert link_ends(e, start, iv2, width) == reference_link(e, start, iv2, width)
                 # given the width, the link bisects x3 below it itself
                 assert link_ends(e, iv3, iv2, width) == reference_link(e, start, iv2, width)
+
+    @pytest.mark.parametrize("a", [A, (F(1, 7), F(2, 9), F(3, 11)), *EDGE_TRIPLES[:6]])
+    def test_verification_link_sizes_x3_alone(self, a):
+        # a verification round bisects x3 below the width and links x2 from there with no width test: the reference
+        # link from the bisected box with no width, in one iteration (x3 is that box); it differs from the
+        # refinement link, which narrows x2 too, exactly when the x2 box is wider than the width
+        e = EinsteinSystem(a)
+        for s in solve_einstein(a):
+            iv2, iv3 = s.x[1].interval, s.x[2].interval
+            width = iv3.width / 2**30
+            start = refine_root(iv3, width)
+            got = link_ends(e, iv3, iv2, width, narrow=False)
+            assert got == reference_link(e, start, iv2) and got[1] == (start.lo, start.hi)
+            (lo, hi), _ = got
+            assert (hi - lo > width) is (got != link_ends(e, iv3, iv2, width))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_exact_dyadic_hit(self, k):

@@ -14,6 +14,7 @@ from trisym.errors import IntegrityError, TrisymError
 from trisym.polysolve import (
     IsolatingInterval,
     Polynomial,
+    RootBisection,
     bisect_root,
     cauchy_root_bound,
     count_real_roots,
@@ -882,6 +883,50 @@ class TestSharedKernels:
             got = bisect_root(p, p.sign_at(F(a, m)), a, a + 1, m, 1, 2**e)
             _assert_fraction_bisection(p, (a, a + 1, m), got, F(1, 2**e))
             assert F(got[0] + got[1], 2 * got[2]) == F(num, den)  # carved around the root
+
+    @staticmethod
+    def _resumed_is_fresh(p, s_lo, box, steps, widths=()):
+        """One ``RootBisection`` taken to each of ``widths``, then halved twice ``steps`` times as the x2 link halves
+        it, gives the boxes of fresh ``bisect_root`` calls on the box before each step; the steps' boxes are returned."""
+        resumed, seen = RootBisection(p, s_lo, *box), []
+        for wn, wd in widths:
+            box = bisect_root(p, s_lo, *box, wn, wd)
+            assert resumed.to_width(wn, wd) == box == resumed.box
+        for _ in range(steps):
+            quarter = box[1] - box[0], 4 * box[2]  # the width, and an exact hit's carve width, of the link's step
+            box = bisect_root(p, s_lo, *box, *quarter)
+            assert resumed.halve(2, *quarter) == box == resumed.box
+            seen.append(box)
+        return seen
+
+    @given(repeated_root_polys, st.integers(1, 40), st.integers(1, 12))
+    @example(poly(F(-3, 2), 2, 2), 1, 3)  # roots 1/2 and -3/2 at the midpoints of the second halving: carves
+    def test_resumed_bisection_is_fresh_bisect_root(self, p, bits, steps):
+        for iv in isolate_real_roots(p):
+            a, b, m, s_lo = root_box(iv)
+            self._resumed_is_fresh(iv.poly, s_lo, (a, b, m), steps, [(1, 2**bits)])
+
+    @pytest.mark.parametrize("bits", [60, 150, 300])
+    def test_resumed_bisection_at_depth(self, bits):
+        # the kernel tests' eliminant-sized quartics, entry boxes over 3 * 7 * 11 * 2^j, hundreds of halvings
+        for p, a, b, m, s_lo in _deep_boxes(_big_quartic(random.Random(bits), bits)):
+            self._resumed_is_fresh(p, s_lo, (a, b, m), 150, [(1, 2**7), (1, 2**60)])
+
+    def test_resumed_bisection_carves_an_exact_hit(self):
+        # the root a/m + t / (m 2^51), t odd, is the midpoint of halving 51: after the 8 halvings to 2^-20 it is the
+        # midpoint of the box of step 21 and is met in step 22, of two halvings each. The carved box is the next entry
+        # box, centred on the root, so every later step carves again
+        rng = random.Random(51)
+        m = 3 * 7 * 11 * 2**5
+        a, t = rng.randrange(m, 2 * m), rng.getrandbits(51) | 1
+        num, den = a * 2**51 + t, m * 2**51
+        p = sym(sp(-num, den) * sp(-rng.getrandbits(90) - 2**90, 0, 2**90 + 1) * sp(-(2**200 + 1), 2**199))
+        carves, carve = [], polysolve._carve
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polysolve, "_carve", lambda *args: carves.append(args) or carve(*args))
+            boxes = self._resumed_is_fresh(p, p.sign_at(F(a, m)), (a, a + 1, m), 30, [(1, 2**20)])
+        assert len(carves) == 2 * 9  # steps 22 to 30, in the fresh calls and in the resumed bisection alike
+        assert [F(lo + hi, 2 * k) == F(num, den) for lo, hi, k in boxes] == [False] * 20 + [True] * 10
 
     @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
     def test_bisect_root_stops_at_an_exact_hit(self, root, k, bits, c):

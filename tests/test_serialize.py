@@ -3,11 +3,14 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trisym.cases import make_case
 from trisym.coeffs import coefficients_for_case
-from trisym.einstein import refine_solution, solve_case, solve_einstein
+from trisym.einstein import RootCoordinate, refine_solution, solve_case, solve_einstein
 from trisym.errors import TrisymError
+from trisym.polysolve import IsolatingInterval, Polynomial
 from trisym.serialize import (
     SCHEMA_VERSION,
     encode_case,
@@ -43,6 +46,36 @@ def test_fraction_encoding_past_the_int_to_str_limit():
     n, d = encode_solution(sol)["residual_bound"].split("/")
     assert len(d) > 4300
     assert (int(Decimal(n)), int(Decimal(d))) == (sol.residual_bound.numerator, sol.residual_bound.denominator)
+
+
+def _fraction_path(iv) -> dict:
+    """An interval coordinate written through ``Fraction``s and ``Decimal``, as its ends and coefficients read."""
+
+    def written(v: F) -> str:
+        return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+
+    return {"type": "interval", "lo": written(iv.lo), "hi": written(iv.hi), "poly": [written(c) for c in iv.poly.coeffs]}
+
+
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(1, 10**40),
+    st.integers(1, 10**40),
+    st.lists(st.fractions(max_denominator=10**12), min_size=1, max_size=6).filter(any),
+)
+def test_interval_written_from_its_integers(a, width, m, coeffs):
+    # the ends a/m and b/m of a box and each coefficient c n / d of content n / d, reduced by one gcd each
+    iv = IsolatingInterval(a, a + width, m, Polynomial(coeffs))
+    assert encode_coordinate(RootCoordinate(iv)) == _fraction_path(iv)
+
+
+def test_integer_encoder_past_the_int_to_str_limit():
+    # ends and coefficients of about 6,000 digits, past the 4,300 that str() writes by default
+    big = 7**7100 + 1
+    iv = IsolatingInterval(big, big + 3, 3 * 7**7100, Polynomial((F(-big, 7**7099), F(1, 2 * 7**7098))))
+    doc = encode_coordinate(RootCoordinate(iv))
+    assert len(doc["lo"]) > 2 * 4300 and len(doc["poly"][0]) > 2 * 4300
+    assert doc == _fraction_path(iv)
 
 
 def test_coordinate_encodings_cover_all_kinds():
