@@ -73,9 +73,9 @@ solution one step, one x2 link through the solution's own system (a hand-built
 one has none: ``IntegrityError``): ``refine_solution`` takes it once, x3 and x2
 below the width, and ``verify_solution`` once per round, x3 alone sized. The
 solver's intervals are ``certified``, so each later link decides its x2 box by
-two end signs inside the given one (``polysolve.isolates_inside``), with no
-Sturm chain (the solver drops its eliminants'), and ``verify_solution``
-re-checks none of them.
+two end signs inside the given one (``polysolve.certify_box``), with no Sturm
+chain (the solver drops its eliminants'), and ``verify_solution`` re-checks
+none of them. Only ``polysolve`` issues certificates.
 
 Verification works on the cleared form, in integers. For positive x,
 r_i - r_j = (F_i - F_j) / (2 x1 x2 x3), and L (F_i - F_j) is an integer
@@ -117,15 +117,13 @@ from .polysolve import (
     IsolatingInterval,
     Polynomial,
     RootBisection,
+    certify_box,
     exact_rational,
     int_mul,
     integer_numerators,
     isolate_real_roots,
     isolates_at,
-    isolates_inside,
-    root_box,
     squarefree_part,
-    with_certificate,
 )
 from .surd import QuadraticSurd, exact_sign, integer_roots_of_quadratic, integer_sign, sqrt_midpoint
 
@@ -488,15 +486,14 @@ def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing:
     and the range of num/den is inclusion isotone. It guards hand-built solutions; an empty clip raises at once,
     since by that isotonicity no smaller x3 box can reopen it.
 
-    The loop runs in integers on the box of ``iv3``, [A, B] over M, in one ``RootBisection`` (``root_box`` checks its
-    ends once): each failed iteration halves it twice more, carving around an exact dyadic hit, through the boxes
+    The loop runs in integers on the box of ``iv3``, [A, B] over M, in one ``RootBisection`` (which checks its ends
+    once): each failed iteration halves it twice more, carving around an exact dyadic hit, through the boxes
     ``refine_root(iv3, iv3.width / 4)`` would return. The exact range of num/den (``eval_poly_range``), the clip and
-    the width are pairs (numerator, positive denominator). The first link tests the range by the x2 polynomial's
-    Sturm chain (``isolates_at``), a later one by ``isolates_inside``: two end signs when ``enclosing`` is certified.
-    The x2 box is returned certified, the x3 box when ``iv3`` is; only errors build ``Fraction``s.
+    the width are pairs (numerator, positive denominator). ``polysolve.certify_box`` decides the range: by the x2
+    polynomial's Sturm chain in the first link, by two end signs inside a certified ``enclosing`` in a later one. The
+    x2 box is returned certified, the x3 box when ``iv3`` is; only errors build ``Fraction``s.
     """
-    p3, (A, B, M, s3) = iv3.poly, root_box(iv3)
-    bisection = RootBisection(p3, s3, A, B, M)
+    bisection = RootBisection(iv3)
     A, B, M = bisection.box if width is None else bisection.to_width(*width)
     p2 = system.x2 if enclosing is None else enclosing.poly
     num, den = system.pivot
@@ -522,10 +519,8 @@ def _link_x2_interval(system: EinsteinSystem, iv3: IsolatingInterval, enclosing:
             x2 = lo, hi
             # hi - lo <= width, as (hi_n lo_d - lo_n hi_d) / (lo_d hi_d)
             fits = not narrow or width is None or (hi[0] * lo[1] - lo[0] * hi[1]) * width[1] <= width[0] * lo[1] * hi[1]
-            if 0 < A and 0 < lo[0] and _below(lo, hi) and fits and (
-                    isolates_at(p2, *lo, *hi) if enclosing is None else isolates_inside(enclosing, *lo, *hi)):
-                iv2 = with_certificate(IsolatingInterval(lo[0] * hi[1], hi[0] * lo[1], lo[1] * hi[1], p2))
-                return iv2, with_certificate(IsolatingInterval(A, B, M, p3), iv3.certified)
+            if 0 < A and 0 < lo[0] and _below(lo, hi) and fits and (iv2 := certify_box(lo, hi, p2, enclosing)):
+                return iv2, bisection.interval
         A, B, M = bisection.halve(2, B - A, 4 * M)
     x2_width = {} if x2 is None else {"x2 enclosure": Fraction(*x2[1]) - Fraction(*x2[0])}
     raise _budget_exhausted("x2 back-substitution", _LINK_STEPS, {"x3": Fraction(B - A, M), **x2_width})

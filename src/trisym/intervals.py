@@ -1,8 +1,8 @@
 """Exact range of a polynomial of degree at most 2 over a box, in integers.
 
 The box is [A/M, B/M], integer numerators over one positive denominator, the
-form ``polysolve.root_box`` writes and ``polysolve.bisect_root`` halves; the
-polynomial is given by integer coefficients. The range is taken from the endpoint values, plus the vertex
+form a ``polysolve.RootBisection`` halves; the polynomial is given by integer
+coefficients. The range is taken from the endpoint values, plus the vertex
 value when the vertex -c1 / (2 c2) lies in the box, so it is exact. The
 solver encloses x2 = num(x3) / den(x3) over an x3 box with it.
 """

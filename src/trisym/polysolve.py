@@ -39,13 +39,13 @@ signs at the two ends: the head vanishes exactly at the roots, and a
 square-free polynomial changes sign across its one simple root in an
 isolating interval. `isolates_at` is the same test at integer pairs
 (numerator, positive denominator). An interval carries that proof in its
-``certified`` flag, which only the code that proved it sets, through
-`with_certificate`: `isolate_real_roots`, `refine_root` of a certified
-interval, and the solver's back-substitution. A copy, a changed polynomial or
-a hand-built box is uncertified. Inside a certified box the test needs no
-chain: `isolates_inside` decides a sub-box [lo, hi] by the square-free part's
-signs at its two ends, since the box holds exactly one root and the part
-changes sign across it and nowhere else.
+``certified`` flag, which only this module sets, where it proved it:
+`isolate_real_roots`, a `RootBisection` of a certified interval, and
+`certify_box`. A copy, a changed polynomial or a hand-built box is
+uncertified. Inside a certified box the test needs no chain: `certify_box`
+decides a sub-box [lo, hi] by the square-free part's signs at its two ends,
+since the box holds exactly one root and the part changes sign across it and
+nowhere else.
 
 Isolation and refinement bisect one kind of box, integer numerators a < b
 over one denominator m, halved to (2a, a + b, 2m) or (a + b, 2b, 2m): the
@@ -53,17 +53,17 @@ dyadic points a ``Fraction`` bisection would visit. An `IsolatingInterval`
 is such a box, reduced, so no ``Fraction`` is made between isolation and
 output. A midpoint that is an exact root gets a box of its own from `_carve`.
 `isolate_real_roots` stacks boxes with the variation counts at their ends, so
-the chain is evaluated once per midpoint. `root_box` checks the end signs of
-an interval's box, and a `RootBisection` halves it in place, carving on a hit.
-Halving keeps b - a fixed over m 2^j for the entry denominator m, so it
-carries only the lower end; it scales the coefficients by powers of m once
-per entry box and applies the powers of two as shifts: the same points, signs
-and boxes as the homogenised sum, with one big multiplication per Horner step.
-It is resumable: halved to a width (`to_width`, the halving count computed
-once) or by a given count (`halve`), it goes on from where it stopped.
-`refine_root` is `root_box` and one `bisect_root` (a bisection to a width),
-and the solver's back-substitution loop is `root_box` and one `RootBisection`
-that it halves twice per failed iteration. Elimination is by substitution:
+the chain is evaluated once per midpoint. A `RootBisection` opens from an
+interval, checks the end signs of its box, halves the box in place, carving
+on a hit, and hands back its `interval`. Halving keeps b - a fixed over
+m 2^j for the entry denominator m, so it carries only the lower end; it
+scales the coefficients by powers of m once per entry box and applies the
+powers of two as shifts: the same points, signs and boxes as the homogenised
+sum, with one big multiplication per Horner step. It is resumable: halved to
+a width (`to_width`, the halving count computed once) or by a given count
+(`halve`), it goes on from where it stopped. `refine_root` is one
+`RootBisection` taken to a width, and the solver's back-substitution loop is
+one that it halves twice per failed iteration. Elimination is by substitution:
 where one equation is linear in y, den * y = num, `resultant` puts y = num/den
 into the other and clears the denominator, in integers over one common
 denominator of the contents, with `int_mul` the integer polynomial product.
@@ -351,20 +351,6 @@ def _variations_at(chain: Sequence[Sequence[int]], n: int, d: int) -> int:
     return _variations(_horner_sign(q, n, d) for q in chain)
 
 
-def deflate_endpoint_roots(p: Polynomial, lo: Optional[Fraction], hi: Optional[Fraction]) -> Polynomial:
-    """``p`` with its roots at the finite points among ``lo`` and ``hi`` divided out exactly.
-
-    Nudging an endpoint off a root instead, without a separation bound, could
-    move interior roots across it.
-    """
-    for pt in (lo, hi):
-        if pt is None:
-            continue
-        while not p.is_zero and p.degree >= 1 and p.sign_at(pt) == 0:
-            p = p.exact_div(Polynomial((-pt, 1)))
-    return p
-
-
 def _end_box(p: Polynomial, lo: Optional[RatLike], hi: Optional[RatLike]) -> tuple[Polynomial, int, int, int, int, int]:
     """(sf, a, b, m, v_a, v_b): the start of a root count or isolation of ``p`` in (lo, hi).
 
@@ -380,7 +366,10 @@ def _end_box(p: Polynomial, lo: Optional[RatLike], hi: Optional[RatLike]) -> tup
     hi = None if hi is None else exact_rational(hi, "bound")
     if lo is not None and hi is not None and not lo < hi:
         raise ValueError("degenerate interval: need lo < hi")
-    sf = deflate_endpoint_roots(squarefree_part(p), lo, hi)
+    sf = squarefree_part(p)
+    for pt in (lo, hi):  # a root at a finite end is divided out: nudging the end off it could move roots across it
+        if pt is not None and sf.sign_at(pt) == 0:
+            sf = sf.exact_div(Polynomial((-pt, 1)))  # once: sf is square-free
     if lo is None or hi is None:
         bound = cauchy_root_bound(sf)
         lo, hi = -bound if lo is None else lo, bound if hi is None else hi
@@ -438,8 +427,8 @@ class IsolatingInterval:
 
     Integers a < b over m > 0, reduced on construction so that equal fields mean equal values; the ``Fraction``s
     ``lo``, ``hi``, ``width`` and ``midpoint`` are derived on read, and ``of`` builds an interval from rational ends.
-    ``certified`` is the proof that the box isolates the root: set only by the kernels that proved it
-    (``with_certificate``), so construction, ``of`` and ``dataclasses.replace`` give an uncertified interval. It
+    ``certified`` is the proof that the box isolates the root: set only by this module's kernels that proved it
+    (``_with_certificate``), so construction, ``of`` and ``dataclasses.replace`` give an uncertified interval. It
     takes no part in equality, hashing or output.
     """
 
@@ -480,38 +469,44 @@ class IsolatingInterval:
         return Fraction(self.a + self.b, 2 * self.m)
 
 
-def with_certificate(iv: IsolatingInterval, proven: bool = True) -> IsolatingInterval:
-    """``iv``, an interval its caller has just built, marked ``certified`` when ``proven``: for the kernels only."""
+def _with_certificate(iv: IsolatingInterval, proven: bool = True) -> IsolatingInterval:
+    """``iv``, an interval its caller has just built, marked ``certified`` when ``proven``."""
     object.__setattr__(iv, "certified", proven)
     return iv
 
 
-def isolates_inside(iv: IsolatingInterval, lo_n: int, lo_d: int, hi_n: int, hi_d: int) -> bool:
-    """``isolates_at(iv.poly, lo_n, lo_d, hi_n, hi_d)``, by two end signs when ``iv`` is certified and holds [lo, hi].
+def certify_box(lo: tuple[int, int], hi: tuple[int, int], p: Polynomial,
+                enclosing: Optional[IsolatingInterval] = None) -> Optional[IsolatingInterval]:
+    """The certified interval (lo, hi) of ``p`` when it isolates a root of ``p``, else None.
 
-    A certified ``iv`` has exactly one root of ``poly`` in its box and none at its ends, so for [lo, hi] inside the
-    closed box a sign change of the square-free part between lo and hi puts that root inside; without one, the part,
-    which changes sign across each of its simple roots, has none in (lo, hi) or one at an end. Otherwise the full
-    Sturm test runs.
+    lo < hi are (numerator, positive denominator) pairs. A certified ``enclosing`` interval of ``p`` has exactly one
+    root of ``p`` in its box and none at its ends, so for [lo, hi] inside the closed box a sign change of the
+    square-free part between lo and hi puts that root inside; without one, the part, which changes sign across each
+    of its simple roots, has none in (lo, hi) or one at an end. Otherwise the Sturm test ``isolates_at`` decides.
     """
-    if not (iv.certified and iv.a * lo_d <= lo_n * iv.m and hi_n * iv.m <= iv.b * hi_d):
-        return isolates_at(iv.poly, lo_n, lo_d, hi_n, hi_d)
-    if not lo_n * hi_d < hi_n * lo_d:
+    (lo_n, lo_d), (hi_n, hi_d), e = lo, hi, enclosing
+    if not (e is not None and e.certified and e.poly is p and e.a * lo_d <= lo_n * e.m and hi_n * e.m <= e.b * hi_d):
+        proven = isolates_at(p, lo_n, lo_d, hi_n, hi_d)
+    elif not lo_n * hi_d < hi_n * lo_d:
         raise ValueError("degenerate interval: need lo < hi")
-    head = squarefree_part(iv.poly).ints
-    return _horner_sign(head, lo_n, lo_d) * _horner_sign(head, hi_n, hi_d) < 0
+    else:
+        head = squarefree_part(p).ints
+        proven = _horner_sign(head, lo_n, lo_d) * _horner_sign(head, hi_n, hi_d) < 0
+    return _with_certificate(IsolatingInterval(lo_n * hi_d, hi_n * lo_d, lo_d * hi_d, p)) if proven else None
 
 
-def _carve(p: Polynomial, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int]:
+def _carve(p: Polynomial, a: int, b: int, m: int, wn: int, wd: int, isolating: bool = False) -> tuple[int, int, int]:
     """(lo, hi, k): an isolating box [lo/k, hi/k] of ``p`` around its exact root (a + b) / (2m).
 
     The radius (b - a) / (2m) is halved, by doubling the denominator, at least
     once and until ``isolates_at`` holds and the width is at most wn / wd.
+    When [a/m, b/m] is ``isolating`` (a box carved before), so is every
+    smaller box centred on the root, and only the width is tested.
     """
     c, r, k = a + b, b - a, 2 * m
     while True:
         c, k = 2 * c, 2 * k
-        if 2 * r * wd <= wn * k and isolates_at(p, c - r, k, c + r, k):
+        if 2 * r * wd <= wn * k and (isolating or isolates_at(p, c - r, k, c + r, k)):
             return c - r, c + r, k
 
 
@@ -527,7 +522,7 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
     while stack:
         a, b, m, v_a, v_b = stack.pop()
         if v_a - v_b == 1:
-            out.append(with_certificate(IsolatingInterval(a, b, m, sf)))
+            out.append(_with_certificate(IsolatingInterval(a, b, m, sf)))
         elif v_a - v_b > 1:
             signs = [_horner_sign(q, a + b, 2 * m) for q in chain]
             if signs[0] == 0:
@@ -541,51 +536,48 @@ def isolate_real_roots(p: Polynomial, lo: Optional[RatLike] = None, hi: Optional
     return out
 
 
-def root_box(iv: IsolatingInterval) -> tuple[int, int, int, int]:
-    """(a, b, m, s): the box of ``iv``, integer numerators a < b over one m > 0, and the sign at a/m.
-
-    Raises ``IntegrityError`` unless ``iv.poly`` has nonzero, opposite signs
-    at the two ends.
-    """
-    ints, a, b, m = iv.poly.ints, iv.a, iv.b, iv.m
-    s_lo, s_hi = _horner_sign(ints, a, m), _horner_sign(ints, b, m)
-    if s_lo == 0 or s_hi == 0:
-        raise IntegrityError("isolating interval endpoints must not be roots")
-    if s_lo == s_hi:
-        raise IntegrityError("isolating interval endpoints must straddle the root")
-    return a, b, m, s_lo
-
-
 class RootBisection:
-    """A root box [a/m, b/m] of ``p`` with ``s_lo`` the sign at a/m, halved on demand and resumed where it stopped.
+    """An interval's box [a/m, b/m], halved on demand and resumed where it stopped; ``interval`` reads it back.
 
-    Halving maps (a, b, m) to (2a, a + b, 2m) or (a + b, 2b, 2m), the dyadic
-    points a ``Fraction`` bisection would visit, and keeps the numerator width
-    delta = b - a over m 2^k for the entry denominator m and the k halvings
-    made. So only the lower numerator is carried. The k-th midpoint is
-    (2a + delta) / (m 2^k), where p has the sign of the sum of the
-    e_i mid^i 2^(k (deg - i)), e_i = c_i m^(deg - i): the e_i are formed once
-    per entry box and the powers of two are shifts, one big multiplication
-    per Horner step. When a midpoint is itself a root, found exactly, the box
-    around it is carved by ``_carve`` from the box that midpoint halves, and
-    the carved box is the next entry box. p keeps the sign ``s_lo`` at the
-    lower end of every box.
+    Opening checks that ``poly`` has nonzero, opposite signs at the ends, the
+    sign ``s_lo`` at a/m kept at the lower end of every box, and the entry's
+    ``certified`` carries over. Halving maps (a, b, m) to (2a, a + b, 2m) or
+    (a + b, 2b, 2m), the dyadic points a ``Fraction`` bisection would visit,
+    and keeps the numerator width delta = b - a over m 2^k for the entry
+    denominator m and the k halvings made, so only the lower numerator is
+    carried. The k-th midpoint is (2a + delta) / (m 2^k), where p has the sign
+    of the sum of the e_i mid^i 2^(k (deg - i)), e_i = c_i m^(deg - i): the e_i
+    are formed once per entry box and the powers of two are shifts, one big
+    multiplication per Horner step. A midpoint that is a root, found exactly,
+    is carved around by ``_carve`` from the box it halves, and the carved box,
+    centred on the root, is the next entry box, which the next halving carves
+    again by width alone.
     """
 
-    __slots__ = ("poly", "s_lo", "a", "delta", "m", "k", "_e")
+    __slots__ = ("poly", "certified", "s_lo", "a", "delta", "m", "k", "_e", "_carved")
 
-    def __init__(self, p: Polynomial, s_lo: int, a: int, b: int, m: int):
-        self.poly, self.s_lo = p, s_lo
-        self._enter(a, b, m)
+    def __init__(self, iv: IsolatingInterval):
+        self.poly, self.certified, a, b, m = iv.poly, iv.certified, iv.a, iv.b, iv.m
+        self.s_lo, s_hi = _horner_sign(self.poly.ints, a, m), _horner_sign(self.poly.ints, b, m)
+        if self.s_lo == 0 or s_hi == 0:
+            raise IntegrityError("isolating interval endpoints must not be roots")
+        if self.s_lo == s_hi:
+            raise IntegrityError("isolating interval endpoints must straddle the root")
+        self._enter(a, b, m, False)
 
-    def _enter(self, a: int, b: int, m: int) -> tuple[int, int, int]:
-        self.a, self.delta, self.m, self.k = a, b - a, m, 0
+    def _enter(self, a: int, b: int, m: int, carved: bool) -> tuple[int, int, int]:
+        self.a, self.delta, self.m, self.k, self._carved = a, b - a, m, 0, carved
         self._e = [c * m**j for j, c in enumerate(reversed(self.poly.ints))]  # e_deg, e_(deg-1), ..., e_0
         return a, b, m
 
     @property
     def box(self) -> tuple[int, int, int]:
         return self.a, self.a + self.delta, self.m << self.k
+
+    @property
+    def interval(self) -> IsolatingInterval:
+        """The current box as an interval of ``poly``, certified when the entry interval was."""
+        return _with_certificate(IsolatingInterval(*self.box, self.poly), self.certified)
 
     def halve(self, count: int, wn: int, wd: int) -> tuple[int, int, int]:
         """The box after ``count`` more halvings, or the box carved to width wn / wd around an exact hit."""
@@ -597,38 +589,29 @@ class RootBisection:
             for j, e in enumerate(rest, 1):
                 acc = acc * mid + (e << j * k)
             if not acc:
-                return self._enter(*_carve(self.poly, a, a + delta, self.m << (k - 1), wn, wd))
+                return self._enter(*_carve(self.poly, a, a + delta, self.m << (k - 1), wn, wd, self._carved), True)
             a = mid if (acc > 0) == (self.s_lo > 0) else 2 * a
         self.a, self.k = a, k
         return self.box
 
     def to_width(self, wn: int, wd: int) -> tuple[int, int, int]:
-        """Halve K times, the least K with delta wd <= wn d 2^K for the box's denominator d (bit lengths, one check)."""
-        over, under = self.delta * wd, wn * (self.m << self.k)
-        K = max(0, over.bit_length() - under.bit_length())  # over / under < 2^(K + 1), and > 2^(K - 1) if K > 0
-        if under << K < over:
-            K += 1
-        return self.halve(K, wn, wd)
-
-
-def bisect_root(p: Polynomial, s_lo: int, a: int, b: int, m: int, wn: int, wd: int) -> tuple[int, int, int]:
-    """The root box [a/m, b/m] of ``p``, with the sign ``s_lo`` at a/m, bisected to width wn / wd (``RootBisection``)."""
-    return RootBisection(p, s_lo, a, b, m).to_width(wn, wd)
+        """Halve K times, the least K with delta wd <= wn d 2^K for the box's denominator d: 2^K >= q, below."""
+        q = -(-self.delta * wd // (wn * (self.m << self.k)))  # ceil(delta wd / (wn d)) >= 1
+        return self.halve((q - 1).bit_length(), wn, wd)
 
 
 def refine_root(iv: IsolatingInterval, width: RatLike) -> IsolatingInterval:
     """Deterministic bisection down to the requested width; output nests in input.
 
-    The box goes through ``root_box`` and ``bisect_root`` in integers, which
-    carves a box around an exact hit. The result is certified when ``iv`` is:
-    each half kept has opposite end signs inside the one-root box.
+    One ``RootBisection`` of ``iv``, in integers, which carves a box around an
+    exact hit; the result is certified when ``iv`` is.
     """
     width = exact_rational(width, "width")
     if width <= 0:
         raise ValueError("width must be positive")
-    a, b, m, s_lo = root_box(iv)
-    box = bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator)
-    return with_certificate(IsolatingInterval(*box, iv.poly), iv.certified)
+    bisection = RootBisection(iv)
+    bisection.to_width(width.numerator, width.denominator)
+    return bisection.interval
 
 
 def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

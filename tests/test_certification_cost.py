@@ -138,8 +138,8 @@ class TestCatalogPass:
         assert set(catalog_pass.per_link) == {2}
 
     def test_solve_and_refine_links_make_the_same_calls(self, catalog_pass):
-        # the resumed bisection visits the boxes fresh bisect_root calls visited: the counts of the code that called
-        # bisect_root once per failed link iteration, where the three kinds of link made 13,779 calls together
+        # the resumed bisection visits the boxes fresh bisections visited: the counts of the code that bisected
+        # afresh once per failed link iteration, where the three kinds of link made 13,779 such calls together
         calls = catalog_pass.calls
         assert (calls["link", "solve"], calls["link", "refine"]) == (853, 853)
         assert (calls["eval_poly_range", "solve"], calls["eval_poly_range", "refine"]) == (3_893, 4_904)

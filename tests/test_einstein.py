@@ -14,7 +14,7 @@ import sympy
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from trisym import cli, einstein, surd
+from trisym import cli, einstein, polysolve, surd
 from trisym.cases import make_case
 from trisym.checks import grid_count_oracle
 from trisym.coeffs import coefficients_for_case
@@ -36,12 +36,12 @@ from trisym.errors import IntegrityError, NotApplicable, TrisymError
 from trisym.polysolve import (
     IsolatingInterval,
     Polynomial,
+    certify_box,
     int_mul,
     integer_numerators,
     isolate_real_roots,
     isolates,
     isolates_at,
-    isolates_inside,
     refine_root,
     resultant,
     squarefree_part,
@@ -1356,7 +1356,7 @@ class TestX2OnItsOwnPolynomial:
 
 
 class TestTwoSignDecision:
-    """Inside a certified interval, ``isolates_inside`` decides by two end signs exactly as the Sturm test does."""
+    """Inside a certified interval, ``certify_box`` decides by two end signs exactly as the Sturm test does."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_sturm_test_on_sub_boxes(self, seed):
@@ -1382,10 +1382,16 @@ class TestTwoSignDecision:
                 points |= {iv.lo + iv.width * F(rng.randint(1, 999), 1000) for _ in range(15)}
                 pairs = list(combinations(sorted(points), 2))
                 assert len(pairs) >= 200
-                for lo, hi in pairs:
-                    got = isolates_inside(iv, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-                    assert got is isolates_at(iv.poly, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-                    decided[got, p is with_r and r in (lo, hi)] += 1
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(polysolve, "isolates_at", None)  # every sub-box is decided by two signs, no Sturm test
+                    got = [certify_box((lo.numerator, lo.denominator), (hi.numerator, hi.denominator), iv.poly, iv)
+                           for lo, hi in pairs]
+                for (lo, hi), box in zip(pairs, got):
+                    expected = isolates_at(iv.poly, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+                    assert (box is not None) is expected
+                    if expected:
+                        assert (box.lo, box.hi, box.poly, box.certified) == (lo, hi, iv.poly, True)
+                    decided[expected, p is with_r and r in (lo, hi)] += 1
         assert decided[True, False] >= 100 and decided[False, False] >= 100 and decided[False, True] >= 20
 
 

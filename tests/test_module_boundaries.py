@@ -1,5 +1,6 @@
 """No trisym module uses another trisym module's private names, no private function or
-module-level name is dead, and ``einstein.py`` stays within its line gate.
+module-level name is dead, only ``polysolve`` sets an interval's ``certified``, and
+``einstein.py`` and ``polysolve.py`` stay within their line gates.
 
 A private name starts with one underscore (dunders such as ``__version__``
 are not private). The check reads the source with ``ast``: it rejects
@@ -166,9 +167,50 @@ def test_dead_private_name_is_caught():
     assert unreferenced_private_names({"m": "_TABLE = {}\n", "n": "from .m import _TABLE\n_TABLE[1]\n"}) == []
 
 
-# the solver module's size gate: the same behaviour and speed from no more code
-EINSTEIN_MAX_LINES = 645
+def certificate_stores(source: str) -> list[str]:
+    """Each place in ``source`` that sets a ``certified`` attribute: an attribute store, or a call of
+    ``object.__setattr__`` or ``setattr`` with the name ``"certified"``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "certified" and not isinstance(node.ctx, ast.Load):
+            found.append(f"line {node.lineno}: .certified store")
+        elif isinstance(node, ast.Call) and any(isinstance(a, ast.Constant) and a.value == "certified" for a in node.args):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "__setattr__") or (
+                isinstance(func, ast.Name) and func.id == "setattr"
+            ):
+                found.append(f"line {node.lineno}: {ast.unparse(func)}(..., 'certified', ...)")
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "polysolve"])
+def test_only_polysolve_sets_certificates(module):
+    # a box's certificate is issued where its isolation is proved, in polysolve's kernels
+    assert certificate_stores((SRC / f"{module}.py").read_text()) == []
+
+
+def test_each_certificate_store_is_caught():
+    source = (
+        "object.__setattr__(iv, 'certified', True)\n"
+        "setattr(iv, 'certified', True)\n"
+        "iv.certified = True\n"
+        "iv.certified |= True\n"
+        "del iv.certified\n"
+        "ok = iv.certified\n"
+        "object.__setattr__(iv, 'a', 1)\n"
+        "print('certified')\n"
+    )
+    assert [f.split(":")[0] for f in certificate_stores(source)] == [f"line {n}" for n in (1, 2, 3, 4, 5)]
+
+
+# the solver modules' size gates: the same behaviour and speed from no more code
+EINSTEIN_MAX_LINES = 640
+POLYSOLVE_MAX_LINES = 648
 
 
 def test_einstein_within_its_line_gate():
     assert len((SRC / "einstein.py").read_text().splitlines()) <= EINSTEIN_MAX_LINES
+
+
+def test_polysolve_within_its_line_gate():
+    assert len((SRC / "polysolve.py").read_text().splitlines()) <= POLYSOLVE_MAX_LINES

@@ -15,18 +15,15 @@ from trisym.polysolve import (
     IsolatingInterval,
     Polynomial,
     RootBisection,
-    bisect_root,
     cauchy_root_bound,
+    certify_box,
     count_real_roots,
-    deflate_endpoint_roots,
     isolate_real_roots,
     isolates,
     isolates_at,
-    isolates_inside,
     poly_gcd,
     refine_root,
     resultant,
-    root_box,
     squarefree_part,
     sturm_sequence,
 )
@@ -367,7 +364,10 @@ def ref_refine(p, lo, hi, width):
 
 def ref_isolate(p, lo, hi):
     """Fraction bisection with the carve around an exact hit: the intervals isolate_real_roots must reproduce."""
-    sf = deflate_endpoint_roots(squarefree_part(p), lo, hi)
+    sf = squarefree_part(p)
+    for pt in (lo, hi):  # a root at a finite end is divided out, by sympy
+        if pt is not None and sf(pt) == 0:
+            sf = from_sympy(to_sympy(sf).quo(sp(-pt, 1)))
     if sf.degree <= 0:
         return []
     bound = cauchy_root_bound(sf)
@@ -719,6 +719,17 @@ class TestCertificate:
         assert refine_root(iv, F(1, 10**30)).certified
         assert not refine_root(IsolatingInterval(iv.a, iv.b, iv.m, iv.poly), F(1, 10**30)).certified
 
+    def test_bisection_keeps_the_certificate_it_is_given(self):
+        # the interval a RootBisection hands back, before and after halving and after a carve, is certified exactly
+        # when the interval it opened from is; a copy made by dataclasses.replace carries none
+        for iv in (isolate_real_roots(poly(-2, 0, 1), 1, 2)[0], isolate_real_roots(poly(-1, 2), 0, 1)[0]):
+            for given in (iv, replace(iv)):
+                bisection = RootBisection(given)
+                opened = bisection.interval
+                bisection.halve(3, 1, 64)
+                assert opened == given and bisection.interval.poly is given.poly
+                assert opened.certified is bisection.interval.certified is given.certified is (given is iv)
+
     def test_carve_around_an_exact_dyadic_hit_is_certified(self):
         # 2x - 1 on (0, 1): the first midpoint is the root, so refinement carves a box around it
         iv = isolate_real_roots(poly(-1, 2), 0, 1)[0]
@@ -745,18 +756,23 @@ class TestCertificate:
         assert iv.certified and not bare.certified
         assert iv == bare and hash(iv) == hash(bare) and repr(iv) == repr(bare)
 
-    def test_two_signs_only_inside_the_certified_box(self):
+    def test_two_signs_only_inside_the_certified_box(self, monkeypatch):
         # (x - 1)(x - 2)(x - 3): inside the certified box around 2 the end signs decide; (0, 4) reaches past it,
         # holds three roots and has opposite end signs, so it gets the Sturm test
         p = sym(sp(-1, 1) * sp(-2, 1) * sp(-3, 1))
         iv = next(iv for iv in isolate_real_roots(p) if iv.lo < 2 < iv.hi)
+        p = iv.poly
         assert iv.certified and p.sign_at(0) * p.sign_at(4) < 0
-        assert isolates_inside(iv, 0, 1, 4, 1) is isolates_at(p, 0, 1, 4, 1) is False
-        assert isolates_inside(iv, iv.a, iv.m, iv.b, iv.m) is True
-        assert isolates_inside(iv, 2, 1, iv.b, iv.m) is False  # an end at the root
+        assert certify_box((0, 1), (4, 1), p, iv) is None and isolates_at(p, 0, 1, 4, 1) is False
+        tests, sturm = [], polysolve.isolates_at
+        monkeypatch.setattr(polysolve, "isolates_at", lambda *args: tests.append(args) or sturm(*args))
+        box = certify_box((iv.a, iv.m), (iv.b, iv.m), p, iv)
+        assert box == iv and box.certified and tests == []
+        assert certify_box((2, 1), (iv.b, iv.m), p, iv) is None and tests == []  # an end at the root
+        assert certify_box((iv.a, iv.m), (iv.b, iv.m), p, replace(iv)) == iv and len(tests) == 1  # no certificate
+        assert certify_box((iv.a, iv.m), (iv.b, iv.m), p) == iv and len(tests) == 2  # no enclosing interval
         with pytest.raises(ValueError, match="need lo < hi"):
-            isolates_inside(iv, iv.b, iv.m, iv.a, iv.m)
-
+            certify_box((iv.b, iv.m), (iv.a, iv.m), p, iv)
 
 class TestNonRationalRefused:
     @pytest.mark.parametrize(
@@ -804,7 +820,7 @@ def _big_quartic(rng, bits):
 
 
 def _deep_boxes(p):
-    """(p, a, b, m, sign at a/m) for boxes over m = 3 * 7 * 11 * 2^j isolating each real root of ``p``."""
+    """Intervals of ``p`` over m = 3 * 7 * 11 * 2^j, uncertified, isolating each real root of ``p``."""
     out = []
     for iv in isolate_real_roots(p):
         for j in (0, 9):
@@ -812,16 +828,27 @@ def _deep_boxes(p):
             iv = refine_root(iv, F(1, 4 * m))
             a, b = floor(iv.lo * m), ceil(iv.hi * m)
             if isolates_at(p, a, m, b, m):
-                out.append((p, a, b, m, p.sign_at(F(a, m))))
+                out.append(IsolatingInterval(a, b, m, p))
     return out
 
 
-def _assert_fraction_bisection(p, box, got, width):
-    """``got`` = bisect_root on ``box`` is the Fraction bisection to ``width``, over the entry denominator times 2^k."""
-    a, b, m = box
-    k = got[2] // m
-    assert got[2] == m * k and k & (k - 1) == 0
-    assert (F(got[0], got[2]), F(got[1], got[2])) == ref_refine(p, F(a, m), F(b, m), width)
+def _bisected(iv, wn, wd):
+    """The box of a fresh ``RootBisection`` of ``iv`` taken to width wn / wd, checked against its ``interval``."""
+    bisection = RootBisection(iv)
+    got = bisection.to_width(wn, wd)
+    assert bisection.interval == IsolatingInterval(*got, iv.poly) and bisection.box == got
+    return got
+
+
+def _value(box):
+    return F(box[0], box[2]), F(box[1], box[2])
+
+
+def _assert_fraction_bisection(iv, got, width):
+    """``got``, a bisection of ``iv``, is the Fraction bisection to ``width``, over the entry denominator times 2^k."""
+    k = got[2] // iv.m
+    assert got[2] == iv.m * k and k & (k - 1) == 0
+    assert _value(got) == ref_refine(iv.poly, iv.lo, iv.hi, width)
 
 
 class TestSharedKernels:
@@ -835,6 +862,17 @@ class TestSharedKernels:
         assert isolates(p, lo, hi) is expected
         assert isolates_at(p, lo.numerator, lo.denominator, hi.numerator, hi.denominator) is expected
 
+    @given(st.one_of(integer_polys, repeated_root_polys), st.data())
+    def test_certify_box_is_the_sturm_test(self, p, data):
+        # with no enclosing interval, the box comes back certified exactly when the Sturm test holds
+        ends = st.one_of(finite_endpoints, st.sampled_from(_rational_roots(p) or [F(0)]))
+        lo, hi = data.draw(ends), data.draw(ends)
+        assume(lo < hi)
+        box = certify_box((lo.numerator, lo.denominator), (hi.numerator, hi.denominator), p)
+        assert (box is not None) is isolates(p, lo, hi)
+        if box is not None:
+            assert (box.lo, box.hi, box.poly, box.certified) == (lo, hi, p, True)
+
     def test_isolates_needs_lo_below_hi(self):
         with pytest.raises(ValueError, match="need lo < hi"):
             isolates(poly(-2, 0, 1), F(2), F(1))
@@ -846,12 +884,13 @@ class TestSharedKernels:
     def test_bisect_root_gives_the_fraction_bisection(self, p, bits):
         width = F(1, 2**bits)
         for iv in isolate_real_roots(p):
-            a, b, m, s_lo = root_box(iv)
-            assert (F(a, m), F(b, m)) == (iv.lo, iv.hi) and s_lo == iv.poly.sign_at(iv.lo)
-            a, b, m = bisect_root(iv.poly, s_lo, a, b, m, width.numerator, width.denominator)
+            bisection = RootBisection(iv)
+            assert bisection.box == (iv.a, iv.b, iv.m) and bisection.s_lo == iv.poly.sign_at(iv.lo)
+            got = bisection.to_width(width.numerator, width.denominator)
             # on an exact hit too: the box is carved around the root as the reference carves it
-            assert (F(a, m), F(b, m)) == ref_refine(iv.poly, iv.lo, iv.hi, width)
-            assert iv.poly.sign_at(F(a, m)) == s_lo
+            assert _value(got) == ref_refine(iv.poly, iv.lo, iv.hi, width)
+            assert iv.poly.sign_at(_value(got)[0]) == bisection.s_lo
+            assert bisection.interval == IsolatingInterval(*got, iv.poly) and bisection.interval.certified
 
     @pytest.mark.parametrize("bits", [60, 150, 300])
     def test_bisect_root_gives_the_fraction_bisection_at_depth(self, bits):
@@ -859,15 +898,14 @@ class TestSharedKernels:
         # and the x2 link's quartering, (wn, wd) = (b - a, 4m)
         boxes = _deep_boxes(_big_quartic(random.Random(bits), bits))
         assert len(boxes) >= 4
-        for n, (p, a, b, m, s_lo) in enumerate(boxes):
+        for n, iv in enumerate(boxes):
             for e in (1, 7, 60, 300) + ((1100,) if n == 0 else ()):
-                got = bisect_root(p, s_lo, a, b, m, 1, 2**e)
-                _assert_fraction_bisection(p, (a, b, m), got, F(1, 2**e))
-            box = a, b, m
+                _assert_fraction_bisection(iv, _bisected(iv, 1, 2**e), F(1, 2**e))
             for _ in range(3):
-                got = bisect_root(p, s_lo, *box, box[1] - box[0], 4 * box[2])
-                _assert_fraction_bisection(p, box, got, F(box[1] - box[0], 4 * box[2]))
-                box = got
+                quarter = iv.b - iv.a, 4 * iv.m
+                got = _bisected(iv, *quarter)
+                _assert_fraction_bisection(iv, got, F(*quarter))
+                iv = IsolatingInterval(*got, iv.poly)
 
     @pytest.mark.parametrize("depth", [50, 173])
     def test_bisect_root_carves_an_exact_hit_at_depth(self, depth):
@@ -879,43 +917,57 @@ class TestSharedKernels:
         num, den = a * 2**depth + t, m * 2**depth  # the root, in the entry box [a/m, (a + 1)/m]
         p = sym(sp(-num, den) * sp(-rng.getrandbits(90) - 2**90, 0, 2**90 + 1) * sp(-(2**200 + 1), 2**199))
         assert p.degree == 4 and isolates_at(p, a, m, a + 1, m) and F(num, den) < 2
+        iv = IsolatingInterval(a, a + 1, m, p)
+        assert (iv.a, iv.b, iv.m) == (a, a + 1, m)
         for e in (depth + 20, 2 * depth + 20, 1100):  # past depth: the entry width is about 2^-13
-            got = bisect_root(p, p.sign_at(F(a, m)), a, a + 1, m, 1, 2**e)
-            _assert_fraction_bisection(p, (a, a + 1, m), got, F(1, 2**e))
+            got = _bisected(iv, 1, 2**e)
+            _assert_fraction_bisection(iv, got, F(1, 2**e))
             assert F(got[0] + got[1], 2 * got[2]) == F(num, den)  # carved around the root
 
     @staticmethod
-    def _resumed_is_fresh(p, s_lo, box, steps, widths=()):
-        """One ``RootBisection`` taken to each of ``widths``, then halved twice ``steps`` times as the x2 link halves
-        it, gives the boxes of fresh ``bisect_root`` calls on the box before each step; the steps' boxes are returned."""
-        resumed, seen = RootBisection(p, s_lo, *box), []
-        for wn, wd in widths:
-            box = bisect_root(p, s_lo, *box, wn, wd)
-            assert resumed.to_width(wn, wd) == box == resumed.box
-        for _ in range(steps):
-            quarter = box[1] - box[0], 4 * box[2]  # the width, and an exact hit's carve width, of the link's step
-            box = bisect_root(p, s_lo, *box, *quarter)
-            assert resumed.halve(2, *quarter) == box == resumed.box
-            seen.append(box)
-        return seen
+    def _resumed_is_fresh(iv, steps, widths=()):
+        """One ``RootBisection`` of ``iv`` taken to each of ``widths``, then halved twice ``steps`` times as the x2 link
+        halves it, gives by value the boxes of fresh bisections of the interval before each step. Returns the steps'
+        boxes and, per step, the isolation tests (``isolates_at`` calls) of the fresh and of the resumed bisection."""
+        resumed, seen, tests = RootBisection(iv), [], []
+        calls, sturm = [], polysolve.isolates_at
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polysolve, "isolates_at", lambda *args: calls.append(args) or sturm(*args))
+            for wn, wd in widths:
+                box = _bisected(iv, wn, wd)
+                got = resumed.to_width(wn, wd)
+                assert got == resumed.box and _value(got) == _value(box)
+                iv = IsolatingInterval(*box, iv.poly)
+                assert resumed.interval == iv
+            for _ in range(steps):
+                quarter = iv.b - iv.a, 4 * iv.m  # the width, and an exact hit's carve width, of the link's step
+                before = len(calls)
+                box = _bisected(iv, *quarter)
+                fresh = len(calls) - before
+                got = resumed.halve(2, *quarter)
+                assert got == resumed.box and _value(got) == _value(box)
+                seen.append(box)
+                tests.append((fresh, len(calls) - before - fresh))
+                iv = IsolatingInterval(*box, iv.poly)
+        return seen, tests
 
     @given(repeated_root_polys, st.integers(1, 40), st.integers(1, 12))
     @example(poly(F(-3, 2), 2, 2), 1, 3)  # roots 1/2 and -3/2 at the midpoints of the second halving: carves
     def test_resumed_bisection_is_fresh_bisect_root(self, p, bits, steps):
         for iv in isolate_real_roots(p):
-            a, b, m, s_lo = root_box(iv)
-            self._resumed_is_fresh(iv.poly, s_lo, (a, b, m), steps, [(1, 2**bits)])
+            self._resumed_is_fresh(iv, steps, [(1, 2**bits)])
 
     @pytest.mark.parametrize("bits", [60, 150, 300])
     def test_resumed_bisection_at_depth(self, bits):
         # the kernel tests' eliminant-sized quartics, entry boxes over 3 * 7 * 11 * 2^j, hundreds of halvings
-        for p, a, b, m, s_lo in _deep_boxes(_big_quartic(random.Random(bits), bits)):
-            self._resumed_is_fresh(p, s_lo, (a, b, m), 150, [(1, 2**7), (1, 2**60)])
+        for iv in _deep_boxes(_big_quartic(random.Random(bits), bits)):
+            self._resumed_is_fresh(iv, 150, [(1, 2**7), (1, 2**60)])
 
     def test_resumed_bisection_carves_an_exact_hit(self):
         # the root a/m + t / (m 2^51), t odd, is the midpoint of halving 51: after the 8 halvings to 2^-20 it is the
         # midpoint of the box of step 21 and is met in step 22, of two halvings each. The carved box is the next entry
-        # box, centred on the root, so every later step carves again
+        # box, centred on the root, so every later step carves again: a fresh bisection tests the isolation of its
+        # carve, and the resumed one, whose entry box a carve already isolated, only its width
         rng = random.Random(51)
         m = 3 * 7 * 11 * 2**5
         a, t = rng.randrange(m, 2 * m), rng.getrandbits(51) | 1
@@ -924,9 +976,10 @@ class TestSharedKernels:
         carves, carve = [], polysolve._carve
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polysolve, "_carve", lambda *args: carves.append(args) or carve(*args))
-            boxes = self._resumed_is_fresh(p, p.sign_at(F(a, m)), (a, a + 1, m), 30, [(1, 2**20)])
+            boxes, tests = self._resumed_is_fresh(IsolatingInterval(a, a + 1, m, p), 30, [(1, 2**20)])
         assert len(carves) == 2 * 9  # steps 22 to 30, in the fresh calls and in the resumed bisection alike
         assert [F(lo + hi, 2 * k) == F(num, den) for lo, hi, k in boxes] == [False] * 20 + [True] * 10
+        assert tests == [(0, 0)] * 21 + [(1, 1)] + [(1, 0)] * 8
 
     @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
     def test_bisect_root_stops_at_an_exact_hit(self, root, k, bits, c):
@@ -934,11 +987,10 @@ class TestSharedKernels:
         d = F(1, 2**k)
         assume(isolates(p, root - d, root + d))
         iv = IsolatingInterval.of(root - d, root + d, p)
-        a, b, m, s_lo = root_box(iv)
         width = F(1, 2**bits)
-        got = bisect_root(p, s_lo, a, b, m, width.numerator, width.denominator)
+        got = _bisected(iv, width.numerator, width.denominator)
         if 2 * d <= width:
-            assert got == (a, b, m)
+            assert got == (iv.a, iv.b, iv.m)
         else:  # the first midpoint is the root: the box is carved around it
             lo, hi = F(got[0], got[2]), F(got[1], got[2])
             assert (lo, hi) == ref_refine(p, iv.lo, iv.hi, width) and lo < root < hi
@@ -950,7 +1002,7 @@ class TestSharedKernels:
         assert deep == shallow == 0  # the returned interval is the box the kernel bisected
 
     def test_refine_root_makes_no_horner_evaluation_in_its_loop(self, monkeypatch):
-        # bisection signs come from the dyadic kernel; a full homogenised Horner is made only by root_box's end checks
+        # bisection signs come from the dyadic kernel; a full homogenised Horner is made only by the end checks on opening
         calls = []
 
         def counted(ints, n, d, f=polysolve._horner_sign):
@@ -983,5 +1035,7 @@ class TestSharedKernels:
         ],
     )
     def test_root_box_checks_the_ends(self, iv, message):
+        with pytest.raises(IntegrityError, match=f"^isolating interval endpoints {message}$"):
+            RootBisection(iv)
         with pytest.raises(IntegrityError, match=message):
-            root_box(iv)
+            refine_root(iv, F(1, 10))
