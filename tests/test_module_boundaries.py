@@ -174,7 +174,7 @@ def certificate_stores(source: str) -> list[str]:
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr == "certified" and not isinstance(node.ctx, ast.Load):
             found.append(f"line {node.lineno}: .certified store")
-        elif isinstance(node, ast.Call) and any(isinstance(a, ast.Constant) and a.value == "certified" for a in node.args):
+        elif isinstance(node, ast.Call) and any(isinstance(v, ast.Constant) and v.value == "certified" for v in node.args):
             func = node.func
             if (isinstance(func, ast.Attribute) and func.attr == "__setattr__") or (
                 isinstance(func, ast.Name) and func.id == "setattr"

@@ -362,12 +362,18 @@ def ref_refine(p, lo, hi, width):
     return lo, hi
 
 
-def ref_isolate(p, lo, hi):
-    """Fraction bisection with the carve around an exact hit: the intervals isolate_real_roots must reproduce."""
+def ref_deflated(p, lo, hi):
+    """The square-free part of ``p`` with a root at each finite end among ``lo`` and ``hi`` divided out, by sympy."""
     sf = squarefree_part(p)
-    for pt in (lo, hi):  # a root at a finite end is divided out, by sympy
+    for pt in (lo, hi):
         if pt is not None and sf(pt) == 0:
             sf = from_sympy(to_sympy(sf).quo(sp(-pt, 1)))
+    return sf
+
+
+def ref_isolate(p, lo, hi):
+    """Fraction bisection with the carve around an exact hit: the intervals isolate_real_roots must reproduce."""
+    sf = ref_deflated(p, lo, hi)
     if sf.degree <= 0:
         return []
     bound = cauchy_root_bound(sf)
@@ -447,13 +453,14 @@ class TestIntegerKernel:
         st.one_of(st.none(), st.fractions(min_value=-30, max_value=30, max_denominator=16)),
         st.one_of(st.none(), st.fractions(min_value=-30, max_value=30, max_denominator=16)),
     )
+    @example([(1, 1), (0, 3)], F(1, 2), None)  # (2x - 1)(x - 3) on (1/2, oo): the intervals' polynomial is x - 3
     def test_isolate_matches_fraction_bisection(self, factors, lo, hi):
         # a product of (2^k x - n): dyadic roots, so bisection midpoints hit them exactly
         assume(lo is None or hi is None or lo < hi)
         p = sym(prod((sp(-n, 2**k) for k, n in factors), start=sp(1)))
         got = isolate_real_roots(p, lo, hi)
         assert [(iv.lo, iv.hi) for iv in got] == ref_isolate(p, lo, hi)
-        assert all(iv.poly == squarefree_part(p) for iv in got)
+        assert all(iv.poly == ref_deflated(p, lo, hi) for iv in got)
 
     @given(small_roots, st.integers(0, 6), st.integers(1, 40), st.sampled_from([None, 2, 5]))
     def test_refine_hits_exact_root(self, root, k, bits, c):
@@ -1002,7 +1009,7 @@ class TestSharedKernels:
         assert deep == shallow == 0  # the returned interval is the box the kernel bisected
 
     def test_refine_root_makes_no_horner_evaluation_in_its_loop(self, monkeypatch):
-        # bisection signs come from the dyadic kernel; a full homogenised Horner is made only by the end checks on opening
+        # bisection signs come from the dyadic kernel; a full homogenised Horner is made only by the opening end checks
         calls = []
 
         def counted(ints, n, d, f=polysolve._horner_sign):
